@@ -153,6 +153,13 @@ class Wanify
         BwMatrix snapshot;
         BwMatrix stable;
         BwMatrix predicted;
+
+        /** The (snapshot, stable) pair as warm-start training input. */
+        CollectedMesh
+        mesh() const
+        {
+            return {snapshot.rows(), snapshot, stable};
+        }
     };
     RuntimeGauge gaugeRuntime(net::NetworkSim &sim, Rng &rng,
                               const RuntimeBwPredictor &model) const;

@@ -27,6 +27,18 @@ faultKindName(FaultKind kind)
     return "unknown";
 }
 
+bool
+FaultEvent::killsTransfer(net::DcId from, net::DcId to) const
+{
+    if (kind == FaultKind::TransferAbort)
+        return (src == kAnyDc || static_cast<net::DcId>(src) == from) &&
+               (dst == kAnyDc || static_cast<net::DcId>(dst) == to);
+    if (kind == FaultKind::DcBlackout)
+        return static_cast<net::DcId>(dc) == from ||
+               static_cast<net::DcId>(dc) == to;
+    return false;
+}
+
 const char *
 predictorModeName(PredictorMode mode)
 {

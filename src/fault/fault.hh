@@ -104,6 +104,13 @@ struct FaultEvent
      * splitmix64-derived seed. Zero = exact start.
      */
     Seconds startJitter = 0.0;
+
+    /**
+     * Does this fault kill an in-flight transfer from DC @p from to
+     * DC @p to? TransferAbort matches its src/dst selector, DcBlackout
+     * either endpoint; the other kinds kill nothing.
+     */
+    bool killsTransfer(net::DcId from, net::DcId to) const;
 };
 
 /** A FaultEvent with its jitter resolved against the plan seed. */

@@ -102,17 +102,6 @@ class DynamicsState
     Matrix<Bytes> burstBytes_;
 };
 
-/** One in-flight shuffle transfer of the current stage. */
-struct PendingTransfer
-{
-    DcId src, dst;
-    Bytes bytes;
-    Seconds done = 0.0;
-
-    /** 0-based send attempt this flight is (retries increment). */
-    std::size_t attempt = 0;
-};
-
 /** An aborted (or blackout-deferred) transfer waiting out backoff.
  *  Its bytes live here, not in the stage assignment, until it flies:
  *  a retry the stage guard drops never reaches the compute phase. */
@@ -136,7 +125,7 @@ class ControlProbe
 {
   public:
     ControlProbe(NetworkSim &sim, const DynamicsState &dynamics,
-                 const std::map<TransferId, PendingTransfer> &pending,
+                 const std::map<TransferId, ShuffleTransfer> &pending,
                  Matrix<Bytes> &controlBytes)
         : sim_(sim),
           dynamics_(dynamics),
@@ -179,7 +168,7 @@ class ControlProbe
   private:
     NetworkSim &sim_;
     const DynamicsState &dynamics_;
-    const std::map<TransferId, PendingTransfer> &pending_;
+    const std::map<TransferId, ShuffleTransfer> &pending_;
     Matrix<Bytes> &controlBytes_;
     std::size_t n_;
     Matrix<Bytes> probe_;
@@ -189,49 +178,10 @@ class ControlProbe
 
 } // namespace
 
-VmId
-shuffleEndpointVm(const net::Topology &topo, DcId dc)
-{
-    panicIf(topo.dc(dc).vms.empty(), "engine: DC without VMs");
-    return topo.dc(dc).vms.front();
-}
-
-StageContext
-makeStageContext(const net::Topology &topo, const JobSpec &job,
-                 std::size_t stageIdx,
-                 const std::vector<Bytes> &inputByDc,
-                 const Matrix<Mbps> &bw)
-{
-    StageContext ctx;
-    ctx.topo = &topo;
-    ctx.bw = &bw;
-    ctx.inputByDc = inputByDc;
-    ctx.stage = &job.stages[stageIdx];
-    ctx.stageIndex = stageIdx;
-
-    const std::size_t n = topo.dcCount();
-    ctx.computeRate.assign(n, 0.0);
-    ctx.egressPrice.assign(n, 0.0);
-    for (DcId dc = 0; dc < n; ++dc) {
-        for (VmId v : topo.dc(dc).vms)
-            ctx.computeRate[dc] += topo.vm(v).type.computeRate;
-        ctx.egressPrice[dc] = topo.dc(dc).region.egressPerGb;
-    }
-    return ctx;
-}
-
 Engine::Engine(net::Topology topo, net::NetworkSimConfig simCfg,
                std::uint64_t seed)
     : topo_(std::move(topo)), simCfg_(simCfg), seed_(seed)
 {}
-
-StageContext
-Engine::makeContext(const JobSpec &job, std::size_t stageIdx,
-                    const std::vector<Bytes> &inputByDc,
-                    const Matrix<Mbps> &bw) const
-{
-    return makeStageContext(topo_, job, stageIdx, inputByDc, bw);
-}
 
 QueryResult
 Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
@@ -330,21 +280,13 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
     double preErrSum = 0.0, postErrSum = 0.0;
 
     const Seconds jobStart = sim.now();
-    std::vector<Bytes> stageInput = inputByDc;
-    bool sawWanTraffic = false;
 
     // --- fault injection & recovery state ----------------------------
     // Null `faults` keeps every code path below structurally identical
     // to a fault-free build: the lambdas exist but are never invoked
     // with work to do, and the stage loop schedules no extra events.
-    const fault::FaultPlan *faults = opts.faults;
-    if (faults == nullptr && opts.dynamics != nullptr)
-        faults = opts.dynamics->faultPlan();
-    if (faults != nullptr && faults->empty())
-        faults = nullptr;
-    fatalIf(faults != nullptr && faults->dcCount() != n,
-            "Engine::run: fault plan compiled for a different cluster "
-            "size");
+    const fault::FaultPlan *faults =
+        resolveFaultPlan(opts.faults, opts.dynamics, n, "Engine::run");
     fault::PredictorHealth health(opts.predictorHealth);
     std::vector<char> agentCrashed(n, 0);
     Seconds faultCursor = -1.0;
@@ -356,24 +298,18 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                      static_cast<int>(health.mode()));
     };
 
-    // Per-stage execution state, hoisted to run scope so the recovery
-    // lambdas and the retrain path share one view of the in-flight
-    // stage; reset at the top of each stage. The EventClock's seq
+    // The query's stage state (input, assignment, in-flight and retired
+    // transfers, warm-start plan memory) and the stage loop's clock,
+    // hoisted to run scope so the recovery lambdas and the retrain path
+    // share one view of the in-flight stage. The EventClock's seq
     // counter keeps running across clear(), so hoisting it preserves
     // the pre-fault pop order bit for bit.
-    std::map<TransferId, PendingTransfer> pending;
-    std::vector<PendingTransfer> retired;
-    Matrix<Bytes> assignment;
+    QueryExecution exec(topo_, job, inputByDc);
     EventClock clock;
     std::vector<RetryItem> retries;
-    std::size_t stageIdx = 0;
 
-    // Forecast-aware planning state: warm-start memory for the
-    // fraction-search schedulers (per run, because scheduler
-    // instances are shared across parallel trials and must stay
-    // stateless) and the gauge trend that backs deployed-mode
+    // Forecast-aware planning: the gauge trend backs deployed-mode
     // forecasts when no dynamics timetable exists.
-    PlanMemory planMemory;
     core::GaugeTrend trend;
     if (opts.wanify != nullptr && !predicted.empty())
         trend.record(sim.now(), predicted);
@@ -392,14 +328,14 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
 
     // --- fault recovery machinery ------------------------------------
     // Start (or blackout-defer) one shuffle transfer whose bytes are
-    // already counted in `assignment`. A pair that is dark right now
+    // already counted in the assignment. A pair that is dark right now
     // holds its bytes back in the retry queue (and out of the
     // assignment) until the blackout clears.
     auto startShuffleTransfer = [&](DcId i, DcId j, Bytes bytes,
                                     std::size_t attempt) -> bool {
         if (faults != nullptr &&
             faults->pairBlackedOutAt(i, j, sim.now())) {
-            assignment.at(i, j) -= bytes;
+            exec.assignment().at(i, j) -= bytes;
             const Seconds due =
                 faults->blackoutClearTime(i, j, sim.now());
             result.backoffSeconds += due - sim.now();
@@ -407,11 +343,11 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             clock.push(due, ClockEventKind::RetryDue);
             return false;
         }
-        const TransferId id = sim.startTransfer(
-            shuffleEndpointVm(topo_, i), shuffleEndpointVm(topo_, j),
-            bytes, connectionsFor(i, j));
-        pending[id] = {i, j, bytes, 0.0, attempt};
+        exec.start(sim, i, j, bytes, connectionsFor(i, j), 0, attempt);
         return true;
+    };
+    auto startFirstAttempt = [&](DcId i, DcId j, Bytes bytes) {
+        startShuffleTransfer(i, j, bytes, 0);
     };
 
     // A transfer that exhausted its retry budget re-places its
@@ -426,63 +362,35 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         residual[src] = bytes;
         Matrix<Mbps> penalized = opts.schedulerBw;
         penalized.at(src, dst) = core::BwForecast::kMinFeasibleMbps;
-        StageContext rctx =
-            makeContext(job, stageIdx, residual, penalized);
-        const core::BwForecast fc = buildForecast();
-        if (!fc.empty()) {
-            rctx.forecast = &fc;
-            rctx.planTime = sim.now();
-        }
-        const Matrix<Bytes> placed = scheduler.placeStage(rctx);
-        for (DcId i = 0; i < n; ++i) {
-            for (DcId j = 0; j < n; ++j) {
-                const Bytes b = placed.at(i, j);
-                if (b < 1.0)
-                    continue;
-                assignment.at(i, j) += b;
-                if (i == j)
-                    continue;
-                startShuffleTransfer(i, j, b, 0);
-            }
-        }
+        StageContext rctx = exec.context(residual, penalized);
+        rctx.memory = nullptr;
+        exec.launch(exec.place(scheduler, rctx, buildForecast(),
+                               sim.now()),
+                    startFirstAttempt);
     };
 
-    // Kill one in-flight transfer: retire its delivered part, drop the
-    // remainder from the assignment, and either queue a backed-off
-    // retry or fall through to the residual replan.
+    // Kill one in-flight transfer — its delivered part stays where it
+    // landed — and either queue a backed-off retry of the remainder or
+    // fall through to the residual replan.
     auto abortTransfer = [&](TransferId id) {
-        auto it = pending.find(id);
-        if (it == pending.end())
-            return;
-        const auto status = sim.status(id);
-        if (!status.exists || status.done ||
-            status.bytesRemaining < 1.0)
+        const auto lost = exec.stop(sim, id, 1.0);
+        if (!lost)
             return; // effectively delivered; completion handling owns it
-        const PendingTransfer t = it->second;
-        assignment.at(t.src, t.dst) -= status.bytesRemaining;
-        if (status.bytesMoved >= 1.0) {
-            PendingTransfer part = t;
-            part.bytes = status.bytesMoved;
-            part.done = sim.now();
-            retired.push_back(part);
-        }
-        sim.stopTransfer(id);
-        pending.erase(it);
         ++result.transferAborts;
-        result.lostBytes += status.bytesRemaining;
-        if (t.attempt + 1 < opts.retry.maxAttempts) {
+        result.lostBytes += lost->bytes;
+        if (lost->attempt + 1 < opts.retry.maxAttempts) {
             Seconds due = sim.now() +
-                          opts.retry.backoff(t.attempt,
+                          opts.retry.backoff(lost->attempt,
                                              splitmix64(retryRngState));
             if (faults != nullptr)
                 due = std::max(due, faults->blackoutClearTime(
-                                        t.src, t.dst, due));
+                                        lost->src, lost->dst, due));
             result.backoffSeconds += due - sim.now();
-            retries.push_back({t.src, t.dst, status.bytesRemaining,
-                               t.attempt + 1, due});
+            retries.push_back({lost->src, lost->dst, lost->bytes,
+                               lost->attempt + 1, due});
             clock.push(due, ClockEventKind::RetryDue);
         } else {
-            replanResidual(t.src, t.dst, status.bytesRemaining);
+            replanResidual(lost->src, lost->dst, lost->bytes);
         }
     };
 
@@ -499,7 +407,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             const RetryItem item = retries[k];
             retries.erase(retries.begin() +
                           static_cast<std::ptrdiff_t>(k));
-            assignment.at(item.src, item.dst) += item.bytes;
+            exec.assignment().at(item.src, item.dst) += item.bytes;
             if (startShuffleTransfer(item.src, item.dst, item.bytes,
                                      item.attempt) &&
                 item.attempt > 0)
@@ -507,6 +415,17 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         }
     };
 
+    // Re-arm the agents whose DC's agent is up (only DC @p only's when
+    // given): install their targets and start a fresh AIMD window.
+    auto rearmAgents = [&](std::optional<DcId> only = std::nullopt) {
+        for (auto &agent : agents) {
+            const DcId dc = agent->sourceDc();
+            if (agentCrashed[dc] || (only && dc != *only))
+                continue;
+            agent->applyTargets();
+            agent->resetWindow();
+        }
+    };
     auto crashAgentAt = [&](int dc) {
         ++result.agentCrashes;
         if (agentCrashed[static_cast<std::size_t>(dc)])
@@ -524,22 +443,22 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                                          static_cast<int>(dc), t))
                 continue;
             agentCrashed[dc] = 0;
-            for (auto &agent : agents) {
-                if (agent->sourceDc() != dc)
-                    continue;
-                agent->applyTargets();
-                agent->resetWindow();
-            }
+            rearmAgents(dc);
         }
     };
-    // Crashed agents must not re-throttle, so a redeploy (which
-    // installs fresh static throttles for every DC) re-clears theirs.
-    auto clearCrashedThrottles = [&]() {
+    // Plan and deploy fresh agents for @p belief. Crashed agents must
+    // not re-throttle, so the redeploy (which installs fresh static
+    // throttles for every DC) re-clears theirs.
+    auto redeploy = [&](const Matrix<Mbps> &belief) {
+        plan = opts.wanify->plan(belief, opts.skewWeights, opts.rvec);
+        deployment = opts.wanify->deploy(sim, plan, belief);
+        rearmAgents();
         for (DcId dc = 0; dc < n; ++dc)
             if (agentCrashed[dc])
                 for (DcId j = 0; j < n; ++j)
                     if (dc != j)
                         sim.setTcLimit(dc, j, 0.0);
+        predicted = belief;
     };
 
     // Fire every fault whose start lies in (faultCursor, t], then
@@ -552,39 +471,14 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         std::vector<std::size_t> started;
         faults->startsIn(faultCursor, t, started);
         for (std::size_t fi : started) {
-            const fault::CompiledFault &cf = faults->events()[fi];
+            const fault::FaultEvent &ev = faults->events()[fi].ev;
             ++result.faultsInjected;
-            switch (cf.ev.kind) {
-            case fault::FaultKind::TransferAbort: {
-                std::vector<TransferId> hit;
-                for (const auto &[id, tr] : pending)
-                    if ((cf.ev.src == fault::kAnyDc ||
-                         static_cast<DcId>(cf.ev.src) == tr.src) &&
-                        (cf.ev.dst == fault::kAnyDc ||
-                         static_cast<DcId>(cf.ev.dst) == tr.dst))
-                        hit.push_back(id);
-                for (const TransferId id : hit)
-                    abortTransfer(id);
-                break;
-            }
-            case fault::FaultKind::DcBlackout: {
+            if (ev.kind == fault::FaultKind::DcBlackout)
                 ++result.blackouts;
-                std::vector<TransferId> hit;
-                for (const auto &[id, tr] : pending)
-                    if (tr.src == static_cast<DcId>(cf.ev.dc) ||
-                        tr.dst == static_cast<DcId>(cf.ev.dc))
-                        hit.push_back(id);
-                for (const TransferId id : hit)
-                    abortTransfer(id);
-                break;
-            }
-            case fault::FaultKind::AgentCrash:
-                crashAgentAt(cf.ev.dc);
-                break;
-            case fault::FaultKind::ProbeLoss:
-            case fault::FaultKind::GaugeTimeout:
-                break;
-            }
+            if (ev.kind == fault::FaultKind::AgentCrash)
+                crashAgentAt(ev.dc);
+            for (const TransferId id : exec.killedBy(ev))
+                abortTransfer(id);
         }
         faultCursor = std::max(faultCursor, t);
         restartCrashedAgents(t);
@@ -634,17 +528,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                             belief.at(i, j) =
                                 opts.schedulerBw.at(i, j);
                 deployment.clear(sim);
-                plan = opts.wanify->plan(belief, opts.skewWeights,
-                                         opts.rvec);
-                deployment = opts.wanify->deploy(sim, plan, belief);
-                for (auto &agent : agents) {
-                    if (agentCrashed[agent->sourceDc()])
-                        continue;
-                    agent->applyTargets();
-                    agent->resetWindow();
-                }
-                clearCrashedThrottles();
-                predicted = belief;
+                redeploy(belief);
                 // Do not trend.record(): feeding extrapolations back
                 // into the trend would let the ladder hallucinate.
                 nextEpoch = sim.now();
@@ -656,7 +540,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             // as probe traffic.
             {
             deployment.clear(sim);
-            const ControlProbe probe(sim, dynamics, pending,
+            const ControlProbe probe(sim, dynamics, exec.pending(),
                                      controlBytes);
 
             // Gauge A: the stale model's error under current
@@ -665,10 +549,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                 opts.wanify->gaugeRuntime(sim, rng, *model);
             preErrSum +=
                 meanAbsOffDiag(gaugeA.predicted, gaugeA.stable);
-            core::CollectedMesh mesh;
-            mesh.clusterSize = n;
-            mesh.snapshotBw = gaugeA.snapshot;
-            mesh.stableBw = gaugeA.stable;
+            const core::CollectedMesh mesh = gaugeA.mesh();
             std::uint64_t retrainState =
                 runSeed ^ (0x9e3779b97f4a7c15ULL *
                            (result.retrainsApplied + 1));
@@ -713,21 +594,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             postErrSum +=
                 meanAbsOffDiag(gaugeB.predicted, gaugeB.stable);
             ++result.retrainsApplied;
-            predicted = gaugeB.predicted;
-
-            plan = opts.wanify->plan(predicted, opts.skewWeights,
-                                     opts.rvec);
-            deployment =
-                opts.wanify->deploy(sim, plan, predicted);
-            for (auto &agent : agents) {
-                if (faults != nullptr &&
-                    agentCrashed[agent->sourceDc()])
-                    continue;
-                agent->applyTargets();
-                agent->resetWindow();
-            }
-            if (faults != nullptr)
-                clearCrashedThrottles();
+            redeploy(gaugeB.predicted);
             }
             trend.record(sim.now(), predicted);
             // A gauge landed: the predictor proved itself, so the
@@ -742,64 +609,27 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             // where they landed; the effective assignment matrix is
             // updated so the compute phase and the next stage's
             // input see the true landing spots.
-            if (opts.forecast.enabled && opts.replanOnRetrain) {
-                std::vector<Bytes> residual(n, 0.0);
-                std::vector<TransferId> liveIds;
-                for (const auto &[id, t] : pending) {
-                    const auto st = sim.status(id);
-                    if (!st.exists || st.done ||
-                        st.bytesRemaining < 1.0)
-                        continue;
-                    residual[t.src] += st.bytesRemaining;
-                    liveIds.push_back(id);
-                }
-                if (!liveIds.empty()) {
-                    for (const TransferId id : liveIds) {
-                        const auto st = sim.status(id);
-                        PendingTransfer part = pending.at(id);
-                        assignment.at(part.src, part.dst) -=
-                            st.bytesRemaining;
-                        part.bytes = st.bytesMoved;
-                        part.done = sim.now();
-                        sim.stopTransfer(id);
-                        retired.push_back(part);
-                        pending.erase(id);
-                    }
-                    StageContext rctx = makeContext(
-                        job, stageIdx, residual, opts.schedulerBw);
-                    rctx.memory = &planMemory;
-                    const core::BwForecast fc = buildForecast();
-                    if (!fc.empty()) {
-                        rctx.forecast = &fc;
-                        rctx.planTime = sim.now();
-                    }
-                    const Matrix<Bytes> replaced =
-                        scheduler.placeStage(rctx);
-                    for (DcId i = 0; i < n; ++i) {
-                        for (DcId j = 0; j < n; ++j) {
-                            const Bytes bytes = replaced.at(i, j);
-                            if (bytes < 1.0)
-                                continue;
-                            assignment.at(i, j) += bytes;
-                            if (i == j)
-                                continue;
-                            startShuffleTransfer(i, j, bytes, 0);
-                        }
-                    }
-                }
+            if (opts.forecast.enabled) {
+                const std::vector<Bytes> residual =
+                    exec.stopInFlight(sim);
+                if (std::any_of(residual.begin(), residual.end(),
+                                [](Bytes b) { return b > 0.0; }))
+                    exec.launch(
+                        exec.place(scheduler,
+                                   exec.context(residual,
+                                                opts.schedulerBw),
+                                   buildForecast(), sim.now()),
+                        startFirstAttempt);
             }
             nextEpoch = sim.now();
         };
 
-    for (std::size_t s = 0; s < job.stages.size(); ++s) {
-        const StageSpec &spec = job.stages[s];
+    for (; !exec.done(); exec.nextStage()) {
+        const StageSpec &spec = exec.stageSpec();
         StageResult stageResult;
         stageResult.name = spec.name;
         stageResult.start = sim.now();
 
-        stageIdx = s;
-        pending.clear();
-        retired.clear();
         retries.clear();
         clock.clear();
         // Faults due before the shuffle opens (e.g. a crash during the
@@ -807,33 +637,13 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         // and the blackout check below see the true fault state.
         applyFaultsUpTo(sim.now());
 
-        StageContext ctx =
-            makeContext(job, s, stageInput, opts.schedulerBw);
-        ctx.memory = &planMemory;
-        const core::BwForecast stageForecast = buildForecast();
-        if (!stageForecast.empty()) {
-            ctx.forecast = &stageForecast;
-            ctx.planTime = sim.now();
-        }
-        assignment = scheduler.placeStage(ctx);
-        fatalIf(assignment.rows() != n || assignment.cols() != n,
-                "Engine::run: scheduler assignment shape mismatch");
-
         // --- shuffle phase ------------------------------------------------
-        for (DcId i = 0; i < n; ++i) {
-            for (DcId j = 0; j < n; ++j) {
-                const Bytes bytes = assignment.at(i, j);
-                if (i == j || bytes < 1.0)
-                    continue;
-                startShuffleTransfer(i, j, bytes, 0);
-            }
-        }
-        for (auto &agent : agents) {
-            if (faults != nullptr && agentCrashed[agent->sourceDc()])
-                continue;
-            agent->applyTargets();
-            agent->resetWindow();
-        }
+        exec.beginShuffle(
+            exec.place(scheduler,
+                       exec.context(exec.stageInput(), opts.schedulerBw),
+                       buildForecast(), sim.now()),
+            sim.now(), startFirstAttempt);
+        rearmAgents();
 
         const Seconds shuffleStart = sim.now();
         const Seconds guardEnd = shuffleStart + opts.maxStageSeconds;
@@ -891,7 +701,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                 // stages; they are billed as if finishing now.
                 // Queued retries die with the stage — their bytes
                 // already left the assignment.
-                for (const auto &[id, t] : pending)
+                for (const auto &[id, t] : exec.pending())
                     sim.stopTransfer(id);
                 retries.clear();
                 break;
@@ -954,18 +764,17 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
 
         // Collect completion times per transfer.
         for (const auto &rec : sim.drainCompletions()) {
-            auto it = pending.find(rec.id);
-            if (it != pending.end())
+            auto it = exec.pending().find(rec.id);
+            if (it != exec.pending().end())
                 it->second.done = rec.time;
         }
 
         // Min pair BW: the paper's "minimum BW of the cluster" — the
         // slowest pair's average achieved rate over its active period.
-        std::vector<Seconds> transferDone(n, shuffleStart);
         Mbps minPairBw = 0.0;
-        auto accountTransfer = [&](const PendingTransfer &t) {
+        auto accountTransfer = [&](const ShuffleTransfer &t) {
             const Seconds done = t.done > 0.0 ? t.done : sim.now();
-            transferDone[t.dst] = std::max(transferDone[t.dst], done);
+            exec.landed(t.dst, done);
             stageResult.wanBytes += t.bytes;
             if (t.bytes >= kMinAccountedBytes) {
                 const Seconds duration =
@@ -976,16 +785,15 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                                 : std::min(minPairBw, avg);
             }
         };
-        for (const auto &[id, t] : pending)
+        for (const auto &[id, t] : exec.pending())
             accountTransfer(t);
         // Transfers retired mid-stage by an incremental re-plan:
         // their delivered portion is real WAN traffic of this stage.
-        for (const PendingTransfer &t : retired)
+        for (const ShuffleTransfer &t : exec.retired())
             accountTransfer(t);
         stageResult.minPairBw = minPairBw;
         stageResult.transferEnd = sim.now();
         if (minPairBw > 0.0) {
-            sawWanTraffic = true;
             result.minObservedBw =
                 result.minObservedBw == 0.0
                     ? minPairBw
@@ -993,18 +801,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         }
 
         // --- compute phase ------------------------------------------------
-        std::vector<Bytes> nextInput(n, 0.0);
-        Seconds stageEnd = sim.now();
-        for (DcId j = 0; j < n; ++j) {
-            Bytes atJ = 0.0;
-            for (DcId i = 0; i < n; ++i)
-                atJ += assignment.at(i, j);
-            const double rate = std::max(1.0e-9, ctx.computeRate[j]);
-            const Seconds compute =
-                units::toMegabytes(atJ) * spec.workPerMb / rate;
-            stageEnd = std::max(stageEnd, transferDone[j] + compute);
-            nextInput[j] = atJ * spec.selectivity;
-        }
+        const Seconds stageEnd = exec.computeEnd(sim.now());
         if (eventClock && opts.dynamics != nullptr) {
             // Step through the window's burst edges so flash crowds
             // open and close at their true instants even though the
@@ -1048,7 +845,6 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         stageResult.end = sim.now();
 
         result.stages.push_back(stageResult);
-        stageInput = std::move(nextInput);
     }
 
     if (opts.wanify != nullptr)
@@ -1081,9 +877,6 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         result.postRetrainError =
             postErrSum / static_cast<double>(result.retrainsApplied);
     }
-
-    if (!sawWanTraffic)
-        result.minObservedBw = 0.0;
     return result;
 }
 

@@ -10,7 +10,9 @@
  * finally advances through the compute phase whose duration depends on
  * each DC's aggregate compute rate. Job completion time is gated by the
  * slowest DC, which is gated by the weakest WAN link: exactly the
- * coupling the paper exploits.
+ * coupling the paper exploits. The per-stage state and mechanics live
+ * in gda::QueryExecution, shared with serve::Service; the engine adds
+ * WANify deployment, drift retraining, and per-transfer recovery.
  *
  * The engine reports latency, the cost breakdown (compute incl. burst
  * surcharge, network egress, storage) and the minimum per-pair average
@@ -30,6 +32,7 @@
 #include "cost/cost_model.hh"
 #include "fault/fault.hh"
 #include "gda/job.hh"
+#include "gda/query_execution.hh"
 #include "gda/scheduler.hh"
 #include "net/network_sim.hh"
 
@@ -224,19 +227,11 @@ struct RunOptions
      * attached (simulation mode), else from the per-pair trend of
      * this run's predicted/gauged matrices (deployed mode) — and the
      * fraction-search schedulers warm-start each stage from the plan
-     * they previously found for it.
+     * they previously found for it. With adaptOnDrift, each retrain
+     * then stops the stage's unfinished transfers and re-places their
+     * undelivered bytes under the retrained belief.
      */
     core::ForecastConfig forecast;
-
-    /**
-     * With forecast planning and adaptOnDrift both on: after a
-     * retrain redeploys, stop the stage's unfinished transfers,
-     * re-place the undelivered bytes under the retrained belief
-     * (warm-started from the original plan) and restart them — the
-     * incremental re-plan, instead of letting a stale placement run
-     * to completion.
-     */
-    bool replanOnRetrain = true;
 
     /**
      * When the drift detector trips mid-run (WANify deployed, no
@@ -299,28 +294,6 @@ struct RunOptions
     ClockMode clock = ClockMode::EpochQuantized;
 };
 
-/**
- * First VM of a DC carries that DC's shuffle endpoints — the shared
- * convention of the one-shot engine and the serve layer's per-query
- * executions, so both bill traffic to the same VM pairs.
- */
-net::VmId shuffleEndpointVm(const net::Topology &topo, net::DcId dc);
-
-/**
- * Build the scheduler-facing context for stage @p stageIdx of @p job:
- * compute rates and egress prices from the topology, the stage's
- * input distribution, and the BW matrix the scheduler should believe.
- * Shared by Engine::run (one query, private simulator) and the serve
- * layer (many queries, shared simulator) — the engine split that lets
- * per-query execution live anywhere while the planning inputs stay
- * identical. ctx.wanShare is left at its single-query default (1);
- * multi-query callers scale it to their allocated share.
- */
-StageContext makeStageContext(const net::Topology &topo,
-                              const JobSpec &job, std::size_t stageIdx,
-                              const std::vector<Bytes> &inputByDc,
-                              const Matrix<Mbps> &bw);
-
 class Engine
 {
   public:
@@ -338,10 +311,6 @@ class Engine
     const net::Topology &topology() const { return topo_; }
 
   private:
-    StageContext makeContext(const JobSpec &job, std::size_t stageIdx,
-                             const std::vector<Bytes> &inputByDc,
-                             const Matrix<Mbps> &bw) const;
-
     net::Topology topo_;
     net::NetworkSimConfig simCfg_;
     std::uint64_t seed_;

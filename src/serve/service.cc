@@ -80,11 +80,6 @@ Service::Service(net::Topology topo, ServiceConfig cfg,
             "Service: maxConcurrent must be positive");
     fatalIf(!(cfg_.epoch > 0.0), "Service: epoch must be positive");
     const std::size_t n = topo_.dcCount();
-    computeRate_.assign(n, 0.0);
-    for (DcId dc = 0; dc < n; ++dc)
-        for (net::VmId v : topo_.dc(dc).vms)
-            computeRate_[dc] += topo_.vm(v).type.computeRate;
-
     if (cfg_.dynamics != nullptr) {
         fatalIf(cfg_.dynamics->dcCount() != 0 &&
                     cfg_.dynamics->dcCount() != n,
@@ -93,13 +88,8 @@ Service::Service(net::Topology topo, ServiceConfig cfg,
         burstCursor_ =
             std::make_unique<scenario::BurstCursor>(cfg_.dynamics);
     }
-    if (cfg_.faults == nullptr && cfg_.dynamics != nullptr)
-        cfg_.faults = cfg_.dynamics->faultPlan();
-    if (cfg_.faults != nullptr && cfg_.faults->empty())
-        cfg_.faults = nullptr;
-    fatalIf(cfg_.faults != nullptr && cfg_.faults->dcCount() != n,
-            "Service: fault plan compiled for a different cluster "
-            "size");
+    cfg_.faults =
+        gda::resolveFaultPlan(cfg_.faults, cfg_.dynamics, n, "Service");
 }
 
 void
@@ -129,9 +119,9 @@ Service::effectiveSlotCap() const
 void
 Service::killQueryRun(QueryState &q, Seconds at)
 {
-    for (const auto &[id, t] : q.pending)
+    for (const auto &[id, t] : q.exec->pending())
         sim_.stopTransfer(id);
-    q.pending.clear();
+    q.exec->pending().clear();
     allocator_.release(sim_, q.group);
     ++faultKills_;
     if (q.outcome.requeues < cfg_.maxRequeues) {
@@ -159,32 +149,16 @@ Service::applyFaults()
     if (started.empty())
         return;
 
+    // Only transfer-killing faults pick victims. Gauge faults gate
+    // maybeRetrain at its own boundary; there is no per-query AIMD
+    // agent to crash on a shared mesh.
     std::vector<std::size_t> victims;
     for (const std::size_t fi : started) {
-        const fault::CompiledFault &cf = cfg_.faults->events()[fi];
-        // Gauge faults gate maybeRetrain at its own boundary; there
-        // is no per-query AIMD agent to crash on a shared mesh.
-        if (cf.ev.kind != fault::FaultKind::TransferAbort &&
-            cf.ev.kind != fault::FaultKind::DcBlackout)
-            continue;
+        const fault::FaultEvent &ev = cfg_.faults->events()[fi].ev;
         for (const std::size_t idx : active_) {
-            QueryState &q = queries_[idx];
-            if (q.phase != Phase::Shuffling)
-                continue;
-            bool hit = false;
-            for (const auto &[id, t] : q.pending) {
-                if (cf.ev.kind == fault::FaultKind::DcBlackout)
-                    hit = t.src == static_cast<DcId>(cf.ev.dc) ||
-                          t.dst == static_cast<DcId>(cf.ev.dc);
-                else
-                    hit = (cf.ev.src == fault::kAnyDc ||
-                           static_cast<DcId>(cf.ev.src) == t.src) &&
-                          (cf.ev.dst == fault::kAnyDc ||
-                           static_cast<DcId>(cf.ev.dst) == t.dst);
-                if (hit)
-                    break;
-            }
-            if (hit)
+            const QueryState &q = queries_[idx];
+            if (q.phase == Phase::Shuffling &&
+                !q.exec->killedBy(ev).empty())
                 victims.push_back(idx);
         }
     }
@@ -193,6 +167,12 @@ Service::applyFaults()
                   victims.end());
     for (const std::size_t idx : victims)
         killQueryRun(queries_[idx], now);
+    dropInactive();
+}
+
+void
+Service::dropInactive()
+{
     active_.erase(std::remove_if(active_.begin(), active_.end(),
                                  [&](std::size_t idx) {
                                      const Phase p =
@@ -287,8 +267,10 @@ void
 Service::admitQuery(QueryState &q, Seconds now, bool readmission)
 {
     q.phase = Phase::Planning;
-    q.stage = 0;
-    q.stageInput = q.spec.inputByDc;
+    if (q.exec)
+        q.exec->restart(q.spec.inputByDc);
+    else
+        q.exec.emplace(topo_, q.spec.job, q.spec.inputByDc);
     q.scheduler = makeScheduler(cfg_.scheduler);
     // Pin the published predictor now: a service-level retrain
     // may swap the facade's model at any completion boundary, but
@@ -351,27 +333,13 @@ Service::transitionComputedQueries()
         if (q.phase != Phase::Computing ||
             q.stageEnd > now + kTimeEps)
             continue;
-        const gda::StageSpec &spec = q.spec.job.stages[q.stage];
-        std::vector<Bytes> next(topo_.dcCount(), 0.0);
-        for (DcId j = 0; j < topo_.dcCount(); ++j) {
-            Bytes atJ = 0.0;
-            for (DcId i = 0; i < topo_.dcCount(); ++i)
-                atJ += q.assignment.at(i, j);
-            next[j] = atJ * spec.selectivity;
-        }
-        q.stageInput = std::move(next);
-        ++q.stage;
-        if (q.stage >= q.spec.job.stages.size())
+        q.exec->nextStage();
+        if (q.exec->done())
             finishQuery(q, q.stageEnd, false);
         else
             q.phase = Phase::Planning;
     }
-    active_.erase(std::remove_if(active_.begin(), active_.end(),
-                                 [&](std::size_t idx) {
-                                     return queries_[idx].phase ==
-                                            Phase::Done;
-                                 }),
-                  active_.end());
+    dropInactive();
 }
 
 void
@@ -396,28 +364,23 @@ Service::planAndLaunch()
             snapshot.at(i, j) =
                 i == j ? 0.0 : sim_.effectivePathCap(i, j);
 
-    // A-priori share estimate for planning. Adaptive (default): the
-    // fraction of a contended link this query would win against the
-    // *observed* mesh occupancy — the queries shuffling right now
-    // plus this round's co-planning cohort. Compute-phase neighbors
-    // don't dilute the estimate, so a query planning its next stage
-    // while most peers crunch locally sees a realistic share and
-    // stays network-differentiable (a mass admission still seeds
-    // conservatively: the whole cohort is in the denominator).
-    // Legacy: 1 / (sum of every active weight), which kept small
-    // mixed-workload queries planned so defensively they went
-    // compute-bound and the weighted allocator had nothing left to
-    // differentiate. Either way the allocator's water-fill then
-    // enforces the real shares from the transfers actually started.
-    double weightSum = 0.0;
+    // A-priori share estimate for planning: the fraction of a
+    // contended link this query would win against the *observed* mesh
+    // occupancy — the queries shuffling right now plus this round's
+    // co-planning cohort. Compute-phase neighbors don't dilute the
+    // estimate, so a query planning its next stage while most peers
+    // crunch locally sees a realistic share and stays
+    // network-differentiable (a mass admission still seeds
+    // conservatively: the whole cohort is in the denominator). The
+    // allocator's water-fill then enforces the real shares from the
+    // transfers actually started.
     double occupiedWeight = 0.0;
     for (const std::size_t idx : active_) {
         const QueryState &o = queries_[idx];
         const double w = cfg_.policy == AllocPolicy::WeightedPriority
                              ? o.spec.weight
                              : 1.0;
-        weightSum += w;
-        if (o.phase == Phase::Shuffling && !o.pending.empty())
+        if (o.phase == Phase::Shuffling && !o.exec->pending().empty())
             occupiedWeight += w;
         else if (o.phase == Phase::Planning)
             occupiedWeight += w; // co-planning cohort, incl. self
@@ -434,10 +397,7 @@ Service::planAndLaunch()
                 cfg_.policy == AllocPolicy::WeightedPriority
                     ? q.spec.weight
                     : 1.0;
-            q.share = cfg_.adaptiveAprioriShare
-                          ? std::min(1.0,
-                                     w / std::max(w, occupiedWeight))
-                          : (weightSum > 0.0 ? w / weightSum : 1.0);
+            q.share = std::min(1.0, w / std::max(w, occupiedWeight));
             q.outcome.minPlanningShare =
                 std::min(q.outcome.minPlanningShare, q.share);
 
@@ -447,11 +407,9 @@ Service::planAndLaunch()
             else
                 q.believedBw = snapshot;
 
-            gda::StageContext ctx = gda::makeStageContext(
-                topo_, q.spec.job, q.stage, q.stageInput,
-                q.believedBw);
+            gda::StageContext ctx =
+                q.exec->context(q.exec->stageInput(), q.believedBw);
             ctx.wanShare = q.share;
-            ctx.memory = &q.planMemory;
             if (cfg_.forecast.enabled && cfg_.dynamics != nullptr) {
                 // Plan against where the mesh is going, not only
                 // where it is: believed bandwidth scaled by the
@@ -459,13 +417,9 @@ Service::planAndLaunch()
                 q.forecast = scenario::forecastFromDynamics(
                     *cfg_.dynamics, q.believedBw, planNow,
                     cfg_.forecast);
-                ctx.forecast = &q.forecast;
-                ctx.planTime = planNow;
             }
-            q.assignment = q.scheduler->placeStage(ctx);
-            panicIf(q.assignment.rows() != n ||
-                        q.assignment.cols() != n,
-                    "Service: scheduler assignment shape mismatch");
+            q.placed =
+                q.exec->place(*q.scheduler, ctx, q.forecast, planNow);
 
             // Heterogeneous parallelism from the global optimizer
             // (the engine's global-only shape — per-query local
@@ -483,45 +437,27 @@ Service::planAndLaunch()
     const Seconds now = sim_.now();
     for (const std::size_t idx : planning) {
         QueryState &q = queries_[idx];
-        q.stageShuffleStart = now;
-        q.transferDone.assign(n, now);
-        q.pending.clear();
-        for (DcId i = 0; i < n; ++i) {
-            for (DcId j = 0; j < n; ++j) {
-                const Bytes bytes = q.assignment.at(i, j);
-                if (i == j || bytes < 1.0)
-                    continue;
-                const int conns =
-                    std::max(1, q.connections.at(i, j));
-                const TransferId id = sim_.startTransfer(
-                    gda::shuffleEndpointVm(topo_, i),
-                    gda::shuffleEndpointVm(topo_, j), bytes, conns,
-                    q.group);
-                ActiveTransfer t;
-                t.src = i;
-                t.dst = j;
-                t.bytes = bytes;
-                t.started = now;
-                // Straggler budgets share the planner's rate model:
-                // forecast-integrated when available, else the
-                // snapshot rate floored at the infeasibility
-                // epsilon (a dead pair's budget must be huge, not
-                // the silent 1 Mbps the old floor implied).
-                t.expected =
-                    cfg_.forecast.enabled && !q.forecast.empty()
-                        ? q.forecast.transferTime(i, j, bytes,
-                                                  q.share, now)
-                        : units::transferTime(
-                              bytes,
-                              std::max(
-                                  core::BwForecast::kMinFeasibleMbps,
-                                  q.believedBw.at(i, j) * q.share));
-                t.connections = conns;
-                q.pending[id] = t;
-                q.outcome.wanBytes += bytes;
-            }
-        }
-        if (q.pending.empty())
+        q.exec->beginShuffle(std::move(q.placed), now, [&](DcId i, DcId j,
+                                                          Bytes bytes) {
+            gda::ShuffleTransfer &t =
+                q.exec->start(sim_, i, j, bytes,
+                              std::max(1, q.connections.at(i, j)),
+                              q.group);
+            // Straggler budgets share the planner's rate model:
+            // forecast-integrated when available, else the snapshot
+            // rate floored at the infeasibility epsilon (a dead pair's
+            // budget must be huge, not the silent 1 Mbps the old floor
+            // implied).
+            t.expected =
+                cfg_.forecast.enabled && !q.forecast.empty()
+                    ? q.forecast.transferTime(i, j, bytes, q.share, now)
+                    : units::transferTime(
+                          bytes,
+                          std::max(core::BwForecast::kMinFeasibleMbps,
+                                   q.believedBw.at(i, j) * q.share));
+            q.outcome.wanBytes += bytes;
+        });
+        if (q.exec->pending().empty())
             enterComputePhase(q);
         else
             q.phase = Phase::Shuffling;
@@ -534,12 +470,12 @@ Service::runAllocationRound()
     std::vector<QueryDemand> demands;
     for (const std::size_t idx : active_) {
         QueryState &q = queries_[idx];
-        if (q.phase != Phase::Shuffling || q.pending.empty())
+        if (q.phase != Phase::Shuffling || q.exec->pending().empty())
             continue;
         QueryDemand d;
         d.group = q.group;
         d.weight = q.spec.weight;
-        for (const auto &[id, t] : q.pending) {
+        for (const auto &[id, t] : q.exec->pending()) {
             const std::size_t pair = topo_.pairIndex(t.src, t.dst);
             // Elastic demand: a shuffle takes any rate granted.
             if (d.pairs.empty() || d.pairs.back().pair != pair)
@@ -582,13 +518,13 @@ Service::routeCompletions()
         // solver is).
         for (const std::size_t idx : active_) {
             QueryState &q = queries_[idx];
-            auto it = q.pending.find(rec.id);
-            if (it == q.pending.end())
+            auto &pending = q.exec->pending();
+            auto it = pending.find(rec.id);
+            if (it == pending.end())
                 continue;
-            q.transferDone[it->second.dst] = std::max(
-                q.transferDone[it->second.dst], rec.time);
-            q.pending.erase(it);
-            if (q.phase == Phase::Shuffling && q.pending.empty())
+            q.exec->landed(it->second.dst, rec.time);
+            pending.erase(it);
+            if (q.phase == Phase::Shuffling && pending.empty())
                 enterComputePhase(q);
             break;
         }
@@ -598,19 +534,7 @@ Service::routeCompletions()
 void
 Service::enterComputePhase(QueryState &q)
 {
-    const gda::StageSpec &spec = q.spec.job.stages[q.stage];
-    Seconds stageEnd = sim_.now();
-    for (DcId j = 0; j < topo_.dcCount(); ++j) {
-        Bytes atJ = 0.0;
-        for (DcId i = 0; i < topo_.dcCount(); ++i)
-            atJ += q.assignment.at(i, j);
-        const double rate = std::max(1.0e-9, computeRate_[j]);
-        const Seconds compute =
-            units::toMegabytes(atJ) * spec.workPerMb / rate;
-        stageEnd =
-            std::max(stageEnd, q.transferDone[j] + compute);
-    }
-    q.stageEnd = stageEnd;
+    q.stageEnd = q.exec->computeEnd(sim_.now());
     q.phase = Phase::Computing;
     // The query's WAN appetite is gone; free its share for the rest.
     allocator_.release(sim_, q.group);
@@ -622,13 +546,14 @@ Service::checkStragglersAndGuards()
     const Seconds now = sim_.now();
     for (const std::size_t idx : active_) {
         QueryState &q = queries_[idx];
+        auto &pending = q.exec->pending();
 
         if (now - q.outcome.admitted > cfg_.maxQuerySeconds) {
             logging::warn("service: query '" + q.spec.name +
                           "' hit the per-query guard");
-            for (const auto &[id, t] : q.pending)
+            for (const auto &[id, t] : pending)
                 sim_.stopTransfer(id);
-            q.pending.clear();
+            pending.clear();
             finishQuery(q, now, true);
             continue;
         }
@@ -642,8 +567,8 @@ Service::checkStragglersAndGuards()
         // the classic speculative-retry answer to a path that turned
         // out far slower than the predictor believed. Each transfer
         // gets maxRedispatches attempts (historically exactly one).
-        std::vector<std::pair<TransferId, ActiveTransfer>> retry;
-        for (const auto &[id, t] : q.pending) {
+        std::vector<std::pair<TransferId, gda::ShuffleTransfer>> retry;
+        for (const auto &[id, t] : pending) {
             const Seconds budget =
                 cfg_.stragglerFactor *
                 std::max(cfg_.epoch, t.expected);
@@ -653,37 +578,25 @@ Service::checkStragglersAndGuards()
                 retry.push_back({id, t});
         }
         for (auto &[id, t] : retry) {
-            const net::TransferStatus st = sim_.status(id);
-            const Bytes remaining = st.bytesRemaining;
+            const Bytes remaining = sim_.status(id).bytesRemaining;
             sim_.stopTransfer(id);
-            q.pending.erase(id);
+            pending.erase(id);
             if (remaining < 1.0)
                 continue;
-            const int conns =
+            gda::ShuffleTransfer &nt = q.exec->start(
+                sim_, t.src, t.dst, remaining,
                 std::min(cfg_.maxRedispatchConnections,
-                         std::max(1, t.connections * 2));
-            const TransferId fresh = sim_.startTransfer(
-                gda::shuffleEndpointVm(topo_, t.src),
-                gda::shuffleEndpointVm(topo_, t.dst), remaining,
-                conns, q.group);
-            ActiveTransfer nt = t;
-            nt.bytes = remaining;
-            nt.started = now;
-            nt.connections = conns;
-            ++nt.redispatches;
-            q.pending[fresh] = nt;
+                         std::max(1, t.connections * 2)),
+                q.group);
+            nt.expected = t.expected;
+            nt.redispatches = t.redispatches + 1;
             ++q.outcome.redispatches;
             q.outcome.wanBytes += remaining;
         }
-        if (q.phase == Phase::Shuffling && q.pending.empty())
+        if (q.phase == Phase::Shuffling && pending.empty())
             enterComputePhase(q);
     }
-    active_.erase(std::remove_if(active_.begin(), active_.end(),
-                                 [&](std::size_t idx) {
-                                     return queries_[idx].phase ==
-                                            Phase::Done;
-                                 }),
-                  active_.end());
+    dropInactive();
 }
 
 void
@@ -706,11 +619,7 @@ Service::maybeRetrain()
     // measurement flows on the shared simulator, so adapting costs
     // the tenants bandwidth exactly as it would in production.
     const auto gauge = wanify_->gaugeRuntime(sim_, rng_, *published);
-    core::CollectedMesh mesh;
-    mesh.clusterSize = topo_.dcCount();
-    mesh.snapshotBw = gauge.snapshot;
-    mesh.stableBw = gauge.stable;
-    core::BandwidthAnalyzer::appendRows(gaugedRows_, topo_, mesh,
+    core::BandwidthAnalyzer::appendRows(gaugedRows_, topo_, gauge.mesh(),
                                         rng_);
 
     std::uint64_t state =
@@ -726,7 +635,7 @@ Service::finishQuery(QueryState &q, Seconds at, bool timedOut)
     q.phase = Phase::Done;
     q.outcome.finished = at;
     q.outcome.latency = at - q.outcome.admitted;
-    q.outcome.stages = q.stage;
+    q.outcome.stages = q.exec->stage();
     q.outcome.timedOut = timedOut;
     allocator_.release(sim_, q.group);
     ++completedSinceRetrain_;

@@ -10,9 +10,9 @@
  * control plane actually runs in, where analytics queries arrive
  * continuously and the WAN is the shared resource.
  *
- * Per admitted query the service replays the engine's per-stage
- * semantics — scheduler placement, shuffle transfers, compute phase —
- * but against the shared mesh, tagging every transfer with the query's
+ * Each admitted query runs the engine's per-stage mechanics (a
+ * gda::QueryExecution: placement, shuffle transfers, compute phase)
+ * against the shared mesh, tagging every transfer with the query's
  * flow group so the allocator's share caps and weights apply. Planning
  * consumes the shared WANify predictor: each query pins a predictor
  * snapshot at admission (exactly the engine's pinning discipline), and
@@ -37,8 +37,8 @@
 #define WANIFY_SERVE_SERVICE_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,6 +47,7 @@
 #include "core/wanify.hh"
 #include "gda/engine.hh"
 #include "gda/job.hh"
+#include "gda/query_execution.hh"
 #include "gda/scheduler.hh"
 #include "ml/dataset.hh"
 #include "net/network_sim.hh"
@@ -159,18 +160,6 @@ struct ServiceConfig
     bool forecastAdmission = false;
     double admissionTrough = 0.6;
     Seconds maxAdmissionHold = 120.0;
-
-    /**
-     * Seed each query's a-priori planning wanShare from observed
-     * mesh occupancy — its weight against the weights of the queries
-     * actually shuffling right now — instead of the defensive 1 / N
-     * over every active query. The 1/N floor kept small queries
-     * planned so conservatively they went compute-bound, which
-     * erased the weighted allocator's differentiation on mixed
-     * workloads. The allocator's water-fill still enforces the real
-     * shares afterwards.
-     */
-    bool adaptiveAprioriShare = true;
 
     // --- online model refresh --------------------------------------------
 
@@ -307,19 +296,6 @@ class Service
     const net::Topology &topology() const { return topo_; }
 
   private:
-    struct ActiveTransfer
-    {
-        net::DcId src = 0;
-        net::DcId dst = 0;
-        Bytes bytes = 0.0;
-        Seconds started = 0.0;
-        Seconds expected = 0.0;
-        int connections = 1;
-
-        /** Straggler re-dispatches this transfer already consumed. */
-        int redispatches = 0;
-    };
-
     enum class Phase { Queued, Planning, Shuffling, Computing, Done };
 
     struct QueryState
@@ -328,14 +304,17 @@ class Service
         QuerySpec spec;
         net::FlowGroupId group = 0;
         Phase phase = Phase::Queued;
-        std::size_t stage = 0;
-        std::vector<Bytes> stageInput;
         std::shared_ptr<const core::RuntimeBwPredictor> model;
         std::unique_ptr<gda::Scheduler> scheduler;
 
+        /** Stage state and transfers, created at first admission. It
+         *  points into spec.job, which no longer moves once draining
+         *  (submit() is closed by then). */
+        std::optional<gda::QueryExecution> exec;
+
         /** Outputs of the parallel planning pass. */
         Matrix<Mbps> believedBw;
-        Matrix<Bytes> assignment;
+        Matrix<Bytes> placed;
         Matrix<int> connections;
 
         /** Per-query prediction buffers, reused every planning
@@ -348,15 +327,9 @@ class Service
         /** Per-query forecast of the current planning round. */
         core::BwForecast forecast;
 
-        /** Warm-start memory across this query's plans. */
-        gda::PlanMemory planMemory;
-
         /** Admission deferred by a forecast hold (counted once). */
         bool heldByForecast = false;
 
-        std::map<net::TransferId, ActiveTransfer> pending;
-        std::vector<Seconds> transferDone;
-        Seconds stageShuffleStart = 0.0;
         Seconds stageEnd = 0.0;
 
         QueryOutcome outcome;
@@ -371,6 +344,7 @@ class Service
 
     void applyDynamics();
     void applyFaults();
+    void dropInactive();
     std::size_t effectiveSlotCap() const;
     void killQueryRun(QueryState &q, Seconds at);
     void admitQuery(QueryState &q, Seconds now, bool readmission);
@@ -393,8 +367,6 @@ class Service
     net::NetworkSim sim_;
     Rng rng_;
     BandwidthAllocator allocator_;
-
-    std::vector<double> computeRate_; ///< per DC, topology-fixed
 
     std::vector<QueryState> queries_;   ///< submission order
     std::vector<std::size_t> arrivalOrder_;

@@ -675,8 +675,7 @@ namespace {
 /** Skewed TeraSort under Tetrium with forecast planning on. */
 gda::QueryResult
 runForecastRun(const scenario::Dynamics *dynamics,
-               core::Wanify *wanify, bool replanOnRetrain,
-               std::uint64_t seed)
+               core::Wanify *wanify, std::uint64_t seed)
 {
     const auto topo = experiments::workerCluster(4, 2);
     const auto job = workloads::teraSort(8.0);
@@ -693,7 +692,6 @@ runForecastRun(const scenario::Dynamics *dynamics,
     opts.forecast.enabled = true;
     opts.forecast.horizon = 120.0;
     opts.forecast.step = 5.0;
-    opts.replanOnRetrain = replanOnRetrain;
     return engine.run(job, hdfs.distribution(), tetrium, opts);
 }
 
@@ -719,7 +717,7 @@ TEST(EngineScenario, ForecastReplanOnRetrainFiresAndIsDeterministic)
     core::Wanify wanify(scenarioWanifyConfig());
     wanify.setPredictor(experiments::sharedPredictor());
 
-    const auto a = runForecastRun(&timeline, &wanify, true, 2024);
+    const auto a = runForecastRun(&timeline, &wanify, 2024);
     EXPECT_GE(a.retrainsApplied, 1u);
     EXPECT_GT(a.latency, 0.0);
     ASSERT_EQ(a.stages.size(), 2u);
@@ -728,7 +726,7 @@ TEST(EngineScenario, ForecastReplanOnRetrainFiresAndIsDeterministic)
         EXPECT_GE(stage.wanBytes, 0.0);
     }
 
-    const auto b = runForecastRun(&timeline, &wanify, true, 2024);
+    const auto b = runForecastRun(&timeline, &wanify, 2024);
     EXPECT_DOUBLE_EQ(a.latency, b.latency);
     EXPECT_DOUBLE_EQ(a.cost.total(), b.cost.total());
     EXPECT_EQ(a.retrainsApplied, b.retrainsApplied);
@@ -736,10 +734,10 @@ TEST(EngineScenario, ForecastReplanOnRetrainFiresAndIsDeterministic)
     // Without dynamics the forecast falls back to the gauge trend
     // (deployed mode) and the run must still complete cleanly.
     const auto trendOnly =
-        runForecastRun(nullptr, &wanify, true, 2024);
+        runForecastRun(nullptr, &wanify, 2024);
     EXPECT_GT(trendOnly.latency, 0.0);
     const auto trendAgain =
-        runForecastRun(nullptr, &wanify, true, 2024);
+        runForecastRun(nullptr, &wanify, 2024);
     EXPECT_DOUBLE_EQ(trendOnly.latency, trendAgain.latency);
 }
 

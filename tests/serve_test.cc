@@ -497,43 +497,30 @@ TEST(Service, RetrainRepublishesSharedPredictor)
     EXPECT_NE(wanify->predictorSnapshot().get(), before.get());
 }
 
-TEST(Service, AdaptiveAprioriShareIgnoresComputeBoundPeers)
+TEST(Service, AprioriShareIgnoresComputeBoundPeers)
 {
     // Three compute-heavy local queries admitted at t = 0 are deep in
     // their compute phase when a fourth query arrives: they occupy no
-    // WAN, so the adaptive a-priori share lets the newcomer plan with
-    // the whole mesh, while the legacy 1 / N prior still divides by
-    // every active query.
-    auto run = [&](bool adaptive) {
-        serve::ServiceConfig cfg;
-        cfg.maxConcurrent = 8;
-        cfg.scheduler = serve::SchedulerKind::Locality;
-        cfg.adaptiveAprioriShare = adaptive;
-        serve::Service service(experiments::workerCluster(4), cfg,
-                               experiments::quietSimConfig(),
-                               nullptr, 63);
-        for (std::size_t i = 0; i < 3; ++i) {
-            auto heavy = smallQuery(i, i, 4, 0.0);
-            heavy.job.stages[0].workPerMb = 5.0;
-            service.submit(heavy);
-        }
-        service.submit(smallQuery(3, 3, 4, 10.0));
-        return service.drain();
-    };
+    // WAN, so the a-priori share lets the newcomer plan with the whole
+    // mesh instead of dividing by every active query.
+    serve::ServiceConfig cfg;
+    cfg.maxConcurrent = 8;
+    cfg.scheduler = serve::SchedulerKind::Locality;
+    serve::Service service(experiments::workerCluster(4), cfg,
+                           experiments::quietSimConfig(), nullptr, 63);
+    for (std::size_t i = 0; i < 3; ++i) {
+        auto heavy = smallQuery(i, i, 4, 0.0);
+        heavy.job.stages[0].workPerMb = 5.0;
+        service.submit(heavy);
+    }
+    service.submit(smallQuery(3, 3, 4, 10.0));
+    const auto report = service.drain();
+    ASSERT_EQ(report.completed, 4u);
 
-    const auto adaptive = run(true);
-    const auto legacy = run(false);
-    ASSERT_EQ(adaptive.completed, 4u);
-    ASSERT_EQ(legacy.completed, 4u);
-
-    // Co-planning cohort of three at t = 0: both priors agree.
-    EXPECT_NEAR(adaptive.queries[0].minPlanningShare, 1.0 / 3.0,
-                1e-9);
-    EXPECT_NEAR(legacy.queries[0].minPlanningShare, 1.0 / 3.0,
-                1e-9);
+    // Co-planning cohort of three at t = 0.
+    EXPECT_NEAR(report.queries[0].minPlanningShare, 1.0 / 3.0, 1e-9);
     // The late query plans alone against an idle mesh.
-    EXPECT_NEAR(adaptive.queries[3].minPlanningShare, 1.0, 1e-9);
-    EXPECT_NEAR(legacy.queries[3].minPlanningShare, 0.25, 1e-9);
+    EXPECT_NEAR(report.queries[3].minPlanningShare, 1.0, 1e-9);
 }
 
 TEST(Service, ForecastAdmissionHoldsThroughTheTrough)
