@@ -19,7 +19,6 @@ namespace gda {
 using net::DcId;
 using net::NetworkSim;
 using net::TransferId;
-using net::VmId;
 
 namespace {
 
@@ -44,64 +43,6 @@ meanAbsOffDiag(const Matrix<Mbps> &a, const Matrix<Mbps> &b)
     return pairs == 0 ? 0.0 : sum / static_cast<double>(pairs);
 }
 
-/**
- * Per-run dynamics state: applies the (shared, immutable) scenario
- * timeline to this run's simulator and drives the shared burst
- * cursor, accounting burst bytes so flash-crowd traffic is not
- * billed to the query.
- */
-class DynamicsState
-{
-  public:
-    DynamicsState(const scenario::Dynamics *dyn, NetworkSim &sim,
-                  const net::Topology &topo)
-        : dyn_(dyn),
-          sim_(sim),
-          cursor_(dyn),
-          burstBytes_(Matrix<Bytes>::square(topo.dcCount(), 0.0))
-    {
-        fatalIf(dyn_ != nullptr && dyn_->dcCount() != 0 &&
-                    dyn_->dcCount() != topo.dcCount(),
-                "Engine: dynamics compiled for a different cluster "
-                "size");
-    }
-
-    /** Install conditions of scenario time @p t; open bursts due in
-     *  (lastT, t] and close the expired ones. */
-    void
-    advanceTo(Seconds t)
-    {
-        if (dyn_ == nullptr)
-            return;
-        dyn_->applyAt(sim_, t);
-        cursor_.advanceTo(sim_, t, &burstBytes_);
-    }
-
-    /** Stop every remaining burst and settle the byte accounting. */
-    void
-    finish()
-    {
-        cursor_.finish(sim_, &burstBytes_);
-    }
-
-    const Matrix<Bytes> &burstBytes() const { return burstBytes_; }
-
-    /** Bytes the currently active bursts have moved so far. */
-    Matrix<Bytes>
-    activeBurstMoved(std::size_t n) const
-    {
-        Matrix<Bytes> out = Matrix<Bytes>::square(n, 0.0);
-        cursor_.accumulateMoved(sim_, out);
-        return out;
-    }
-
-  private:
-    const scenario::Dynamics *dyn_;
-    NetworkSim &sim_;
-    scenario::BurstCursor cursor_;
-    Matrix<Bytes> burstBytes_;
-};
-
 /** An aborted (or blackout-deferred) transfer waiting out backoff.
  *  Its bytes live here, not in the stage assignment, until it flies:
  *  a retry the stage guard drops never reaches the compute phase. */
@@ -124,8 +65,8 @@ struct RetryItem
 class ControlProbe
 {
   public:
-    ControlProbe(NetworkSim &sim, const DynamicsState &dynamics,
-                 const std::map<TransferId, ShuffleTransfer> &pending,
+    ControlProbe(NetworkSim &sim, const scenario::DynamicsCursor &dynamics,
+                 const QueryExecution::Transfers &pending,
                  Matrix<Bytes> &controlBytes)
         : sim_(sim),
           dynamics_(dynamics),
@@ -133,7 +74,7 @@ class ControlProbe
           controlBytes_(controlBytes),
           n_(controlBytes.rows()),
           probe_(Matrix<Bytes>::square(n_, 0.0)),
-          burstBefore_(dynamics.activeBurstMoved(n_))
+          burstBefore_(dynamics.activeBurstMoved())
     {
         for (DcId i = 0; i < n_; ++i)
             for (DcId j = 0; j < n_; ++j)
@@ -146,8 +87,7 @@ class ControlProbe
     {
         // Bursts settle their own bill via burstBytes when they
         // stop; here only their in-window progress is netted out.
-        const Matrix<Bytes> burstAfter =
-            dynamics_.activeBurstMoved(n_);
+        const Matrix<Bytes> burstAfter = dynamics_.activeBurstMoved();
         for (DcId i = 0; i < n_; ++i)
             for (DcId j = 0; j < n_; ++j)
                 probe_.at(i, j) += sim_.pairBytes(i, j) -
@@ -167,8 +107,8 @@ class ControlProbe
 
   private:
     NetworkSim &sim_;
-    const DynamicsState &dynamics_;
-    const std::map<TransferId, ShuffleTransfer> &pending_;
+    const scenario::DynamicsCursor &dynamics_;
+    const QueryExecution::Transfers &pending_;
     Matrix<Bytes> &controlBytes_;
     std::size_t n_;
     Matrix<Bytes> probe_;
@@ -203,7 +143,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
     // Scenario time zero is job start: install initial conditions
     // before WANify snapshots the network, so prediction and planning
     // see the scenario's opening state.
-    DynamicsState dynamics(opts.dynamics, sim, topo_);
+    scenario::DynamicsCursor dynamics(opts.dynamics, sim);
     dynamics.advanceTo(sim.now());
 
     // --- WANify deployment (Section 4.1) ---------------------------------
@@ -706,23 +646,19 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                 retries.clear();
                 break;
             }
-            if (ev.kind == ClockEventKind::FaultEdge) {
-                dynamics.advanceTo(sim.now());
-                applyFaultsUpTo(sim.now());
-                startDueRetries();
-                continue;
-            }
-            if (ev.kind == ClockEventKind::RetryDue) {
-                dynamics.advanceTo(sim.now());
-                startDueRetries();
-                continue;
-            }
             if (ev.kind != ClockEventKind::EpochTick) {
-                // A dynamics edge at its true instant: install the
-                // new conditions (and open/close bursts) mid-epoch.
-                // When the edge coincides with a tick, the tick pops
-                // first (kind order) and this is an idempotent no-op.
+                // A dynamics edge, fault edge, or retry deadline at its
+                // true instant: install the new conditions (and
+                // open/close bursts) mid-epoch, then fire the faults
+                // and launch the due retries. When a dynamics edge
+                // coincides with a tick, the tick pops first (kind
+                // order) and this is an idempotent no-op.
                 dynamics.advanceTo(sim.now());
+                if (ev.kind == ClockEventKind::FaultEdge)
+                    applyFaultsUpTo(sim.now());
+                if (ev.kind == ClockEventKind::FaultEdge ||
+                    ev.kind == ClockEventKind::RetryDue)
+                    startDueRetries();
                 continue;
             }
             Seconds tickBase = ev.time;

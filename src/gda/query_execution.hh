@@ -97,6 +97,8 @@ struct ShuffleTransfer
 class QueryExecution
 {
   public:
+    using Transfers = std::map<net::TransferId, ShuffleTransfer>;
+
     /** Execute @p job from stage zero on @p input. Keeps pointers to
      *  @p topo and @p job, which must outlive the execution. */
     QueryExecution(const net::Topology &topo, const JobSpec &job,
@@ -116,14 +118,8 @@ class QueryExecution
 
     /** Transfers started this stage. The engine keeps finished ones
      *  (stamped with their done time); the service erases them. */
-    std::map<net::TransferId, ShuffleTransfer> &pending()
-    {
-        return pending_;
-    }
-    const std::map<net::TransferId, ShuffleTransfer> &pending() const
-    {
-        return pending_;
-    }
+    Transfers &pending() { return pending_; }
+    const Transfers &pending() const { return pending_; }
 
     /** Delivered parts of transfers stopped mid-stage. */
     const std::vector<ShuffleTransfer> &retired() const
@@ -235,7 +231,7 @@ class QueryExecution
     std::vector<Bytes> input_;
     std::vector<Bytes> nextInput_;
     Matrix<Bytes> assignment_;
-    std::map<net::TransferId, ShuffleTransfer> pending_;
+    Transfers pending_;
     std::vector<ShuffleTransfer> retired_;
     std::vector<Seconds> landed_; ///< per DC: last shuffle byte in
     PlanMemory memory_;

@@ -16,8 +16,6 @@ drive(const Dynamics &dynamics, const net::Topology &topo,
     const std::size_t n = topo.dcCount();
     fatalIf(epoch <= 0.0, "scenario::drive: epoch must be > 0");
     fatalIf(horizon <= 0.0, "scenario::drive: horizon must be > 0");
-    fatalIf(dynamics.dcCount() != 0 && dynamics.dcCount() != n,
-            "scenario::drive: dynamics/topology size mismatch");
     fatalIf(cfg.meshConnections < 1,
             "scenario::drive: meshConnections must be >= 1");
 
@@ -53,14 +51,13 @@ drive(const Dynamics &dynamics, const net::Topology &topo,
 
     // The gauge's baseline starts at 1 everywhere: the "model" is
     // calibrated on the static (nominal) measurement.
-    BurstCursor bursts(&dynamics);
+    DynamicsCursor cursor(&dynamics, sim);
 
     for (Seconds t = epoch; t <= horizon + 1.0e-9; t += epoch) {
         // Conditions for the epoch (sim.now(), t] are those of its
         // start; the cursor opens bursts whose scheduled start has
         // been reached — the same semantics the GDA engine uses.
-        dynamics.applyAt(sim, sim.now());
-        bursts.advanceTo(sim, sim.now());
+        cursor.advanceTo(sim.now());
 
         sim.advanceBy(epoch);
 

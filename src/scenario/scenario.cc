@@ -63,23 +63,30 @@ Dynamics::faultPlan() const
     return nullptr;
 }
 
-BurstCursor::BurstCursor(const Dynamics *dynamics)
-    : dynamics_(dynamics)
-{}
+DynamicsCursor::DynamicsCursor(const Dynamics *dynamics,
+                               net::NetworkSim &sim)
+    : dynamics_(dynamics),
+      sim_(sim),
+      burstBytes_(Matrix<Bytes>::square(sim.topology().dcCount(), 0.0))
+{
+    fatalIf(dynamics_ != nullptr && dynamics_->dcCount() != 0 &&
+                dynamics_->dcCount() != sim.topology().dcCount(),
+            "dynamics compiled for a different cluster size");
+}
 
 void
-BurstCursor::advanceTo(net::NetworkSim &sim, Seconds t,
-                       Matrix<Bytes> *movedBytes)
+DynamicsCursor::advanceTo(Seconds t)
 {
     if (dynamics_ == nullptr)
         return;
-    const auto &topo = sim.topology();
+    dynamics_->applyAt(sim_, t);
+    const auto &topo = sim_.topology();
     for (const BurstFlow &flow : dynamics_->burstsIn(last_, t)) {
         panicIf(topo.dc(flow.src).vms.empty() ||
                     topo.dc(flow.dst).vms.empty(),
-                "BurstCursor: DC without VMs");
+                "DynamicsCursor: DC without VMs");
         ActiveFlow active;
-        active.id = sim.startMeasurement(
+        active.id = sim_.startMeasurement(
             topo.dc(flow.src).vms.front(),
             topo.dc(flow.dst).vms.front(), flow.connections);
         active.src = flow.src;
@@ -90,37 +97,34 @@ BurstCursor::advanceTo(net::NetworkSim &sim, Seconds t,
     last_ = t;
     for (std::size_t i = 0; i < flows_.size();) {
         if (t >= flows_[i].end - 1.0e-9)
-            stop(sim, i, movedBytes);
+            stop(i);
         else
             ++i;
     }
 }
 
 void
-BurstCursor::finish(net::NetworkSim &sim, Matrix<Bytes> *movedBytes)
+DynamicsCursor::finish()
 {
     while (!flows_.empty())
-        stop(sim, flows_.size() - 1, movedBytes);
+        stop(flows_.size() - 1);
 }
 
-void
-BurstCursor::accumulateMoved(const net::NetworkSim &sim,
-                             Matrix<Bytes> &out) const
+Matrix<Bytes>
+DynamicsCursor::activeBurstMoved() const
 {
+    Matrix<Bytes> out = Matrix<Bytes>::square(burstBytes_.rows(), 0.0);
     for (const auto &flow : flows_)
-        out.at(flow.src, flow.dst) +=
-            sim.status(flow.id).bytesMoved;
+        out.at(flow.src, flow.dst) += sim_.status(flow.id).bytesMoved;
+    return out;
 }
 
 void
-BurstCursor::stop(net::NetworkSim &sim, std::size_t index,
-                  Matrix<Bytes> *movedBytes)
+DynamicsCursor::stop(std::size_t index)
 {
     const ActiveFlow flow = flows_[index];
-    if (movedBytes != nullptr)
-        movedBytes->at(flow.src, flow.dst) +=
-            sim.status(flow.id).bytesMoved;
-    sim.stopTransfer(flow.id);
+    burstBytes_.at(flow.src, flow.dst) += sim_.status(flow.id).bytesMoved;
+    sim_.stopTransfer(flow.id);
     flows_[index] = flows_.back();
     flows_.pop_back();
 }

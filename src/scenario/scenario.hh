@@ -233,39 +233,40 @@ class Dynamics
 };
 
 /**
- * Per-run burst cursor: tracks which of a Dynamics object's
- * background flows have been started on a simulator and stops them
- * once they expire. Flows scheduled inside an elapsed window
- * (lastT, t] open at the first advanceTo(t) that covers them — the
- * GDA engine and the standalone driver share this cursor so flash
- * crowds hit at identical times in either harness.
+ * Per-run dynamics cursor over one simulator: installs a Dynamics
+ * object's conditions and tracks which of its background flows have
+ * been started, stopping them once they expire. Flows scheduled
+ * inside an elapsed window (lastT, t] open at the first advanceTo(t)
+ * that covers them — the GDA engine, the service, and the standalone
+ * driver share this cursor so conditions change and flash crowds hit
+ * at identical times in every harness. Null dynamics = every call is
+ * a no-op.
  */
-class BurstCursor
+class DynamicsCursor
 {
   public:
-    explicit BurstCursor(const Dynamics *dynamics);
+    /** Fails when @p dynamics was compiled for a cluster of another
+     *  size than @p sim's. */
+    DynamicsCursor(const Dynamics *dynamics, net::NetworkSim &sim);
+
+    /** Install the conditions of scenario time @p t, open flows due
+     *  in (lastT, t] (from each DC's first VM) and stop the expired
+     *  ones. */
+    void advanceTo(Seconds t);
+
+    /** Stop every remaining flow. */
+    void finish();
+
+    /** Bytes the stopped flows moved, per ordered pair: burst traffic
+     *  is other tenants' data and must not be billed to the job. */
+    const Matrix<Bytes> &burstBytes() const { return burstBytes_; }
 
     /**
-     * Open flows due in (lastT, t] (from each DC's first VM) and
-     * stop the expired ones. When @p movedBytes is non-null, each
-     * stopped flow's transferred bytes accumulate into it per
-     * ordered pair (burst traffic is other tenants' data and must
-     * not be billed to the job).
+     * Bytes the still-active flows have moved so far, per ordered
+     * pair — lets callers net burst progress out of a measurement
+     * window without stopping the flows.
      */
-    void advanceTo(net::NetworkSim &sim, Seconds t,
-                   Matrix<Bytes> *movedBytes = nullptr);
-
-    /** Stop every remaining flow and settle the accounting. */
-    void finish(net::NetworkSim &sim,
-                Matrix<Bytes> *movedBytes = nullptr);
-
-    /**
-     * Accumulate each *active* flow's bytes moved so far into
-     * @p out per ordered pair — lets callers net burst progress out
-     * of a measurement window without stopping the flows.
-     */
-    void accumulateMoved(const net::NetworkSim &sim,
-                         Matrix<Bytes> &out) const;
+    Matrix<Bytes> activeBurstMoved() const;
 
   private:
     struct ActiveFlow
@@ -276,12 +277,13 @@ class BurstCursor
         Seconds end = 0.0;
     };
 
-    void stop(net::NetworkSim &sim, std::size_t index,
-              Matrix<Bytes> *movedBytes);
+    void stop(std::size_t index);
 
     const Dynamics *dynamics_;
+    net::NetworkSim &sim_;
     Seconds last_ = -1.0;
     std::vector<ActiveFlow> flows_;
+    Matrix<Bytes> burstBytes_;
 };
 
 /**

@@ -72,6 +72,7 @@ Service::Service(net::Topology topo, ServiceConfig cfg,
       cfg_(cfg),
       wanify_(wanify),
       sim_(topo_, simCfg, seed),
+      dynamics_(cfg.dynamics, sim_),
       rng_(seed ^ 0x5e17ce),
       allocator_(cfg.policy),
       gaugedRows_(monitor::kFeatureCount, 1)
@@ -79,28 +80,8 @@ Service::Service(net::Topology topo, ServiceConfig cfg,
     fatalIf(cfg_.maxConcurrent == 0,
             "Service: maxConcurrent must be positive");
     fatalIf(!(cfg_.epoch > 0.0), "Service: epoch must be positive");
-    const std::size_t n = topo_.dcCount();
-    if (cfg_.dynamics != nullptr) {
-        fatalIf(cfg_.dynamics->dcCount() != 0 &&
-                    cfg_.dynamics->dcCount() != n,
-                "Service: dynamics compiled for a different cluster "
-                "size");
-        burstCursor_ =
-            std::make_unique<scenario::BurstCursor>(cfg_.dynamics);
-    }
-    cfg_.faults =
-        gda::resolveFaultPlan(cfg_.faults, cfg_.dynamics, n, "Service");
-}
-
-void
-Service::applyDynamics()
-{
-    if (cfg_.dynamics == nullptr)
-        return;
-    cfg_.dynamics->applyAt(sim_, sim_.now());
-    // Scenario bursts are other tenants' flows: group 0, competing
-    // with every query through the allocator-managed mesh.
-    burstCursor_->advanceTo(sim_, sim_.now());
+    cfg_.faults = gda::resolveFaultPlan(cfg_.faults, cfg_.dynamics,
+                                        topo_.dcCount(), "Service");
 }
 
 std::size_t
@@ -728,7 +709,7 @@ Service::drain()
 
     while (!active_.empty() || nextArrival_ < arrivalOrder_.size() ||
            !requeue_.empty()) {
-        applyDynamics();
+        dynamics_.advanceTo(sim_.now());
         applyFaults();
         admitDueQueries();
 
@@ -806,8 +787,7 @@ Service::drain()
         maybeRetrain();
     }
 
-    if (burstCursor_ != nullptr)
-        burstCursor_->finish(sim_);
+    dynamics_.finish();
     return buildReport();
 }
 

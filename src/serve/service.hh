@@ -342,7 +342,6 @@ class Service
         Seconds due = 0.0;
     };
 
-    void applyDynamics();
     void applyFaults();
     void dropInactive();
     std::size_t effectiveSlotCap() const;
@@ -365,6 +364,11 @@ class Service
     ServiceConfig cfg_;
     const core::Wanify *wanify_;
     net::NetworkSim sim_;
+
+    /** Scenario conditions and bursts on the shared mesh; bursts are
+     *  other tenants' flows (group 0), competing with every query
+     *  through the allocator-managed mesh. */
+    scenario::DynamicsCursor dynamics_;
     Rng rng_;
     BandwidthAllocator allocator_;
 
@@ -381,7 +385,6 @@ class Service
     std::size_t peakConcurrent_ = 0;
     std::size_t queuedAdmissions_ = 0;
 
-    std::unique_ptr<scenario::BurstCursor> burstCursor_;
     Seconds admissionResumeAt_ = 0.0;
     Seconds holdCooloffUntil_ = 0.0;
     std::size_t forecastHeldAdmissions_ = 0;
