@@ -162,7 +162,7 @@ struct DrainResult
 /** One spread-shuffle query under the cascading scenario with the
  *  event-driven clock — the end-to-end virtual-time drain. */
 DrainResult
-drainAt(std::size_t n, gda::ClockMode clock)
+drainAt(std::size_t n)
 {
     const auto topo = experiments::workerCluster(n, 1);
     const scenario::ScenarioTimeline timeline(
@@ -178,7 +178,6 @@ drainAt(std::size_t n, gda::ClockMode clock)
     gda::RunOptions opts;
     opts.schedulerBw = Matrix<Mbps>::square(n, 400.0);
     opts.dynamics = &timeline;
-    opts.clock = clock;
 
     gda::Engine engine(topo, experiments::defaultSimConfig(), 1234);
     const auto t0 = Clock::now();
@@ -223,8 +222,8 @@ main(int argc, char **argv)
                          "diverge from reference at 16 DCs\n");
             return 1;
         }
-        const auto a = drainAt(16, gda::ClockMode::EventDriven);
-        const auto b = drainAt(16, gda::ClockMode::EventDriven);
+        const auto a = drainAt(16);
+        const auto b = drainAt(16);
         if (a.result.latency != b.result.latency ||
             a.result.cost.total() != b.result.cost.total()) {
             std::fprintf(stderr,
@@ -287,7 +286,7 @@ main(int argc, char **argv)
             ms > 0.0 ? static_cast<double>(2 * events) * 1000.0 / ms
                      : 0.0;
     }
-    const auto drain = drainAt(drainDcs, gda::ClockMode::EventDriven);
+    const auto drain = drainAt(drainDcs);
 
     Table table("Mesh scale (" + std::to_string(sweep.front()) +
                 "-" + std::to_string(sweep.back()) + " DCs)");

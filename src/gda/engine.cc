@@ -138,7 +138,6 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
     std::uint64_t runSeed = seed_ + 0x9e37 * (++runCounter_);
     NetworkSim sim(topo_, simCfg_, runSeed);
     Rng rng(runSeed ^ 0xc0ffee);
-    const bool eventClock = opts.clock == ClockMode::EventDriven;
 
     // Scenario time zero is job start: install initial conditions
     // before WANify snapshots the network, so prediction and planning
@@ -588,16 +587,9 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         const Seconds shuffleStart = sim.now();
         const Seconds guardEnd = shuffleStart + opts.maxStageSeconds;
 
-        // Both clock modes run the same loop over an EventClock; the
-        // epoch-quantized mode simply never schedules dynamics edges,
-        // which reduces the queue to the legacy min(nextEpoch,
-        // guardEnd) stride — identical runUntilAllComplete targets,
-        // identical arithmetic (each tick is pushed at the popped
-        // tick's time + epoch, the same accumulation the legacy
-        // `nextEpoch += epoch` performed).
         clock.push(guardEnd, ClockEventKind::StageGuard);
         clock.push(shuffleStart + epoch, ClockEventKind::EpochTick);
-        if (eventClock && opts.dynamics != nullptr) {
+        if (opts.dynamics != nullptr) {
             std::vector<scenario::ChangePoint> edges;
             opts.dynamics->changePointsIn(shuffleStart, guardEnd,
                                           edges);
@@ -609,8 +601,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         }
         if (faults != nullptr) {
             // Fault starts and window-clear instants are first-class
-            // events in BOTH clock modes: recovery must not wait for
-            // the epoch grid.
+            // events: recovery must not wait for the epoch grid.
             std::vector<Seconds> faultEdges;
             faults->edgesIn(shuffleStart, guardEnd, faultEdges);
             for (const Seconds t : faultEdges)
@@ -738,17 +729,13 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
 
         // --- compute phase ------------------------------------------------
         const Seconds stageEnd = exec.computeEnd(sim.now());
-        if (eventClock && opts.dynamics != nullptr) {
+        if (opts.dynamics != nullptr) {
             // Step through the window's burst edges so flash crowds
             // open and close at their true instants even though the
-            // job itself moves no bytes here — the case the epoch
-            // clock structurally cannot express (a burst opening
-            // mid-compute used to wait for the phase to end). Factor
-            // edges only matter mid-compute while burst flows are
-            // live; with an idle mesh they are batched to the phase
-            // end exactly as the epoch clock does, which keeps the
-            // two clocks bit-identical on burst-free windows (no
-            // extra advanceBy splits).
+            // job itself moves no bytes here. Factor edges only matter
+            // mid-compute while burst flows are live; with an idle
+            // mesh they are batched to the phase end, which saves
+            // advanceBy splits on burst-free windows.
             std::vector<scenario::ChangePoint> edges;
             opts.dynamics->changePointsIn(sim.now(), stageEnd, edges);
             std::stable_sort(
@@ -771,9 +758,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             sim.advanceBy(stageEnd - sim.now());
         // Keep the scenario clock current through the compute phase
         // so the next stage's shuffle starts under the right
-        // conditions (for the epoch clock this is the only dynamics
-        // application of the phase: rates only matter while
-        // transfers are active).
+        // conditions.
         dynamics.advanceTo(sim.now());
         // Crashes and recoveries during the compute phase land here;
         // transfer-killing faults are no-ops (everything delivered).

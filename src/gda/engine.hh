@@ -160,24 +160,17 @@ struct QueryResult
 };
 
 /**
- * How the engine advances scenario time.
- *
- * EpochQuantized is the legacy clock: the simulator runs in AIMD-epoch
- * strides and dynamics are applied at whatever instant each stride
- * ends, so a scripted change taking effect mid-epoch is seen up to one
- * epoch late and a burst opening inside a compute phase is missed
- * until the phase ends. EventDriven schedules epoch ticks, the stage
- * guard, and the dynamics' discrete change points
- * (Dynamics::changePointsIn) on a gda::EventClock and pops them in
- * deterministic (time, kind, seq) order, so conditions change at
- * their true times and flash crowds can open mid-compute and span
- * stage boundaries. When every change point lands on the epoch grid
- * the two modes are bit-identical (the golden parity test holds the
- * engine to that).
+ * Dynamics clock selector. The engine has one clock: epoch ticks, the
+ * stage guard, fault edges, retry deadlines, and the dynamics'
+ * discrete change points (Dynamics::changePointsIn) are scheduled on a
+ * gda::EventClock and popped in deterministic (time, kind, seq) order,
+ * so conditions change at their true times and flash crowds can open
+ * mid-compute. The enum and RunOptions::clock remain only so callers
+ * that select the event clock explicitly keep compiling; the engine
+ * does not read them.
  */
 enum class ClockMode
 {
-    EpochQuantized,
     EventDriven,
 };
 
@@ -285,13 +278,9 @@ struct RunOptions
     /** Safety cap per stage. */
     Seconds maxStageSeconds = 6.0 * 3600.0;
 
-    /**
-     * Dynamics clock (see ClockMode). EpochQuantized by default so
-     * every existing bench and golden keeps its exact trajectory;
-     * scenario studies that care about sub-epoch timing opt into
-     * EventDriven.
-     */
-    ClockMode clock = ClockMode::EpochQuantized;
+    /** Unread: the engine always runs the event clock (see
+     *  ClockMode). */
+    ClockMode clock = ClockMode::EventDriven;
 };
 
 class Engine

@@ -2,24 +2,23 @@
  * @file
  * Deterministic event queue for the engine's event-driven clock.
  *
- * The epoch-quantized stage loop advances the simulator in fixed
- * strides and applies scenario dynamics at whatever instant the stride
- * happens to end — a scripted outage starting mid-epoch takes effect
- * up to one epoch late, and a flash crowd opening inside a compute
- * phase is missed entirely. The event clock instead schedules every
- * instant the loop must wake at — epoch ticks, the per-stage guard,
- * and the dynamics' discrete change points — as timestamped events
- * popped in order, so conditions change at their true times and bursts
- * can span stage boundaries.
+ * Advancing the simulator in fixed epoch strides would apply scenario
+ * dynamics at whatever instant a stride happens to end — a scripted
+ * outage starting mid-epoch would take effect up to one epoch late,
+ * and a flash crowd opening inside a compute phase would be missed
+ * entirely. The event clock instead schedules every instant the loop
+ * must wake at — epoch ticks, the per-stage guard, the dynamics'
+ * discrete change points, fault edges and retry deadlines — as
+ * timestamped events popped in order, so conditions change at their
+ * true times and bursts can span stage boundaries.
  *
  * Determinism contract (the tie-break rule): events are popped by
  * (time, kind, push sequence), all ascending. Two events at the same
  * instant therefore resolve in a *documented* order — the stage guard
  * fires before a coincident epoch tick (a stage that dies exactly at
  * its guard never runs one extra agent epoch), the tick before any
- * coincident dynamics edge (the edge is then an idempotent no-op,
- * which is what makes the event clock bit-identical to the epoch
- * clock when every edge lands on the tick grid), and same-kind
+ * coincident dynamics edge (the edge is then an idempotent no-op, so
+ * edges on the tick grid change nothing a tick did not), and same-kind
  * collisions pop in push order. Nothing about the ordering depends on
  * heap internals or pointer values, so sequential and parallel trials
  * see identical schedules.

@@ -1,11 +1,12 @@
 /**
  * @file
  * Tests for the event-driven dynamics clock: the EventClock's
- * deterministic (time, kind, seq) pop order, the engine's golden
- * parity contract (EventDriven bit-identical to EpochQuantized when
- * every change point lands on the epoch tick grid), and the sub-epoch
- * semantics the event clock adds — a flash crowd opening mid-compute
- * and expiring mid-shuffle changes delivery exactly as hand-computed.
+ * deterministic (time, kind, seq) pop order, the engine's parity
+ * contract (waking at change points that land on the epoch tick grid
+ * is an idempotent no-op, so such a run is bit-identical to one whose
+ * dynamics report no change points at all), and the sub-epoch
+ * semantics the wake-ups add — a flash crowd opening mid-compute and
+ * expiring mid-shuffle changes delivery exactly as hand-computed.
  */
 
 #include <gtest/gtest.h>
@@ -102,6 +103,48 @@ class OneBurst : public scenario::Dynamics
 
   private:
     scenario::BurstFlow flow_;
+};
+
+/**
+ * Forwards everything of @p inner except its change points, so the
+ * engine only wakes on epoch ticks and applies conditions at whatever
+ * tick follows a change — the per-epoch advance the event clock
+ * replaced.
+ */
+class EdgeBlind : public scenario::Dynamics
+{
+  public:
+    explicit EdgeBlind(const scenario::Dynamics &inner) : inner_(inner)
+    {}
+
+    std::size_t dcCount() const override { return inner_.dcCount(); }
+
+    void
+    applyAt(net::NetworkSim &sim, Seconds t) const override
+    {
+        inner_.applyAt(sim, t);
+    }
+
+    double
+    capFactorAt(net::DcId i, net::DcId j, Seconds t) const override
+    {
+        return inner_.capFactorAt(i, j, t);
+    }
+
+    std::vector<scenario::BurstFlow>
+    burstsIn(Seconds t0, Seconds t1) const override
+    {
+        return inner_.burstsIn(t0, t1);
+    }
+
+    const fault::FaultPlan *
+    faultPlan() const override
+    {
+        return inner_.faultPlan();
+    }
+
+  private:
+    const scenario::Dynamics &inner_;
 };
 
 /** Bitwise comparison of two engine results (gtest EXPECT_EQ on
@@ -226,14 +269,15 @@ TEST(EventClock, RejectsNanAndEmptyAccess)
 
 // ---- engine golden parity --------------------------------------------------
 
-TEST(EngineEventClock, BitIdenticalToEpochClockOnScenarioLibrary)
+TEST(EngineEventClock, GridAlignedEdgesAreIdempotentWakeups)
 {
     // Every library scenario scripts its events at integer seconds
     // with no start jitter, and a single-stage job with wanify unset
     // runs its shuffle from t = 0 with a 1-second epoch — so every
     // discrete change point lands exactly on the tick grid. There the
-    // event clock's extra wake-ups must be idempotent no-ops and the
-    // two clock modes bit-identical, OU fluctuation included.
+    // clock's extra wake-ups must be idempotent no-ops: the run is
+    // bit-identical to one blind to the change points, OU fluctuation
+    // included.
     const auto topo = workerCluster(8, 1);
     const std::size_t n = 8;
 
@@ -249,16 +293,17 @@ TEST(EngineEventClock, BitIdenticalToEpochClockOnScenarioLibrary)
         const scenario::ScenarioTimeline timeline(
             scenario::libraryScenario(name), n, 77);
 
+        const EdgeBlind blind(timeline);
+
         SpreadScheduler spread;
         gda::RunOptions opts;
         opts.schedulerBw = Matrix<Mbps>::square(n, 400.0);
-        opts.dynamics = &timeline;
 
-        gda::Engine epochEngine(topo, defaultSimConfig(), 1234);
+        gda::Engine blindEngine(topo, defaultSimConfig(), 1234);
         gda::Engine eventEngine(topo, defaultSimConfig(), 1234);
-        opts.clock = gda::ClockMode::EpochQuantized;
-        const auto a = epochEngine.run(job, input, spread, opts);
-        opts.clock = gda::ClockMode::EventDriven;
+        opts.dynamics = &blind;
+        const auto a = blindEngine.run(job, input, spread, opts);
+        opts.dynamics = &timeline;
         const auto b = eventEngine.run(job, input, spread, opts);
 
         expectIdenticalResults(a, b);
@@ -284,7 +329,6 @@ TEST(EngineEventClock, EventModeDeterministicAcrossRuns)
     gda::RunOptions opts;
     opts.schedulerBw = Matrix<Mbps>::square(n, 400.0);
     opts.dynamics = &timeline;
-    opts.clock = gda::ClockMode::EventDriven;
 
     gda::Engine engineA(topo, defaultSimConfig(), 55);
     gda::Engine engineB(topo, defaultSimConfig(), 55);
@@ -301,11 +345,12 @@ TEST(EngineEventClock, MidStageBurstChangesDeliveryAsHandComputed)
     // A flash crowd opens mid-way through stage 1's compute phase and
     // expires mid-way between two epoch ticks of stage 2's shuffle.
     // The event clock must open it at its true start (inside the
-    // compute window, where the epoch clock structurally cannot) and
-    // close it at its true end, so stage 2's only transfer runs at
+    // compute window, where a tick-only advance structurally cannot)
+    // and close it at its true end, so stage 2's only transfer runs at
     // the hand-computed shared rate until exactly the burst end and
-    // at its solo rate afterwards. The epoch clock keeps the burst
-    // open until the next tick and must finish measurably later.
+    // at its solo rate afterwards. Blind to the change points, the
+    // engine keeps the burst open until the next tick and must finish
+    // measurably later.
     const auto topo = workerCluster(2, 1);
     net::NetworkSimConfig simCfg = quietSimConfig();
 
@@ -351,6 +396,7 @@ TEST(EngineEventClock, MidStageBurstChangesDeliveryAsHandComputed)
     burst.connections = cb;
     const Seconds burstEnd = burst.start + burst.duration;
     const OneBurst dynamics(burst);
+    const EdgeBlind blind(dynamics);
 
     gda::JobSpec job;
     job.name = "burst-probe";
@@ -362,14 +408,13 @@ TEST(EngineEventClock, MidStageBurstChangesDeliveryAsHandComputed)
     RouteToOneScheduler route;
     gda::RunOptions opts;
     opts.schedulerBw = Matrix<Mbps>::square(2, 400.0);
-    opts.dynamics = &dynamics;
 
-    opts.clock = gda::ClockMode::EventDriven;
+    opts.dynamics = &dynamics;
     gda::Engine eventEngine(topo, simCfg, 3);
     const auto ev = eventEngine.run(job, input, route, opts);
-    opts.clock = gda::ClockMode::EpochQuantized;
-    gda::Engine epochEngine(topo, simCfg, 3);
-    const auto ep = epochEngine.run(job, input, route, opts);
+    opts.dynamics = &blind;
+    gda::Engine blindEngine(topo, simCfg, 3);
+    const auto ep = blindEngine.run(job, input, route, opts);
 
     ASSERT_EQ(ev.stages.size(), 2u);
     ASSERT_EQ(ep.stages.size(), 2u);
@@ -386,8 +431,8 @@ TEST(EngineEventClock, MidStageBurstChangesDeliveryAsHandComputed)
                        (cc * units::kBitsPerMegabit);
     EXPECT_NEAR(ev.stages[1].transferEnd, eventExpected, 2e-3);
 
-    // Epoch clock: the burst stays open until the first tick at or
-    // after its end — a full half-second of extra contention.
+    // Blind to the edges: the burst stays open until the first tick
+    // at or after its end — a full half-second of extra contention.
     const Seconds epochClose = ep.stages[1].start + 3.0;
     const Bytes atEpochClose =
         units::bytesAtRate(rShared, epochClose - ep.stages[1].start);
