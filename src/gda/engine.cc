@@ -265,28 +265,40 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         return {};
     };
 
+    // Wake the clock at the dynamics' change points in [t0, t1].
+    auto scheduleChangePoints = [&](Seconds t0, Seconds t1) {
+        if (opts.dynamics == nullptr)
+            return;
+        std::vector<scenario::ChangePoint> edges;
+        opts.dynamics->changePointsIn(t0, t1, edges);
+        for (const scenario::ChangePoint &cp : edges)
+            clock.push(cp.time, cp.kind == scenario::ChangeKind::Factor
+                                    ? ClockEventKind::DynamicsChange
+                                    : ClockEventKind::BurstEdge);
+    };
+
     // --- fault recovery machinery ------------------------------------
+    auto queueRetry = [&](const RetryItem &item) {
+        result.backoffSeconds += item.due - sim.now();
+        retries.push_back(item);
+        clock.push(item.due, ClockEventKind::RetryDue);
+    };
+
     // Start (or blackout-defer) one shuffle transfer whose bytes are
     // already counted in the assignment. A pair that is dark right now
     // holds its bytes back in the retry queue (and out of the
     // assignment) until the blackout clears.
     auto startShuffleTransfer = [&](DcId i, DcId j, Bytes bytes,
-                                    std::size_t attempt) -> bool {
+                                    std::size_t attempt = 0) -> bool {
         if (faults != nullptr &&
             faults->pairBlackedOutAt(i, j, sim.now())) {
             exec.assignment().at(i, j) -= bytes;
-            const Seconds due =
-                faults->blackoutClearTime(i, j, sim.now());
-            result.backoffSeconds += due - sim.now();
-            retries.push_back({i, j, bytes, attempt, due});
-            clock.push(due, ClockEventKind::RetryDue);
+            queueRetry({i, j, bytes, attempt,
+                        faults->blackoutClearTime(i, j, sim.now())});
             return false;
         }
         exec.start(sim, i, j, bytes, connectionsFor(i, j), 0, attempt);
         return true;
-    };
-    auto startFirstAttempt = [&](DcId i, DcId j, Bytes bytes) {
-        startShuffleTransfer(i, j, bytes, 0);
     };
 
     // A transfer that exhausted its retry budget re-places its
@@ -305,7 +317,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         rctx.memory = nullptr;
         exec.launch(exec.place(scheduler, rctx, buildForecast(),
                                sim.now()),
-                    startFirstAttempt);
+                    startShuffleTransfer);
     };
 
     // Kill one in-flight transfer — its delivered part stays where it
@@ -324,10 +336,8 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             if (faults != nullptr)
                 due = std::max(due, faults->blackoutClearTime(
                                         lost->src, lost->dst, due));
-            result.backoffSeconds += due - sim.now();
-            retries.push_back({lost->src, lost->dst, lost->bytes,
-                               lost->attempt + 1, due});
-            clock.push(due, ClockEventKind::RetryDue);
+            queueRetry({lost->src, lost->dst, lost->bytes,
+                        lost->attempt + 1, due});
         } else {
             replanResidual(lost->src, lost->dst, lost->bytes);
         }
@@ -558,7 +568,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                                    exec.context(residual,
                                                 opts.schedulerBw),
                                    buildForecast(), sim.now()),
-                        startFirstAttempt);
+                        startShuffleTransfer);
             }
             nextEpoch = sim.now();
         };
@@ -581,7 +591,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             exec.place(scheduler,
                        exec.context(exec.stageInput(), opts.schedulerBw),
                        buildForecast(), sim.now()),
-            sim.now(), startFirstAttempt);
+            sim.now(), startShuffleTransfer);
         rearmAgents();
 
         const Seconds shuffleStart = sim.now();
@@ -589,16 +599,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
 
         clock.push(guardEnd, ClockEventKind::StageGuard);
         clock.push(shuffleStart + epoch, ClockEventKind::EpochTick);
-        if (opts.dynamics != nullptr) {
-            std::vector<scenario::ChangePoint> edges;
-            opts.dynamics->changePointsIn(shuffleStart, guardEnd,
-                                          edges);
-            for (const scenario::ChangePoint &cp : edges)
-                clock.push(cp.time,
-                           cp.kind == scenario::ChangeKind::Factor
-                               ? ClockEventKind::DynamicsChange
-                               : ClockEventKind::BurstEdge);
-        }
+        scheduleChangePoints(shuffleStart, guardEnd);
         if (faults != nullptr) {
             // Fault starts and window-clear instants are first-class
             // events: recovery must not wait for the epoch grid.
@@ -729,30 +730,22 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
 
         // --- compute phase ------------------------------------------------
         const Seconds stageEnd = exec.computeEnd(sim.now());
-        if (opts.dynamics != nullptr) {
-            // Step through the window's burst edges so flash crowds
-            // open and close at their true instants even though the
-            // job itself moves no bytes here. Factor edges only matter
-            // mid-compute while burst flows are live; with an idle
-            // mesh they are batched to the phase end, which saves
-            // advanceBy splits on burst-free windows.
-            std::vector<scenario::ChangePoint> edges;
-            opts.dynamics->changePointsIn(sim.now(), stageEnd, edges);
-            std::stable_sort(
-                edges.begin(), edges.end(),
-                [](const scenario::ChangePoint &a,
-                   const scenario::ChangePoint &b) {
-                    return a.time != b.time ? a.time < b.time
-                                            : a.kind < b.kind;
-                });
-            for (const scenario::ChangePoint &cp : edges) {
-                if (cp.kind == scenario::ChangeKind::Factor &&
-                    sim.activeTransferCount() == 0)
-                    continue;
-                if (cp.time > sim.now())
-                    sim.advanceBy(cp.time - sim.now());
-                dynamics.advanceTo(sim.now());
-            }
+        // Step through the window's burst edges so flash crowds open
+        // and close at their true instants even though the job itself
+        // moves no bytes here. Factor edges only matter mid-compute
+        // while burst flows are live; with an idle mesh they are
+        // batched to the phase end, which saves advanceBy splits on
+        // burst-free windows.
+        clock.clear();
+        scheduleChangePoints(sim.now(), stageEnd);
+        while (!clock.empty()) {
+            const ClockEvent ev = clock.pop();
+            if (ev.kind == ClockEventKind::DynamicsChange &&
+                sim.activeTransferCount() == 0)
+                continue;
+            if (ev.time > sim.now())
+                sim.advanceBy(ev.time - sim.now());
+            dynamics.advanceTo(sim.now());
         }
         if (stageEnd > sim.now())
             sim.advanceBy(stageEnd - sim.now());

@@ -10,19 +10,8 @@ using net::DcId;
 
 namespace {
 
-/** Aggregate compute rate per DC (work units / s). */
-std::vector<double>
-dcComputeRates(const net::Topology &topo)
-{
-    std::vector<double> rate(topo.dcCount(), 0.0);
-    for (DcId dc = 0; dc < topo.dcCount(); ++dc)
-        for (net::VmId v : topo.dc(dc).vms)
-            rate[dc] += topo.vm(v).type.computeRate;
-    return rate;
-}
-
-} // namespace
-
+/** First VM of a DC carries that DC's shuffle endpoints, so the
+ *  engine and the service bill traffic to the same VM pairs. */
 net::VmId
 shuffleEndpointVm(const net::Topology &topo, DcId dc)
 {
@@ -30,24 +19,7 @@ shuffleEndpointVm(const net::Topology &topo, DcId dc)
     return topo.dc(dc).vms.front();
 }
 
-StageContext
-makeStageContext(const net::Topology &topo, const JobSpec &job,
-                 std::size_t stageIdx,
-                 const std::vector<Bytes> &inputByDc,
-                 const Matrix<Mbps> &bw)
-{
-    StageContext ctx;
-    ctx.topo = &topo;
-    ctx.bw = &bw;
-    ctx.inputByDc = inputByDc;
-    ctx.stage = &job.stages[stageIdx];
-    ctx.stageIndex = stageIdx;
-    ctx.computeRate = dcComputeRates(topo);
-    ctx.egressPrice.assign(topo.dcCount(), 0.0);
-    for (DcId dc = 0; dc < topo.dcCount(); ++dc)
-        ctx.egressPrice[dc] = topo.dc(dc).region.egressPerGb;
-    return ctx;
-}
+} // namespace
 
 const fault::FaultPlan *
 resolveFaultPlan(const fault::FaultPlan *explicitPlan,
@@ -69,9 +41,13 @@ QueryExecution::QueryExecution(const net::Topology &topo,
                                std::vector<Bytes> input)
     : topo_(&topo),
       job_(&job),
-      computeRate_(dcComputeRates(topo)),
+      computeRate_(topo.dcCount(), 0.0),
       input_(std::move(input))
-{}
+{
+    for (DcId dc = 0; dc < topo.dcCount(); ++dc)
+        for (net::VmId v : topo.dc(dc).vms)
+            computeRate_[dc] += topo.vm(v).type.computeRate;
+}
 
 void
 QueryExecution::restart(std::vector<Bytes> input)
@@ -86,7 +62,15 @@ StageContext
 QueryExecution::context(const std::vector<Bytes> &input,
                         const Matrix<Mbps> &bw)
 {
-    StageContext ctx = makeStageContext(*topo_, *job_, stage_, input, bw);
+    StageContext ctx;
+    ctx.topo = topo_;
+    ctx.bw = &bw;
+    ctx.inputByDc = input;
+    ctx.stage = &stageSpec();
+    ctx.stageIndex = stage_;
+    ctx.computeRate = computeRate_;
+    for (DcId dc = 0; dc < topo_->dcCount(); ++dc)
+        ctx.egressPrice.push_back(topo_->dc(dc).region.egressPerGb);
     ctx.memory = &memory_;
     return ctx;
 }

@@ -43,25 +43,6 @@ class Dynamics;
 namespace gda {
 
 /**
- * First VM of a DC carries that DC's shuffle endpoints — the shared
- * convention of the one-shot engine and the serve layer's per-query
- * executions, so both bill traffic to the same VM pairs.
- */
-net::VmId shuffleEndpointVm(const net::Topology &topo, net::DcId dc);
-
-/**
- * Build the scheduler-facing context for stage @p stageIdx of @p job:
- * compute rates and egress prices from the topology, the stage's
- * input distribution, and the BW matrix the scheduler should believe.
- * ctx.wanShare is left at its single-query default (1); multi-query
- * callers scale it to their allocated share.
- */
-StageContext makeStageContext(const net::Topology &topo,
-                              const JobSpec &job, std::size_t stageIdx,
-                              const std::vector<Bytes> &inputByDc,
-                              const Matrix<Mbps> &bw);
-
-/**
  * The fault plan a run consumes: @p explicitPlan, else the one
  * @p dynamics carries; an empty plan counts as none. Fails, naming
  * @p owner, when the plan was compiled for other than @p dcCount DCs.
@@ -127,8 +108,13 @@ class QueryExecution
         return retired_;
     }
 
-    /** Context for placing @p input of the current stage under the
-     *  believed @p bw, warm-started from this query's plan memory. */
+    /**
+     * Context for placing @p input of the current stage under the
+     * believed @p bw, warm-started from this query's plan memory:
+     * compute rates and egress prices come from the topology.
+     * ctx.wanShare is left at its single-query default (1); the
+     * service scales it to the query's allocated share.
+     */
     StageContext context(const std::vector<Bytes> &input,
                          const Matrix<Mbps> &bw);
 

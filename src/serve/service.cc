@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -198,10 +199,13 @@ Service::admissionHeld()
     // says will lift shortly only buys queue-for-bandwidth churn.
     const double nowMean = meshMeanFactor(now);
     double best = nowMean;
+    std::vector<std::pair<Seconds, double>> ahead; // (t, mesh mean)
     for (Seconds t = now + cfg_.forecast.step;
          t <= now + cfg_.forecast.horizon + kTimeEps;
-         t += cfg_.forecast.step)
-        best = std::max(best, meshMeanFactor(t));
+         t += cfg_.forecast.step) {
+        ahead.emplace_back(t, meshMeanFactor(t));
+        best = std::max(best, ahead.back().second);
+    }
     if (nowMean >= cfg_.admissionTrough * best)
         return false;
 
@@ -209,10 +213,8 @@ Service::admissionHeld()
     // bounded by maxAdmissionHold; cool off as long afterwards so
     // repeated troughs cannot defer admission without bound.
     Seconds resume = now + cfg_.maxAdmissionHold;
-    for (Seconds t = now + cfg_.forecast.step;
-         t <= now + cfg_.forecast.horizon + kTimeEps;
-         t += cfg_.forecast.step) {
-        if (meshMeanFactor(t) >= cfg_.admissionTrough * best) {
+    for (const auto &[t, mean] : ahead) {
+        if (mean >= cfg_.admissionTrough * best) {
             resume = std::min(resume, t);
             break;
         }
@@ -718,22 +720,15 @@ Service::drain()
             // earliest requeue due time — or to the end of a forecast
             // admission hold, whichever is later (a hold always
             // resumes strictly in the future, so this cannot stall).
-            Seconds at = 0.0;
-            bool haveTarget = false;
-            if (nextArrival_ < arrivalOrder_.size()) {
-                at = queries_[arrivalOrder_[nextArrival_]]
-                         .spec.arrival;
-                haveTarget = true;
-            }
-            if (!requeue_.empty()) {
-                at = haveTarget ? std::min(at, requeue_.front().due)
-                                : requeue_.front().due;
-                haveTarget = true;
-            }
+            Seconds at = std::numeric_limits<Seconds>::infinity();
+            if (nextArrival_ < arrivalOrder_.size())
+                at = queries_[arrivalOrder_[nextArrival_]].spec.arrival;
+            if (!requeue_.empty())
+                at = std::min(at, requeue_.front().due);
             // Nothing active, queued, or due: a fault kill can
             // terminally finish the last query between the loop
             // check and here, so this is completion, not a stall.
-            if (!haveTarget)
+            if (std::isinf(at))
                 break;
             if (admissionResumeAt_ > sim_.now())
                 at = std::max(at, admissionResumeAt_);

@@ -315,7 +315,8 @@ TEST(Scheduler, WanShareScalesEstimatedStageTime)
     job.inputBytes = 2.0e9;
     std::vector<Bytes> input(4, job.inputBytes / 4.0);
     const auto bw = Matrix<Mbps>::square(4, 500.0);
-    auto ctx = gda::makeStageContext(topo, job, 0, input, bw);
+    gda::QueryExecution exec(topo, job, input);
+    auto ctx = exec.context(input, bw);
 
     // A deliberately shuffling assignment: everything to DC 0.
     auto assignment = Matrix<Bytes>::square(4, 0.0);
