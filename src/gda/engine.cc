@@ -375,16 +375,19 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             agent->resetWindow();
         }
     };
-    auto crashAgentAt = [&](int dc) {
-        ++result.agentCrashes;
-        if (agentCrashed[static_cast<std::size_t>(dc)])
-            return;
-        agentCrashed[static_cast<std::size_t>(dc)] = 1;
-        // The dead agent's throttles dissolve: its outgoing pairs fall
-        // back to unthrottled contention until it restarts.
+    // A dead agent's throttles dissolve: its outgoing pairs fall back
+    // to unthrottled contention until it restarts.
+    auto dropThrottles = [&](DcId dc) {
         for (DcId j = 0; j < n; ++j)
-            if (static_cast<DcId>(dc) != j)
-                sim.setTcLimit(static_cast<DcId>(dc), j, 0.0);
+            if (dc != j)
+                sim.setTcLimit(dc, j, 0.0);
+    };
+    auto crashAgentAt = [&](DcId dc) {
+        ++result.agentCrashes;
+        if (agentCrashed[dc])
+            return;
+        agentCrashed[dc] = 1;
+        dropThrottles(dc);
     };
     auto restartCrashedAgents = [&](Seconds t) {
         for (DcId dc = 0; dc < n; ++dc) {
@@ -404,9 +407,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         rearmAgents();
         for (DcId dc = 0; dc < n; ++dc)
             if (agentCrashed[dc])
-                for (DcId j = 0; j < n; ++j)
-                    if (dc != j)
-                        sim.setTcLimit(dc, j, 0.0);
+                dropThrottles(dc);
         predicted = belief;
     };
 
@@ -425,7 +426,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             if (ev.kind == fault::FaultKind::DcBlackout)
                 ++result.blackouts;
             if (ev.kind == fault::FaultKind::AgentCrash)
-                crashAgentAt(ev.dc);
+                crashAgentAt(static_cast<DcId>(ev.dc));
             for (const TransferId id : exec.killedBy(ev))
                 abortTransfer(id);
         }
