@@ -420,8 +420,7 @@ Service::planAndLaunch()
     const Seconds now = sim_.now();
     for (const std::size_t idx : planning) {
         QueryState &q = queries_[idx];
-        q.exec->beginShuffle(std::move(q.placed), now, [&](DcId i, DcId j,
-                                                          Bytes bytes) {
+        auto start = [&](DcId i, DcId j, Bytes bytes) {
             gda::ShuffleTransfer &t =
                 q.exec->start(sim_, i, j, bytes,
                               std::max(1, q.connections.at(i, j)),
@@ -439,7 +438,8 @@ Service::planAndLaunch()
                           std::max(core::BwForecast::kMinFeasibleMbps,
                                    q.believedBw.at(i, j) * q.share));
             q.outcome.wanBytes += bytes;
-        });
+        };
+        q.exec->beginShuffle(std::move(q.placed), now, start);
         if (q.exec->pending().empty())
             enterComputePhase(q);
         else
