@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "common/error.hh"
@@ -18,6 +20,7 @@
 #include "net/rtt_model.hh"
 #include "net/topology.hh"
 #include "net/vm.hh"
+#include "oracles/water_fill.hh"
 
 using namespace wanify;
 using namespace wanify::net;
@@ -452,6 +455,184 @@ TEST_P(FlowSolverProperty, AddingConnectionsNeverHurtsOwnPair)
 
 INSTANTIATE_TEST_SUITE_P(RandomMeshes, FlowSolverProperty,
                          ::testing::Range(0, 12));
+
+// ---- flow solver: differential check against the lazy-heap oracle ----------
+
+namespace {
+
+std::uint64_t
+bitsOf(double x)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    return bits;
+}
+
+/** One random solver problem: 2-64 DCs with 1-3 VMs each, duplicate
+ *  flows, tc limits, sorted group share caps and zero-capacity VMs
+ *  and paths, drawn from discrete value sets half the time so keys
+ *  tie exactly. */
+struct RandomMesh
+{
+    SolverInputs inputs;
+    std::vector<FlowSpec> flows;
+};
+
+RandomMesh
+randomMesh(Rng &rng)
+{
+    RandomMesh mesh;
+    SolverInputs &in = mesh.inputs;
+    const std::size_t dcs =
+        static_cast<std::size_t>(rng.uniformInt(2, 64));
+    const std::size_t vmsPerDc =
+        static_cast<std::size_t>(rng.uniformInt(1, 3));
+    const std::size_t vms = dcs * vmsPerDc;
+    const bool discrete = rng.bernoulli(0.5);
+    const bool outages = rng.bernoulli(0.5);
+    auto draw = [&](double lo, double hi) {
+        return discrete ? lo + (hi - lo) *
+                                   static_cast<double>(
+                                       rng.uniformInt(0, 3)) /
+                                   3.0
+                        : rng.uniform(lo, hi);
+    };
+
+    in.dcCount = dcs;
+    for (std::size_t v = 0; v < vms; ++v) {
+        const Mbps wan = outages && rng.bernoulli(0.03)
+                             ? 0.0
+                             : draw(200.0, 3000.0);
+        in.vmEgressCap.push_back(wan);
+        in.vmIngressCap.push_back(draw(200.0, 3000.0));
+        in.vmNicCap.push_back(draw(300.0, 5000.0));
+    }
+    if (rng.bernoulli(0.1))
+        in.vmNicCap.clear(); // NIC resources are optional
+    for (std::size_t p = 0; p < dcs * dcs; ++p)
+        in.pathCap.push_back(outages && rng.bernoulli(0.05)
+                                 ? 0.0
+                                 : draw(50.0, 4000.0));
+    if (rng.bernoulli(0.5)) {
+        in.tcLimit.assign(dcs * dcs, 0.0);
+        for (Mbps &limit : in.tcLimit)
+            if (rng.bernoulli(0.3))
+                limit = draw(20.0, 1500.0);
+    }
+
+    // Flows over a random subset of VM pairs, keeping the larger
+    // meshes near the few thousand flows of a 64-DC shuffle.
+    const std::size_t groups =
+        static_cast<std::size_t>(rng.uniformInt(0, 4));
+    const double density =
+        std::min(1.0, 2500.0 / static_cast<double>(vms * vms));
+    for (std::size_t a = 0; a < vms; ++a) {
+        for (std::size_t b = 0; b < vms; ++b) {
+            if (a == b || !rng.bernoulli(density))
+                continue;
+            FlowSpec f;
+            f.srcVm = a;
+            f.dstVm = b;
+            f.srcDc = a / vmsPerDc;
+            f.dstDc = b / vmsPerDc;
+            f.connections = static_cast<int>(rng.uniformInt(1, 12));
+            f.weightPerConn = rng.bernoulli(0.02) ? 0.0
+                                                  : draw(0.2, 4.0);
+            f.capPerConn = rng.bernoulli(0.02) ? 0.0
+                                               : draw(30.0, 600.0);
+            if (groups > 0 && rng.bernoulli(0.7))
+                f.group = static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<std::int64_t>(
+                                          groups - 1)));
+            mesh.flows.push_back(f);
+            // An exact duplicate ties every key the flow carries.
+            if (rng.bernoulli(0.15))
+                mesh.flows.push_back(f);
+        }
+    }
+
+    // Sparse share caps, sorted by (group, pair) and unique; some
+    // non-positive entries, which the solver must ignore.
+    for (std::size_t g = 0; g < groups; ++g) {
+        for (std::size_t p = 0; p < dcs * dcs; ++p) {
+            if (!rng.bernoulli(0.2))
+                continue;
+            const Mbps cap =
+                rng.bernoulli(0.1) ? 0.0 : draw(10.0, 800.0);
+            in.groupShareCap.push_back({g, p, cap});
+        }
+    }
+    return mesh;
+}
+
+} // namespace
+
+TEST(FlowSolverDifferential, MatchesLazyHeapOracleBitForBit)
+{
+    // solveRates must reproduce the lazy min-heap fill exactly: same
+    // freeze order, same float arithmetic, so every rate and every
+    // Bottleneck agrees to the bit. One scratch serves every call,
+    // including calls that threw half-way through the resource build.
+    Rng rng(20251017);
+    SolverScratch scratch;
+    std::size_t flowsChecked = 0;
+    std::size_t threw = 0;
+    std::size_t bottlenecks[8] = {};
+    std::size_t zeroRateShared = 0;
+
+    for (int c = 0; c < 240; ++c) {
+        const RandomMesh mesh = randomMesh(rng);
+        SolverConfig cfg;
+        if (rng.bernoulli(0.3))
+            cfg = pureSharing();
+
+        if (c % 5 == 0 && !mesh.flows.empty()) {
+            // Append a flow the solver rejects after it has already
+            // registered resources for the others.
+            std::vector<FlowSpec> bad = mesh.flows;
+            FlowSpec f = bad.front();
+            f.weightPerConn = 1.0; // active, so it reaches the checks
+            f.capPerConn = 100.0;
+            if (c % 10 == 0)
+                f.dstVm = mesh.inputs.vmIngressCap.size();
+            else
+                f.srcDc = mesh.inputs.dcCount;
+            bad.push_back(f);
+            EXPECT_THROW(solveRates(bad, mesh.inputs, cfg, &scratch),
+                         PanicError);
+            ++threw;
+        }
+
+        const auto expected =
+            oracle::solveRatesLazyHeap(mesh.flows, mesh.inputs, cfg);
+        const auto actual =
+            solveRates(mesh.flows, mesh.inputs, cfg, &scratch);
+        ASSERT_EQ(actual.size(), expected.size()) << "case " << c;
+        for (std::size_t f = 0; f < actual.size(); ++f) {
+            ASSERT_EQ(bitsOf(actual[f].rate), bitsOf(expected[f].rate))
+                << "case " << c << " flow " << f << ": "
+                << actual[f].rate << " vs " << expected[f].rate;
+            ASSERT_EQ(actual[f].bottleneck, expected[f].bottleneck)
+                << "case " << c << " flow " << f;
+            ++bottlenecks[static_cast<int>(actual[f].bottleneck)];
+            if (actual[f].rate == 0.0 &&
+                actual[f].bottleneck != Bottleneck::SelfCap)
+                ++zeroRateShared;
+        }
+        flowsChecked += actual.size();
+    }
+
+    // The generator must reach every path it is meant to cover.
+    EXPECT_GT(flowsChecked, 50000u);
+    EXPECT_GE(threw, 48u);
+    EXPECT_GT(zeroRateShared, 0u); // zero-capacity pre-freeze
+    for (Bottleneck b :
+         {Bottleneck::SelfCap, Bottleneck::SrcVm, Bottleneck::DstVm,
+          Bottleneck::NicTotal, Bottleneck::Path, Bottleneck::TcLimit,
+          Bottleneck::GroupShare})
+        EXPECT_GT(bottlenecks[static_cast<int>(b)], 0u)
+            << "bottleneck " << static_cast<int>(b) << " never hit";
+}
 
 // ---- network sim -------------------------------------------------------------
 
