@@ -1,7 +1,6 @@
 #include "net/flow_solver.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/error.hh"
 
@@ -9,8 +8,6 @@ namespace wanify {
 namespace net {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 using Resource = SolverScratch::Resource;
 
@@ -33,12 +30,124 @@ findGroupCap(const std::vector<SolverInputs::GroupShareCap> &caps,
     return static_cast<int>(it - caps.begin());
 }
 
+using FillEvent = SolverScratch::FillEvent;
+
+/** The order in which fill events fire: ascending key, flow self-caps
+ *  before resources on a tie, then ascending id. */
+bool
+firesBefore(const FillEvent &a, const FillEvent &b)
+{
+    if (a.key != b.key)
+        return a.key < b.key;
+    if (a.kind != b.kind)
+        return a.kind < b.kind;
+    return a.id < b.id;
+}
+
+/**
+ * Indexed binary min-heap of resource events in firesBefore order.
+ * @c pos maps each resource to its slot (-1 = absent), so a freeze
+ * re-keys or removes its resources' entries in place.
+ */
+class SharedHeap
+{
+  public:
+    SharedHeap(std::vector<FillEvent> &slots, std::vector<int> &pos)
+        : slots_(slots), pos_(pos)
+    {}
+
+    bool empty() const { return slots_.empty(); }
+    const FillEvent &top() const { return slots_.front(); }
+
+    /** Order slots filled in any order. */
+    void
+    heapify()
+    {
+        for (std::size_t i = 0; i < slots_.size(); ++i)
+            pos_[slots_[i].id] = static_cast<int>(i);
+        for (std::size_t i = slots_.size() / 2; i-- > 0;)
+            siftDown(i);
+    }
+
+    void
+    rekey(std::size_t r, double key)
+    {
+        const std::size_t i = static_cast<std::size_t>(pos_[r]);
+        const bool up = key < slots_[i].key;
+        slots_[i].key = key;
+        if (up)
+            siftUp(i);
+        else
+            siftDown(i);
+    }
+
+    void
+    erase(std::size_t r)
+    {
+        const std::size_t i = static_cast<std::size_t>(pos_[r]);
+        pos_[r] = -1;
+        const FillEvent last = slots_.back();
+        slots_.pop_back();
+        if (i == slots_.size())
+            return;
+        place(i, last);
+        siftUp(i);
+        siftDown(static_cast<std::size_t>(pos_[last.id]));
+    }
+
+  private:
+    void
+    place(std::size_t i, const FillEvent &ev)
+    {
+        slots_[i] = ev;
+        pos_[ev.id] = static_cast<int>(i);
+    }
+
+    void
+    siftUp(std::size_t i)
+    {
+        const FillEvent ev = slots_[i];
+        while (i > 0) {
+            const std::size_t parent = (i - 1) / 2;
+            if (!firesBefore(ev, slots_[parent]))
+                break;
+            place(i, slots_[parent]);
+            i = parent;
+        }
+        place(i, ev);
+    }
+
+    void
+    siftDown(std::size_t i)
+    {
+        const FillEvent ev = slots_[i];
+        const std::size_t n = slots_.size();
+        for (;;) {
+            std::size_t child = 2 * i + 1;
+            if (child >= n)
+                break;
+            if (child + 1 < n &&
+                firesBefore(slots_[child + 1], slots_[child]))
+                ++child;
+            if (!firesBefore(slots_[child], ev))
+                break;
+            place(i, slots_[child]);
+            i = child;
+        }
+        place(i, ev);
+    }
+
+    std::vector<FillEvent> &slots_;
+    std::vector<int> &pos_;
+};
+
 } // namespace
 
 Mbps
 bundleCap(int connections, Mbps capPerConn, const SolverConfig &cfg)
 {
-    fatalIf(connections < 1, "bundleCap: connections must be >= 1");
+    if (connections < 1)
+        fatal("bundleCap: connections must be >= 1");
     const double excess =
         std::max(0, connections - cfg.connectionKnee);
     const double efficiency =
@@ -55,9 +164,13 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
     if (nf == 0)
         return result;
 
-    panicIf(inputs.dcCount == 0, "solveRates: dcCount is zero");
-    panicIf(inputs.pathCap.size() != inputs.dcCount * inputs.dcCount,
-            "solveRates: pathCap size mismatch");
+    // Checks here build their message only when they fire: the
+    // panicIf/fatalIf helpers take a std::string, which would allocate
+    // on every call of these per-flow loops.
+    if (inputs.dcCount == 0)
+        panic("solveRates: dcCount is zero");
+    if (inputs.pathCap.size() != inputs.dcCount * inputs.dcCount)
+        panic("solveRates: pathCap size mismatch");
 
     SolverScratch local;
     SolverScratch &s = scratch != nullptr ? *scratch : local;
@@ -141,7 +254,8 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
 
     auto getResource = [&](std::vector<int> &map, std::size_t key,
                            Mbps cap, Bottleneck kind) -> int {
-        panicIf(key >= map.size(), "solveRates: resource key out of range");
+        if (key >= map.size())
+            panic("solveRates: resource key out of range");
         if (map[key] < 0) {
             map[key] = static_cast<int>(resourceCount);
             if (resourceCount == resources.size())
@@ -167,9 +281,9 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
 
     for (std::size_t f = 0; f < nf; ++f) {
         const FlowSpec &spec = flows[f];
-        panicIf(spec.srcVm >= inputs.vmEgressCap.size() ||
-                    spec.dstVm >= inputs.vmIngressCap.size(),
-                "solveRates: VM id out of range");
+        if (spec.srcVm >= inputs.vmEgressCap.size() ||
+            spec.dstVm >= inputs.vmIngressCap.size())
+            panic("solveRates: VM id out of range");
         s.weight[f] = spec.weightPerConn *
                       static_cast<double>(std::max(1, spec.connections));
         s.selfCap[f] = bundleCap(std::max(1, spec.connections),
@@ -204,8 +318,8 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
 
         const std::size_t pair =
             spec.srcDc * inputs.dcCount + spec.dstDc;
-        panicIf(pair >= inputs.pathCap.size(),
-                "solveRates: pair index out of range");
+        if (pair >= inputs.pathCap.size())
+            panic("solveRates: pair index out of range");
         fr.push_back(getResource(s.pathIdx, pair, inputs.pathCap[pair],
                                  Bottleneck::Path));
         if (pair < inputs.tcLimit.size() && inputs.tcLimit[pair] > 0.0) {
@@ -237,13 +351,23 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
     // each flow's self-cap event sits at the constant key
     // selfCap_f / weight_f, and each resource's saturation key
     // (cap_r - frozenUsed_r) / wsum_r only moves when one of its
-    // flows freezes. A lazy min-heap over those keys replaces the
-    // naive per-step rescan of every resource and flow — O((flows +
-    // resources) log) total instead of O(flows * (memberships +
-    // resources)) — which is most of bench_perf_mesh_scale's
-    // resolveRates win at 128-256 DCs. Ties pop flows before
-    // resources, then ascending id, so same-key freezes keep the
-    // naive loop's deterministic order.
+    // flows freezes. Events fire in firesBefore order (key, then
+    // flows before resources, then ascending id) from two sources:
+    //
+    //  - static events, whose key holds until their flow freezes: each
+    //    flow's self cap, and each resource left with exactly one
+    //    active flow after the zero-capacity pre-freeze. Only a flow's
+    //    earliest static event can fire, so one per flow is kept and
+    //    the list is sorted once;
+    //  - shared resources (two or more active flows) in an indexed
+    //    min-heap, re-keyed in place when a member flow freezes and
+    //    removed when the last one does.
+    //
+    // The next event is the earlier of the two heads. That is the
+    // order in which a lazy heap pushing a fresh event per re-key
+    // pops its valid entries (tests/oracles/water_fill.hh), so freeze
+    // order and every float operation match it bit for bit, without
+    // its stale pushes and pops.
     std::size_t remaining = 0;
     for (std::size_t f = 0; f < nf; ++f)
         remaining += s.active[f] != 0 ? 1 : 0;
@@ -251,7 +375,7 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
     s.frozenUsed.assign(resourceCount, 0.0);
     s.wsum.assign(resourceCount, 0.0);
     s.activeAtResource.assign(resourceCount, 0);
-    s.satKey.assign(resourceCount, kInf);
+    s.heapPos.assign(resourceCount, -1);
     for (std::size_t f = 0; f < nf; ++f) {
         if (s.active[f] == 0)
             continue;
@@ -261,21 +385,13 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
         }
     }
 
-    auto &heap = s.heap;
-    heap.clear();
-    auto heapLater = [](const SolverScratch::FillEvent &a,
-                        const SolverScratch::FillEvent &b) {
-        if (a.key != b.key)
-            return a.key > b.key;
-        if (a.kind != b.kind)
-            return a.kind > b.kind;
-        return a.id > b.id;
-    };
-    auto pushEvent = [&](double key, int kind, std::size_t id) {
-        heap.push_back({key, kind, id});
-        std::push_heap(heap.begin(), heap.end(), heapLater);
+    auto saturationKey = [&](std::size_t r) {
+        const double slack =
+            std::max(resources[r].cap - s.frozenUsed[r], 0.0);
+        return slack / s.wsum[r];
     };
 
+    SharedHeap shared(s.sharedHeap, s.heapPos);
     auto freezeFlow = [&](std::size_t f, Mbps rate, Bottleneck why) {
         if (s.active[f] == 0)
             return;
@@ -287,15 +403,15 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
             const std::size_t r = static_cast<std::size_t>(ri);
             s.frozenUsed[r] += rate;
             s.wsum[r] -= s.weight[f];
-            if (--s.activeAtResource[r] == 0) {
-                // Dead for good: a frozen flow never reactivates.
-                s.satKey[r] = kInf;
+            --s.activeAtResource[r];
+            // Only heap entries move; a static resource dies with its
+            // flow, and the pre-freeze runs before the heap exists.
+            if (s.heapPos[r] < 0)
                 continue;
-            }
-            const double slack =
-                std::max(resources[r].cap - s.frozenUsed[r], 0.0);
-            s.satKey[r] = slack / s.wsum[r];
-            pushEvent(s.satKey[r], 1, r);
+            if (s.activeAtResource[r] == 0)
+                shared.erase(r);
+            else
+                shared.rekey(r, saturationKey(r));
         }
     };
 
@@ -307,40 +423,55 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
         }
     }
 
-    // Initial events: one per still-active flow (self capability) and
-    // one per resource that still carries active flows. Entries made
-    // stale by pre-freeze pushes are discarded by the key check below.
-    for (std::size_t f = 0; f < nf; ++f)
-        if (s.active[f] != 0)
-            pushEvent(s.selfCap[f] / s.weight[f], 0, f);
-    for (std::size_t r = 0; r < resourceCount; ++r) {
-        if (s.activeAtResource[r] == 0)
+    auto &events = s.staticEvents;
+    events.clear();
+    for (std::size_t f = 0; f < nf; ++f) {
+        if (s.active[f] == 0)
             continue;
-        const double slack =
-            std::max(resources[r].cap - s.frozenUsed[r], 0.0);
-        s.satKey[r] = slack / s.wsum[r];
-        pushEvent(s.satKey[r], 1, r);
+        FillEvent first{s.selfCap[f] / s.weight[f], 0, f, f};
+        for (int ri : s.flowResources[f]) {
+            const std::size_t r = static_cast<std::size_t>(ri);
+            if (s.activeAtResource[r] != 1)
+                continue;
+            const FillEvent ev{saturationKey(r), 1, r, f};
+            if (firesBefore(ev, first))
+                first = ev;
+        }
+        events.push_back(first);
     }
+    // A lambda rather than &firesBefore, so the comparison inlines.
+    std::sort(events.begin(), events.end(),
+              [](const FillEvent &a, const FillEvent &b) {
+                  return firesBefore(a, b);
+              });
 
+    s.sharedHeap.clear();
+    for (std::size_t r = 0; r < resourceCount; ++r)
+        if (s.activeAtResource[r] >= 2)
+            s.sharedHeap.push_back({saturationKey(r), 1, r, 0});
+    shared.heapify();
+
+    std::size_t next = 0;
     std::size_t guard = 0;
     const std::size_t maxEvents = 8 * (nf + resourceCount) + 64;
-    while (remaining > 0 && !heap.empty()) {
-        panicIf(++guard > maxEvents,
-                "solveRates: progressive filling did not converge");
-        std::pop_heap(heap.begin(), heap.end(), heapLater);
-        const SolverScratch::FillEvent ev = heap.back();
-        heap.pop_back();
-        if (ev.kind == 0) {
-            if (s.active[ev.id] != 0)
-                freezeFlow(ev.id, s.selfCap[ev.id],
+    while (remaining > 0 && (next < events.size() || !shared.empty())) {
+        if (++guard > maxEvents)
+            panic("solveRates: progressive filling did not converge");
+        if (next < events.size() &&
+            (shared.empty() || firesBefore(events[next], shared.top()))) {
+            const FillEvent &ev = events[next++];
+            if (ev.kind == 0)
+                freezeFlow(ev.flow, s.selfCap[ev.flow],
                            Bottleneck::SelfCap);
+            else
+                freezeFlow(ev.flow, s.weight[ev.flow] * ev.key,
+                           resources[ev.id].kind);
             continue;
         }
-        // Resource saturation; skip entries a later freeze re-keyed.
-        const std::size_t r = ev.id;
-        if (s.activeAtResource[r] == 0 || ev.key != s.satKey[r])
-            continue;
-        const double theta = ev.key;
+        // A shared resource saturates: every flow still on it freezes.
+        const std::size_t r = shared.top().id;
+        const double theta = shared.top().key;
+        shared.erase(r);
         for (std::size_t f : resources[r].flows)
             if (s.active[f] != 0)
                 freezeFlow(f, s.weight[f] * theta,

@@ -209,22 +209,25 @@ struct SolverScratch
     std::vector<std::vector<int>> flowResources;
     std::vector<char> active;
 
-    // Event-driven water-fill state: per-resource active weight sums,
-    // capacity already pinned by frozen flows, live flow counts, the
-    // current saturation key (stale heap entries are discarded by
-    // comparing against it), and the lazy min-heap of fill events.
+    // Water-fill state (see solveRates): per-resource active weight
+    // sums, capacity already pinned by frozen flows and live flow
+    // counts; each flow's earliest static event, sorted once; and the
+    // indexed min-heap of shared resources with each resource's heap
+    // slot (-1 = not in the heap).
     struct FillEvent
     {
-        double key = 0.0;    ///< fill level theta of the event
-        int kind = 0;        ///< 0 = flow self-cap, 1 = resource
-        std::size_t id = 0;  ///< flow or resource index
+        double key = 0.0;     ///< fill level theta of the event
+        int kind = 0;         ///< 0 = flow self-cap, 1 = resource
+        std::size_t id = 0;   ///< flow or resource index
+        std::size_t flow = 0; ///< flow a static event freezes
     };
 
     std::vector<double> wsum;
     std::vector<double> frozenUsed;
     std::vector<int> activeAtResource;
-    std::vector<double> satKey;
-    std::vector<FillEvent> heap;
+    std::vector<FillEvent> staticEvents;
+    std::vector<FillEvent> sharedHeap;
+    std::vector<int> heapPos;
 };
 
 /**

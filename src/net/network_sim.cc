@@ -41,7 +41,7 @@ NetworkSim::NetworkSim(Topology topology, NetworkSimConfig config,
       tcLimits_(topology_.pairCount(), 0.0),
       scenarioCap_(topology_.pairCount(), 1.0),
       scenarioRtt_(topology_.pairCount(), 1.0),
-      pairBytes_(Matrix<Bytes>::square(topology_.dcCount(), 0.0))
+      pairBytes_(topology_.pairCount(), 0.0)
 {
     fatalIf(config_.tickInterval <= 0.0,
             "NetworkSim: tickInterval must be positive");
@@ -492,7 +492,7 @@ NetworkSim::progress(Seconds dt)
     for (auto &[id, t] : transfers_) {
         const Bytes moved = units::bytesAtRate(t.rate, dt);
         t.moved += moved;
-        pairBytes_.at(t.srcDc, t.dstDc) += moved;
+        pairBytes_[pairs_(t.srcDc, t.dstDc)] += moved;
         if (!t.measurement) {
             t.remaining -= moved;
             if (t.remaining <= kByteEps)
@@ -643,7 +643,7 @@ NetworkSim::pairRate(DcId src, DcId dst) const
 Bytes
 NetworkSim::pairBytes(DcId src, DcId dst) const
 {
-    return pairBytes_.at(src, dst);
+    return pairBytes_[topology_.pairIndex(src, dst)];
 }
 
 Matrix<Mbps>

@@ -304,7 +304,7 @@ class NetworkSim
     std::vector<Mbps> tcLimits_;      ///< per ordered pair; <=0 = none
     std::vector<double> scenarioCap_; ///< per ordered pair; default 1
     std::vector<double> scenarioRtt_; ///< per ordered pair; default 1
-    Matrix<Bytes> pairBytes_;
+    std::vector<Bytes> pairBytes_;    ///< per ordered pair; cumulative
 
     // --- flat per-pair hot-path state (see resolveRates) -------------------
     // Immutable topology quantities unpacked once into PairIndex
