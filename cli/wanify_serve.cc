@@ -26,11 +26,20 @@
  * same configuration twice and fails unless the two aggregate result
  * hashes are bit-identical — the service determinism contract under
  * CTest, same shape as `wanify-scenario verify`.
+ *
+ * Exit status: 0 on success, 1 when verify finds differing hashes or
+ * the service rejects the configuration, 2 on a usage error (unknown
+ * option, or a numeric flag that is not a non-negative number).
  */
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -75,6 +84,45 @@ usage()
     return 2;
 }
 
+/** Parse @p v, the value of @p flag, as a non-negative integer;
+ *  prints the cause and returns false on anything else (atoi would
+ *  read garbage as 0). */
+template <typename Int>
+bool
+parseCount(const char *flag, const char *v, Int &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long parsed = std::strtoull(v, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(v[0])) ||
+        *end != '\0' || errno == ERANGE ||
+        parsed > std::numeric_limits<Int>::max()) {
+        std::fprintf(stderr,
+                     "%s expects a non-negative integer, got '%s'\n",
+                     flag, v);
+        return false;
+    }
+    out = static_cast<Int>(parsed);
+    return true;
+}
+
+/** Parse @p v, the value of @p flag, as a finite non-negative number. */
+bool
+parseReal(const char *flag, const char *v, double &out)
+{
+    char *end = nullptr;
+    const double parsed = std::strtod(v, &end);
+    if (end == v || *end != '\0' || !std::isfinite(parsed) ||
+        parsed < 0.0) {
+        std::fprintf(stderr,
+                     "%s expects a non-negative number, got '%s'\n",
+                     flag, v);
+        return false;
+    }
+    out = parsed;
+    return true;
+}
+
 bool
 parseOptions(int argc, char **argv, int first, CliOptions &opts)
 {
@@ -89,17 +137,17 @@ parseOptions(int argc, char **argv, int first, CliOptions &opts)
         };
         const char *v = nullptr;
         if (arg == "--queries") {
-            if ((v = next("--queries")) == nullptr)
+            if ((v = next("--queries")) == nullptr ||
+                !parseCount("--queries", v, opts.queries))
                 return false;
-            opts.queries = static_cast<std::size_t>(std::atoi(v));
         } else if (arg == "--dcs") {
-            if ((v = next("--dcs")) == nullptr)
+            if ((v = next("--dcs")) == nullptr ||
+                !parseCount("--dcs", v, opts.dcs))
                 return false;
-            opts.dcs = static_cast<std::size_t>(std::atoi(v));
         } else if (arg == "--concurrent") {
-            if ((v = next("--concurrent")) == nullptr)
+            if ((v = next("--concurrent")) == nullptr ||
+                !parseCount("--concurrent", v, opts.concurrent))
                 return false;
-            opts.concurrent = static_cast<std::size_t>(std::atoi(v));
         } else if (arg == "--policy") {
             if ((v = next("--policy")) == nullptr)
                 return false;
@@ -125,30 +173,29 @@ parseOptions(int argc, char **argv, int first, CliOptions &opts)
                 return false;
             }
         } else if (arg == "--epoch") {
-            if ((v = next("--epoch")) == nullptr)
+            if ((v = next("--epoch")) == nullptr ||
+                !parseReal("--epoch", v, opts.epoch))
                 return false;
-            opts.epoch = std::atof(v);
         } else if (arg == "--window") {
-            if ((v = next("--window")) == nullptr)
+            if ((v = next("--window")) == nullptr ||
+                !parseReal("--window", v, opts.window))
                 return false;
-            opts.window = std::atof(v);
         } else if (arg == "--heavy") {
-            if ((v = next("--heavy")) == nullptr)
+            if ((v = next("--heavy")) == nullptr ||
+                !parseReal("--heavy", v, opts.heavy))
                 return false;
-            opts.heavy = std::atof(v);
         } else if (arg == "--retrain-every") {
-            if ((v = next("--retrain-every")) == nullptr)
+            if ((v = next("--retrain-every")) == nullptr ||
+                !parseCount("--retrain-every", v, opts.retrainEvery))
                 return false;
-            opts.retrainEvery =
-                static_cast<std::size_t>(std::atoi(v));
         } else if (arg == "--no-model") {
             opts.useModel = false;
         } else if (arg == "--quiet") {
             opts.fluctuation = false;
         } else if (arg == "--seed") {
-            if ((v = next("--seed")) == nullptr)
+            if ((v = next("--seed")) == nullptr ||
+                !parseCount("--seed", v, opts.seed))
                 return false;
-            opts.seed = std::strtoull(v, nullptr, 10);
         } else {
             std::fprintf(stderr, "unknown option '%s'\n",
                          arg.c_str());
@@ -224,23 +271,28 @@ main(int argc, char **argv)
     if (!parseOptions(argc, argv, 2, opts))
         return usage();
 
-    if (command == "run") {
-        printReport(drainOnce(opts));
-        return 0;
-    }
-    if (command == "verify") {
-        const auto a = drainOnce(opts);
-        const auto b = drainOnce(opts);
-        std::printf("hash-a %016llx\nhash-b %016llx\n",
-                    static_cast<unsigned long long>(a.resultHash),
-                    static_cast<unsigned long long>(b.resultHash));
-        if (a.resultHash != b.resultHash) {
-            std::fprintf(stderr,
-                         "verify FAILED: reports differ\n");
-            return 1;
+    try {
+        if (command == "run") {
+            printReport(drainOnce(opts));
+            return 0;
         }
-        std::printf("verify OK: bit-identical reports\n");
-        return 0;
+        if (command == "verify") {
+            const auto a = drainOnce(opts);
+            const auto b = drainOnce(opts);
+            std::printf("hash-a %016llx\nhash-b %016llx\n",
+                        static_cast<unsigned long long>(a.resultHash),
+                        static_cast<unsigned long long>(b.resultHash));
+            if (a.resultHash != b.resultHash) {
+                std::fprintf(stderr,
+                             "verify FAILED: reports differ\n");
+                return 1;
+            }
+            std::printf("verify OK: bit-identical reports\n");
+            return 0;
+        }
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "wanify-serve: %s\n", e.what());
+        return 1;
     }
     return usage();
 }
