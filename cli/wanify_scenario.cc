@@ -10,8 +10,8 @@
  *   wanify-scenario verify [options]
  *
  * Options:
- *   --dcs N        cluster size                     (default 8)
- *   --vms N        VMs per DC                       (default 2)
+ *   --dcs N        cluster size, 4..256             (default 8)
+ *   --vms N        VMs per DC, 1..64                (default 2)
  *   --seed S       base seed                        (default 1)
  *   --epoch E      epoch seconds (0 = scenario's)   (default 0)
  *   --horizon H    run seconds (0 = scenario's)     (default 0)
@@ -31,11 +31,14 @@
  * `trace-hash`). `verify` drives every library scenario twice and
  * fails if any pair of traces differs — the determinism contract
  * under CTest.
+ *
+ * Exit status: 0 on success, 1 when verify finds differing traces or
+ * the run fails, 2 on a usage error (unknown option, a malformed
+ * numeric flag, or a value out of its range; the message names the
+ * flag).
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -50,7 +53,11 @@
 #include "storage/hdfs.hh"
 #include "workloads/terasort.hh"
 
+#include "numeric_flags.hh"
+
 using namespace wanify;
+using cli::parseCount;
+using cli::parseReal;
 
 namespace {
 
@@ -97,31 +104,27 @@ parseOptions(int argc, char **argv, int first, CliOptions &opts)
             }
             return argv[++i];
         };
+        const char *v = nullptr;
         if (arg == "--dcs") {
-            const char *v = next("--dcs");
-            if (v == nullptr)
+            if ((v = next("--dcs")) == nullptr ||
+                !parseCount("--dcs", v, opts.dcs))
                 return false;
-            opts.dcs = static_cast<std::size_t>(std::atoi(v));
         } else if (arg == "--vms") {
-            const char *v = next("--vms");
-            if (v == nullptr)
+            if ((v = next("--vms")) == nullptr ||
+                !parseCount("--vms", v, opts.vmsPerDc))
                 return false;
-            opts.vmsPerDc = static_cast<std::size_t>(std::atoi(v));
         } else if (arg == "--seed") {
-            const char *v = next("--seed");
-            if (v == nullptr)
+            if ((v = next("--seed")) == nullptr ||
+                !parseCount("--seed", v, opts.seed))
                 return false;
-            opts.seed = std::strtoull(v, nullptr, 10);
         } else if (arg == "--epoch") {
-            const char *v = next("--epoch");
-            if (v == nullptr)
+            if ((v = next("--epoch")) == nullptr ||
+                !parseReal("--epoch", v, opts.epoch))
                 return false;
-            opts.epoch = std::atof(v);
         } else if (arg == "--horizon") {
-            const char *v = next("--horizon");
-            if (v == nullptr)
+            if ((v = next("--horizon")) == nullptr ||
+                !parseReal("--horizon", v, opts.horizon))
                 return false;
-            opts.horizon = std::atof(v);
         } else if (arg == "--quiet") {
             opts.fluctuation = false;
         } else if (arg == "--adapt") {
@@ -129,22 +132,17 @@ parseOptions(int argc, char **argv, int first, CliOptions &opts)
         } else if (arg == "--retrain") {
             opts.retrain = true;
         } else if (arg == "--runs") {
-            const char *v = next("--runs");
-            if (v == nullptr)
+            if ((v = next("--runs")) == nullptr ||
+                !parseCount("--runs", v, opts.runs))
                 return false;
-            char *end = nullptr;
-            const long parsed = std::strtol(v, &end, 10);
-            if (end == v || *end != '\0' || parsed < 1 ||
-                parsed > 1000) {
+            if (opts.runs < 1 || opts.runs > 1000) {
                 std::fprintf(stderr,
                              "--runs must be an integer in "
                              "[1, 1000]\n");
                 return false;
             }
-            opts.runs = static_cast<std::size_t>(parsed);
         } else if (arg == "--record") {
-            const char *v = next("--record");
-            if (v == nullptr)
+            if ((v = next("--record")) == nullptr)
                 return false;
             opts.recordPath = v;
         } else {
@@ -160,8 +158,10 @@ parseOptions(int argc, char **argv, int first, CliOptions &opts)
         std::fprintf(stderr, "--dcs must be in [4, 256]\n");
         return false;
     }
-    if (opts.vmsPerDc < 1) {
-        std::fprintf(stderr, "--vms must be >= 1\n");
+    // A per-DC VM count far past any testbed only ends in an
+    // allocation failure deep inside topology construction.
+    if (opts.vmsPerDc < 1 || opts.vmsPerDc > 64) {
+        std::fprintf(stderr, "--vms must be in [1, 64]\n");
         return false;
     }
     if (opts.retrain && !opts.adapt) {

@@ -32,14 +32,9 @@
  * option, or a numeric flag that is not a non-negative number).
  */
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <limits>
 #include <memory>
 #include <string>
 
@@ -48,7 +43,11 @@
 #include "serve/service.hh"
 #include "serve/workload.hh"
 
+#include "numeric_flags.hh"
+
 using namespace wanify;
+using cli::parseCount;
+using cli::parseReal;
 
 namespace {
 
@@ -82,45 +81,6 @@ usage()
         "         --epoch E --window W --heavy F\n"
         "         --retrain-every K --no-model --quiet --seed S\n");
     return 2;
-}
-
-/** Parse @p v, the value of @p flag, as a non-negative integer;
- *  prints the cause and returns false on anything else (atoi would
- *  read garbage as 0). */
-template <typename Int>
-bool
-parseCount(const char *flag, const char *v, Int &out)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(v[0])) ||
-        *end != '\0' || errno == ERANGE ||
-        parsed > std::numeric_limits<Int>::max()) {
-        std::fprintf(stderr,
-                     "%s expects a non-negative integer, got '%s'\n",
-                     flag, v);
-        return false;
-    }
-    out = static_cast<Int>(parsed);
-    return true;
-}
-
-/** Parse @p v, the value of @p flag, as a finite non-negative number. */
-bool
-parseReal(const char *flag, const char *v, double &out)
-{
-    char *end = nullptr;
-    const double parsed = std::strtod(v, &end);
-    if (end == v || *end != '\0' || !std::isfinite(parsed) ||
-        parsed < 0.0) {
-        std::fprintf(stderr,
-                     "%s expects a non-negative number, got '%s'\n",
-                     flag, v);
-        return false;
-    }
-    out = parsed;
-    return true;
 }
 
 bool

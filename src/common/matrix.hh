@@ -45,7 +45,8 @@ class Matrix
         cols_ = rows_ ? rows.begin()->size() : 0;
         data_.reserve(rows_ * cols_);
         for (const auto &r : rows) {
-            fatalIf(r.size() != cols_, "Matrix: ragged initializer list");
+            if (r.size() != cols_)
+                fatal("Matrix: ragged initializer list");
             data_.insert(data_.end(), r.begin(), r.end());
         }
     }
@@ -58,14 +59,16 @@ class Matrix
     T &
     at(std::size_t r, std::size_t c)
     {
-        panicIf(r >= rows_ || c >= cols_, "Matrix::at out of range");
+        if (r >= rows_ || c >= cols_)
+            panic("Matrix::at out of range");
         return data_[r * cols_ + c];
     }
 
     const T &
     at(std::size_t r, std::size_t c) const
     {
-        panicIf(r >= rows_ || c >= cols_, "Matrix::at out of range");
+        if (r >= rows_ || c >= cols_)
+            panic("Matrix::at out of range");
         return data_[r * cols_ + c];
     }
 
@@ -111,7 +114,8 @@ class Matrix
     T
     rowMax(std::size_t r) const
     {
-        panicIf(r >= rows_ || cols_ == 0, "Matrix::rowMax out of range");
+        if (r >= rows_ || cols_ == 0)
+            panic("Matrix::rowMax out of range");
         T best = at(r, 0);
         for (std::size_t c = 1; c < cols_; ++c)
             best = std::max(best, at(r, c));
@@ -122,8 +126,8 @@ class Matrix
     T
     offDiagonalMin() const
     {
-        panicIf(rows_ != cols_ || rows_ < 2,
-                "offDiagonalMin needs a square matrix with n >= 2");
+        if (rows_ != cols_ || rows_ < 2)
+            panic("offDiagonalMin needs a square matrix with n >= 2");
         bool first = true;
         T best{};
         for (std::size_t r = 0; r < rows_; ++r) {
@@ -143,8 +147,8 @@ class Matrix
     T
     offDiagonalMax() const
     {
-        panicIf(rows_ != cols_ || rows_ < 2,
-                "offDiagonalMax needs a square matrix with n >= 2");
+        if (rows_ != cols_ || rows_ < 2)
+            panic("offDiagonalMax needs a square matrix with n >= 2");
         bool first = true;
         T best{};
         for (std::size_t r = 0; r < rows_; ++r) {
@@ -164,8 +168,8 @@ class Matrix
     double
     offDiagonalMean() const
     {
-        panicIf(rows_ != cols_ || rows_ < 2,
-                "offDiagonalMean needs a square matrix with n >= 2");
+        if (rows_ != cols_ || rows_ < 2)
+            panic("offDiagonalMean needs a square matrix with n >= 2");
         double total = 0.0;
         std::size_t count = 0;
         for (std::size_t r = 0; r < rows_; ++r) {

@@ -12,13 +12,13 @@ constexpr Mbps BwForecast::kMinFeasibleMbps;
 void
 BwForecast::addSegment(Seconds end, Matrix<Mbps> bw)
 {
-    fatalIf(bw.rows() != bw.cols() || bw.rows() == 0,
-            "BwForecast::addSegment: matrix must be square");
-    fatalIf(!bw_.empty() && bw.rows() != bw_.front().rows(),
-            "BwForecast::addSegment: inconsistent matrix size");
-    fatalIf(!ends_.empty() && end <= ends_.back(),
-            "BwForecast::addSegment: ends must be strictly "
-            "increasing");
+    if (bw.rows() != bw.cols() || bw.rows() == 0)
+        fatal("BwForecast::addSegment: matrix must be square");
+    if (!bw_.empty() && bw.rows() != bw_.front().rows())
+        fatal("BwForecast::addSegment: inconsistent matrix size");
+    if (!ends_.empty() && end <= ends_.back())
+        fatal("BwForecast::addSegment: ends must be strictly "
+              "increasing");
     ends_.push_back(end);
     bw_.push_back(std::move(bw));
 }
@@ -32,7 +32,8 @@ BwForecast::dcCount() const
 Seconds
 BwForecast::horizonEnd() const
 {
-    fatalIf(ends_.empty(), "BwForecast::horizonEnd: empty forecast");
+    if (ends_.empty())
+        fatal("BwForecast::horizonEnd: empty forecast");
     return ends_.back();
 }
 
@@ -52,7 +53,8 @@ BwForecast::segmentFor(Seconds t) const
 const Matrix<Mbps> &
 BwForecast::matrixAt(Seconds t) const
 {
-    fatalIf(bw_.empty(), "BwForecast::matrixAt: empty forecast");
+    if (bw_.empty())
+        fatal("BwForecast::matrixAt: empty forecast");
     return bw_[segmentFor(t)];
 }
 
@@ -66,7 +68,8 @@ Seconds
 BwForecast::transferTime(net::DcId i, net::DcId j, Bytes bytes,
                          double share, Seconds start) const
 {
-    fatalIf(bw_.empty(), "BwForecast::transferTime: empty forecast");
+    if (bw_.empty())
+        fatal("BwForecast::transferTime: empty forecast");
     if (bytes <= 0.0)
         return 0.0;
     Bytes remaining = bytes;
@@ -104,18 +107,19 @@ BwForecast::meshMeanAt(Seconds t) const
 
 GaugeTrend::GaugeTrend(std::size_t maxPoints) : maxPoints_(maxPoints)
 {
-    fatalIf(maxPoints_ < 2, "GaugeTrend: maxPoints must be >= 2");
+    if (maxPoints_ < 2)
+        fatal("GaugeTrend: maxPoints must be >= 2");
 }
 
 void
 GaugeTrend::record(Seconds t, const Matrix<Mbps> &bw)
 {
-    fatalIf(bw.rows() != bw.cols() || bw.rows() == 0,
-            "GaugeTrend::record: matrix must be square");
-    fatalIf(!points_.empty() && bw.rows() != points_.front().rows(),
-            "GaugeTrend::record: inconsistent matrix size");
-    fatalIf(!times_.empty() && t <= times_.back(),
-            "GaugeTrend::record: times must be strictly increasing");
+    if (bw.rows() != bw.cols() || bw.rows() == 0)
+        fatal("GaugeTrend::record: matrix must be square");
+    if (!points_.empty() && bw.rows() != points_.front().rows())
+        fatal("GaugeTrend::record: inconsistent matrix size");
+    if (!times_.empty() && t <= times_.back())
+        fatal("GaugeTrend::record: times must be strictly increasing");
     times_.push_back(t);
     points_.push_back(bw);
     if (times_.size() > maxPoints_) {
@@ -130,8 +134,8 @@ GaugeTrend::forecast(Seconds now, Seconds horizon, Seconds step) const
     BwForecast fc;
     if (points_.empty())
         return fc;
-    fatalIf(!(horizon > 0.0) || !(step > 0.0),
-            "GaugeTrend::forecast: horizon and step must be > 0");
+    if (!(horizon > 0.0) || !(step > 0.0))
+        fatal("GaugeTrend::forecast: horizon and step must be > 0");
 
     const std::size_t n = points_.front().rows();
     const std::size_t m = times_.size();
@@ -189,8 +193,8 @@ GaugeTrend::forecast(Seconds now, Seconds horizon, Seconds step) const
 Matrix<Mbps>
 GaugeTrend::extrapolateAt(Seconds t) const
 {
-    fatalIf(points_.empty(),
-            "GaugeTrend::extrapolateAt: no observations");
+    if (points_.empty())
+        fatal("GaugeTrend::extrapolateAt: no observations");
     const std::size_t n = points_.front().rows();
     const std::size_t m = times_.size();
     if (m < 2)

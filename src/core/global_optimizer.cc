@@ -12,10 +12,10 @@ namespace core {
 GlobalOptimizer::GlobalOptimizer(GlobalOptimizerConfig config)
     : config_(config)
 {
-    fatalIf(config_.maxConnections < 1,
-            "GlobalOptimizer: maxConnections must be >= 1");
-    fatalIf(config_.absoluteMaxConnections < config_.maxConnections,
-            "GlobalOptimizer: absolute clamp below maxConnections");
+    if (config_.maxConnections < 1)
+        fatal("GlobalOptimizer: maxConnections must be >= 1");
+    if (config_.absoluteMaxConnections < config_.maxConnections)
+        fatal("GlobalOptimizer: absolute clamp below maxConnections");
 }
 
 GlobalPlan
@@ -23,14 +23,15 @@ GlobalOptimizer::optimize(const BwMatrix &predictedBw,
                           const std::vector<double> &skewWeights,
                           const Matrix<double> &rvec) const
 {
-    fatalIf(predictedBw.rows() != predictedBw.cols(),
-            "GlobalOptimizer: non-square BW matrix");
+    if (predictedBw.rows() != predictedBw.cols())
+        fatal("GlobalOptimizer: non-square BW matrix");
     const std::size_t n = predictedBw.rows();
-    fatalIf(n < 2, "GlobalOptimizer: need at least 2 DCs");
-    fatalIf(!skewWeights.empty() && skewWeights.size() != n,
-            "GlobalOptimizer: skew weight size mismatch");
-    fatalIf(!rvec.empty() && (rvec.rows() != n || rvec.cols() != n),
-            "GlobalOptimizer: rvec shape mismatch");
+    if (n < 2)
+        fatal("GlobalOptimizer: need at least 2 DCs");
+    if (!skewWeights.empty() && skewWeights.size() != n)
+        fatal("GlobalOptimizer: skew weight size mismatch");
+    if (!rvec.empty() && (rvec.rows() != n || rvec.cols() != n))
+        fatal("GlobalOptimizer: rvec shape mismatch");
 
     GlobalPlan plan;
     plan.dcRel = inferDcRelations(predictedBw, config_.minDifference);
@@ -42,7 +43,8 @@ GlobalOptimizer::optimize(const BwMatrix &predictedBw,
         for (std::size_t j = 0; j < n; ++j)
             sumAll += plan.dcRel.at(i, j);
     sumAll -= static_cast<double>(n);
-    panicIf(sumAll <= 0.0, "GlobalOptimizer: degenerate DCrel matrix");
+    if (sumAll <= 0.0)
+        panic("GlobalOptimizer: degenerate DCrel matrix");
 
     std::vector<double> maxRow(n, 1.0);
     for (std::size_t i = 0; i < n; ++i)

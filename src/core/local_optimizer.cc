@@ -14,9 +14,10 @@ LocalOptimizer::LocalOptimizer(std::size_t sourceDc,
     : sourceDc_(sourceDc), cfg_(cfg), predictedBw_(std::move(predictedBw))
 {
     const std::size_t n = plan.minCons.rows();
-    fatalIf(sourceDc >= n, "LocalOptimizer: sourceDc out of range");
-    fatalIf(predictedBw_.size() != n,
-            "LocalOptimizer: predicted BW row size mismatch");
+    if (sourceDc >= n)
+        fatal("LocalOptimizer: sourceDc out of range");
+    if (predictedBw_.size() != n)
+        fatal("LocalOptimizer: predicted BW row size mismatch");
 
     minCons_.resize(n);
     maxCons_.resize(n);
@@ -40,8 +41,8 @@ LocalOptimizer::epochUpdate(const std::vector<Mbps> &monitoredBw,
                             const std::vector<Bytes> &pendingBytes)
 {
     const std::size_t n = cons_.size();
-    fatalIf(monitoredBw.size() != n || pendingBytes.size() != n,
-            "LocalOptimizer::epochUpdate: vector size mismatch");
+    if (monitoredBw.size() != n || pendingBytes.size() != n)
+        fatal("LocalOptimizer::epochUpdate: vector size mismatch");
 
     for (std::size_t j = 0; j < n; ++j) {
         if (j == sourceDc_) {
@@ -76,21 +77,24 @@ LocalOptimizer::epochUpdate(const std::vector<Mbps> &monitoredBw,
 int
 LocalOptimizer::targetConnections(std::size_t dst) const
 {
-    panicIf(dst >= cons_.size(), "targetConnections: out of range");
+    if (dst >= cons_.size())
+        panic("targetConnections: out of range");
     return cons_[dst];
 }
 
 Mbps
 LocalOptimizer::targetBw(std::size_t dst) const
 {
-    panicIf(dst >= bw_.size(), "targetBw: out of range");
+    if (dst >= bw_.size())
+        panic("targetBw: out of range");
     return bw_[dst];
 }
 
 AimdMode
 LocalOptimizer::lastMode(std::size_t dst) const
 {
-    panicIf(dst >= mode_.size(), "lastMode: out of range");
+    if (dst >= mode_.size())
+        panic("lastMode: out of range");
     return mode_[dst];
 }
 

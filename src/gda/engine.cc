@@ -128,12 +128,12 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             Scheduler &scheduler, const RunOptions &opts)
 {
     const std::size_t n = topo_.dcCount();
-    fatalIf(job.stages.empty(), "Engine::run: job has no stages");
-    fatalIf(inputByDc.size() != n,
-            "Engine::run: input distribution size mismatch");
-    fatalIf(opts.schedulerBw.rows() != n ||
-                opts.schedulerBw.cols() != n,
-            "Engine::run: scheduler BW matrix shape mismatch");
+    if (job.stages.empty())
+        fatal("Engine::run: job has no stages");
+    if (inputByDc.size() != n)
+        fatal("Engine::run: input distribution size mismatch");
+    if (opts.schedulerBw.rows() != n || opts.schedulerBw.cols() != n)
+        fatal("Engine::run: scheduler BW matrix shape mismatch");
 
     std::uint64_t runSeed = seed_ + 0x9e37 * (++runCounter_);
     NetworkSim sim(topo_, simCfg_, runSeed);
@@ -162,8 +162,8 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         if (opts.predictedBwOverride.has_value()) {
             predicted = *opts.predictedBwOverride;
         } else {
-            fatalIf(model == nullptr || !model->trained(),
-                    "Engine::run: WANify predictor not trained");
+            if (model == nullptr || !model->trained())
+                fatal("Engine::run: WANify predictor not trained");
             predicted = opts.wanify->predictRuntimeBw(sim, rng,
                                                       *model);
         }
@@ -611,8 +611,8 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         }
 
         while (!sim.allTransfersDone() || !retries.empty()) {
-            panicIf(clock.empty(),
-                    "engine: event clock ran dry before the guard");
+            if (clock.empty())
+                panic("engine: event clock ran dry before the guard");
             const ClockEvent ev = clock.pop();
             // Stale events (a retrain consumed simulated time past
             // them) make this a no-op; the handler below then applies

@@ -28,7 +28,8 @@ popsAfter(const ClockEvent &a, const ClockEvent &b)
 void
 EventClock::push(Seconds time, ClockEventKind kind)
 {
-    fatalIf(!(time == time), "EventClock::push: NaN time");
+    if (!(time == time))
+        fatal("EventClock::push: NaN time");
     ClockEvent ev;
     ev.time = time;
     ev.kind = kind;
@@ -40,14 +41,16 @@ EventClock::push(Seconds time, ClockEventKind kind)
 const ClockEvent &
 EventClock::top() const
 {
-    panicIf(heap_.empty(), "EventClock::top: empty queue");
+    if (heap_.empty())
+        panic("EventClock::top: empty queue");
     return heap_.front();
 }
 
 ClockEvent
 EventClock::pop()
 {
-    panicIf(heap_.empty(), "EventClock::pop: empty queue");
+    if (heap_.empty())
+        panic("EventClock::pop: empty queue");
     std::pop_heap(heap_.begin(), heap_.end(), popsAfter);
     const ClockEvent ev = heap_.back();
     heap_.pop_back();

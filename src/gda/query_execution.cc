@@ -15,7 +15,8 @@ namespace {
 net::VmId
 shuffleEndpointVm(const net::Topology &topo, DcId dc)
 {
-    panicIf(topo.dc(dc).vms.empty(), "engine: DC without VMs");
+    if (topo.dc(dc).vms.empty())
+        panic("engine: DC without VMs");
     return topo.dc(dc).vms.front();
 }
 
@@ -31,8 +32,8 @@ resolveFaultPlan(const fault::FaultPlan *explicitPlan,
         plan = dynamics->faultPlan();
     if (plan == nullptr || plan->empty())
         return nullptr;
-    fatalIf(plan->dcCount() != dcCount,
-            owner + ": fault plan compiled for a different cluster size");
+    if (plan->dcCount() != dcCount)
+        fatal(owner + ": fault plan compiled for a different cluster size");
     return plan;
 }
 
@@ -84,9 +85,9 @@ QueryExecution::place(Scheduler &scheduler, StageContext ctx,
         ctx.planTime = now;
     }
     Matrix<Bytes> placed = scheduler.placeStage(ctx);
-    fatalIf(placed.rows() != computeRate_.size() ||
-                placed.cols() != computeRate_.size(),
-            "scheduler assignment shape mismatch");
+    if (placed.rows() != computeRate_.size() ||
+        placed.cols() != computeRate_.size())
+        fatal("scheduler assignment shape mismatch");
     return placed;
 }
 

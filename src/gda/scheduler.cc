@@ -8,23 +8,35 @@ namespace wanify {
 namespace gda {
 
 Seconds
+plannedTransferTime(const Matrix<Mbps> &bw,
+                    const core::BwForecast *forecast, net::DcId i,
+                    net::DcId j, Bytes bytes, double share,
+                    Seconds start)
+{
+    if (forecast != nullptr && !forecast->empty())
+        return forecast->transferTime(i, j, bytes, share, start);
+    return units::transferTime(
+        bytes, std::max(core::BwForecast::kMinFeasibleMbps,
+                        bw.at(i, j) * share));
+}
+
+Seconds
 estimateStageTime(const StageContext &ctx,
                   const Matrix<Bytes> &assignment)
 {
-    panicIf(ctx.topo == nullptr || ctx.bw == nullptr ||
-                ctx.stage == nullptr,
-            "estimateStageTime: incomplete context");
+    if (ctx.topo == nullptr || ctx.bw == nullptr || ctx.stage == nullptr)
+        panic("estimateStageTime: incomplete context");
     const std::size_t n = ctx.topo->dcCount();
-    fatalIf(assignment.rows() != n || assignment.cols() != n,
-            "estimateStageTime: assignment shape mismatch");
-    fatalIf(!(ctx.wanShare > 0.0) || ctx.wanShare > 1.0,
-            "estimateStageTime: wanShare must be in (0, 1]");
+    if (assignment.rows() != n || assignment.cols() != n)
+        fatal("estimateStageTime: assignment shape mismatch");
+    if (!(ctx.wanShare > 0.0) || ctx.wanShare > 1.0)
+        fatal("estimateStageTime: wanShare must be in (0, 1]");
     const core::BwForecast *fc =
         ctx.forecast != nullptr && !ctx.forecast->empty()
             ? ctx.forecast
             : nullptr;
-    fatalIf(fc != nullptr && fc->dcCount() != n,
-            "estimateStageTime: forecast size mismatch");
+    if (fc != nullptr && fc->dcCount() != n)
+        fatal("estimateStageTime: forecast size mismatch");
 
     // Aggregate WAN capacity per DC (first VM's throttle; transfers
     // into/out of a DC share its NIC no matter what the per-pair BW
@@ -66,19 +78,9 @@ estimateStageTime(const StageContext &ctx,
             // concurrent queries consume the rest of the link, so
             // assuming the full believed BW would systematically
             // under-estimate transfer time under a resident service.
-            // The rate floor is kMinFeasibleMbps, not 1 Mbps: a
-            // zero/near-zero pair (outage) must look infeasible —
-            // astronomically slow yet finite, so the fraction search
-            // keeps a gradient away from it — rather than like a
-            // slow-but-usable 1 Mbps link.
             const Seconds linkTime =
-                fc != nullptr
-                    ? fc->transferTime(i, j, bytes, ctx.wanShare,
-                                       ctx.planTime)
-                    : units::transferTime(
-                          bytes,
-                          std::max(core::BwForecast::kMinFeasibleMbps,
-                                   ctx.bw->at(i, j) * ctx.wanShare));
+                plannedTransferTime(*ctx.bw, fc, i, j, bytes,
+                                    ctx.wanShare, ctx.planTime);
             slowestIn = std::max(slowestIn, linkTime);
         }
         const Seconds aggregateIn =
@@ -99,7 +101,8 @@ Dollars
 estimateStageCost(const StageContext &ctx,
                   const Matrix<Bytes> &assignment)
 {
-    panicIf(ctx.topo == nullptr, "estimateStageCost: missing topology");
+    if (ctx.topo == nullptr)
+        panic("estimateStageCost: missing topology");
     const std::size_t n = ctx.topo->dcCount();
     Dollars total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -119,8 +122,8 @@ assignmentFromFractionsInto(const std::vector<Bytes> &inputByDc,
                             Matrix<Bytes> &out)
 {
     const std::size_t n = inputByDc.size();
-    fatalIf(fractions.size() != n,
-            "assignmentFromFractions: size mismatch");
+    if (fractions.size() != n)
+        fatal("assignmentFromFractions: size mismatch");
     if (out.rows() != n || out.cols() != n)
         out = Matrix<Bytes>::square(n, 0.0);
     for (std::size_t i = 0; i < n; ++i)

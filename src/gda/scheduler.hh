@@ -95,6 +95,22 @@ struct StageContext
     PlanMemory *memory = nullptr;
 };
 
+/**
+ * Planned time to move @p bytes from DC @p i to DC @p j when the
+ * query may use @p share of the pair's bandwidth: integrated across
+ * @p forecast from @p start when it is non-null and non-empty, else
+ * bytes over the believed rate @p bw(i, j) x share. The snapshot rate
+ * is floored at kMinFeasibleMbps, not 1 Mbps: a zero/near-zero pair
+ * (outage) must look infeasible — astronomically slow yet finite, so
+ * the fraction search keeps a gradient away from it and a straggler
+ * budget on it is huge — rather than like a slow-but-usable link.
+ * The planner and the serve layer's straggler budgets both use it.
+ */
+Seconds plannedTransferTime(const Matrix<Mbps> &bw,
+                            const core::BwForecast *forecast,
+                            net::DcId i, net::DcId j, Bytes bytes,
+                            double share, Seconds start);
+
 /** Estimated completion time of an assignment under the believed BW. */
 Seconds estimateStageTime(const StageContext &ctx,
                           const Matrix<Bytes> &assignment);

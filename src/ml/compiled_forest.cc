@@ -17,11 +17,11 @@ CompiledForest::CompiledForest(
 
     std::size_t totalNodes = 0;
     for (const auto &tree : trees) {
-        fatalIf(!tree.trained(),
-                "CompiledForest: unfitted tree in ensemble");
-        fatalIf(tree.featureCount() != trees.front().featureCount() ||
-                    tree.outputCount() != trees.front().outputCount(),
-                "CompiledForest: tree shape mismatch");
+        if (!tree.trained())
+            fatal("CompiledForest: unfitted tree in ensemble");
+        if (tree.featureCount() != trees.front().featureCount() ||
+            tree.outputCount() != trees.front().outputCount())
+            fatal("CompiledForest: tree shape mismatch");
         totalNodes += tree.nodeCount();
     }
 
@@ -34,9 +34,9 @@ CompiledForest::CompiledForest(
     while ((1ull << featShift_) < featureCount_)
         ++featShift_;
     featMask_ = (1u << featShift_) - 1u;
-    fatalIf(totalNodes >= (1ull << (32u - featShift_)),
-            "CompiledForest: ensemble too large for packed 32-bit "
-            "child references");
+    if (totalNodes >= (1ull << (32u - featShift_)))
+        fatal("CompiledForest: ensemble too large for packed 32-bit "
+              "child references");
 
     nodes_.reserve(totalNodes);
     leafOfs_.reserve(totalNodes);
@@ -67,8 +67,8 @@ CompiledForest::CompiledForest(
             const auto &node = src[local];
             PackedNode packed;
             if (node.feature < 0) {
-                fatalIf(node.leafValue.size() != outputCount_,
-                        "CompiledForest: leaf shape mismatch");
+                if (node.leafValue.size() != outputCount_)
+                    fatal("CompiledForest: leaf shape mismatch");
                 // Branchless leaf: both children loop back to self,
                 // so the walk parks here whichever way the comparison
                 // goes — which leaves the threshold field dead. For
@@ -102,7 +102,8 @@ CompiledForest::CompiledForest(
 void
 CompiledForest::predictInto(const double *x, double *out) const
 {
-    panicIf(empty(), "CompiledForest::predictInto on empty forest");
+    if (empty())
+        panic("CompiledForest::predictInto on empty forest");
     const std::size_t o = outputCount_;
     for (std::size_t k = 0; k < o; ++k)
         out[k] = 0.0;
@@ -270,7 +271,8 @@ void
 CompiledForest::predictBatch(const double *X, std::size_t rows,
                              double *Y, bool parallel) const
 {
-    panicIf(empty(), "CompiledForest::predictBatch on empty forest");
+    if (empty())
+        panic("CompiledForest::predictBatch on empty forest");
     if (rows == 0)
         return;
 

@@ -10,8 +10,8 @@ using net::DcId;
 IfTop::IfTop(const net::NetworkSim &sim, DcId sourceDc)
     : sim_(sim), sourceDc_(sourceDc)
 {
-    fatalIf(sourceDc >= sim.topology().dcCount(),
-            "IfTop: source DC out of range");
+    if (sourceDc >= sim.topology().dcCount())
+        fatal("IfTop: source DC out of range");
 }
 
 void
@@ -28,7 +28,8 @@ IfTop::beginWindow()
 std::vector<Mbps>
 IfTop::endWindow()
 {
-    panicIf(!windowOpen_, "IfTop::endWindow without beginWindow");
+    if (!windowOpen_)
+        panic("IfTop::endWindow without beginWindow");
     windowOpen_ = false;
     const std::size_t n = sim_.topology().dcCount();
     std::vector<Mbps> rates(n, 0.0);

@@ -20,7 +20,8 @@ namespace {
 VmId
 probeVm(const Topology &topo, DcId dc)
 {
-    panicIf(topo.dc(dc).vms.empty(), "probeVm: DC has no VMs");
+    if (topo.dc(dc).vms.empty())
+        panic("probeVm: DC has no VMs");
     return topo.dc(dc).vms.front();
 }
 
@@ -31,7 +32,8 @@ MeshMeasurer::MeshMeasurer(NetworkSim &sim) : sim_(sim) {}
 Matrix<Mbps>
 MeshMeasurer::measureSimultaneous(Seconds duration, int connections)
 {
-    fatalIf(duration <= 0.0, "measureSimultaneous: duration must be > 0");
+    if (duration <= 0.0)
+        fatal("measureSimultaneous: duration must be > 0");
     const Topology &topo = sim_.topology();
     const std::size_t n = topo.dcCount();
 

@@ -43,8 +43,8 @@ NetworkSim::NetworkSim(Topology topology, NetworkSimConfig config,
       scenarioRtt_(topology_.pairCount(), 1.0),
       pairBytes_(topology_.pairCount(), 0.0)
 {
-    fatalIf(config_.tickInterval <= 0.0,
-            "NetworkSim: tickInterval must be positive");
+    if (config_.tickInterval <= 0.0)
+        fatal("NetworkSim: tickInterval must be positive");
 
     // Unpack the immutable per-pair topology quantities into flat
     // PairIndex-layout banks once, so resolveRates composes arrays
@@ -81,10 +81,12 @@ TransferId
 NetworkSim::makeTransfer(VmId src, VmId dst, Bytes bytes, int connections,
                          bool measurement, FlowGroupId group)
 {
-    fatalIf(src >= topology_.vmCount() || dst >= topology_.vmCount(),
-            "NetworkSim: VM id out of range");
-    fatalIf(src == dst, "NetworkSim: transfer to self");
-    fatalIf(connections < 1, "NetworkSim: connections must be >= 1");
+    if (src >= topology_.vmCount() || dst >= topology_.vmCount())
+        fatal("NetworkSim: VM id out of range");
+    if (src == dst)
+        fatal("NetworkSim: transfer to self");
+    if (connections < 1)
+        fatal("NetworkSim: connections must be >= 1");
 
     Transfer t;
     t.id = nextId_++;
@@ -105,7 +107,8 @@ TransferId
 NetworkSim::startTransfer(VmId src, VmId dst, Bytes bytes, int connections,
                           FlowGroupId group)
 {
-    fatalIf(bytes <= 0.0, "startTransfer: bytes must be positive");
+    if (bytes <= 0.0)
+        fatal("startTransfer: bytes must be positive");
     return makeTransfer(src, dst, bytes, connections, false, group);
 }
 
@@ -129,7 +132,8 @@ NetworkSim::stopTransfer(TransferId id)
 void
 NetworkSim::setConnections(TransferId id, int connections)
 {
-    fatalIf(connections < 1, "setConnections: connections must be >= 1");
+    if (connections < 1)
+        fatal("setConnections: connections must be >= 1");
     auto it = transfers_.find(id);
     if (it == transfers_.end())
         return;
@@ -157,8 +161,8 @@ NetworkSim::clearTcLimits()
 void
 NetworkSim::setScenarioCapFactor(DcId src, DcId dst, double factor)
 {
-    fatalIf(!std::isfinite(factor) || factor < 0.0,
-            "setScenarioCapFactor: factor must be finite and >= 0");
+    if (!std::isfinite(factor) || factor < 0.0)
+        fatal("setScenarioCapFactor: factor must be finite and >= 0");
     const std::size_t pair = topology_.pairIndex(src, dst);
     if (scenarioCap_[pair] != factor) {
         scenarioCap_[pair] = factor;
@@ -169,8 +173,8 @@ NetworkSim::setScenarioCapFactor(DcId src, DcId dst, double factor)
 void
 NetworkSim::setScenarioRttFactor(DcId src, DcId dst, double factor)
 {
-    fatalIf(!std::isfinite(factor) || factor <= 0.0,
-            "setScenarioRttFactor: factor must be finite and > 0");
+    if (!std::isfinite(factor) || factor <= 0.0)
+        fatal("setScenarioRttFactor: factor must be finite and > 0");
     const std::size_t pair = topology_.pairIndex(src, dst);
     if (scenarioRtt_[pair] != factor) {
         scenarioRtt_[pair] = factor;
@@ -203,9 +207,10 @@ NetworkSim::scenarioRttFactor(DcId src, DcId dst) const
 void
 NetworkSim::setGroupWeight(FlowGroupId group, double weight)
 {
-    fatalIf(group == 0, "setGroupWeight: group 0 is ungrouped");
-    fatalIf(!std::isfinite(weight) || weight <= 0.0,
-            "setGroupWeight: weight must be finite and > 0");
+    if (group == 0)
+        fatal("setGroupWeight: group 0 is ungrouped");
+    if (!std::isfinite(weight) || weight <= 0.0)
+        fatal("setGroupWeight: weight must be finite and > 0");
     groups_[group].weight = weight;
     ratesDirty_ = true;
     groupsDirty_ = true;
@@ -215,8 +220,10 @@ void
 NetworkSim::setGroupPairCap(FlowGroupId group, DcId src, DcId dst,
                             Mbps cap)
 {
-    fatalIf(group == 0, "setGroupPairCap: group 0 is ungrouped");
-    fatalIf(!std::isfinite(cap), "setGroupPairCap: cap must be finite");
+    if (group == 0)
+        fatal("setGroupPairCap: group 0 is ungrouped");
+    if (!std::isfinite(cap))
+        fatal("setGroupPairCap: cap must be finite");
     const std::size_t pair = topology_.pairIndex(src, dst);
     auto lookup = [pair](GroupState &state) {
         return std::lower_bound(
@@ -487,7 +494,8 @@ NetworkSim::progress(Seconds dt)
 {
     // dt == 0 is a legal "sweep" pass that only collects transfers whose
     // byte counters already reached zero.
-    panicIf(dt < 0.0, "progress: negative dt");
+    if (dt < 0.0)
+        panic("progress: negative dt");
     std::vector<TransferId> finished;
     for (auto &[id, t] : transfers_) {
         const Bytes moved = units::bytesAtRate(t.rate, dt);
@@ -513,12 +521,13 @@ NetworkSim::progress(Seconds dt)
 void
 NetworkSim::advanceBy(Seconds dt)
 {
-    fatalIf(dt < 0.0, "advanceBy: negative dt");
+    if (dt < 0.0)
+        fatal("advanceBy: negative dt");
     Seconds remaining = dt;
     std::size_t guard = 0;
     while (remaining > 1.0e-12) {
-        panicIf(++guard > 100000000,
-                "advanceBy: too many steps; check tickInterval");
+        if (++guard > 100000000)
+            panic("advanceBy: too many steps; check tickInterval");
         if (ratesDirty_)
             resolveRates();
         const Seconds toTick = nextTick_ - now_;
@@ -552,7 +561,8 @@ NetworkSim::runUntilAllComplete(Seconds maxTime)
 {
     std::size_t guard = 0;
     while (!allTransfersDone() && now_ < maxTime - 1.0e-9) {
-        panicIf(++guard > 100000000, "runUntilAllComplete: stuck");
+        if (++guard > 100000000)
+            panic("runUntilAllComplete: stuck");
         if (ratesDirty_)
             resolveRates();
         const Seconds toCompletion = nextCompletionIn();
@@ -625,7 +635,8 @@ NetworkSim::transferRate(TransferId id) const
     auto it = transfers_.find(id);
     if (it == transfers_.end())
         return 0.0;
-    panicIf(ratesDirty_, "transferRate: rates are stale; advance first");
+    if (ratesDirty_)
+        panic("transferRate: rates are stale; advance first");
     return it->second.rate;
 }
 

@@ -14,10 +14,10 @@ forecastFromDynamics(const Dynamics &dyn,
                      const core::ForecastConfig &cfg)
 {
     const std::size_t n = dyn.dcCount();
-    fatalIf(believed.rows() != n || believed.cols() != n,
-            "forecastFromDynamics: believed matrix size mismatch");
-    fatalIf(!(cfg.horizon > 0.0) || !(cfg.step > 0.0),
-            "forecastFromDynamics: horizon and step must be > 0");
+    if (believed.rows() != n || believed.cols() != n)
+        fatal("forecastFromDynamics: believed matrix size mismatch");
+    if (!(cfg.horizon > 0.0) || !(cfg.step > 0.0))
+        fatal("forecastFromDynamics: horizon and step must be > 0");
 
     // Current anchor: divide each pair by the factor holding now,
     // floored so a belief gauged mid-outage still forecasts recovery.

@@ -26,8 +26,8 @@ searchFractionsDetailed(const gda::StageContext &ctx,
                         const FractionSearchConfig &cfg)
 {
     const std::size_t n = ctx.inputByDc.size();
-    fatalIf(seedFractions.size() != n,
-            "searchFractions: seed size mismatch");
+    if (seedFractions.size() != n)
+        fatal("searchFractions: seed size mismatch");
 
     // Normalize the seed onto the simplex.
     double sum = 0.0;

@@ -83,17 +83,17 @@ BandwidthAllocator::allocate(net::NetworkSim &sim,
     // inherit that order, so ties in the water-fill resolve the same
     // way every round and every run.
     for (std::size_t q = 1; q < demands.size(); ++q)
-        panicIf(demands[q - 1].group >= demands[q].group,
-                "BandwidthAllocator: demands not sorted by group");
+        if (demands[q - 1].group >= demands[q].group)
+            panic("BandwidthAllocator: demands not sorted by group");
 
     // Group weights steer the solver's organic filling between
     // allocation rounds (new flows join mid-epoch); the caps bound
     // each query's aggregate per pair. Both express the same policy.
     for (const QueryDemand &q : demands) {
-        fatalIf(q.group == 0,
-                "BandwidthAllocator: group 0 is reserved");
-        fatalIf(!(q.weight > 0.0) || !std::isfinite(q.weight),
-                "BandwidthAllocator: weight must be positive");
+        if (q.group == 0)
+            fatal("BandwidthAllocator: group 0 is reserved");
+        if (!(q.weight > 0.0) || !std::isfinite(q.weight))
+            fatal("BandwidthAllocator: weight must be positive");
         sim.setGroupWeight(q.group,
                            policy_ == AllocPolicy::WeightedPriority
                                ? q.weight
@@ -110,8 +110,8 @@ BandwidthAllocator::allocate(net::NetworkSim &sim,
     std::size_t total = 0;
     for (const QueryDemand &q : demands) {
         for (const PairDemand &p : q.pairs) {
-            panicIf(p.pair >= pairCount,
-                    "BandwidthAllocator: pair index out of range");
+            if (p.pair >= pairCount)
+                panic("BandwidthAllocator: pair index out of range");
             if (claimCount_[p.pair]++ == 0)
                 touched_.push_back(p.pair);
             ++total;

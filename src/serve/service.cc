@@ -425,18 +425,11 @@ Service::planAndLaunch()
                 q.exec->start(sim_, i, j, bytes,
                               std::max(1, q.connections.at(i, j)),
                               q.group);
-            // Straggler budgets share the planner's rate model:
-            // forecast-integrated when available, else the snapshot
-            // rate floored at the infeasibility epsilon (a dead pair's
-            // budget must be huge, not the silent 1 Mbps the old floor
-            // implied).
-            t.expected =
-                cfg_.forecast.enabled && !q.forecast.empty()
-                    ? q.forecast.transferTime(i, j, bytes, q.share, now)
-                    : units::transferTime(
-                          bytes,
-                          std::max(core::BwForecast::kMinFeasibleMbps,
-                                   q.believedBw.at(i, j) * q.share));
+            // Straggler budgets share the planner's rate model.
+            t.expected = gda::plannedTransferTime(
+                q.believedBw,
+                cfg_.forecast.enabled ? &q.forecast : nullptr, i, j,
+                bytes, q.share, now);
             q.outcome.wanBytes += bytes;
         };
         q.exec->beginShuffle(std::move(q.placed), now, start);

@@ -16,8 +16,10 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/units.hh"
+#include "expect_what.hh"
 
 using namespace wanify;
+using test::whatOf;
 
 // ---- units -----------------------------------------------------------------
 
@@ -157,8 +159,14 @@ TEST(Matrix, InitializerListAndAccess)
 TEST(Matrix, OutOfRangeAccessPanics)
 {
     Matrix<int> m = Matrix<int>::square(2, 0);
-    EXPECT_THROW(m.at(2, 0), PanicError);
-    EXPECT_THROW(m.at(0, 2), PanicError);
+    EXPECT_EQ(whatOf<PanicError>([&] { m.at(2, 0); }),
+              "panic: Matrix::at out of range");
+    EXPECT_EQ(whatOf<PanicError>([&] { m.at(0, 2); }),
+              "panic: Matrix::at out of range");
+    const Matrix<int> &cm = m;
+    EXPECT_EQ(whatOf<PanicError>([&] { cm.at(2, 2); }),
+              "panic: Matrix::at out of range");
+    EXPECT_EQ(cm.at(1, 1), 0);
 }
 
 TEST(Matrix, OffDiagonalStats)

@@ -78,8 +78,9 @@ TEST(DcRelations, MonotoneInBandwidth)
         for (std::size_t b = 0; b < 9; ++b) {
             const auto ai = a / 3, aj = a % 3;
             const auto bi = b / 3, bj = b % 3;
-            if (bw.at(ai, aj) > bw.at(bi, bj))
+            if (bw.at(ai, aj) > bw.at(bi, bj)) {
                 EXPECT_LE(rel.at(ai, aj), rel.at(bi, bj));
+            }
         }
     }
 }

@@ -131,8 +131,9 @@ TEST(MultiCloud, MixedProviderTopologyWorksEndToEnd)
         monitor::MeasurementConfig{}, 5);
     for (net::DcId i = 0; i < 4; ++i)
         for (net::DcId j = 0; j < 4; ++j)
-            if (i != j)
+            if (i != j) {
                 EXPECT_GT(bw.at(i, j), 0.0);
+            }
 }
 
 // ---- Section 3.3.4: drift -> warm-start retraining -----------------------------

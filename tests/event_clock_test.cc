@@ -21,9 +21,11 @@
 #include "gda/event_clock.hh"
 #include "scenario/library.hh"
 #include "scenario/scenario.hh"
+#include "expect_what.hh"
 
 using namespace wanify;
 using namespace wanify::experiments;
+using test::whatOf;
 using gda::ClockEvent;
 using gda::ClockEventKind;
 using gda::EventClock;
@@ -261,10 +263,14 @@ TEST(EventClock, SeqCounterSurvivesClear)
 TEST(EventClock, RejectsNanAndEmptyAccess)
 {
     EventClock clock;
-    EXPECT_THROW(clock.push(std::nan(""), ClockEventKind::EpochTick),
-                 FatalError);
-    EXPECT_THROW(clock.top(), PanicError);
-    EXPECT_THROW(clock.pop(), PanicError);
+    EXPECT_EQ(whatOf<FatalError>([&] {
+                  clock.push(std::nan(""), ClockEventKind::EpochTick);
+              }),
+              "fatal: EventClock::push: NaN time");
+    EXPECT_EQ(whatOf<PanicError>([&] { clock.top(); }),
+              "panic: EventClock::top: empty queue");
+    EXPECT_EQ(whatOf<PanicError>([&] { clock.pop(); }),
+              "panic: EventClock::pop: empty queue");
 }
 
 // ---- engine golden parity --------------------------------------------------

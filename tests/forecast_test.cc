@@ -20,8 +20,10 @@
 #include "sched/tetrium.hh"
 #include "scenario/forecast.hh"
 #include "scenario/scenario.hh"
+#include "expect_what.hh"
 
 using namespace wanify;
+using test::whatOf;
 
 namespace {
 
@@ -129,6 +131,14 @@ TEST(BwForecast, DeadPairFloorIsFiniteAndBytesProportional)
     EXPECT_NEAR(t2, 2.0 * t1, 1e-3);
     // The floor also guards tiny shares on live pairs.
     EXPECT_TRUE(std::isfinite(fc.transferTime(1, 0, 1.0e6, 0.0, 0.0)));
+}
+
+TEST(BwForecast, EmptyForecastTransferTimeFails)
+{
+    const core::BwForecast fc;
+    EXPECT_EQ(whatOf<FatalError>(
+                  [&] { fc.transferTime(0, 1, 1.0e6, 1.0, 0.0); }),
+              "fatal: BwForecast::transferTime: empty forecast");
 }
 
 TEST(BwForecast, MeshMeanSkipsDiagonal)

@@ -22,9 +22,11 @@
 #include "workloads/terasort.hh"
 #include "workloads/tpcds.hh"
 #include "workloads/wordcount.hh"
+#include "expect_what.hh"
 
 using namespace wanify;
 using namespace wanify::experiments;
+using test::whatOf;
 
 // ---- storage ---------------------------------------------------------------
 
@@ -462,10 +464,14 @@ TEST(Engine, RejectsBadInputs)
     gda::JobSpec empty;
     gda::RunOptions opts;
     opts.schedulerBw = Matrix<Mbps>::square(2, 100.0);
-    EXPECT_THROW(engine.run(empty, {1.0, 1.0}, locality, opts),
-                 FatalError);
+    EXPECT_EQ(whatOf<FatalError>([&] {
+                  engine.run(empty, {1.0, 1.0}, locality, opts);
+              }),
+              "fatal: Engine::run: job has no stages");
     const auto job = workloads::teraSort(1.0);
-    EXPECT_THROW(engine.run(job, {1.0}, locality, opts), FatalError);
+    EXPECT_EQ(whatOf<FatalError>(
+                  [&] { engine.run(job, {1.0}, locality, opts); }),
+              "fatal: Engine::run: input distribution size mismatch");
 }
 
 // ---- ML workload ----------------------------------------------------------------------

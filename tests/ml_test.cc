@@ -15,9 +15,11 @@
 #include "ml/decision_tree.hh"
 #include "ml/metrics.hh"
 #include "ml/random_forest.hh"
+#include "expect_what.hh"
 
 using namespace wanify;
 using namespace wanify::ml;
+using test::whatOf;
 
 namespace {
 
@@ -441,8 +443,11 @@ TEST(CompiledForest, EmptyForestPredictPanics)
     const CompiledForest compiled;
     EXPECT_TRUE(compiled.empty());
     double x = 1.0, y = 0.0;
-    EXPECT_THROW(compiled.predictInto(&x, &y), PanicError);
-    EXPECT_THROW(compiled.predictBatch(&x, 1, &y), PanicError);
+    EXPECT_EQ(whatOf<PanicError>([&] { compiled.predictInto(&x, &y); }),
+              "panic: CompiledForest::predictInto on empty forest");
+    EXPECT_EQ(
+        whatOf<PanicError>([&] { compiled.predictBatch(&x, 1, &y); }),
+        "panic: CompiledForest::predictBatch on empty forest");
 }
 
 // ---- metrics -------------------------------------------------------------------

@@ -21,9 +21,11 @@
 #include "net/topology.hh"
 #include "net/vm.hh"
 #include "oracles/water_fill.hh"
+#include "expect_what.hh"
 
 using namespace wanify;
 using namespace wanify::net;
+using test::whatOf;
 
 namespace {
 
@@ -717,11 +719,20 @@ TEST(NetworkSim, StopTransferRemovesIt)
 TEST(NetworkSim, InvalidArgumentsFail)
 {
     NetworkSim sim(paperTopo(2), quiet(), 1);
-    EXPECT_THROW(sim.startTransfer(0, 0, 100.0, 1), FatalError);
-    EXPECT_THROW(sim.startTransfer(0, 1, 0.0, 1), FatalError);
-    EXPECT_THROW(sim.startTransfer(0, 1, 100.0, 0), FatalError);
-    EXPECT_THROW(sim.startMeasurement(0, 99, 1), FatalError);
-    EXPECT_THROW(sim.advanceBy(-1.0), FatalError);
+    EXPECT_EQ(whatOf<FatalError>(
+                  [&] { sim.startTransfer(0, 0, 100.0, 1); }),
+              "fatal: NetworkSim: transfer to self");
+    EXPECT_EQ(whatOf<FatalError>(
+                  [&] { sim.startTransfer(0, 1, 0.0, 1); }),
+              "fatal: startTransfer: bytes must be positive");
+    EXPECT_EQ(whatOf<FatalError>(
+                  [&] { sim.startTransfer(0, 1, 100.0, 0); }),
+              "fatal: NetworkSim: connections must be >= 1");
+    EXPECT_EQ(whatOf<FatalError>(
+                  [&] { sim.startMeasurement(0, 99, 1); }),
+              "fatal: NetworkSim: VM id out of range");
+    EXPECT_EQ(whatOf<FatalError>([&] { sim.advanceBy(-1.0); }),
+              "fatal: advanceBy: negative dt");
 }
 
 TEST(NetworkSim, DeterministicAcrossRuns)
@@ -765,14 +776,42 @@ TEST(NetworkSim, ScenarioOutageStallsAndRecoveryReleases)
 TEST(NetworkSim, ScenarioFactorsValidated)
 {
     NetworkSim sim(paperTopo(2), quiet(), 1);
-    EXPECT_THROW(sim.setScenarioCapFactor(0, 1, -0.5), FatalError);
-    EXPECT_THROW(
-        sim.setScenarioCapFactor(0, 1,
-                                 std::numeric_limits<double>::
-                                     quiet_NaN()),
-        FatalError);
-    EXPECT_THROW(sim.setScenarioRttFactor(0, 1, 0.0), FatalError);
+    const std::string capMsg =
+        "fatal: setScenarioCapFactor: factor must be finite and >= 0";
+    EXPECT_EQ(whatOf<FatalError>(
+                  [&] { sim.setScenarioCapFactor(0, 1, -0.5); }),
+              capMsg);
+    EXPECT_EQ(whatOf<FatalError>([&] {
+                  sim.setScenarioCapFactor(
+                      0, 1, std::numeric_limits<double>::quiet_NaN());
+              }),
+              capMsg);
+    EXPECT_EQ(whatOf<FatalError>(
+                  [&] { sim.setScenarioRttFactor(0, 1, 0.0); }),
+              "fatal: setScenarioRttFactor: factor must be finite and "
+              "> 0");
     EXPECT_DOUBLE_EQ(sim.scenarioCapFactor(0, 1), 1.0);
+}
+
+TEST(NetworkSim, GroupSettersValidated)
+{
+    NetworkSim sim(paperTopo(2), quiet(), 1);
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(whatOf<FatalError>(
+                  [&] { sim.setGroupPairCap(1, 0, 1, inf); }),
+              "fatal: setGroupPairCap: cap must be finite");
+    EXPECT_EQ(whatOf<FatalError>([&] {
+                  sim.setGroupPairCap(
+                      1, 0, 1, std::numeric_limits<double>::quiet_NaN());
+              }),
+              "fatal: setGroupPairCap: cap must be finite");
+    EXPECT_EQ(whatOf<FatalError>(
+                  [&] { sim.setGroupPairCap(0, 0, 1, 100.0); }),
+              "fatal: setGroupPairCap: group 0 is ungrouped");
+    EXPECT_EQ(whatOf<FatalError>(
+                  [&] { sim.setGroupWeight(1, 0.0); }),
+              "fatal: setGroupWeight: weight must be finite and > 0");
+    EXPECT_EQ(sim.registeredGroupCount(), 0u);
 }
 
 TEST(NetworkSim, RetransScoreRisesUnderContention)

@@ -28,8 +28,10 @@
 #include "serve/service.hh"
 #include "serve/workload.hh"
 #include "workloads/tpcds.hh"
+#include "expect_what.hh"
 
 using namespace wanify;
+using test::whatOf;
 
 namespace {
 
@@ -292,10 +294,14 @@ TEST(Allocator, RejectsMalformedDemands)
         {2, 1.0, {{pair, 0.0}}},
         {1, 1.0, {{pair, 0.0}}},
     };
-    EXPECT_THROW(alloc.allocate(sim, unsorted), PanicError);
+    EXPECT_EQ(whatOf<PanicError>(
+                  [&] { alloc.allocate(sim, unsorted); }),
+              "panic: BandwidthAllocator: demands not sorted by group");
     std::vector<serve::QueryDemand> reserved{
         {0, 1.0, {{pair, 0.0}}}};
-    EXPECT_THROW(alloc.allocate(sim, reserved), FatalError);
+    EXPECT_EQ(whatOf<FatalError>(
+                  [&] { alloc.allocate(sim, reserved); }),
+              "fatal: BandwidthAllocator: group 0 is reserved");
 }
 
 // --- share-aware planning ------------------------------------------------
@@ -329,10 +335,15 @@ TEST(Scheduler, WanShareScalesEstimatedStageTime)
     // A quarter of every link makes the WAN-bound stage 4x slower.
     EXPECT_NEAR(quarter, 4.0 * whole, 0.05 * quarter);
 
+    const auto estimate = [&] {
+        gda::estimateStageTime(ctx, assignment);
+    };
     ctx.wanShare = 0.0;
-    EXPECT_THROW(gda::estimateStageTime(ctx, assignment), FatalError);
+    EXPECT_EQ(whatOf<FatalError>(estimate),
+              "fatal: estimateStageTime: wanShare must be in (0, 1]");
     ctx.wanShare = 1.5;
-    EXPECT_THROW(gda::estimateStageTime(ctx, assignment), FatalError);
+    EXPECT_EQ(whatOf<FatalError>(estimate),
+              "fatal: estimateStageTime: wanShare must be in (0, 1]");
 }
 
 // --- the resident service ------------------------------------------------

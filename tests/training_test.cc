@@ -369,10 +369,12 @@ TEST(BinIndex, QuantileBinningCapsBinCount)
     for (std::size_t i = 0; i < data.size(); i += 13) {
         const double v = data.x(i)[0];
         const std::size_t code = bins->codeValue(0, v);
-        if (code + 1 < bins->binCount(0))
+        if (code + 1 < bins->binCount(0)) {
             EXPECT_LE(v, bins->threshold(0, code));
-        if (code > 0)
+        }
+        if (code > 0) {
             EXPECT_GT(v, bins->threshold(0, code - 1));
+        }
     }
 }
 
