@@ -9,6 +9,24 @@
 namespace wanify {
 namespace ml {
 
+namespace {
+
+/** Parse the whole of @p cell as a number; std::stod alone stops at
+ *  the first bad character, reading "1abc" as 1. */
+bool
+parseCell(const std::string &cell, double &out)
+{
+    try {
+        std::size_t used = 0;
+        out = std::stod(cell, &used);
+        return used == cell.size();
+    } catch (const std::exception &) {
+        return false;
+    }
+}
+
+} // namespace
+
 void
 writeCsv(std::ostream &out, const Dataset &data,
          const std::vector<std::string> &featureNames)
@@ -94,15 +112,11 @@ readCsv(std::istream &in)
         std::string cell;
         std::vector<double> x, y;
         while (std::getline(ss, cell, ',')) {
-            try {
-                if (x.size() < features)
-                    x.push_back(std::stod(cell));
-                else
-                    y.push_back(std::stod(cell));
-            } catch (const std::exception &) {
+            double value = 0.0;
+            if (!parseCell(cell, value))
                 fatal("readCsv: bad number at line " +
                       std::to_string(lineNo));
-            }
+            (x.size() < features ? x : y).push_back(value);
         }
         fatalIf(x.size() != features || y.size() != targets,
                 "readCsv: wrong column count at line " +

@@ -1,6 +1,8 @@
 #include "net/flow_solver.hh"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 
 #include "common/error.hh"
 
@@ -8,8 +10,6 @@ namespace wanify {
 namespace net {
 
 namespace {
-
-using Resource = SolverScratch::Resource;
 
 /** Binary search the sorted sparse group-share caps for (group, pair);
  *  returns the entry index or -1. */
@@ -45,6 +45,40 @@ firesBefore(const FillEvent &a, const FillEvent &b)
 }
 
 /**
+ * An order-preserving integer image of a fill key: for keys that are
+ * not NaN, orderBits(a) < orderBits(b) exactly when a < b. -0 maps
+ * with +0, which firesBefore treats as the same key.
+ */
+std::uint64_t
+orderBits(double key)
+{
+    if (key == 0.0)
+        key = 0.0;
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &key, sizeof bits);
+    return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+}
+
+/** firesBefore over orderBits: the same order for keys that are not
+ *  NaN, and a strict weak order for any key, as std::sort needs. */
+bool
+staticBefore(const FillEvent &a, const FillEvent &b)
+{
+    const std::uint64_t ka = orderBits(a.key);
+    const std::uint64_t kb = orderBits(b.key);
+    if (ka != kb)
+        return ka < kb;
+    if (a.kind != b.kind)
+        return a.kind < b.kind;
+    return a.id < b.id;
+}
+
+/** Active flows from which a call buckets its static events. A
+ *  smaller call (an 8-DC engine run solves a few dozen flows) sorts
+ *  them all at once, so it pays no bucket set-up. */
+constexpr std::size_t kBucketedEvents = 64;
+
+/**
  * Indexed binary min-heap of resource events in firesBefore order.
  * @c pos maps each resource to its slot (-1 = absent), so a freeze
  * re-keys or removes its resources' entries in place.
@@ -58,6 +92,10 @@ class SharedHeap
 
     bool empty() const { return slots_.empty(); }
     const FillEvent &top() const { return slots_.front(); }
+    double key(std::size_t r) const
+    {
+        return slots_[static_cast<std::size_t>(pos_[r])].key;
+    }
 
     /** Order slots filled in any order. */
     void
@@ -171,6 +209,9 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
         panic("solveRates: dcCount is zero");
     if (inputs.pathCap.size() != inputs.dcCount * inputs.dcCount)
         panic("solveRates: pathCap size mismatch");
+    if (inputs.vmIngressCap.size() != inputs.vmEgressCap.size())
+        panic("solveRates: vmEgressCap and vmIngressCap sizes differ");
+    const std::size_t nvm = inputs.vmEgressCap.size();
 
     SolverScratch local;
     SolverScratch &s = scratch != nullptr ? *scratch : local;
@@ -192,14 +233,17 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
     // --- Per-VM connection overhead --------------------------------------
     // Total connections terminating at each VM shrink its effective
     // capacities (memory buffers per connection; see SolverConfig).
-    s.connsAtVm.assign(inputs.vmEgressCap.size(), 0);
+    s.connsAtVm.assign(nvm, 0);
     // Aggregate desire (bundle capability clipped by tc limits)
     // crossing each VM, for the oversubscription-waste term.
-    s.desireAtVm.assign(inputs.vmEgressCap.size(), 0.0);
+    s.desireAtVm.assign(nvm, 0.0);
+    // A flow's desire starts from its own capability, kept for the fill.
+    s.selfCap.resize(nf);
     for (std::size_t f = 0; f < nf; ++f) {
         const FlowSpec &spec = flows[f];
         const int c = std::max(1, spec.connections);
-        Mbps desire = bundleCap(c, spec.capPerConn, cfg);
+        s.selfCap[f] = bundleCap(c, spec.capPerConn, cfg);
+        Mbps desire = s.selfCap[f];
         const std::size_t pair =
             spec.srcDc * inputs.dcCount + spec.dstDc;
         if (pair < inputs.tcLimit.size() &&
@@ -213,16 +257,18 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
                 desire,
                 inputs.groupShareCap[static_cast<std::size_t>(gc)]
                     .cap);
-        if (spec.srcVm < s.connsAtVm.size()) {
+        if (spec.srcVm < nvm) {
             s.connsAtVm[spec.srcVm] += c;
             s.desireAtVm[spec.srcVm] += desire;
         }
-        if (spec.dstVm < s.connsAtVm.size()) {
+        if (spec.dstVm < nvm) {
             s.connsAtVm[spec.dstVm] += c;
             s.desireAtVm[spec.dstVm] += desire;
         }
     }
-    auto vmPenalty = [&](std::size_t vm) {
+    // One scale per VM for its egress, ingress and NIC capacities.
+    s.vmScale.resize(nvm);
+    for (std::size_t vm = 0; vm < nvm; ++vm) {
         const int excess =
             std::max(0, s.connsAtVm[vm] - cfg.vmConnKnee);
         double penalty = 1.0 + cfg.vmConnAlpha *
@@ -235,110 +281,126 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
             penalty *= 1.0 + cfg.oversubAlpha *
                                  (s.desireAtVm[vm] / nic - 1.0);
         }
-        return 1.0 / penalty;
-    };
+        s.vmScale[vm] = 1.0 / penalty;
+    }
 
     // --- Build resources ------------------------------------------------
-    // Resource records are pooled: entries up to resourceCount are
-    // live this call, later entries are capacity kept from prior
-    // calls (their flows vectors keep their heap buffers).
-    std::vector<Resource> &resources = s.resources;
-    std::size_t resourceCount = 0;
-    // Dense maps from (vm or pair) to resource index; -1 = not created.
-    s.egressIdx.assign(inputs.vmEgressCap.size(), -1);
-    s.ingressIdx.assign(inputs.vmIngressCap.size(), -1);
+    // Resource ids follow first touch in flow order, and each touch
+    // adds the flow's weight to the resource's sum in that same order:
+    // ids break ties and sums round, so both shape the exact result.
+    s.egressIdx.assign(nvm, -1);
+    s.ingressIdx.assign(nvm, -1);
     s.nicIdx.assign(inputs.vmNicCap.size(), -1);
     s.pathIdx.assign(inputs.pathCap.size(), -1);
     s.tcIdx.assign(inputs.tcLimit.size(), -1);
     s.groupCapIdx.assign(inputs.groupShareCap.size(), -1);
+    s.resourceCap.clear();
+    s.resourceKind.clear();
+    s.wsum.clear();
+    s.activeAtResource.clear();
 
-    auto getResource = [&](std::vector<int> &map, std::size_t key,
-                           Mbps cap, Bottleneck kind) -> int {
-        if (key >= map.size())
-            panic("solveRates: resource key out of range");
-        if (map[key] < 0) {
-            map[key] = static_cast<int>(resourceCount);
-            if (resourceCount == resources.size())
-                resources.emplace_back();
-            Resource &res = resources[resourceCount];
-            res.cap = cap;
-            res.used = 0.0;
-            res.kind = kind;
-            res.flows.clear();
-            ++resourceCount;
+    // Callers range-check @p key against @p map.
+    auto touch = [&](std::vector<int> &map, std::size_t key, Mbps cap,
+                     Bottleneck kind, double w) -> int {
+        int r = map[key];
+        if (r < 0) {
+            r = static_cast<int>(s.resourceCap.size());
+            map[key] = r;
+            s.resourceCap.push_back(cap);
+            s.resourceKind.push_back(kind);
+            s.wsum.push_back(0.0);
+            s.activeAtResource.push_back(0);
         }
-        return map[key];
+        s.wsum[static_cast<std::size_t>(r)] += w;
+        ++s.activeAtResource[static_cast<std::size_t>(r)];
+        return r;
     };
 
-    // Per-flow bookkeeping.
-    s.weight.assign(nf, 0.0);
-    s.selfCap.assign(nf, 0.0);
-    if (s.flowResources.size() < nf)
-        s.flowResources.resize(nf);
-    for (std::size_t f = 0; f < nf; ++f)
-        s.flowResources[f].clear();
+    constexpr std::size_t kStride = SolverScratch::kMaxFlowResources;
+    s.weight.resize(nf);
     s.active.assign(nf, 0);
+    s.flowResources.resize(nf * kStride);
+    s.flowResourceCount.assign(nf, 0);
 
     for (std::size_t f = 0; f < nf; ++f) {
         const FlowSpec &spec = flows[f];
-        if (spec.srcVm >= inputs.vmEgressCap.size() ||
-            spec.dstVm >= inputs.vmIngressCap.size())
+        if (spec.srcVm >= nvm || spec.dstVm >= nvm)
             panic("solveRates: VM id out of range");
-        s.weight[f] = spec.weightPerConn *
-                      static_cast<double>(std::max(1, spec.connections));
-        s.selfCap[f] = bundleCap(std::max(1, spec.connections),
-                                 spec.capPerConn, cfg);
-        if (s.weight[f] <= 0.0 || s.selfCap[f] <= cfg.epsilon) {
+        const double w = spec.weightPerConn *
+                         static_cast<double>(std::max(1, spec.connections));
+        s.weight[f] = w;
+        if (w <= 0.0 || s.selfCap[f] <= cfg.epsilon) {
             result[f] = {0.0, Bottleneck::SelfCap};
             continue;
         }
         s.active[f] = 1;
 
-        auto &fr = s.flowResources[f];
-        fr.push_back(getResource(
-            s.egressIdx, spec.srcVm,
-            inputs.vmEgressCap[spec.srcVm] * vmPenalty(spec.srcVm),
-            Bottleneck::SrcVm));
-        fr.push_back(getResource(
-            s.ingressIdx, spec.dstVm,
-            inputs.vmIngressCap[spec.dstVm] * vmPenalty(spec.dstVm),
-            Bottleneck::DstVm));
+        int *fr = &s.flowResources[f * kStride];
+        std::size_t n = 0;
+        fr[n++] = touch(s.egressIdx, spec.srcVm,
+                        inputs.vmEgressCap[spec.srcVm] *
+                            s.vmScale[spec.srcVm],
+                        Bottleneck::SrcVm, w);
+        fr[n++] = touch(s.ingressIdx, spec.dstVm,
+                        inputs.vmIngressCap[spec.dstVm] *
+                            s.vmScale[spec.dstVm],
+                        Bottleneck::DstVm, w);
         if (spec.srcVm < inputs.vmNicCap.size()) {
-            fr.push_back(getResource(
-                s.nicIdx, spec.srcVm,
-                inputs.vmNicCap[spec.srcVm] * vmPenalty(spec.srcVm),
-                Bottleneck::NicTotal));
+            fr[n++] = touch(s.nicIdx, spec.srcVm,
+                            inputs.vmNicCap[spec.srcVm] *
+                                s.vmScale[spec.srcVm],
+                            Bottleneck::NicTotal, w);
         }
         if (spec.dstVm < inputs.vmNicCap.size()) {
-            fr.push_back(getResource(
-                s.nicIdx, spec.dstVm,
-                inputs.vmNicCap[spec.dstVm] * vmPenalty(spec.dstVm),
-                Bottleneck::NicTotal));
+            fr[n++] = touch(s.nicIdx, spec.dstVm,
+                            inputs.vmNicCap[spec.dstVm] *
+                                s.vmScale[spec.dstVm],
+                            Bottleneck::NicTotal, w);
         }
 
         const std::size_t pair =
             spec.srcDc * inputs.dcCount + spec.dstDc;
         if (pair >= inputs.pathCap.size())
             panic("solveRates: pair index out of range");
-        fr.push_back(getResource(s.pathIdx, pair, inputs.pathCap[pair],
-                                 Bottleneck::Path));
+        fr[n++] = touch(s.pathIdx, pair, inputs.pathCap[pair],
+                        Bottleneck::Path, w);
         if (pair < inputs.tcLimit.size() && inputs.tcLimit[pair] > 0.0) {
-            fr.push_back(getResource(s.tcIdx, pair,
-                                     inputs.tcLimit[pair],
-                                     Bottleneck::TcLimit));
+            fr[n++] = touch(s.tcIdx, pair, inputs.tcLimit[pair],
+                            Bottleneck::TcLimit, w);
         }
         const int gc = s.groupCapOfFlow[f];
         if (gc >= 0) {
             const auto &entry =
                 inputs.groupShareCap[static_cast<std::size_t>(gc)];
             if (entry.cap > 0.0) {
-                fr.push_back(getResource(
-                    s.groupCapIdx, static_cast<std::size_t>(gc),
-                    entry.cap, Bottleneck::GroupShare));
+                fr[n++] = touch(s.groupCapIdx,
+                                static_cast<std::size_t>(gc), entry.cap,
+                                Bottleneck::GroupShare, w);
             }
         }
-        for (int r : fr)
-            resources[static_cast<std::size_t>(r)].flows.push_back(f);
+        s.flowResourceCount[f] = static_cast<unsigned char>(n);
+    }
+
+    const std::size_t resourceCount = s.resourceCap.size();
+
+    // Each resource's flows as one CSR row, in ascending flow order; a
+    // flow crossing a resource twice (both NICs of one VM) is listed
+    // twice, as it counts twice in the resource's sums. Rows fill
+    // back to front from their end offsets, which leaves each offset
+    // at its row's start.
+    s.resourceFlowStart.resize(resourceCount + 1);
+    std::size_t listed = 0;
+    for (std::size_t r = 0; r < resourceCount; ++r) {
+        listed += static_cast<std::size_t>(s.activeAtResource[r]);
+        s.resourceFlowStart[r] = listed;
+    }
+    s.resourceFlowStart[resourceCount] = listed;
+    s.resourceFlows.resize(listed);
+    for (std::size_t f = nf; f-- > 0;) {
+        const int *fr = &s.flowResources[f * kStride];
+        for (std::size_t k = s.flowResourceCount[f]; k-- > 0;)
+            s.resourceFlows[--s.resourceFlowStart[static_cast<
+                std::size_t>(fr[k])]] = static_cast<int>(f);
     }
 
     // --- Weighted progressive filling ------------------------------------
@@ -357,11 +419,16 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
     //  - static events, whose key holds until their flow freezes: each
     //    flow's self cap, and each resource left with exactly one
     //    active flow after the zero-capacity pre-freeze. Only a flow's
-    //    earliest static event can fire, so one per flow is kept and
-    //    the list is sorted once;
+    //    earliest static event can fire, so one per flow is kept. A
+    //    large call spreads them over key buckets by orderBits in one
+    //    counting pass and sorts a bucket only when the fill reaches
+    //    it, dropping the events of flows frozen by then;
     //  - shared resources (two or more active flows) in an indexed
-    //    min-heap, re-keyed in place when a member flow freezes and
-    //    removed when the last one does.
+    //    min-heap. A freeze marks the heap resources it touches; before
+    //    the heads are next compared, each marked resource is re-keyed
+    //    once from its current sums, or removed with its last flow.
+    //    A key that rose (the exact-arithmetic case) is only flagged,
+    //    and re-keyed if it reaches the top.
     //
     // The next event is the earlier of the two heads. That is the
     // order in which a lazy heap pushing a fresh event per re-key
@@ -373,21 +440,14 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
         remaining += s.active[f] != 0 ? 1 : 0;
 
     s.frozenUsed.assign(resourceCount, 0.0);
-    s.wsum.assign(resourceCount, 0.0);
-    s.activeAtResource.assign(resourceCount, 0);
     s.heapPos.assign(resourceCount, -1);
-    for (std::size_t f = 0; f < nf; ++f) {
-        if (s.active[f] == 0)
-            continue;
-        for (int r : s.flowResources[f]) {
-            s.wsum[static_cast<std::size_t>(r)] += s.weight[f];
-            ++s.activeAtResource[static_cast<std::size_t>(r)];
-        }
-    }
+    s.rekeyPending.assign(resourceCount, 0);
+    s.keyRaised.assign(resourceCount, 0);
+    s.rekeyList.clear();
 
     auto saturationKey = [&](std::size_t r) {
         const double slack =
-            std::max(resources[r].cap - s.frozenUsed[r], 0.0);
+            std::max(s.resourceCap[r] - s.frozenUsed[r], 0.0);
         return slack / s.wsum[r];
     };
 
@@ -399,38 +459,69 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
         result[f].rate = rate;
         result[f].bottleneck = why;
         --remaining;
-        for (int ri : s.flowResources[f]) {
-            const std::size_t r = static_cast<std::size_t>(ri);
+        const int *fr = &s.flowResources[f * kStride];
+        for (std::size_t k = 0; k < s.flowResourceCount[f]; ++k) {
+            const std::size_t r = static_cast<std::size_t>(fr[k]);
             s.frozenUsed[r] += rate;
             s.wsum[r] -= s.weight[f];
             --s.activeAtResource[r];
             // Only heap entries move; a static resource dies with its
             // flow, and the pre-freeze runs before the heap exists.
-            if (s.heapPos[r] < 0)
-                continue;
-            if (s.activeAtResource[r] == 0)
-                shared.erase(r);
-            else
-                shared.rekey(r, saturationKey(r));
+            if (s.heapPos[r] >= 0 && s.rekeyPending[r] == 0) {
+                s.rekeyPending[r] = 1;
+                s.rekeyList.push_back(static_cast<int>(r));
+            }
         }
     };
-
+    // The heap minimum is unique under firesBefore, so re-keying once
+    // from the final sums pops what re-keying per freeze would. An
+    // entry whose key rose may keep its old, smaller key until it
+    // reaches the top: every entry then sits at or below its true key,
+    // so a top holding its true key is the true minimum.
+    auto rekeyMarked = [&] {
+        for (int ri : s.rekeyList) {
+            const std::size_t r = static_cast<std::size_t>(ri);
+            s.rekeyPending[r] = 0;
+            if (s.activeAtResource[r] == 0) {
+                s.keyRaised[r] = 0;
+                shared.erase(r);
+                continue;
+            }
+            const double key = saturationKey(r);
+            const bool fell = key < shared.key(r);
+            s.keyRaised[r] = !fell && key != shared.key(r);
+            if (fell)
+                shared.rekey(r, key);
+        }
+        s.rekeyList.clear();
+        while (!shared.empty() && s.keyRaised[shared.top().id] != 0) {
+            const std::size_t r = shared.top().id;
+            s.keyRaised[r] = 0;
+            shared.rekey(r, saturationKey(r));
+        }
+    };
     // Pre-freeze flows crossing a zero-capacity resource.
     for (std::size_t r = 0; r < resourceCount; ++r) {
-        if (resources[r].cap <= cfg.epsilon) {
-            for (std::size_t f : resources[r].flows)
-                freezeFlow(f, 0.0, resources[r].kind);
-        }
+        if (s.resourceCap[r] > cfg.epsilon)
+            continue;
+        for (std::size_t i = s.resourceFlowStart[r];
+             i < s.resourceFlowStart[r + 1]; ++i)
+            freezeFlow(static_cast<std::size_t>(s.resourceFlows[i]), 0.0,
+                       s.resourceKind[r]);
     }
 
+    const bool bucketed = remaining >= kBucketedEvents;
+    std::uint64_t lowest = ~std::uint64_t{0};
+    std::uint64_t highest = 0;
     auto &events = s.staticEvents;
     events.clear();
     for (std::size_t f = 0; f < nf; ++f) {
         if (s.active[f] == 0)
             continue;
         FillEvent first{s.selfCap[f] / s.weight[f], 0, f, f};
-        for (int ri : s.flowResources[f]) {
-            const std::size_t r = static_cast<std::size_t>(ri);
+        const int *fr = &s.flowResources[f * kStride];
+        for (std::size_t k = 0; k < s.flowResourceCount[f]; ++k) {
+            const std::size_t r = static_cast<std::size_t>(fr[k]);
             if (s.activeAtResource[r] != 1)
                 continue;
             const FillEvent ev{saturationKey(r), 1, r, f};
@@ -438,12 +529,77 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
                 first = ev;
         }
         events.push_back(first);
+        if (bucketed) {
+            const std::uint64_t bits = orderBits(first.key);
+            lowest = std::min(lowest, bits);
+            highest = std::max(highest, bits);
+        }
     }
-    // A lambda rather than &firesBefore, so the comparison inlines.
-    std::sort(events.begin(), events.end(),
-              [](const FillEvent &a, const FillEvent &b) {
-                  return firesBefore(a, b);
-              });
+
+    // Static events in key buckets: bucket b holds the events whose
+    // orderBits lie in [lowest + b * 2^shift, lowest + (b+1) * 2^shift),
+    // at most one bucket per event. A small call keeps one bucket.
+    FillEvent *ordered = events.data();
+    std::vector<std::size_t> &bucketStart = s.bucketStart;
+    std::size_t buckets = 1;
+    if (bucketed) {
+        const std::uint64_t span = highest - lowest;
+        unsigned shift = 0;
+        while ((span >> shift) >= events.size())
+            ++shift;
+        buckets = static_cast<std::size_t>(span >> shift) + 1;
+        auto bucketOf = [&](const FillEvent &ev) {
+            return static_cast<std::size_t>(
+                (orderBits(ev.key) - lowest) >> shift);
+        };
+        bucketStart.assign(buckets + 1, 0);
+        for (const FillEvent &ev : events)
+            ++bucketStart[bucketOf(ev)];
+        for (std::size_t b = 1; b < buckets; ++b)
+            bucketStart[b] += bucketStart[b - 1];
+        bucketStart[buckets] = events.size();
+        // Scatter back to front, leaving each entry at its bucket's
+        // start.
+        s.bucketedEvents.resize(events.size());
+        for (std::size_t i = events.size(); i-- > 0;)
+            s.bucketedEvents[--bucketStart[bucketOf(events[i])]] =
+                events[i];
+        ordered = s.bucketedEvents.data();
+    } else {
+        bucketStart.assign({0, events.size()});
+    }
+
+    // The static head: the earliest event of a flow still active.
+    std::size_t next = 0;
+    std::size_t end = 0;
+    std::size_t bucket = 0;
+    auto staticHead = [&]() -> bool {
+        for (;;) {
+            for (; next < end; ++next)
+                if (s.active[ordered[next].flow] != 0)
+                    return true;
+            while (bucket < buckets &&
+                   bucketStart[bucket] == bucketStart[bucket + 1])
+                ++bucket;
+            if (bucket == buckets)
+                return false;
+            FillEvent *first = ordered + bucketStart[bucket];
+            FillEvent *last = std::remove_if(
+                first, ordered + bucketStart[bucket + 1],
+                [&](const FillEvent &ev) {
+                    return s.active[ev.flow] == 0;
+                });
+            // A lambda rather than &staticBefore, so the comparison
+            // inlines.
+            std::sort(first, last,
+                      [](const FillEvent &a, const FillEvent &b) {
+                          return staticBefore(a, b);
+                      });
+            next = static_cast<std::size_t>(first - ordered);
+            end = static_cast<std::size_t>(last - ordered);
+            ++bucket;
+        }
+    };
 
     s.sharedHeap.clear();
     for (std::size_t r = 0; r < resourceCount; ++r)
@@ -451,31 +607,37 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
             s.sharedHeap.push_back({saturationKey(r), 1, r, 0});
     shared.heapify();
 
-    std::size_t next = 0;
     std::size_t guard = 0;
     const std::size_t maxEvents = 8 * (nf + resourceCount) + 64;
-    while (remaining > 0 && (next < events.size() || !shared.empty())) {
+    while (remaining > 0) {
         if (++guard > maxEvents)
             panic("solveRates: progressive filling did not converge");
-        if (next < events.size() &&
-            (shared.empty() || firesBefore(events[next], shared.top()))) {
-            const FillEvent &ev = events[next++];
+        rekeyMarked();
+        const bool haveStatic = staticHead();
+        if (!haveStatic && shared.empty())
+            break;
+        if (haveStatic &&
+            (shared.empty() || firesBefore(ordered[next], shared.top()))) {
+            const FillEvent &ev = ordered[next++];
             if (ev.kind == 0)
                 freezeFlow(ev.flow, s.selfCap[ev.flow],
                            Bottleneck::SelfCap);
             else
                 freezeFlow(ev.flow, s.weight[ev.flow] * ev.key,
-                           resources[ev.id].kind);
+                           s.resourceKind[ev.id]);
             continue;
         }
         // A shared resource saturates: every flow still on it freezes.
         const std::size_t r = shared.top().id;
         const double theta = shared.top().key;
         shared.erase(r);
-        for (std::size_t f : resources[r].flows)
+        for (std::size_t i = s.resourceFlowStart[r];
+             i < s.resourceFlowStart[r + 1]; ++i) {
+            const std::size_t f =
+                static_cast<std::size_t>(s.resourceFlows[i]);
             if (s.active[f] != 0)
-                freezeFlow(f, s.weight[f] * theta,
-                           resources[r].kind);
+                freezeFlow(f, s.weight[f] * theta, s.resourceKind[r]);
+        }
     }
 
     return result;

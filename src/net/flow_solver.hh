@@ -179,41 +179,30 @@ Mbps bundleCap(int connections, Mbps capPerConn, const SolverConfig &cfg);
 /**
  * Reusable per-call workspace for solveRates.
  *
- * A solve allocates a dozen bookkeeping vectors whose sizes repeat
- * call to call (per-VM, per-pair, per-flow). A caller that solves
- * every simulated tick (NetworkSim) keeps one scratch alive so steady
- * state allocates nothing. Contents are meaningless between calls.
+ * A caller that solves every simulated tick (NetworkSim) keeps one
+ * scratch alive so steady state allocates nothing. Contents are
+ * meaningless between calls. Everything is a flat array:
+ *
+ *  - per VM: connections, desire and the capacity scale of the
+ *    connection and oversubscription penalties, one each;
+ *  - per flow: weight, own capability, and up to kMaxFlowResources
+ *    resource ids at that fixed stride;
+ *  - per resource, numbered in order of first touch (ids break ties,
+ *    so the numbering is part of the result): capacity, kind, and its
+ *    flows as one compressed sparse row (CSR) list in ascending flow
+ *    order, duplicates kept;
+ *  - the fill: per-resource weight sums, frozen capacity and live
+ *    flow counts; the static events, in key buckets sorted only when
+ *    the fill reaches them; the indexed heap of shared resources; the
+ *    resources a freeze has touched since their last re-key; and the
+ *    heap entries left below a key that rose.
  */
 struct SolverScratch
 {
-    struct Resource
-    {
-        Mbps cap = 0.0;
-        Mbps used = 0.0;
-        Bottleneck kind = Bottleneck::None;
-        std::vector<std::size_t> flows;
-    };
+    /** Egress, ingress, two NICs, path, tc limit and group share. */
+    static constexpr std::size_t kMaxFlowResources = 7;
 
-    std::vector<int> connsAtVm;
-    std::vector<Mbps> desireAtVm;
-    std::vector<Resource> resources;
-    std::vector<int> egressIdx;
-    std::vector<int> ingressIdx;
-    std::vector<int> nicIdx;
-    std::vector<int> pathIdx;
-    std::vector<int> tcIdx;
-    std::vector<int> groupCapIdx;
-    std::vector<int> groupCapOfFlow;
-    std::vector<double> weight;
-    std::vector<Mbps> selfCap;
-    std::vector<std::vector<int>> flowResources;
-    std::vector<char> active;
-
-    // Water-fill state (see solveRates): per-resource active weight
-    // sums, capacity already pinned by frozen flows and live flow
-    // counts; each flow's earliest static event, sorted once; and the
-    // indexed min-heap of shared resources with each resource's heap
-    // slot (-1 = not in the heap).
+    /** A fill event: a flow's own cap or a resource saturating. */
     struct FillEvent
     {
         double key = 0.0;     ///< fill level theta of the event
@@ -222,12 +211,39 @@ struct SolverScratch
         std::size_t flow = 0; ///< flow a static event freezes
     };
 
+    std::vector<int> connsAtVm;
+    std::vector<Mbps> desireAtVm;
+    std::vector<double> vmScale;
+    std::vector<int> egressIdx;
+    std::vector<int> ingressIdx;
+    std::vector<int> nicIdx;
+    std::vector<int> pathIdx;
+    std::vector<int> tcIdx;
+    std::vector<int> groupCapIdx;
+    std::vector<int> groupCapOfFlow;
+
+    std::vector<double> weight;
+    std::vector<Mbps> selfCap;
+    std::vector<char> active;
+    std::vector<int> flowResources;
+    std::vector<unsigned char> flowResourceCount;
+
+    std::vector<Mbps> resourceCap;
+    std::vector<Bottleneck> resourceKind;
+    std::vector<std::size_t> resourceFlowStart;
+    std::vector<int> resourceFlows;
+
     std::vector<double> wsum;
     std::vector<double> frozenUsed;
     std::vector<int> activeAtResource;
     std::vector<FillEvent> staticEvents;
+    std::vector<FillEvent> bucketedEvents;
+    std::vector<std::size_t> bucketStart;
     std::vector<FillEvent> sharedHeap;
     std::vector<int> heapPos;
+    std::vector<char> rekeyPending;
+    std::vector<char> keyRaised;
+    std::vector<int> rekeyList;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "scenario/trace.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "common/error.hh"
@@ -213,9 +214,17 @@ BwTrace::fromDataset(const ml::Dataset &data)
             "square");
     BwTrace trace;
     trace.dcs = n;
+    // Rows count from 1, in dataset order (a CSV's first data line is
+    // row 1).
+    auto badRow = [](const char *what, std::size_t i) {
+        fatal(std::string("BwTrace::fromDataset: ") + what + " at row " +
+              std::to_string(i + 1));
+    };
     for (std::size_t i = 0; i < data.size(); ++i) {
         const double t = data.x(i)[0];
         const auto &y = data.y(i);
+        if (!std::isfinite(t))
+            badRow("non-finite t", i);
         if (t < 0.0) {
             fatalIf(!withRtt,
                     "BwTrace::fromDataset: marker row in a legacy "
@@ -249,10 +258,16 @@ BwTrace::fromDataset(const ml::Dataset &data)
             trace.bursts.push_back(burst);
             continue;
         }
+        for (std::size_t p = 0; p < n * n; ++p)
+            if (!std::isfinite(y[p]) || y[p] < 0.0)
+                badRow("capacity factor must be finite and >= 0", i);
         if (!withRtt) {
             trace.add(t, y);
             continue;
         }
+        for (std::size_t p = n * n; p < 2 * n * n; ++p)
+            if (!std::isfinite(y[p]) || y[p] <= 0.0)
+                badRow("RTT factor must be finite and > 0", i);
         std::vector<double> caps(y.begin(), y.begin() + n * n);
         std::vector<double> rtts(y.begin() + n * n, y.end());
         trace.add(t, std::move(caps), std::move(rtts));

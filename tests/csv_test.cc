@@ -22,9 +22,11 @@
 #include "monitor/measurement.hh"
 #include "net/region.hh"
 #include "net/vm.hh"
+#include "expect_what.hh"
 
 using namespace wanify;
 using namespace wanify::ml;
+using wanify::test::whatOf;
 
 TEST(Csv, RoundTripPreservesData)
 {
@@ -73,6 +75,17 @@ TEST(Csv, RejectsMalformedInput)
         // Feature column after targets.
         std::stringstream ss("a,y0,b\n1,2,3\n");
         EXPECT_THROW(readCsv(ss), FatalError);
+    }
+    {
+        // A cell must parse whole: std::stod alone reads "1abc" as 1.
+        std::stringstream ss("a,y0\n1,2\n1abc,3\n");
+        EXPECT_EQ(whatOf<FatalError>([&] { readCsv(ss); }),
+                  "fatal: readCsv: bad number at line 3");
+    }
+    {
+        std::stringstream ss("a,y0\n1,2.5e\n");
+        EXPECT_EQ(whatOf<FatalError>([&] { readCsv(ss); }),
+                  "fatal: readCsv: bad number at line 2");
     }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -472,16 +473,28 @@ bitsOf(double x)
 
 /** One random solver problem: 2-64 DCs with 1-3 VMs each, duplicate
  *  flows, tc limits, sorted group share caps and zero-capacity VMs
- *  and paths, drawn from discrete value sets half the time so keys
- *  tie exactly. */
+ *  and paths. */
 struct RandomMesh
 {
     SolverInputs inputs;
     std::vector<FlowSpec> flows;
 };
 
+/** How randomMesh draws capacities, weights and connections. */
+enum class MeshShape
+{
+    /** From discrete value sets half the time, so keys tie exactly. */
+    Mixed,
+    /** Every flow with the same connections, cap and weight: all
+     *  self-cap keys tie, and (kind, id) alone orders them. */
+    Tied,
+    /** Caps and weights log-uniform over ten more decades than their
+     *  usual range: keys span many binades, so buckets are uneven. */
+    Wide,
+};
+
 RandomMesh
-randomMesh(Rng &rng)
+randomMesh(Rng &rng, MeshShape shape = MeshShape::Mixed)
 {
     RandomMesh mesh;
     SolverInputs &in = mesh.inputs;
@@ -493,12 +506,22 @@ randomMesh(Rng &rng)
     const bool discrete = rng.bernoulli(0.5);
     const bool outages = rng.bernoulli(0.5);
     auto draw = [&](double lo, double hi) {
+        if (shape == MeshShape::Wide)
+            return std::exp(rng.uniform(std::log(lo * 1e-5),
+                                        std::log(hi * 1e5)));
         return discrete ? lo + (hi - lo) *
                                    static_cast<double>(
                                        rng.uniformInt(0, 3)) /
                                    3.0
                         : rng.uniform(lo, hi);
     };
+    FlowSpec tied;
+    if (shape == MeshShape::Tied) {
+        tied.connections = static_cast<int>(rng.uniformInt(1, 12));
+        tied.weightPerConn = draw(0.2, 4.0);
+        // Low enough that self caps bind, so the tied keys fire.
+        tied.capPerConn = draw(1.0, 20.0);
+    }
 
     in.dcCount = dcs;
     for (std::size_t v = 0; v < vms; ++v) {
@@ -537,11 +560,18 @@ randomMesh(Rng &rng)
             f.dstVm = b;
             f.srcDc = a / vmsPerDc;
             f.dstDc = b / vmsPerDc;
-            f.connections = static_cast<int>(rng.uniformInt(1, 12));
-            f.weightPerConn = rng.bernoulli(0.02) ? 0.0
-                                                  : draw(0.2, 4.0);
-            f.capPerConn = rng.bernoulli(0.02) ? 0.0
-                                               : draw(30.0, 600.0);
+            if (shape == MeshShape::Tied) {
+                f.connections = tied.connections;
+                f.weightPerConn = tied.weightPerConn;
+                f.capPerConn = tied.capPerConn;
+            } else {
+                f.connections =
+                    static_cast<int>(rng.uniformInt(1, 12));
+                f.weightPerConn = rng.bernoulli(0.02) ? 0.0
+                                                      : draw(0.2, 4.0);
+                f.capPerConn = rng.bernoulli(0.02) ? 0.0
+                                                   : draw(30.0, 600.0);
+            }
             if (groups > 0 && rng.bernoulli(0.7))
                 f.group = static_cast<std::size_t>(
                     rng.uniformInt(0, static_cast<std::int64_t>(
@@ -565,6 +595,32 @@ randomMesh(Rng &rng)
         }
     }
     return mesh;
+}
+
+/** Solve @p mesh with solveRates into @p actual and with the oracle;
+ *  every rate and bottleneck must agree to the bit. */
+::testing::AssertionResult
+matchesOracle(const RandomMesh &mesh, const SolverConfig &cfg,
+              SolverScratch &scratch, std::vector<FlowRate> &actual)
+{
+    const auto expected =
+        oracle::solveRatesLazyHeap(mesh.flows, mesh.inputs, cfg);
+    actual = solveRates(mesh.flows, mesh.inputs, cfg, &scratch);
+    if (actual.size() != expected.size())
+        return ::testing::AssertionFailure()
+               << actual.size() << " rates vs " << expected.size();
+    for (std::size_t f = 0; f < actual.size(); ++f) {
+        if (bitsOf(actual[f].rate) != bitsOf(expected[f].rate))
+            return ::testing::AssertionFailure()
+                   << "flow " << f << ": " << actual[f].rate << " vs "
+                   << expected[f].rate;
+        if (actual[f].bottleneck != expected[f].bottleneck)
+            return ::testing::AssertionFailure()
+                   << "flow " << f << ": bottleneck "
+                   << static_cast<int>(actual[f].bottleneck) << " vs "
+                   << static_cast<int>(expected[f].bottleneck);
+    }
+    return ::testing::AssertionSuccess();
 }
 
 } // namespace
@@ -605,20 +661,12 @@ TEST(FlowSolverDifferential, MatchesLazyHeapOracleBitForBit)
             ++threw;
         }
 
-        const auto expected =
-            oracle::solveRatesLazyHeap(mesh.flows, mesh.inputs, cfg);
-        const auto actual =
-            solveRates(mesh.flows, mesh.inputs, cfg, &scratch);
-        ASSERT_EQ(actual.size(), expected.size()) << "case " << c;
-        for (std::size_t f = 0; f < actual.size(); ++f) {
-            ASSERT_EQ(bitsOf(actual[f].rate), bitsOf(expected[f].rate))
-                << "case " << c << " flow " << f << ": "
-                << actual[f].rate << " vs " << expected[f].rate;
-            ASSERT_EQ(actual[f].bottleneck, expected[f].bottleneck)
-                << "case " << c << " flow " << f;
-            ++bottlenecks[static_cast<int>(actual[f].bottleneck)];
-            if (actual[f].rate == 0.0 &&
-                actual[f].bottleneck != Bottleneck::SelfCap)
+        std::vector<FlowRate> actual;
+        ASSERT_TRUE(matchesOracle(mesh, cfg, scratch, actual))
+            << "case " << c;
+        for (const FlowRate &rate : actual) {
+            ++bottlenecks[static_cast<int>(rate.bottleneck)];
+            if (rate.rate == 0.0 && rate.bottleneck != Bottleneck::SelfCap)
                 ++zeroRateShared;
         }
         flowsChecked += actual.size();
@@ -634,6 +682,63 @@ TEST(FlowSolverDifferential, MatchesLazyHeapOracleBitForBit)
           Bottleneck::GroupShare})
         EXPECT_GT(bottlenecks[static_cast<int>(b)], 0u)
             << "bottleneck " << static_cast<int>(b) << " never hit";
+
+    // The static-event order at its edges: self-cap keys that all tie,
+    // and keys spread over so many binades that most buckets are
+    // empty and a few are crowded.
+    std::size_t tiedSelfCaps = 0;
+    int widestBinades = 0;
+    for (int c = 0; c < 40; ++c) {
+        const bool tiedCase = c % 2 == 0;
+        const RandomMesh mesh = randomMesh(
+            rng, tiedCase ? MeshShape::Tied : MeshShape::Wide);
+        const SolverConfig cfg = c % 4 < 2 ? SolverConfig{} : pureSharing();
+        std::vector<FlowRate> actual;
+        ASSERT_TRUE(matchesOracle(mesh, cfg, scratch, actual))
+            << (tiedCase ? "tied" : "wide") << " case " << c;
+        int lo = std::numeric_limits<int>::max();
+        int hi = std::numeric_limits<int>::min();
+        for (const FlowRate &rate : actual) {
+            if (tiedCase && rate.bottleneck == Bottleneck::SelfCap)
+                ++tiedSelfCaps;
+            if (!tiedCase && rate.rate > 0.0) {
+                lo = std::min(lo, std::ilogb(rate.rate));
+                hi = std::max(hi, std::ilogb(rate.rate));
+            }
+        }
+        if (hi >= lo)
+            widestBinades = std::max(widestBinades, hi - lo);
+    }
+    EXPECT_GT(tiedSelfCaps, 2000u); // tied self caps that fired
+    EXPECT_GE(widestBinades, 30);   // rates over 9 decades in one case
+}
+
+TEST(FlowSolverDifferential, SignedZeroKeysTieAndFireByFlowId)
+{
+    // Keys -0 and +0 are one fill level, so flow 0 (key +0) freezes
+    // before flow 1 (key -0), by id. The order shows in the last bits
+    // of flow 2's rate: the shared egress subtracts the two weights in
+    // freeze order, and 0.6 - 0.1 - 0.2 != 0.6 - 0.2 - 0.1 in doubles.
+    SolverConfig cfg = pureSharing();
+    cfg.epsilon = -1.0; // keeps the zero-capability flows active
+    const std::vector<FlowSpec> flows = {
+        flow(0, 1, 0, 1, 1, 0.1, 0.0),
+        flow(0, 2, 0, 2, 1, 0.2, -0.0),
+        flow(0, 3, 0, 3, 1, 0.3, 5000.0),
+    };
+    const SolverInputs inputs = simpleInputs(4, 4);
+    const auto expected =
+        oracle::solveRatesLazyHeap(flows, inputs, cfg);
+    const auto actual = solveRates(flows, inputs, cfg);
+    ASSERT_EQ(actual.size(), flows.size());
+    for (std::size_t f = 0; f < flows.size(); ++f) {
+        EXPECT_EQ(bitsOf(actual[f].rate), bitsOf(expected[f].rate))
+            << "flow " << f << ": " << actual[f].rate << " vs "
+            << expected[f].rate;
+        EXPECT_EQ(actual[f].bottleneck, expected[f].bottleneck)
+            << "flow " << f;
+    }
+    EXPECT_EQ(bitsOf(actual[1].rate), bitsOf(-0.0));
 }
 
 // ---- network sim -------------------------------------------------------------
@@ -733,6 +838,16 @@ TEST(NetworkSim, InvalidArgumentsFail)
               "fatal: NetworkSim: VM id out of range");
     EXPECT_EQ(whatOf<FatalError>([&] { sim.advanceBy(-1.0); }),
               "fatal: advanceBy: negative dt");
+
+    // The solver's per-VM arrays are sized by egress; a longer
+    // ingress list would let a destination VM index past them.
+    SolverInputs uneven = simpleInputs(1, 2);
+    uneven.vmIngressCap = {1000.0, 1000.0};
+    EXPECT_EQ(whatOf<PanicError>([&] {
+                  solveRates({flow(0, 1, 0, 1, 1, 1.0, 100.0)}, uneven);
+              }),
+              "panic: solveRates: vmEgressCap and vmIngressCap sizes "
+              "differ");
 }
 
 TEST(NetworkSim, DeterministicAcrossRuns)

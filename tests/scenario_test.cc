@@ -9,7 +9,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include <algorithm>
 #include <set>
@@ -28,9 +30,11 @@
 #include "scenario/trace.hh"
 #include "storage/hdfs.hh"
 #include "workloads/terasort.hh"
+#include "expect_what.hh"
 
 using namespace wanify;
 using namespace wanify::scenario;
+using wanify::test::whatOf;
 
 namespace {
 
@@ -413,6 +417,65 @@ TEST(ScenarioTrace, RejectsMalformedTraces)
     EXPECT_THROW(trace.add(0.5, {1.0, 1.0, 1.0, 1.0}),
                  FatalError); // non-increasing time
     EXPECT_THROW(TraceReplay(BwTrace{}), FatalError);
+
+    // A legacy capacity-only row is range-checked too.
+    ml::Dataset legacy(1, 4);
+    legacy.add({1.0}, {1.0, -3.0, 1.0, 1.0});
+    EXPECT_EQ(whatOf<FatalError>([&] { BwTrace::fromDataset(legacy); }),
+              "fatal: BwTrace::fromDataset: capacity factor must be "
+              "finite and >= 0 at row 1");
+
+    // A recorded 4-DC trace edited by hand: each bad cell is refused
+    // with the file and the CSV line or trace row it sits on.
+    DriveConfig cfg;
+    cfg.seed = 5;
+    cfg.horizon = 60.0;
+    const auto run =
+        driveScenario(libraryScenario("diurnal"), topo4(), cfg);
+    const std::string path = tmpPath("edited.csv");
+    writeTraceCsv(path, run.trace);
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(path);
+        for (std::string line; std::getline(in, line);)
+            lines.push_back(line);
+    }
+    ASSERT_GE(lines.size(), 3u);
+    // Set cell @p col of CSV line @p line (the header is line 1) and
+    // load the file.
+    auto loadEdited = [&](std::size_t line, std::size_t col,
+                          const std::string &value) {
+        std::vector<std::string> edited = lines;
+        std::string &row = edited[line - 1];
+        std::size_t begin = 0;
+        for (std::size_t c = 0; c < col; ++c)
+            begin = row.find(',', begin) + 1;
+        row.replace(begin, row.find(',', begin) - begin, value);
+        {
+            std::ofstream out(path);
+            for (const std::string &l : edited)
+                out << l << '\n';
+        }
+        return whatOf<FatalError>([&] { readTraceCsv(path); });
+    };
+    const std::string cause = "fatal: cannot read trace '" + path + "': ";
+    const std::string rowCause = cause + "BwTrace::fromDataset: ";
+    // Columns: t, 16 capacity factors, then 16 RTT factors.
+    EXPECT_EQ(loadEdited(3, 1, "1abc"),
+              cause + "readCsv: bad number at line 3");
+    EXPECT_EQ(loadEdited(3, 0, "nan"),
+              rowCause + "non-finite t at row 2");
+    EXPECT_EQ(loadEdited(3, 1, "nan"),
+              rowCause + "capacity factor must be finite and >= 0 at "
+                         "row 2");
+    EXPECT_EQ(loadEdited(3, 16, "-3"),
+              rowCause + "capacity factor must be finite and >= 0 at "
+                         "row 2");
+    EXPECT_EQ(loadEdited(2, 17, "0"),
+              rowCause + "RTT factor must be finite and > 0 at row 1");
+    EXPECT_EQ(loadEdited(2, 32, "inf"),
+              rowCause + "RTT factor must be finite and > 0 at row 1");
+    std::remove(path.c_str());
 }
 
 TEST(ScenarioTrace, RttAndBurstsSurviveCsvRoundTrip)

@@ -11,7 +11,8 @@
  * higher-is-better, with a 25% relative tolerance by default: a fresh
  * value below baseline * (1 - tolerance) fails, and so does a gated
  * baseline key missing from the fresh file (a silently dropped
- * measurement is how trajectories rot). Improvements always pass and
+ * measurement is how trajectories rot), and so does a gated key whose
+ * baseline or fresh value is not finite. Improvements always pass and
  * should be locked in by committing the fresh file as the new
  * baseline. Pool-dependent keys (speedup_predict_batch_pool) are
  * skipped with a visible note when either file records
@@ -35,6 +36,7 @@
  */
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,6 +45,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "cli/numeric_flags.hh"
 
 namespace {
 
@@ -241,6 +245,15 @@ diffPair(const char *baselinePath, const char *freshPath,
             ++regressions;
             continue;
         }
+        if (!std::isfinite(base.value) || !std::isfinite(now->value)) {
+            // NaN compares false against any floor, so it would pass.
+            std::fprintf(stderr,
+                         "REGRESSION %s: non-finite value (baseline "
+                         "%g, fresh %g)\n",
+                         base.name.c_str(), base.value, now->value);
+            ++regressions;
+            continue;
+        }
         const double floor = base.value * (1.0 - maxRegress);
         const char *verdict =
             now->value < floor ? "REGRESSION" : "ok";
@@ -284,7 +297,9 @@ main(int argc, char **argv)
     for (int a = 1; a < argc; ++a) {
         if (std::strcmp(argv[a], "--max-regress") == 0 &&
             a + 1 < argc) {
-            maxRegress = std::atof(argv[++a]);
+            if (!wanify::cli::parseReal("--max-regress", argv[++a],
+                                        maxRegress))
+                return 2;
         } else if (std::strcmp(argv[a], "--prefix") == 0 &&
                    a + 1 < argc) {
             prefixList = argv[++a];
