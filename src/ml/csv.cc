@@ -1,5 +1,6 @@
 #include "ml/csv.hh"
 
+#include <cctype>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -12,17 +13,32 @@ namespace ml {
 namespace {
 
 /** Parse the whole of @p cell as a number; std::stod alone stops at
- *  the first bad character, reading "1abc" as 1. */
+ *  the first bad character, reading "1abc" as 1. Whitespace around
+ *  the number is allowed on both sides, as std::stod allows it before. */
 bool
 parseCell(const std::string &cell, double &out)
 {
     try {
         std::size_t used = 0;
         out = std::stod(cell, &used);
-        return used == cell.size();
+        for (; used < cell.size(); ++used)
+            if (std::isspace(static_cast<unsigned char>(cell[used])) == 0)
+                return false;
+        return true;
     } catch (const std::exception &) {
         return false;
     }
+}
+
+/** std::getline that also drops the '\r' of a CRLF line ending. */
+bool
+getLine(std::istream &in, std::string &line)
+{
+    if (!std::getline(in, line))
+        return false;
+    if (!line.empty() && line.back() == '\r')
+        line.pop_back();
+    return true;
 }
 
 } // namespace
@@ -76,10 +92,10 @@ writeCsvFile(const std::string &path, const Dataset &data,
 }
 
 Dataset
-readCsv(std::istream &in)
+readCsv(std::istream &in, std::vector<std::size_t> *rowLines)
 {
     std::string header;
-    fatalIf(!std::getline(in, header), "readCsv: missing header");
+    fatalIf(!getLine(in, header), "readCsv: missing header");
 
     // Columns whose names start with 'y' are targets.
     std::size_t features = 0, targets = 0;
@@ -102,9 +118,11 @@ readCsv(std::istream &in)
             "readCsv: need at least one feature and target column");
 
     Dataset data(features, targets);
+    if (rowLines != nullptr)
+        rowLines->clear();
     std::string line;
     std::size_t lineNo = 1;
-    while (std::getline(in, line)) {
+    while (getLine(in, line)) {
         ++lineNo;
         if (line.empty())
             continue;
@@ -122,16 +140,18 @@ readCsv(std::istream &in)
                 "readCsv: wrong column count at line " +
                     std::to_string(lineNo));
         data.add(std::move(x), std::move(y));
+        if (rowLines != nullptr)
+            rowLines->push_back(lineNo);
     }
     return data;
 }
 
 Dataset
-readCsvFile(const std::string &path)
+readCsvFile(const std::string &path, std::vector<std::size_t> *rowLines)
 {
     std::ifstream in(path);
     fatalIf(!in, "readCsvFile: cannot open " + path);
-    return readCsv(in);
+    return readCsv(in, rowLines);
 }
 
 } // namespace ml

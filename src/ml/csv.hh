@@ -35,12 +35,17 @@ void writeCsvFile(const std::string &path, const Dataset &data,
 
 /**
  * Read a dataset from CSV produced by writeCsv (header required;
- * the target columns are those whose names start with 'y').
+ * the target columns are those whose names start with 'y'). Blank
+ * lines are skipped and CRLF line endings accepted. When given,
+ * @p rowLines receives the file line (the header is line 1) of each
+ * data row, so a caller checking rows can name the line to fix.
  */
-Dataset readCsv(std::istream &in);
+Dataset readCsv(std::istream &in,
+                std::vector<std::size_t> *rowLines = nullptr);
 
 /** Read from a file; fatal() on I/O failure. */
-Dataset readCsvFile(const std::string &path);
+Dataset readCsvFile(const std::string &path,
+                    std::vector<std::size_t> *rowLines = nullptr);
 
 } // namespace ml
 } // namespace wanify

@@ -191,7 +191,8 @@ BwTrace::toDataset() const
 }
 
 BwTrace
-BwTrace::fromDataset(const ml::Dataset &data)
+BwTrace::fromDataset(const ml::Dataset &data,
+                     const std::vector<std::size_t> *rowLines)
 {
     fatalIf(data.featureCount() != 1,
             "BwTrace::fromDataset: expected a single `t` feature");
@@ -214,11 +215,13 @@ BwTrace::fromDataset(const ml::Dataset &data)
             "square");
     BwTrace trace;
     trace.dcs = n;
-    // Rows count from 1, in dataset order (a CSV's first data line is
-    // row 1).
-    auto badRow = [](const char *what, std::size_t i) {
-        fatal(std::string("BwTrace::fromDataset: ") + what + " at row " +
-              std::to_string(i + 1));
+    // A row read from a CSV is named by its file line, else by its
+    // position counting from 1.
+    auto badRow = [&](const char *what, std::size_t i) {
+        fatal(std::string("BwTrace::fromDataset: ") + what +
+              (rowLines != nullptr
+                   ? " at line " + std::to_string((*rowLines)[i])
+                   : " at row " + std::to_string(i + 1)));
     };
     for (std::size_t i = 0; i < data.size(); ++i) {
         const double t = data.x(i)[0];
@@ -287,7 +290,9 @@ readTraceCsv(const std::string &path)
     // Re-raise parse/layout failures with the file path attached:
     // "unreadable CSV" without a name is useless from the CLI.
     try {
-        return BwTrace::fromDataset(ml::readCsvFile(path));
+        std::vector<std::size_t> rowLines;
+        const ml::Dataset data = ml::readCsvFile(path, &rowLines);
+        return BwTrace::fromDataset(data, &rowLines);
     } catch (const FatalError &e) {
         std::string what = e.what();
         const std::string prefix = "fatal: ";

@@ -90,8 +90,12 @@ struct BwTrace
     ml::Dataset toDataset() const;
 
     /** Rebuild from a dataset written by toDataset(). Also accepts
-     *  the legacy capacity-only layout (n^2 targets, no markers). */
-    static BwTrace fromDataset(const ml::Dataset &data);
+     *  the legacy capacity-only layout (n^2 targets, no markers).
+     *  A bad row is named by its file line from @p rowLines (as
+     *  ml::readCsv fills it) when given, else as "row N" from 1. */
+    static BwTrace fromDataset(
+        const ml::Dataset &data,
+        const std::vector<std::size_t> *rowLines = nullptr);
 };
 
 /** Write a trace as CSV; throws FatalError on I/O failure. */

@@ -46,6 +46,21 @@ TEST(Csv, RoundTripPreservesData)
     EXPECT_DOUBLE_EQ(loaded.target(1), -0.5);
 }
 
+TEST(Csv, LoadsCrlfBlankLinesAndSpacedCells)
+{
+    // A file saved with Windows line endings, a blank line, and
+    // spaces on both sides of a number loads; each data row keeps the
+    // file line it came from.
+    std::stringstream ss("a,b,y0\r\n1, 2 ,3\r\n\r\n4,5,6 \r\n");
+    std::vector<std::size_t> lines;
+    const Dataset loaded = readCsv(ss, &lines);
+    ASSERT_EQ(loaded.size(), 2u);
+    EXPECT_EQ(loaded.x(0)[1], 2.0);
+    EXPECT_EQ(loaded.target(0), 3.0);
+    EXPECT_EQ(loaded.target(1), 6.0);
+    EXPECT_EQ(lines, (std::vector<std::size_t>{2, 4}));
+}
+
 TEST(Csv, HeaderNamesWritten)
 {
     Dataset data(2, 1);

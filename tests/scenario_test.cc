@@ -426,7 +426,7 @@ TEST(ScenarioTrace, RejectsMalformedTraces)
               "finite and >= 0 at row 1");
 
     // A recorded 4-DC trace edited by hand: each bad cell is refused
-    // with the file and the CSV line or trace row it sits on.
+    // with the file and the CSV line it sits on.
     DriveConfig cfg;
     cfg.seed = 5;
     cfg.horizon = 60.0;
@@ -464,17 +464,21 @@ TEST(ScenarioTrace, RejectsMalformedTraces)
     EXPECT_EQ(loadEdited(3, 1, "1abc"),
               cause + "readCsv: bad number at line 3");
     EXPECT_EQ(loadEdited(3, 0, "nan"),
-              rowCause + "non-finite t at row 2");
+              rowCause + "non-finite t at line 3");
     EXPECT_EQ(loadEdited(3, 1, "nan"),
               rowCause + "capacity factor must be finite and >= 0 at "
-                         "row 2");
+                         "line 3");
     EXPECT_EQ(loadEdited(3, 16, "-3"),
               rowCause + "capacity factor must be finite and >= 0 at "
-                         "row 2");
+                         "line 3");
     EXPECT_EQ(loadEdited(2, 17, "0"),
-              rowCause + "RTT factor must be finite and > 0 at row 1");
+              rowCause + "RTT factor must be finite and > 0 at line 2");
     EXPECT_EQ(loadEdited(2, 32, "inf"),
-              rowCause + "RTT factor must be finite and > 0 at row 1");
+              rowCause + "RTT factor must be finite and > 0 at line 2");
+    // A blank line does not shift the line named.
+    lines.insert(lines.begin() + 1, "");
+    EXPECT_EQ(loadEdited(4, 0, "nan"),
+              rowCause + "non-finite t at line 4");
     std::remove(path.c_str());
 }
 
