@@ -8,7 +8,7 @@
  *
  * Options:
  *   --queries N        workload size                  (default 300)
- *   --dcs N            cluster size                   (default 8)
+ *   --dcs N            cluster size, 2..256           (default 8)
  *   --concurrent N     admission cap                  (default 256)
  *   --policy P         maxmin | weighted              (default maxmin)
  *   --scheduler S      tetrium | kimchi | locality    (default tetrium)
@@ -29,7 +29,8 @@
  *
  * Exit status: 0 on success, 1 when verify finds differing hashes or
  * the service rejects the configuration, 2 on a usage error (unknown
- * option, or a numeric flag that is not a non-negative number).
+ * option, a numeric flag that is not a non-negative number, or
+ * --dcs out of range).
  */
 
 #include <cstdio>
@@ -161,6 +162,13 @@ parseOptions(int argc, char **argv, int first, CliOptions &opts)
                          arg.c_str());
             return false;
         }
+    }
+    // A mesh needs two DCs, and 256 is the largest cluster the perf
+    // sweep exercises; far past it the per-pair state ends in an
+    // allocation failure or a drain that runs for minutes.
+    if (opts.dcs < 2 || opts.dcs > 256) {
+        std::fprintf(stderr, "--dcs must be in [2, 256]\n");
+        return false;
     }
     return true;
 }

@@ -139,9 +139,7 @@ class BandwidthAnalyzer
      * Append mid-run meshes (gauged against @p topo) into the
      * analyzer's growing dataset; returns the rows appended. The
      * accumulated dataset is what warm-start retraining trains its
-     * extra trees on. Strictly append-only: histogram-mode forests
-     * rely on that to *extend* their shared ml::BinIndex across
-     * campaign retrains instead of re-binning every accumulated row.
+     * extra trees on. Strictly append-only.
      */
     std::size_t absorb(const net::Topology &topo,
                        const std::vector<CollectedMesh> &meshes,

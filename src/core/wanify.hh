@@ -115,13 +115,9 @@ class Wanify
      * pinned. Returns the retrained predictor. Safe to call from
      * parallel trials; deterministic in (base, data, seed).
      *
-     * Under histogram-mode forests (forest.tree.splitMode) the base
-     * model's shared ml::BinIndex rides the copy and the warm start
-     * extends it with the newly gauged rows — campaign datasets only
-     * ever append, so mid-run retrains skip re-binning entirely and
-     * the pinned base's index is never mutated. The engine reports
-     * the wall time of each retrain in QueryResult::retrainLatencies;
-     * that stall is what bounds the adaptation cadence.
+     * The engine reports the wall time of each retrain in
+     * QueryResult::retrainLatencies; that stall is what bounds the
+     * adaptation cadence.
      */
     std::shared_ptr<const RuntimeBwPredictor>
     retrain(const ml::Dataset &data, std::uint64_t seed,

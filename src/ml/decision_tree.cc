@@ -11,14 +11,13 @@ namespace wanify {
 namespace ml {
 
 /**
- * Grows one tree against a shared TrainingContext (exact or histogram
- * mode). A node is a contiguous range [lo, hi) of the scratch arrays:
- * `members` holds the node's samples in bootstrap-bag order (the
- * canonical accumulation order for node sums and leaf means, matching
- * the nodeSort reference's inherited order), and in exact mode
- * `sorted` holds one bag ordering per feature — derived once per tree
- * from the context's dataset argsort — partitioned alongside the
- * members, so no node ever sorts anything.
+ * Grows one tree against a shared TrainingContext. A node is a
+ * contiguous range [lo, hi) of the scratch arrays: `members` holds the
+ * node's samples in bootstrap-bag order (the canonical accumulation
+ * order for node sums and leaf means, matching the node-sort oracle's
+ * inherited order), and `sorted` holds one bag ordering per feature —
+ * derived once per tree from the context's dataset argsort —
+ * partitioned alongside the members, so no node ever sorts anything.
  */
 struct TreeGrower
 {
@@ -42,40 +41,29 @@ struct TreeGrower
             s.members[i] = static_cast<std::uint32_t>(bag[i]);
         }
 
-        if (ctx.mode() == SplitMode::exact) {
-            // Per-feature bag orderings in the canonical (value,
-            // sample index) order, derived in O(n) per feature from
-            // the context's shared argsort: emit each dataset sample
-            // as many times as the bag drew it. Duplicates of one
-            // sample are interchangeable (identical feature and
-            // target values), so this order is FP-equivalent to
-            // stably sorting the bag itself.
-            s.bagCount.assign(n, 0);
-            for (std::uint32_t id : s.members)
-                ++s.bagCount[id];
-            const std::size_t f = ctx.featureCount();
-            s.sorted.resize(f * bagSize);
-            for (std::size_t feat = 0; feat < f; ++feat) {
-                const std::uint32_t *order = ctx.order(feat);
-                std::uint32_t *out = s.sorted.data() + feat * bagSize;
-                std::size_t w = 0;
-                for (std::size_t i = 0; i < n; ++i) {
-                    const std::uint32_t id = order[i];
-                    for (std::uint32_t c = s.bagCount[id]; c > 0; --c)
-                        out[w++] = id;
-                }
-                panicIf(w != bagSize,
-                        "DecisionTree: bag ordering size mismatch");
+        // Per-feature bag orderings in the canonical (value, sample
+        // index) order, derived in O(n) per feature from the
+        // context's shared argsort: emit each dataset sample as many
+        // times as the bag drew it. Duplicates of one sample are
+        // interchangeable (identical feature and target values), so
+        // this order is FP-equivalent to stably sorting the bag
+        // itself.
+        s.bagCount.assign(n, 0);
+        for (std::uint32_t id : s.members)
+            ++s.bagCount[id];
+        const std::size_t f = ctx.featureCount();
+        s.sorted.resize(f * bagSize);
+        for (std::size_t feat = 0; feat < f; ++feat) {
+            const std::uint32_t *order = ctx.order(feat);
+            std::uint32_t *out = s.sorted.data() + feat * bagSize;
+            std::size_t w = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::uint32_t id = order[i];
+                for (std::uint32_t c = s.bagCount[id]; c > 0; --c)
+                    out[w++] = id;
             }
-        }
-
-        if (s.histDirty) {
-            // A previous scan unwound mid-flight (exception): restore
-            // the all-zero invariant before trusting the accumulators.
-            std::fill(s.histCount.begin(), s.histCount.end(), 0);
-            std::fill(s.histSum.begin(), s.histSum.end(), 0.0);
-            std::fill(s.histSumSq.begin(), s.histSumSq.end(), 0.0);
-            s.histDirty = false;
+            panicIf(w != bagSize,
+                    "DecisionTree: bag ordering size mismatch");
         }
 
         s.spill.resize(bagSize);
@@ -103,7 +91,7 @@ struct TreeGrower
         return parentSse;
     }
 
-    /** Candidate features into s.features (same draws as nodeSort). */
+    /** Candidate features into s.features (same draws as the oracle). */
     void
     candidateFeatures()
     {
@@ -119,7 +107,7 @@ struct TreeGrower
     }
 
     SplitResult
-    bestSplitExact(std::size_t lo, std::size_t hi)
+    bestSplit(std::size_t lo, std::size_t hi)
     {
         SplitResult best;
         const std::size_t n = hi - lo;
@@ -181,139 +169,19 @@ struct TreeGrower
         return best;
     }
 
-    SplitResult
-    bestSplitHistogram(std::size_t lo, std::size_t hi)
-    {
-        SplitResult best;
-        const std::size_t n = hi - lo;
-        if (n < tree.config_.minSamplesSplit)
-            return best;
-        const std::size_t o = ctx.outputCount();
-
-        const double parentSse = parentSums(lo, hi);
-        if (parentSse <= 1.0e-12)
-            return best; // pure node
-
-        candidateFeatures();
-        s.leftSum.resize(o);
-        s.leftSumSq.resize(o);
-        const BinIndex &bins = *ctx.bins();
-
-        for (std::size_t f : s.features) {
-            const std::size_t B = bins.binCount(f);
-            if (B < 2)
-                continue; // constant feature
-
-            // Grow (never shrink) the accumulators; fresh entries are
-            // value-initialized to zero, matching the invariant.
-            if (s.histCount.size() < B)
-                s.histCount.resize(B, 0);
-            if (s.histSum.size() < B * o) {
-                s.histSum.resize(B * o, 0.0);
-                s.histSumSq.resize(B * o, 0.0);
-            }
-
-            // Track the touched bin range: deep nodes cover a narrow
-            // value band (splits are axis-aligned), so the scan and
-            // the cleanup below pay O(touched bins), not O(256).
-            std::size_t minB = B, maxB = 0;
-            s.histDirty = true;
-            for (std::size_t pos = lo; pos < hi; ++pos) {
-                const std::uint32_t id = s.members[pos];
-                const std::size_t b = bins.code(id, f);
-                ++s.histCount[b];
-                minB = std::min(minB, b);
-                maxB = std::max(maxB, b);
-                const double *y = ctx.y(id);
-                for (std::size_t k = 0; k < o; ++k) {
-                    s.histSum[b * o + k] += y[k];
-                    s.histSumSq[b * o + k] += y[k] * y[k];
-                }
-            }
-
-            if (maxB > minB) {
-                std::fill(s.leftSum.begin(), s.leftSum.end(), 0.0);
-                std::fill(s.leftSumSq.begin(), s.leftSumSq.end(),
-                          0.0);
-                std::size_t leftCount = 0;
-                // Splits at b >= maxB would leave the right side
-                // empty; bins below minB cannot move the sums.
-                for (std::size_t b = minB; b < maxB && b + 1 < B;
-                     ++b) {
-                    leftCount += s.histCount[b];
-                    for (std::size_t k = 0; k < o; ++k) {
-                        s.leftSum[k] += s.histSum[b * o + k];
-                        s.leftSumSq[k] += s.histSumSq[b * o + k];
-                    }
-                    const std::size_t nl = leftCount;
-                    const std::size_t nr = n - nl;
-                    if (nl < tree.config_.minSamplesLeaf ||
-                        nr < tree.config_.minSamplesLeaf)
-                        continue;
-
-                    double childSse = 0.0;
-                    for (std::size_t k = 0; k < o; ++k) {
-                        const double rs = s.sum[k] - s.leftSum[k];
-                        const double rss =
-                            s.sumSq[k] - s.leftSumSq[k];
-                        childSse += s.leftSumSq[k] -
-                                    s.leftSum[k] * s.leftSum[k] /
-                                        static_cast<double>(nl);
-                        childSse +=
-                            rss - rs * rs / static_cast<double>(nr);
-                    }
-                    const double gain = parentSse - childSse;
-                    if (gain > best.gain + 1.0e-12) {
-                        best.found = true;
-                        best.feature = f;
-                        // Predictions branch on the between-bin
-                        // midpoint; training partitions by code
-                        // (see SplitResult::bin).
-                        best.threshold = bins.threshold(f, b);
-                        best.gain = gain;
-                        best.bin = b;
-                    }
-                }
-            }
-
-            // Restore the all-zero invariant over the touched range.
-            const auto clearLo =
-                static_cast<std::ptrdiff_t>(minB * o);
-            const auto clearHi =
-                static_cast<std::ptrdiff_t>((maxB + 1) * o);
-            std::fill(s.histCount.begin() +
-                          static_cast<std::ptrdiff_t>(minB),
-                      s.histCount.begin() +
-                          static_cast<std::ptrdiff_t>(maxB + 1),
-                      0u);
-            std::fill(s.histSum.begin() + clearLo,
-                      s.histSum.begin() + clearHi, 0.0);
-            std::fill(s.histSumSq.begin() + clearLo,
-                      s.histSumSq.begin() + clearHi, 0.0);
-            s.histDirty = false;
-        }
-        return best;
-    }
-
     /**
      * Stable in-place partition of [lo, hi) of @p arr by the split
-     * predicate — feature value vs threshold in exact mode, bin code
-     * in histogram mode (whose gains were computed from codes) —
-     * via the spill buffer; returns the left-side count.
+     * predicate (feature value <= threshold) via the spill buffer;
+     * returns the left-side count.
      */
     std::size_t
     partitionRange(std::uint32_t *arr, std::size_t lo, std::size_t hi,
                    const SplitResult &split)
     {
-        const bool byCode = ctx.mode() == SplitMode::histogram;
-        const BinIndex *bins = ctx.bins();
         std::size_t w = lo, spilled = 0;
         for (std::size_t pos = lo; pos < hi; ++pos) {
             const std::uint32_t id = arr[pos];
-            const bool left =
-                byCode ? bins->code(id, split.feature) <= split.bin
-                       : ctx.x(id, split.feature) <= split.threshold;
-            if (left)
+            if (ctx.x(id, split.feature) <= split.threshold)
                 arr[w++] = id;
             else
                 s.spill[spilled++] = id;
@@ -347,11 +215,8 @@ struct TreeGrower
         tree.nodes_.emplace_back();
 
         SplitResult split;
-        if (depth < tree.config_.maxDepth) {
-            split = ctx.mode() == SplitMode::exact
-                        ? bestSplitExact(lo, hi)
-                        : bestSplitHistogram(lo, hi);
-        }
+        if (depth < tree.config_.maxDepth)
+            split = bestSplit(lo, hi);
 
         if (!split.found) {
             makeLeaf(static_cast<std::size_t>(nodeIdx), lo, hi);
@@ -364,16 +229,13 @@ struct TreeGrower
             partitionRange(s.members.data(), lo, hi, split);
         panicIf(nl == 0 || nl == hi - lo,
                 "DecisionTree: degenerate split");
-        if (ctx.mode() == SplitMode::exact) {
-            // Every per-feature ordering partitions by the same
-            // predicate, so children keep one shared [lo, hi) range
-            // and stay sorted (stable partition preserves order).
-            for (std::size_t f = 0; f < ctx.featureCount(); ++f) {
-                const std::size_t got = partitionRange(
-                    s.sorted.data() + f * bagSize, lo, hi, split);
-                panicIf(got != nl,
-                        "DecisionTree: inconsistent partition");
-            }
+        // Every per-feature ordering partitions by the same predicate,
+        // so children keep one shared [lo, hi) range and stay sorted
+        // (stable partition preserves order).
+        for (std::size_t f = 0; f < ctx.featureCount(); ++f) {
+            const std::size_t got = partitionRange(
+                s.sorted.data() + f * bagSize, lo, hi, split);
+            panicIf(got != nl, "DecisionTree: inconsistent partition");
         }
 
         auto &node = tree.nodes_[static_cast<std::size_t>(nodeIdx)];
@@ -409,23 +271,9 @@ DecisionTreeRegressor::fit(const Dataset &data,
     fatalIf(sampleIndices.empty(),
             "DecisionTreeRegressor::fit: no sample indices");
 
-    if (config_.splitMode == SplitMode::nodeSort) {
-        featureCount_ = data.featureCount();
-        outputCount_ = data.outputCount();
-        nodes_.clear();
-        featureGains_.assign(featureCount_, 0.0);
-        std::vector<std::size_t> indices = sampleIndices;
-        buildNodeSort(data, indices, 0, rng);
-        return;
-    }
-
     // Standalone fit: build a private context. Forests build one
     // shared context per grow batch and use the overload directly.
-    const TrainingContext ctx(
-        data, config_.splitMode,
-        config_.splitMode == SplitMode::histogram
-            ? BinIndex::build(data)
-            : nullptr);
+    const TrainingContext ctx(data);
     fit(ctx, sampleIndices, rng);
 }
 
@@ -436,8 +284,6 @@ DecisionTreeRegressor::fit(const TrainingContext &ctx,
 {
     fatalIf(sampleIndices.empty(),
             "DecisionTreeRegressor::fit: no sample indices");
-    fatalIf(ctx.mode() != config_.splitMode,
-            "DecisionTreeRegressor::fit: context mode mismatch");
     featureCount_ = ctx.featureCount();
     outputCount_ = ctx.outputCount();
     nodes_.clear();
@@ -445,159 +291,6 @@ DecisionTreeRegressor::fit(const TrainingContext &ctx,
 
     TreeGrower grower{*this, ctx, threadScratch(), rng, 0};
     grower.grow(sampleIndices);
-}
-
-std::vector<double>
-DecisionTreeRegressor::meanTarget(
-    const Dataset &data, const std::vector<std::size_t> &indices) const
-{
-    std::vector<double> mean(outputCount_, 0.0);
-    for (std::size_t i : indices) {
-        const auto &y = data.y(i);
-        for (std::size_t k = 0; k < outputCount_; ++k)
-            mean[k] += y[k];
-    }
-    for (auto &m : mean)
-        m /= static_cast<double>(indices.size());
-    return mean;
-}
-
-DecisionTreeRegressor::SplitResult
-DecisionTreeRegressor::bestSplitNodeSort(
-    const Dataset &data, const std::vector<std::size_t> &indices,
-    Rng &rng) const
-{
-    SplitResult best;
-    const std::size_t n = indices.size();
-    if (n < config_.minSamplesSplit)
-        return best;
-
-    // Parent SSE via sum and sum of squares, per output.
-    std::vector<double> sum(outputCount_, 0.0);
-    std::vector<double> sumSq(outputCount_, 0.0);
-    for (std::size_t i : indices) {
-        const auto &y = data.y(i);
-        for (std::size_t k = 0; k < outputCount_; ++k) {
-            sum[k] += y[k];
-            sumSq[k] += y[k] * y[k];
-        }
-    }
-    double parentSse = 0.0;
-    for (std::size_t k = 0; k < outputCount_; ++k) {
-        parentSse +=
-            sumSq[k] - sum[k] * sum[k] / static_cast<double>(n);
-    }
-    if (parentSse <= 1.0e-12)
-        return best; // pure node
-
-    // Candidate features (all, or a random subset for feature bagging).
-    std::vector<std::size_t> features;
-    if (config_.maxFeatures == 0 ||
-        config_.maxFeatures >= featureCount_) {
-        features.resize(featureCount_);
-        for (std::size_t f = 0; f < featureCount_; ++f)
-            features[f] = f;
-    } else {
-        features = rng.sampleWithoutReplacement(featureCount_,
-                                                config_.maxFeatures);
-    }
-
-    std::vector<std::size_t> sorted(indices);
-    std::vector<double> leftSum(outputCount_);
-    std::vector<double> leftSumSq(outputCount_);
-
-    for (std::size_t f : features) {
-        // Canonical order: feature value, ties by sample index —
-        // the same total order the presorted exact engine inherits
-        // from the dataset argsort, so the two engines accumulate
-        // identical floating-point sums.
-        std::sort(sorted.begin(), sorted.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      const double xa = data.x(a)[f];
-                      const double xb = data.x(b)[f];
-                      return xa < xb || (xa == xb && a < b);
-                  });
-        std::fill(leftSum.begin(), leftSum.end(), 0.0);
-        std::fill(leftSumSq.begin(), leftSumSq.end(), 0.0);
-
-        for (std::size_t pos = 0; pos + 1 < n; ++pos) {
-            const auto &y = data.y(sorted[pos]);
-            for (std::size_t k = 0; k < outputCount_; ++k) {
-                leftSum[k] += y[k];
-                leftSumSq[k] += y[k] * y[k];
-            }
-            const double xHere = data.x(sorted[pos])[f];
-            const double xNext = data.x(sorted[pos + 1])[f];
-            if (xNext <= xHere)
-                continue; // ties: no valid threshold between equal values
-
-            const std::size_t nl = pos + 1;
-            const std::size_t nr = n - nl;
-            if (nl < config_.minSamplesLeaf ||
-                nr < config_.minSamplesLeaf)
-                continue;
-
-            double childSse = 0.0;
-            for (std::size_t k = 0; k < outputCount_; ++k) {
-                const double rs = sum[k] - leftSum[k];
-                const double rss = sumSq[k] - leftSumSq[k];
-                childSse += leftSumSq[k] -
-                            leftSum[k] * leftSum[k] /
-                                static_cast<double>(nl);
-                childSse +=
-                    rss - rs * rs / static_cast<double>(nr);
-            }
-            const double gain = parentSse - childSse;
-            if (gain > best.gain + 1.0e-12) {
-                best.found = true;
-                best.feature = f;
-                best.threshold = 0.5 * (xHere + xNext);
-                best.gain = gain;
-            }
-        }
-    }
-    return best;
-}
-
-int
-DecisionTreeRegressor::buildNodeSort(const Dataset &data,
-                                     std::vector<std::size_t> &indices,
-                                     std::size_t depth, Rng &rng)
-{
-    const int nodeIdx = static_cast<int>(nodes_.size());
-    nodes_.emplace_back();
-
-    SplitResult split;
-    if (depth < config_.maxDepth)
-        split = bestSplitNodeSort(data, indices, rng);
-
-    if (!split.found) {
-        nodes_[nodeIdx].leafValue = meanTarget(data, indices);
-        return nodeIdx;
-    }
-
-    featureGains_[split.feature] += split.gain;
-
-    std::vector<std::size_t> left, right;
-    left.reserve(indices.size());
-    right.reserve(indices.size());
-    for (std::size_t i : indices) {
-        if (data.x(i)[split.feature] <= split.threshold)
-            left.push_back(i);
-        else
-            right.push_back(i);
-    }
-    panicIf(left.empty() || right.empty(),
-            "DecisionTree: degenerate split");
-
-    indices.clear();
-    indices.shrink_to_fit();
-
-    nodes_[nodeIdx].feature = static_cast<int>(split.feature);
-    nodes_[nodeIdx].threshold = split.threshold;
-    nodes_[nodeIdx].left = buildNodeSort(data, left, depth + 1, rng);
-    nodes_[nodeIdx].right = buildNodeSort(data, right, depth + 1, rng);
-    return nodeIdx;
 }
 
 const std::vector<double> &

@@ -8,13 +8,13 @@
  * regressions on WAN bandwidth data (Section 3.1's motivation for
  * tree-based learners).
  *
- * Three split engines grow identical tree shapes from the same
- * recursion (see SplitMode): the presorted exact engine (default),
- * the binned histogram engine, and the legacy per-node-sorting
- * reference the exact engine is parity-locked against. All engines
- * share one canonical sample order — feature value ascending, ties
- * broken by sample index — so results do not depend on the standard
- * library's sort implementation.
+ * Splits are found by a presorted engine: one argsort per feature
+ * per fit (shared across a forest's trees via TrainingContext), with
+ * per-feature index arrays partitioned down the tree. Samples follow
+ * one canonical order — feature value ascending, ties broken by
+ * sample index — so results do not depend on the standard library's
+ * sort implementation. tests/oracles/node_sort.hh keeps the legacy
+ * per-node-sorting splitter the engine is held bit-identical to.
  */
 
 #ifndef WANIFY_ML_DECISION_TREE_HH
@@ -32,38 +32,6 @@ namespace ml {
 class TrainingContext;
 struct TreeScratch;
 
-/** Split-finding engine selector (TreeConfig::splitMode). */
-enum class SplitMode
-{
-    /**
-     * Presorted CART: one argsort per feature per fit (shared across
-     * a forest's trees via TrainingContext), per-feature index
-     * arrays partitioned down the tree. Bit-identical trees to the
-     * nodeSort reference — the default.
-     */
-    exact,
-
-    /**
-     * Quantize each feature into <= 256 bins once per dataset
-     * (ml::BinIndex, reused across trees and *extended* — never
-     * rebuilt — by warm starts, so drift retrains skip re-binning).
-     * Nodes accumulate per-bin sums and scan only the touched bin
-     * range; training partitions by bin code. Trees are not
-     * bit-identical to exact mode (thresholds come from bin edges)
-     * but accuracy matches within noise; comparable to exact on
-     * Table-3-sized features, ahead as features and rows grow.
-     */
-    histogram,
-
-    /**
-     * The legacy splitter re-sorting the node's index set per
-     * candidate feature at every node, retained as the reference
-     * implementation: parity tests lock exact mode against it and
-     * bench_perf_training uses it as the "before" timing.
-     */
-    nodeSort,
-};
-
 /** Tree growth limits. */
 struct TreeConfig
 {
@@ -76,9 +44,6 @@ struct TreeConfig
      * regression). The forest sets this for feature bagging.
      */
     std::size_t maxFeatures = 0;
-
-    /** Split-finding engine (the forest threads this through). */
-    SplitMode splitMode = SplitMode::exact;
 };
 
 class DecisionTreeRegressor
@@ -90,8 +55,8 @@ class DecisionTreeRegressor
      * Fit on the rows of @p data selected by @p sampleIndices (the
      * forest passes bootstrap samples; pass all indices for a plain
      * tree). @p rng drives feature subsampling. Builds a private
-     * TrainingContext for the configured split mode; forests share
-     * one context across all trees via the overload below.
+     * TrainingContext; forests share one context across all trees
+     * via the overload below.
      */
     void fit(const Dataset &data,
              const std::vector<std::size_t> &sampleIndices, Rng &rng);
@@ -100,10 +65,9 @@ class DecisionTreeRegressor
     void fit(const Dataset &data, Rng &rng);
 
     /**
-     * Fit against a shared, immutable TrainingContext (built for
-     * this config's split mode). Safe to call concurrently on
-     * distinct trees with the same context — per-node scratch comes
-     * from the calling thread's pool.
+     * Fit against a shared, immutable TrainingContext. Safe to call
+     * concurrently on distinct trees with the same context —
+     * per-node scratch comes from the calling thread's pool.
      */
     void fit(const TrainingContext &ctx,
              const std::vector<std::size_t> &sampleIndices, Rng &rng);
@@ -159,28 +123,7 @@ class DecisionTreeRegressor
         std::size_t feature = 0;
         double threshold = 0.0;
         double gain = 0.0;
-
-        /**
-         * Histogram mode: last bin of the left side. Training
-         * partitions by bin code — rows appended to an extended
-         * BinIndex can fall between the original bins, where the
-         * code and the threshold disagree; the code is what the
-         * split's gain was computed from.
-         */
-        std::size_t bin = 0;
     };
-
-    int buildNodeSort(const Dataset &data,
-                      std::vector<std::size_t> &indices,
-                      std::size_t depth, Rng &rng);
-
-    SplitResult bestSplitNodeSort(const Dataset &data,
-                                  const std::vector<std::size_t> &indices,
-                                  Rng &rng) const;
-
-    std::vector<double> meanTarget(
-        const Dataset &data,
-        const std::vector<std::size_t> &indices) const;
 
     TreeConfig config_;
     std::size_t featureCount_ = 0;

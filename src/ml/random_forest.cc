@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "common/error.hh"
 #include "common/thread_pool.hh"
@@ -24,8 +23,7 @@ RandomForestRegressor::RandomForestRegressor(ForestConfig config)
 RandomForestRegressor::RandomForestRegressor(
     const RandomForestRegressor &other)
     : config_(other.config_), trees_(other.trees_),
-      featureCount_(other.featureCount_), oobR2_(other.oobR2_),
-      bins_(other.bins_)
+      featureCount_(other.featureCount_), oobR2_(other.oobR2_)
 {
     std::lock_guard<std::mutex> lock(other.compiledMu_);
     compiled_ = other.compiled_;
@@ -40,7 +38,6 @@ RandomForestRegressor::operator=(const RandomForestRegressor &other)
     trees_ = other.trees_;
     featureCount_ = other.featureCount_;
     oobR2_ = other.oobR2_;
-    bins_ = other.bins_;
     std::shared_ptr<const CompiledForest> snapshot;
     {
         std::lock_guard<std::mutex> lock(other.compiledMu_);
@@ -73,9 +70,6 @@ RandomForestRegressor::fit(const Dataset &data, std::uint64_t seed)
     fatalIf(data.empty(), "RandomForest::fit: empty dataset");
     trees_.clear();
     invalidateCompiled();
-    // A fresh fit is a new campaign: any cached quantization belongs
-    // to the previous dataset and is rebuilt by growTrees.
-    bins_.reset();
     featureCount_ = data.featureCount();
     growTrees(data, config_.nEstimators, seed);
 }
@@ -92,39 +86,11 @@ RandomForestRegressor::warmStart(const Dataset &data,
     } else {
         fatalIf(data.featureCount() != featureCount_,
                 "RandomForest::warmStart: feature count changed");
+        fatalIf(data.outputCount() != trees_.front().outputCount(),
+                "RandomForest::warmStart: output count changed");
     }
     growTrees(data, extraTrees, seed ^ 0xa5a5a5a5a5a5a5a5ULL);
 }
-
-namespace {
-
-/**
- * Spot check of the append-only contract behind bin reuse: the rows
- * the index was built from must still code identically. Verifies a
- * deterministic spread of up to 16 rows across the binned prefix
- * (endpoints always included) — O(16 * features * log bins) against
- * a full re-bin's O(rows * features * log bins). Advisory, not a
- * proof: an interior mutation between checked rows that still codes
- * identically can slip through, so callers must honor the
- * append-only contract (BandwidthAnalyzer::absorb does); a mismatch
- * here just downgrades reuse to a rebuild.
- */
-bool
-binnedPrefixUnchanged(const Dataset &data, const BinIndex &bins)
-{
-    const std::size_t f = bins.featureCount();
-    const std::size_t binned = bins.rows();
-    for (std::size_t i = 0; i < 16; ++i) {
-        const std::size_t row = i * (binned - 1) / 15;
-        const auto &x = data.x(row);
-        for (std::size_t feat = 0; feat < f; ++feat)
-            if (bins.codeValue(feat, x[feat]) != bins.code(row, feat))
-                return false;
-    }
-    return true;
-}
-
-} // namespace
 
 void
 RandomForestRegressor::growTrees(const Dataset &data, std::size_t count,
@@ -136,28 +102,9 @@ RandomForestRegressor::growTrees(const Dataset &data, std::size_t count,
                           static_cast<double>(n)));
 
     // Shared per-batch training state, built once and read-only
-    // across the parallel tree tasks: the histogram quantization
-    // (reusing — extending, not rebuilding — a cached index when the
-    // dataset only grew, the warm-start path of drift retrains) and
-    // the TrainingContext carrying the columnized data and the
+    // across the parallel tree tasks: the columnized data and the
     // per-feature presort.
-    std::shared_ptr<const BinIndex> bins;
-    if (config_.tree.splitMode == SplitMode::histogram) {
-        if (bins_ != nullptr &&
-            bins_->featureCount() == data.featureCount() &&
-            data.size() >= bins_->rows() &&
-            binnedPrefixUnchanged(data, *bins_)) {
-            bins = data.size() == bins_->rows()
-                       ? bins_
-                       : bins_->extended(data);
-        } else {
-            bins = BinIndex::build(data);
-        }
-        bins_ = bins;
-    }
-    std::optional<TrainingContext> ctx;
-    if (config_.tree.splitMode != SplitMode::nodeSort)
-        ctx.emplace(data, config_.tree.splitMode, std::move(bins));
+    const TrainingContext ctx(data);
 
     // Per-tree seeds are fixed before any tree grows, and each tree
     // lands in a pre-assigned slot: the trained forest is identical
@@ -178,10 +125,7 @@ RandomForestRegressor::growTrees(const Dataset &data, std::size_t count,
                 bag[i] = i;
         }
         DecisionTreeRegressor tree(config_.tree);
-        if (ctx.has_value())
-            tree.fit(*ctx, bag, treeRng);
-        else
-            tree.fit(data, bag, treeRng);
+        tree.fit(ctx, bag, treeRng);
         trees_[firstNew + t] = std::move(tree);
         bags[t] = std::move(bag);
     };

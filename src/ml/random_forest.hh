@@ -19,7 +19,6 @@
 #include <mutex>
 #include <vector>
 
-#include "ml/bin_index.hh"
 #include "ml/compiled_forest.hh"
 #include "ml/decision_tree.hh"
 
@@ -72,10 +71,11 @@ class RandomForestRegressor
      * on @p data (typically the union of old and newly collected
      * samples, which the caller maintains). On an untrained forest
      * this is the initial fit: the extra trees become the whole
-     * ensemble and @p data locks in the feature count. extraTrees
-     * must be > 0 — a tree-less "retrain" would silently keep
-     * reporting the stale model's accuracy. oobR2() afterwards
-     * covers the newly grown batch only.
+     * ensemble and @p data locks in the feature and output counts,
+     * which later warm starts must match. extraTrees must be > 0 — a
+     * tree-less "retrain" would silently keep reporting the stale
+     * model's accuracy. oobR2() afterwards covers the newly grown
+     * batch only.
      */
     void warmStart(const Dataset &data, std::size_t extraTrees,
                    std::uint64_t seed);
@@ -115,18 +115,6 @@ class RandomForestRegressor
      */
     double oobR2() const { return oobR2_; }
 
-    /**
-     * Histogram mode's shared feature quantization: built once per
-     * fit() dataset, shared immutably across all trees and forest
-     * copies, and *extended* (never rebuilt) by warmStart() when the
-     * training set has only grown — so drift retrains skip re-binning
-     * the whole campaign. Null in exact/nodeSort modes.
-     */
-    const std::shared_ptr<const BinIndex> &binIndex() const
-    {
-        return bins_;
-    }
-
     /** Normalized impurity feature importances (sums to 1). */
     std::vector<double> featureImportances() const;
 
@@ -143,9 +131,6 @@ class RandomForestRegressor
     std::vector<DecisionTreeRegressor> trees_;
     std::size_t featureCount_ = 0;
     double oobR2_ = 0.0;
-
-    /** Shared quantization (histogram mode only); immutable. */
-    std::shared_ptr<const BinIndex> bins_;
 
     /**
      * Lazily built compiled snapshot, guarded by compiledMu_. Shared

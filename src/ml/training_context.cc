@@ -8,24 +8,15 @@
 namespace wanify {
 namespace ml {
 
-TrainingContext::TrainingContext(const Dataset &data, SplitMode mode,
-                                 std::shared_ptr<const BinIndex> bins)
-    : mode_(mode),
-      sampleCount_(data.size()),
+TrainingContext::TrainingContext(const Dataset &data)
+    : sampleCount_(data.size()),
       featureCount_(data.featureCount()),
-      outputCount_(data.outputCount()),
-      bins_(std::move(bins))
+      outputCount_(data.outputCount())
 {
     fatalIf(data.empty(), "TrainingContext: empty dataset");
     fatalIf(sampleCount_ >=
                 std::numeric_limits<std::uint32_t>::max(),
             "TrainingContext: dataset too large for 32-bit indices");
-    fatalIf(mode_ == SplitMode::histogram &&
-                (bins_ == nullptr ||
-                 bins_->featureCount() != featureCount_ ||
-                 bins_->rows() < sampleCount_),
-            "TrainingContext: histogram mode needs a BinIndex "
-            "covering the dataset");
 
     features_.resize(sampleCount_ * featureCount_);
     targets_.resize(sampleCount_ * outputCount_);
@@ -38,11 +29,8 @@ TrainingContext::TrainingContext(const Dataset &data, SplitMode mode,
             targets_[i * outputCount_ + k] = y[k];
     }
 
-    if (mode_ != SplitMode::exact)
-        return;
-
     // One argsort per feature, ties broken by sample index — the
-    // canonical order every split engine agrees on. Trees derive
+    // canonical order the node-sort oracle agrees on. Trees derive
     // their bootstrap-bag orderings from these in O(n).
     order_.resize(featureCount_ * sampleCount_);
     for (std::size_t f = 0; f < featureCount_; ++f) {

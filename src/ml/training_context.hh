@@ -7,28 +7,24 @@
  * and chased the Dataset's row-major vector-of-vectors for each read.
  * A TrainingContext is built once per fit and shared (immutably)
  * across every tree of the forest: it columnizes the features,
- * flattens the targets, and precomputes one argsort per feature
- * (exact mode) or carries the dataset's BinIndex (histogram mode).
+ * flattens the targets, and precomputes one argsort per feature.
  * Trees then derive their bootstrap-bag orderings from the shared
  * argsort in O(n) and partition them down the tree instead of
  * re-sorting per node.
  *
  * TreeScratch holds every per-node buffer a grower needs (index
- * arrays, running sums, histograms, candidate-feature lists), pooled
- * per thread and reused across nodes, trees, and fits, so steady-state
- * training allocates nothing per node.
+ * arrays, running sums, candidate-feature lists), pooled per thread
+ * and reused across nodes, trees, and fits, so steady-state training
+ * allocates nothing per node.
  */
 
 #ifndef WANIFY_ML_TRAINING_CONTEXT_HH
 #define WANIFY_ML_TRAINING_CONTEXT_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "ml/bin_index.hh"
 #include "ml/dataset.hh"
-#include "ml/decision_tree.hh"
 
 namespace wanify {
 namespace ml {
@@ -37,15 +33,11 @@ class TrainingContext
 {
   public:
     /**
-     * Columnize @p data for @p mode. @p bins is required for
-     * histogram mode (built against this dataset or an extension of
-     * the dataset it was built from) and ignored otherwise. The
-     * context only reads @p data during construction.
+     * Columnize and presort @p data. The context only reads @p data
+     * during construction.
      */
-    TrainingContext(const Dataset &data, SplitMode mode,
-                    std::shared_ptr<const BinIndex> bins = nullptr);
+    explicit TrainingContext(const Dataset &data);
 
-    SplitMode mode() const { return mode_; }
     std::size_t sampleCount() const { return sampleCount_; }
     std::size_t featureCount() const { return featureCount_; }
     std::size_t outputCount() const { return outputCount_; }
@@ -65,8 +57,8 @@ class TrainingContext
     }
 
     /**
-     * Exact mode: sample indices sorted by (feature value, sample
-     * index) — the canonical tie order every split engine follows.
+     * Sample indices sorted by (feature value, sample index) — the
+     * canonical tie order the node-sort oracle follows too.
      */
     const std::uint32_t *
     order(std::size_t f) const
@@ -74,18 +66,13 @@ class TrainingContext
         return order_.data() + f * sampleCount_;
     }
 
-    /** Histogram mode's bin index (null in other modes). */
-    const BinIndex *bins() const { return bins_.get(); }
-
   private:
-    SplitMode mode_;
     std::size_t sampleCount_ = 0;
     std::size_t featureCount_ = 0;
     std::size_t outputCount_ = 0;
     std::vector<double> features_; // column-major
     std::vector<double> targets_;  // row-major
     std::vector<std::uint32_t> order_;
-    std::shared_ptr<const BinIndex> bins_;
 };
 
 /**
@@ -95,7 +82,7 @@ class TrainingContext
  */
 struct TreeScratch
 {
-    /** Bag multiplicity per dataset sample (exact-mode derivation). */
+    /** Bag multiplicity per dataset sample. */
     std::vector<std::uint32_t> bagCount;
 
     /** Node membership in bag order, partitioned down the tree. */
@@ -112,17 +99,6 @@ struct TreeScratch
 
     /** Per-output running sums of the current node and scan. */
     std::vector<double> sum, sumSq, leftSum, leftSumSq;
-
-    /**
-     * Histogram accumulators (bins * outputs). Invariant: all-zero
-     * between scans — each scan re-zeroes only the bin range it
-     * touched, so small deep nodes never pay for 256 bins. histDirty
-     * marks a scan abandoned mid-flight (an exception unwound through
-     * it); the next tree restores the invariant with a full clear.
-     */
-    std::vector<std::uint32_t> histCount;
-    std::vector<double> histSum, histSumSq;
-    bool histDirty = false;
 };
 
 /** The calling thread's pooled scratch. */

@@ -205,11 +205,25 @@ TEST(RandomForest, WarmStartAddsTrees)
 
 TEST(RandomForest, WarmStartRejectsShapeChange)
 {
-    RandomForestRegressor forest;
+    ForestConfig cfg;
+    cfg.nEstimators = 4;
+    RandomForestRegressor forest(cfg);
     forest.fit(linearData(100, 50), 51);
-    Dataset other(3, 1);
-    other.add({1.0, 2.0, 3.0}, 4.0);
-    EXPECT_THROW(forest.warmStart(other, 2, 52), FatalError);
+    Dataset moreFeatures(3, 1);
+    moreFeatures.add({1.0, 2.0, 3.0}, 4.0);
+    EXPECT_EQ(whatOf<FatalError>(
+                  [&] { forest.warmStart(moreFeatures, 2, 52); }),
+              "fatal: RandomForest::warmStart: feature count changed");
+    Dataset moreOutputs(2, 3);
+    moreOutputs.add({1.0, 2.0}, {3.0, 4.0, 5.0});
+    EXPECT_EQ(whatOf<FatalError>(
+                  [&] { forest.warmStart(moreOutputs, 2, 53); }),
+              "fatal: RandomForest::warmStart: output count changed");
+    // Both are refused before any tree grows: the forest still
+    // compiles and predicts its one output.
+    EXPECT_EQ(forest.treeCount(), 4u);
+    EXPECT_EQ(forest.compiled().outputCount(), 1u);
+    EXPECT_EQ(forest.predict({1.0, 2.0}).size(), 1u);
 }
 
 TEST(RandomForest, WarmStartOnUntrainedForestTrainsFromScratch)
@@ -237,9 +251,11 @@ TEST(RandomForest, WarmStartRejectsZeroExtraTrees)
     const auto data = linearData(100, 58);
     // Zero extra trees is invalid whether or not the forest has been
     // fit — a no-op "retrain" would silently report stale accuracy.
-    EXPECT_THROW(forest.warmStart(data, 0, 59), FatalError);
+    EXPECT_EQ(whatOf<FatalError>([&] { forest.warmStart(data, 0, 59); }),
+              "fatal: RandomForest::warmStart: extraTrees == 0");
     forest.fit(data, 60);
-    EXPECT_THROW(forest.warmStart(data, 0, 61), FatalError);
+    EXPECT_EQ(whatOf<FatalError>([&] { forest.warmStart(data, 0, 61); }),
+              "fatal: RandomForest::warmStart: extraTrees == 0");
 }
 
 TEST(RandomForest, OobR2ImprovesAsAppendedDataGrows)
