@@ -79,7 +79,7 @@ legacyPredictScalar(const ml::RandomForestRegressor &forest,
 {
     std::vector<double> mean;
     for (const auto &tree : forest.trees()) {
-        const std::vector<double> y = tree.predict(x);
+        const std::vector<double> y = tree->predict(x);
         if (mean.empty())
             mean.assign(y.size(), 0.0);
         for (std::size_t k = 0; k < y.size(); ++k)

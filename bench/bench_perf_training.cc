@@ -147,7 +147,10 @@ main(int argc, char **argv)
 
     // --- timed warm starts (the drift-retrain stall) ---------------------
     // Copy outside the clock (Wanify::retrain copies the base model
-    // too); each rep's pair of warm-started copies must still match.
+    // too; the forest's copy shares its trees, the oracle's
+    // duplicates them); each rep's pair of warm-started copies must
+    // still match. The forest's timed warm start includes compiling
+    // its new trees.
     double wsNodeSortMs = 0.0, wsExactMs = 0.0;
     for (std::size_t rep = 0; rep < reps; ++rep) {
         auto ref = nodeSortForest;

@@ -115,9 +115,12 @@ class Wanify
      * pinned. Returns the retrained predictor. Safe to call from
      * parallel trials; deterministic in (base, data, seed).
      *
-     * The engine reports the wall time of each retrain in
-     * QueryResult::retrainLatencies; that stall is what bounds the
-     * adaptation cadence.
+     * The copy shares @p base's fitted trees and compiled forest by
+     * pointer instead of duplicating them, and the warm start compiles
+     * only its new trees onto that compiled forest, so a retrain costs
+     * what its new trees cost. The engine reports the wall time of
+     * each retrain in QueryResult::retrainLatencies; that stall is
+     * what bounds the adaptation cadence.
      */
     std::shared_ptr<const RuntimeBwPredictor>
     retrain(const ml::Dataset &data, std::uint64_t seed,

@@ -9,25 +9,31 @@
 namespace wanify {
 namespace ml {
 
-CompiledForest::CompiledForest(
-    const std::vector<DecisionTreeRegressor> &trees)
+CompiledForest::CompiledForest(const CompiledForest &prefix,
+                               const SharedTrees &trees)
 {
-    if (trees.empty())
+    if (trees.empty()) {
+        *this = prefix;
         return;
-
-    std::size_t totalNodes = 0;
-    for (const auto &tree : trees) {
-        if (!tree.trained())
-            fatal("CompiledForest: unfitted tree in ensemble");
-        if (tree.featureCount() != trees.front().featureCount() ||
-            tree.outputCount() != trees.front().outputCount())
-            fatal("CompiledForest: tree shape mismatch");
-        totalNodes += tree.nodeCount();
     }
+    const DecisionTreeRegressor &first = *trees.front();
+    featureCount_ =
+        prefix.empty() ? first.featureCount() : prefix.featureCount_;
+    outputCount_ =
+        prefix.empty() ? first.outputCount() : prefix.outputCount_;
 
-    treeCount_ = trees.size();
-    featureCount_ = trees.front().featureCount();
-    outputCount_ = trees.front().outputCount();
+    std::size_t totalNodes = prefix.nodes_.size();
+    std::size_t totalLeaves = prefix.leafCount_;
+    for (const auto &tree : trees) {
+        if (!tree->trained())
+            fatal("CompiledForest: unfitted tree in ensemble");
+        if (tree->featureCount() != featureCount_ ||
+            tree->outputCount() != outputCount_)
+            fatal("CompiledForest: tree shape mismatch");
+        totalNodes += tree->nodeCount();
+        // Every interior node has two children: n nodes, (n+1)/2 leaves.
+        totalLeaves += (tree->nodeCount() + 1) / 2;
+    }
 
     // Child references pack (node index, child feature) into 32 bits.
     featShift_ = 0;
@@ -38,13 +44,22 @@ CompiledForest::CompiledForest(
         fatal("CompiledForest: ensemble too large for packed 32-bit "
               "child references");
 
-    nodes_.reserve(totalNodes);
-    leafOfs_.reserve(totalNodes);
-    rootRef_.reserve(treeCount_);
-    depth_.reserve(treeCount_);
+    // The prefix's records stay valid verbatim: its references are
+    // absolute indices into the front of the same arrays.
+    auto extend = [](auto &dst, const auto &src, std::size_t total) {
+        dst.reserve(total);
+        dst.insert(dst.end(), src.begin(), src.end());
+    };
+    treeCount_ = prefix.treeCount_ + trees.size();
+    leafCount_ = prefix.leafCount_;
+    extend(nodes_, prefix.nodes_, totalNodes);
+    extend(leafOfs_, prefix.leafOfs_, totalNodes);
+    extend(rootRef_, prefix.rootRef_, treeCount_);
+    extend(depth_, prefix.depth_, treeCount_);
+    extend(leafValues_, prefix.leafValues_, totalLeaves * outputCount_);
 
     for (const auto &tree : trees) {
-        const auto &src = tree.nodes();
+        const auto &src = tree->nodes();
         const auto base = static_cast<std::uint32_t>(nodes_.size());
 
         // ref = (absolute index << featShift_) | node's own feature:
@@ -61,7 +76,7 @@ CompiledForest::CompiledForest(
         // Fixed walk length: a leaf at depth d absorbs the remaining
         // steps via its self-loop, so depth() - 1 steps land every
         // row on its leaf.
-        depth_.push_back(static_cast<std::int32_t>(tree.depth()) - 1);
+        depth_.push_back(static_cast<std::int32_t>(tree->depth()) - 1);
 
         for (std::size_t local = 0; local < src.size(); ++local) {
             const auto &node = src[local];

@@ -15,6 +15,12 @@
  * no per-node indirection, cache-friendly, and branch-free on the
  * random 50/50 splits that defeat branch prediction.
  *
+ * A compiled forest is immutable and is built by extension only: the
+ * packed arrays of an existing compiled forest, then the trees that
+ * follow it. RandomForestRegressor compiles at fit() and, on a warm
+ * start, copies its current arrays and flattens just the new batch,
+ * so a drift retrain never recompiles the trees it keeps.
+ *
  * predictInto() evaluates one feature row; predictBatch() evaluates a
  * row-major matrix of rows, optionally chunked across the process-wide
  * ThreadPool. Every row writes a fixed output slot, so the parallel
@@ -43,12 +49,16 @@ class CompiledForest
     CompiledForest() = default;
 
     /**
-     * Flatten @p trees (all fitted, same feature/output shape) into
-     * packed form. The compiled forest is an immutable snapshot: it
-     * does not observe later refits of the source trees.
+     * Copy the packed arrays of @p prefix and flatten @p trees (all
+     * fitted, in the prefix's feature/output shape) after them: the
+     * result predicts the ensemble "prefix's trees, then @p trees".
+     * A one-shot compile extends an empty prefix. Only the new trees'
+     * shapes are checked (the prefix's were checked when it was
+     * built); the 32-bit child-reference limit covers the whole node
+     * count, prefix included.
      */
-    explicit CompiledForest(
-        const std::vector<DecisionTreeRegressor> &trees);
+    CompiledForest(const CompiledForest &prefix,
+                   const SharedTrees &trees);
 
     bool empty() const { return treeCount_ == 0; }
     std::size_t treeCount() const { return treeCount_; }

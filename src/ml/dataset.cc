@@ -60,12 +60,13 @@ Dataset::append(const Dataset &other)
     fatalIf(other.featureCount_ != featureCount_ ||
                 other.outputCount_ != outputCount_,
             "Dataset::append: shape mismatch");
-    // Appending is the hot path of incremental campaigns (runtime
-    // gauges accrete every drift epoch): reserve once instead of
-    // reallocating per row.
-    features_.reserve(features_.size() + other.size());
-    targets_.reserve(targets_.size() + other.size());
-    for (std::size_t i = 0; i < other.size(); ++i)
+    // Reserve once instead of reallocating per row. The row count is
+    // read before the loop, so d.append(d) doubles d; the reserve
+    // keeps other.x(i) valid while rows are added.
+    const std::size_t rows = other.size();
+    features_.reserve(features_.size() + rows);
+    targets_.reserve(targets_.size() + rows);
+    for (std::size_t i = 0; i < rows; ++i)
         add(other.x(i), other.y(i));
 }
 

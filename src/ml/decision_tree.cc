@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "common/error.hh"
 #include "ml/training_context.hh"
@@ -36,8 +35,8 @@ struct TreeGrower
         const std::size_t n = ctx.sampleCount();
         s.members.resize(bagSize);
         for (std::size_t i = 0; i < bagSize; ++i) {
-            fatalIf(bag[i] >= n,
-                    "DecisionTree: sample index out of range");
+            if (bag[i] >= n)
+                fatal("DecisionTree: sample index out of range");
             s.members[i] = static_cast<std::uint32_t>(bag[i]);
         }
 
@@ -62,8 +61,8 @@ struct TreeGrower
                 for (std::uint32_t c = s.bagCount[id]; c > 0; --c)
                     out[w++] = id;
             }
-            panicIf(w != bagSize,
-                    "DecisionTree: bag ordering size mismatch");
+            if (w != bagSize)
+                panic("DecisionTree: bag ordering size mismatch");
         }
 
         s.spill.resize(bagSize);
@@ -227,15 +226,16 @@ struct TreeGrower
 
         const std::size_t nl =
             partitionRange(s.members.data(), lo, hi, split);
-        panicIf(nl == 0 || nl == hi - lo,
-                "DecisionTree: degenerate split");
+        if (nl == 0 || nl == hi - lo)
+            panic("DecisionTree: degenerate split");
         // Every per-feature ordering partitions by the same predicate,
         // so children keep one shared [lo, hi) range and stay sorted
         // (stable partition preserves order).
         for (std::size_t f = 0; f < ctx.featureCount(); ++f) {
             const std::size_t got = partitionRange(
                 s.sorted.data() + f * bagSize, lo, hi, split);
-            panicIf(got != nl, "DecisionTree: inconsistent partition");
+            if (got != nl)
+                panic("DecisionTree: inconsistent partition");
         }
 
         auto &node = tree.nodes_[static_cast<std::size_t>(nodeIdx)];
@@ -320,16 +320,21 @@ DecisionTreeRegressor::predictScalar(const std::vector<double> &x) const
 std::size_t
 DecisionTreeRegressor::depth() const
 {
-    if (nodes_.empty())
-        return 0;
-    // Iterative depth computation over the node array.
-    std::function<std::size_t(int)> walk = [&](int idx) -> std::size_t {
-        const Node &node = nodes_[static_cast<std::size_t>(idx)];
-        if (node.feature < 0)
-            return 1;
-        return 1 + std::max(walk(node.left), walk(node.right));
-    };
-    return walk(0);
+    // Build order is pre-order (TreeGrower::build appends a node
+    // before growing its children), so every child sits after its
+    // parent and one forward pass settles each node's depth.
+    std::vector<std::size_t> level(nodes_.size(), 1);
+    std::size_t deepest = 0;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        const Node &node = nodes_[i];
+        if (node.feature < 0) {
+            deepest = std::max(deepest, level[i]);
+            continue;
+        }
+        level[static_cast<std::size_t>(node.left)] = level[i] + 1;
+        level[static_cast<std::size_t>(node.right)] = level[i] + 1;
+    }
+    return deepest;
 }
 
 } // namespace ml

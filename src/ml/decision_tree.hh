@@ -21,6 +21,7 @@
 #define WANIFY_ML_DECISION_TREE_HH
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hh"
@@ -86,6 +87,8 @@ class DecisionTreeRegressor
     std::size_t nodeCount() const { return nodes_.size(); }
     std::size_t featureCount() const { return featureCount_; }
     std::size_t outputCount() const { return outputCount_; }
+
+    /** Nodes on the longest root-to-leaf path (a lone leaf is 1). */
     std::size_t depth() const;
 
     /** One tree node; leaves have feature == -1. */
@@ -131,6 +134,12 @@ class DecisionTreeRegressor
     std::vector<Node> nodes_;
     std::vector<double> featureGains_;
 };
+
+/**
+ * A forest's fitted trees in ensemble order. A tree is immutable once
+ * grown, so copies of a forest share it by pointer.
+ */
+using SharedTrees = std::vector<std::shared_ptr<const DecisionTreeRegressor>>;
 
 } // namespace ml
 } // namespace wanify

@@ -1,6 +1,8 @@
 #include "ml/random_forest.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "common/error.hh"
@@ -9,6 +11,58 @@
 
 namespace wanify {
 namespace ml {
+
+namespace {
+
+/**
+ * Out-of-bag R^2 of one grown batch (@p bags[t] is @p batch[t]'s
+ * bootstrap sample); NaN when OOB coverage is insufficient. The
+ * single-output path is the production configuration, so OOB
+ * handles output 0.
+ */
+double
+batchOobR2(const Dataset &data, const SharedTrees &batch,
+           const std::vector<std::vector<std::size_t>> &bags)
+{
+    const std::size_t n = data.size();
+
+    std::vector<std::vector<bool>> inBag(
+        bags.size(), std::vector<bool>(n, false));
+    for (std::size_t t = 0; t < bags.size(); ++t)
+        for (std::size_t i : bags[t])
+            if (i < n)
+                inBag[t][i] = true;
+
+    double ssRes = 0.0, ssTot = 0.0, meanY = 0.0;
+    std::size_t covered = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        meanY += data.y(i)[0];
+    meanY /= static_cast<double>(n);
+
+    for (std::size_t i = 0; i < n; ++i) {
+        double pred = 0.0;
+        std::size_t votes = 0;
+        for (std::size_t t = 0; t < bags.size(); ++t) {
+            if (inBag[t][i])
+                continue;
+            // const-ref leaf access: no per-vote temporary.
+            pred += batch[t]->predict(data.x(i)).front();
+            ++votes;
+        }
+        if (votes == 0)
+            continue;
+        pred /= static_cast<double>(votes);
+        const double yi = data.y(i)[0];
+        ssRes += (yi - pred) * (yi - pred);
+        ssTot += (yi - meanY) * (yi - meanY);
+        ++covered;
+    }
+    if (covered < 2 || ssTot <= 0.0)
+        return std::numeric_limits<double>::quiet_NaN();
+    return 1.0 - ssRes / ssTot;
+}
+
+} // namespace
 
 RandomForestRegressor::RandomForestRegressor(ForestConfig config)
     : config_(config)
@@ -20,48 +74,11 @@ RandomForestRegressor::RandomForestRegressor(ForestConfig config)
             "RandomForest: bootstrapFraction must be in (0, 1]");
 }
 
-RandomForestRegressor::RandomForestRegressor(
-    const RandomForestRegressor &other)
-    : config_(other.config_), trees_(other.trees_),
-      featureCount_(other.featureCount_), oobR2_(other.oobR2_)
-{
-    std::lock_guard<std::mutex> lock(other.compiledMu_);
-    compiled_ = other.compiled_;
-}
-
-RandomForestRegressor &
-RandomForestRegressor::operator=(const RandomForestRegressor &other)
-{
-    if (this == &other)
-        return *this;
-    config_ = other.config_;
-    trees_ = other.trees_;
-    featureCount_ = other.featureCount_;
-    oobR2_ = other.oobR2_;
-    std::shared_ptr<const CompiledForest> snapshot;
-    {
-        std::lock_guard<std::mutex> lock(other.compiledMu_);
-        snapshot = other.compiled_;
-    }
-    std::lock_guard<std::mutex> lock(compiledMu_);
-    compiled_ = std::move(snapshot);
-    return *this;
-}
-
-void
-RandomForestRegressor::invalidateCompiled()
-{
-    std::lock_guard<std::mutex> lock(compiledMu_);
-    compiled_.reset();
-}
-
 const CompiledForest &
 RandomForestRegressor::compiled() const
 {
-    std::lock_guard<std::mutex> lock(compiledMu_);
-    if (compiled_ == nullptr)
-        compiled_ = std::make_shared<const CompiledForest>(trees_);
-    return *compiled_;
+    static const CompiledForest untrained;
+    return compiled_ != nullptr ? *compiled_ : untrained;
 }
 
 void
@@ -69,8 +86,7 @@ RandomForestRegressor::fit(const Dataset &data, std::uint64_t seed)
 {
     fatalIf(data.empty(), "RandomForest::fit: empty dataset");
     trees_.clear();
-    invalidateCompiled();
-    featureCount_ = data.featureCount();
+    compiled_.reset();
     growTrees(data, config_.nEstimators, seed);
 }
 
@@ -81,12 +97,10 @@ RandomForestRegressor::warmStart(const Dataset &data,
 {
     fatalIf(data.empty(), "RandomForest::warmStart: empty dataset");
     fatalIf(extraTrees == 0, "RandomForest::warmStart: extraTrees == 0");
-    if (trees_.empty()) {
-        featureCount_ = data.featureCount();
-    } else {
+    if (!trees_.empty()) {
         fatalIf(data.featureCount() != featureCount_,
                 "RandomForest::warmStart: feature count changed");
-        fatalIf(data.outputCount() != trees_.front().outputCount(),
+        fatalIf(data.outputCount() != trees_.front()->outputCount(),
                 "RandomForest::warmStart: output count changed");
     }
     growTrees(data, extraTrees, seed ^ 0xa5a5a5a5a5a5a5a5ULL);
@@ -110,8 +124,7 @@ RandomForestRegressor::growTrees(const Dataset &data, std::size_t count,
     // lands in a pre-assigned slot: the trained forest is identical
     // whether the loop below runs sequentially or on the pool.
     const auto treeSeeds = deriveSeeds(seed, count);
-    const std::size_t firstNew = trees_.size();
-    trees_.resize(firstNew + count, DecisionTreeRegressor(config_.tree));
+    SharedTrees batch(count);
     std::vector<std::vector<std::size_t>> bags(count);
 
     auto growOne = [&](std::size_t t) {
@@ -124,78 +137,35 @@ RandomForestRegressor::growTrees(const Dataset &data, std::size_t count,
             for (std::size_t i = 0; i < n; ++i)
                 bag[i] = i;
         }
-        DecisionTreeRegressor tree(config_.tree);
-        tree.fit(ctx, bag, treeRng);
-        trees_[firstNew + t] = std::move(tree);
+        auto tree = std::make_shared<DecisionTreeRegressor>(config_.tree);
+        tree->fit(ctx, bag, treeRng);
+        batch[t] = std::move(tree);
         bags[t] = std::move(bag);
     };
 
-    try {
-        if (config_.nThreads == 0) {
-            ThreadPool::global().parallelFor(count, growOne);
-        } else if (config_.nThreads == 1) {
-            for (std::size_t t = 0; t < count; ++t)
-                growOne(t);
-        } else {
-            ThreadPool local(config_.nThreads);
-            local.parallelFor(count, growOne);
-        }
-    } catch (...) {
-        // Drop the whole batch rather than leave unfitted placeholder
-        // trees in the ensemble; the forest stays in its prior state.
-        trees_.resize(firstNew, DecisionTreeRegressor(config_.tree));
-        throw;
+    // The batch grows, is scored and is compiled off to the side: a
+    // throw anywhere before the publish below leaves the forest in
+    // its prior state.
+    if (config_.nThreads == 0) {
+        ThreadPool::global().parallelFor(count, growOne);
+    } else if (config_.nThreads == 1) {
+        for (std::size_t t = 0; t < count; ++t)
+            growOne(t);
+    } else {
+        ThreadPool local(config_.nThreads);
+        local.parallelFor(count, growOne);
     }
-    invalidateCompiled();
-    computeOob(data, bags);
-}
+    const double oob = batchOobR2(data, batch, bags);
+    auto extended = std::make_shared<const CompiledForest>(compiled(),
+                                                           batch);
+    trees_.reserve(trees_.size() + count);
 
-void
-RandomForestRegressor::computeOob(
-    const Dataset &data,
-    const std::vector<std::vector<std::size_t>> &bags)
-{
-    // OOB over the trees grown in this batch only; single-output path
-    // is the production configuration, so OOB handles output 0.
-    const std::size_t n = data.size();
-    const std::size_t firstNew = trees_.size() - bags.size();
-
-    std::vector<std::vector<bool>> inBag(
-        bags.size(), std::vector<bool>(n, false));
-    for (std::size_t t = 0; t < bags.size(); ++t)
-        for (std::size_t i : bags[t])
-            if (i < n)
-                inBag[t][i] = true;
-
-    double ssRes = 0.0, ssTot = 0.0, meanY = 0.0;
-    std::size_t covered = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        meanY += data.y(i)[0];
-    meanY /= static_cast<double>(n);
-
-    for (std::size_t i = 0; i < n; ++i) {
-        double pred = 0.0;
-        std::size_t votes = 0;
-        for (std::size_t t = 0; t < bags.size(); ++t) {
-            if (inBag[t][i])
-                continue;
-            // const-ref leaf access: no per-vote temporary.
-            pred += trees_[firstNew + t].predict(data.x(i)).front();
-            ++votes;
-        }
-        if (votes == 0)
-            continue;
-        pred /= static_cast<double>(votes);
-        const double yi = data.y(i)[0];
-        ssRes += (yi - pred) * (yi - pred);
-        ssTot += (yi - meanY) * (yi - meanY);
-        ++covered;
-    }
-    if (covered < 2 || ssTot <= 0.0) {
-        oobR2_ = std::numeric_limits<double>::quiet_NaN();
-        return;
-    }
-    oobR2_ = 1.0 - ssRes / ssTot;
+    // Publish; nothing below throws.
+    trees_.insert(trees_.end(), std::make_move_iterator(batch.begin()),
+                  std::make_move_iterator(batch.end()));
+    compiled_ = std::move(extended);
+    featureCount_ = data.featureCount();
+    oobR2_ = oob;
 }
 
 std::vector<double>
@@ -204,7 +174,7 @@ RandomForestRegressor::predict(const std::vector<double> &x) const
     panicIf(trees_.empty(), "RandomForest::predict before fit");
     std::vector<double> mean;
     for (const auto &tree : trees_) {
-        const auto &y = tree.predict(x);
+        const auto &y = tree->predict(x);
         if (mean.empty())
             mean.assign(y.size(), 0.0);
         for (std::size_t k = 0; k < y.size(); ++k)
@@ -228,7 +198,7 @@ RandomForestRegressor::featureImportances() const
 {
     std::vector<double> gains(featureCount_, 0.0);
     for (const auto &tree : trees_) {
-        const auto &treeGains = tree.featureGains();
+        const auto &treeGains = tree->featureGains();
         for (std::size_t f = 0; f < featureCount_; ++f)
             gains[f] += treeGains[f];
     }

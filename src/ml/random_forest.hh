@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "ml/compiled_forest.hh"
@@ -50,18 +49,18 @@ struct ForestConfig
     std::size_t nThreads = 0;
 };
 
+/**
+ * Fitted trees and the compiled snapshot are immutable and held by
+ * shared pointer, so copying a forest copies pointers, not nodes: a
+ * copy shares every tree and the compiled forest with its source,
+ * and a later fit() or warmStart() on either side replaces only that
+ * side's pointers. The defaulted copy and move operations are
+ * therefore cheap and correct.
+ */
 class RandomForestRegressor
 {
   public:
     explicit RandomForestRegressor(ForestConfig config = {});
-
-    /**
-     * Copies share the (immutable) compiled snapshot; the tree
-     * ensemble itself is deep-copied. Needed explicitly because the
-     * lazy-compile guard is not copyable.
-     */
-    RandomForestRegressor(const RandomForestRegressor &other);
-    RandomForestRegressor &operator=(const RandomForestRegressor &other);
 
     /** Train from scratch, replacing any existing trees. */
     void fit(const Dataset &data, std::uint64_t seed);
@@ -75,7 +74,9 @@ class RandomForestRegressor
      * which later warm starts must match. extraTrees must be > 0 — a
      * tree-less "retrain" would silently keep reporting the stale
      * model's accuracy. oobR2() afterwards covers the newly grown
-     * batch only.
+     * batch only. The new trees are compiled by extending the
+     * current compiled forest; if growing or compiling throws, the
+     * forest keeps its prior trees and compiled forest.
      */
     void warmStart(const Dataset &data, std::size_t extraTrees,
                    std::uint64_t seed);
@@ -92,9 +93,10 @@ class RandomForestRegressor
 
     /**
      * The compiled inference engine for the current ensemble, built
-     * lazily on first use after fit()/warmStart() and invalidated
-     * whenever trees regrow. Thread-safe against concurrent readers;
-     * the reference stays valid until the next (non-const) refit.
+     * by fit()/warmStart() together with the trees (empty, so its
+     * predictions panic, until the forest is trained). Safe for
+     * concurrent readers; the reference stays valid until the next
+     * fit()/warmStart() on this forest.
      */
     const CompiledForest &compiled() const;
 
@@ -103,10 +105,7 @@ class RandomForestRegressor
 
     /** The fitted ensemble (reference path; benches emulate legacy
      *  per-call-allocating inference through this view). */
-    const std::vector<DecisionTreeRegressor> &trees() const
-    {
-        return trees_;
-    }
+    const SharedTrees &trees() const { return trees_; }
 
     /**
      * Out-of-bag R^2 estimate from the most recent fit()/warmStart()
@@ -121,24 +120,21 @@ class RandomForestRegressor
     const ForestConfig &config() const { return config_; }
 
   private:
+    /**
+     * Grow @p count trees on @p data after the current ones, compile
+     * them onto the current compiled forest, and only then publish
+     * trees, compiled forest and OOB R^2 together.
+     */
     void growTrees(const Dataset &data, std::size_t count,
                    std::uint64_t seed);
-    void computeOob(const Dataset &data,
-                    const std::vector<std::vector<std::size_t>> &bags);
-    void invalidateCompiled();
 
     ForestConfig config_;
-    std::vector<DecisionTreeRegressor> trees_;
+    SharedTrees trees_;
     std::size_t featureCount_ = 0;
     double oobR2_ = 0.0;
 
-    /**
-     * Lazily built compiled snapshot, guarded by compiledMu_. Shared
-     * (not deep-copied) across forest copies: a CompiledForest is
-     * immutable once built.
-     */
-    mutable std::shared_ptr<const CompiledForest> compiled_;
-    mutable std::mutex compiledMu_;
+    /** Compiled trees_; null while the forest is untrained. */
+    std::shared_ptr<const CompiledForest> compiled_;
 };
 
 } // namespace ml

@@ -23,16 +23,23 @@ using test::whatOf;
 
 namespace {
 
-/** y = 3x0 + noise on x1 (irrelevant feature). */
+/**
+ * Targets y_k = (k + 3) * x0 + noise, k < @p outputs (y = 3x0 + noise
+ * by default); x1 is an irrelevant feature.
+ */
 Dataset
-linearData(std::size_t n, std::uint64_t seed)
+linearData(std::size_t n, std::uint64_t seed, std::size_t outputs = 1)
 {
     Rng rng(seed);
-    Dataset data(2, 1);
+    Dataset data(2, outputs);
     for (std::size_t i = 0; i < n; ++i) {
         const double x0 = rng.uniform(0.0, 10.0);
         const double x1 = rng.uniform(0.0, 10.0);
-        data.add({x0, x1}, 3.0 * x0 + rng.normal(0.0, 0.05));
+        std::vector<double> y(outputs);
+        for (std::size_t k = 0; k < outputs; ++k)
+            y[k] = (static_cast<double>(k) + 3.0) * x0 +
+                   rng.normal(0.0, 0.05);
+        data.add({x0, x1}, std::move(y));
     }
     return data;
 }
@@ -78,6 +85,17 @@ TEST(Dataset, AppendConcatenates)
     const auto b = linearData(5, 2);
     a.append(b);
     EXPECT_EQ(a.size(), 15u);
+
+    // Appending a dataset to itself doubles it.
+    Dataset d(2, 1);
+    for (int i = 0; i < 3; ++i)
+        d.add({1.0 * i, 2.0 * i}, 3.0 * i);
+    d.append(d);
+    ASSERT_EQ(d.size(), 6u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(d.x(i + 3), d.x(i));
+        EXPECT_EQ(d.y(i + 3), d.y(i));
+    }
 }
 
 // ---- decision tree -----------------------------------------------------------
@@ -125,7 +143,9 @@ TEST(DecisionTree, RespectsMaxDepth)
     DecisionTreeRegressor tree(cfg);
     Rng rng(9);
     tree.fit(linearData(500, 10), rng);
-    EXPECT_LE(tree.depth(), 3u); // root + 2 levels
+    // Root + 2 levels, both filled: 7 nodes, 4 leaves.
+    EXPECT_EQ(tree.depth(), 3u);
+    EXPECT_EQ(tree.nodeCount(), 7u);
 }
 
 TEST(DecisionTree, FeatureGainsIdentifyRelevantFeature)
@@ -153,6 +173,7 @@ TEST(DecisionTree, ConstantTargetGivesSingleLeaf)
     Rng rng(13);
     tree.fit(data, rng);
     EXPECT_EQ(tree.nodeCount(), 1u);
+    EXPECT_EQ(tree.depth(), 1u);
     EXPECT_DOUBLE_EQ(tree.predictScalar({99.0}), 42.0);
 }
 
@@ -334,6 +355,31 @@ randomRows(std::size_t rows, std::size_t features, std::uint64_t seed)
     return X;
 }
 
+/**
+ * @p forest's compiled forest equals a one-shot compile of its trees:
+ * same sizes, and bit-identical predictBatch output on 513 rows.
+ */
+void
+expectMatchesOneShotCompile(const RandomForestRegressor &forest)
+{
+    const CompiledForest &got = forest.compiled();
+    const CompiledForest want(CompiledForest(), forest.trees());
+    EXPECT_EQ(got.treeCount(), forest.treeCount());
+    EXPECT_EQ(got.treeCount(), want.treeCount());
+    EXPECT_EQ(got.nodeCount(), want.nodeCount());
+    EXPECT_EQ(got.leafCount(), want.leafCount());
+
+    const std::size_t rows = 513;
+    const std::size_t o = want.outputCount();
+    ASSERT_EQ(got.outputCount(), o);
+    const auto X = randomRows(rows, 2, 96 + forest.treeCount());
+    std::vector<double> a(rows * o, -1.0), b(rows * o, -2.0);
+    got.predictBatch(X.data(), rows, a.data());
+    want.predictBatch(X.data(), rows, b.data());
+    for (std::size_t i = 0; i < rows * o; ++i)
+        EXPECT_EQ(a[i], b[i]) << "row " << i / o << " output " << i % o;
+}
+
 } // namespace
 
 TEST(CompiledForest, BitIdenticalToReferenceOnRandomInputs)
@@ -363,27 +409,36 @@ TEST(CompiledForest, BitIdenticalToReferenceOnRandomInputs)
 
 TEST(CompiledForest, InvalidatedAndRebuiltAfterWarmStartRegrow)
 {
-    ForestConfig cfg;
-    cfg.nEstimators = 12;
-    RandomForestRegressor forest(cfg);
-    auto data = linearData(250, 83);
-    forest.fit(data, 84);
-    EXPECT_EQ(forest.compiled().treeCount(), 12u);
+    // A warm start extends the compiled forest with its new trees; the
+    // result must equal compiling the whole ensemble in one shot.
+    for (std::size_t outputs : {1u, 2u}) {
+        SCOPED_TRACE("outputs " + std::to_string(outputs));
+        ForestConfig cfg;
+        cfg.nEstimators = 12;
+        RandomForestRegressor forest(cfg);
+        auto data = linearData(250, 83, outputs);
+        forest.fit(data, 84);
+        EXPECT_EQ(forest.compiled().treeCount(), 12u);
+        expectMatchesOneShotCompile(forest);
 
-    data.append(linearData(100, 85));
-    forest.warmStart(data, 6, 86);
-    // The compiled snapshot must track the regrown ensemble, not the
-    // stale 12-tree one.
-    const CompiledForest &compiled = forest.compiled();
-    ASSERT_EQ(compiled.treeCount(), 18u);
+        for (std::uint64_t round = 0; round < 2; ++round) {
+            data.append(linearData(100, 85 + round, outputs));
+            forest.warmStart(data, 6, 86 + round);
+            // The compiled snapshot must track the regrown ensemble,
+            // not the stale one.
+            ASSERT_EQ(forest.compiled().treeCount(), 18 + 6 * round);
+            expectMatchesOneShotCompile(forest);
+        }
 
-    Rng rng(87);
-    for (int i = 0; i < 100; ++i) {
-        const std::vector<double> x = {rng.uniform(0.0, 10.0),
-                                       rng.uniform(0.0, 10.0)};
-        double out = 0.0;
-        compiled.predictInto(x.data(), &out);
-        EXPECT_EQ(out, forest.predict(x)[0]);
+        const CompiledForest &compiled = forest.compiled();
+        Rng rng(87);
+        for (int i = 0; i < 100; ++i) {
+            const std::vector<double> x = {rng.uniform(0.0, 10.0),
+                                           rng.uniform(0.0, 10.0)};
+            std::vector<double> out(outputs);
+            compiled.predictInto(x.data(), out.data());
+            EXPECT_EQ(out, forest.predict(x));
+        }
     }
 }
 
@@ -443,15 +498,36 @@ TEST(CompiledForest, CopiedForestSharesCompiledSnapshot)
     ForestConfig cfg;
     cfg.nEstimators = 8;
     RandomForestRegressor forest(cfg);
-    forest.fit(linearData(150, 94), 95);
+    const auto data = linearData(150, 94);
+    forest.fit(data, 95);
 
-    const RandomForestRegressor copy = forest;
-    const std::vector<double> x = {4.0, 2.0};
-    EXPECT_EQ(copy.compiled().treeCount(), 8u);
-    double a = 0.0, b = 0.0;
-    forest.compiled().predictInto(x.data(), &a);
-    copy.compiled().predictInto(x.data(), &b);
-    EXPECT_EQ(a, b);
+    const std::size_t rows = 64;
+    const auto X = randomRows(rows, 2, 97);
+    std::vector<double> before(rows);
+    forest.compiled().predictBatch(X.data(), rows, before.data());
+    const CompiledForest *snapshot = &forest.compiled();
+
+    // A copy shares the trees and the compiled forest, by pointer.
+    RandomForestRegressor copy = forest;
+    EXPECT_EQ(&copy.compiled(), snapshot);
+    ASSERT_EQ(copy.treeCount(), 8u);
+    for (std::size_t i = 0; i < 8; ++i)
+        EXPECT_EQ(copy.trees()[i].get(), forest.trees()[i].get());
+
+    // Warm-starting the copy keeps the shared trees and leaves the
+    // original as it was.
+    copy.warmStart(data, 4, 98);
+    ASSERT_EQ(copy.treeCount(), 12u);
+    for (std::size_t i = 0; i < 8; ++i)
+        EXPECT_EQ(copy.trees()[i].get(), forest.trees()[i].get());
+    EXPECT_NE(&copy.compiled(), snapshot);
+    EXPECT_EQ(forest.treeCount(), 8u);
+    EXPECT_EQ(&forest.compiled(), snapshot);
+    EXPECT_EQ(forest.compiled().treeCount(), 8u);
+    std::vector<double> after(rows);
+    forest.compiled().predictBatch(X.data(), rows, after.data());
+    EXPECT_EQ(after, before);
+    expectMatchesOneShotCompile(copy);
 }
 
 TEST(CompiledForest, EmptyForestPredictPanics)

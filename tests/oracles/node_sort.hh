@@ -435,7 +435,7 @@ forestMismatch(const ml::RandomForestRegressor &forest,
                " != " + std::to_string(ref.trees().size());
     for (std::size_t t = 0; t < forest.treeCount(); ++t) {
         const std::string diff =
-            treeMismatch(forest.trees()[t], ref.trees()[t]);
+            treeMismatch(*forest.trees()[t], ref.trees()[t]);
         if (!diff.empty())
             return "tree " + std::to_string(t) + " " + diff;
     }
