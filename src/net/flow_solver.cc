@@ -11,25 +11,6 @@ namespace net {
 
 namespace {
 
-/** Binary search the sorted sparse group-share caps for (group, pair);
- *  returns the entry index or -1. */
-int
-findGroupCap(const std::vector<SolverInputs::GroupShareCap> &caps,
-             std::size_t group, std::size_t pair)
-{
-    auto it = std::lower_bound(
-        caps.begin(), caps.end(),
-        std::make_pair(group, pair),
-        [](const SolverInputs::GroupShareCap &c,
-           const std::pair<std::size_t, std::size_t> &key) {
-            return c.group != key.first ? c.group < key.first
-                                        : c.pair < key.second;
-        });
-    if (it == caps.end() || it->group != group || it->pair != pair)
-        return -1;
-    return static_cast<int>(it - caps.begin());
-}
-
 using FillEvent = SolverScratch::FillEvent;
 
 /** The order in which fill events fire: ascending key, flow self-caps
@@ -211,20 +192,6 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
     SolverScratch local;
     SolverScratch &s = scratch != nullptr ? *scratch : local;
 
-    // --- Hoisted group-share lookups --------------------------------------
-    // Each grouped flow's (group, pair) cap entry is needed twice (the
-    // desire pass and the resource build); resolve the binary search
-    // once per flow up front.
-    s.groupCapOfFlow.assign(nf, -1);
-    for (std::size_t f = 0; f < nf; ++f) {
-        if (flows[f].group == kNoFlowGroup)
-            continue;
-        const std::size_t pair =
-            flows[f].srcDc * inputs.dcCount + flows[f].dstDc;
-        s.groupCapOfFlow[f] =
-            findGroupCap(inputs.groupShareCap, flows[f].group, pair);
-    }
-
     // --- Per-VM connection overhead --------------------------------------
     // Total connections terminating at each VM shrink its effective
     // capacities (memory buffers per connection; see SolverConfig).
@@ -244,14 +211,12 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
         if (pair < inputs.tcLimit.size() &&
             inputs.tcLimit[pair] > 0.0)
             desire = std::min(desire, inputs.tcLimit[pair]);
-        const int gc = s.groupCapOfFlow[f];
-        if (gc >= 0 &&
-            inputs.groupShareCap[static_cast<std::size_t>(gc)].cap >
-                0.0)
-            desire = std::min(
-                desire,
-                inputs.groupShareCap[static_cast<std::size_t>(gc)]
-                    .cap);
+        if (spec.shareCap != kNoShareCap) {
+            if (spec.shareCap >= inputs.shareCap.size())
+                panic("solveRates: share-cap index out of range");
+            if (inputs.shareCap[spec.shareCap] > 0.0)
+                desire = std::min(desire, inputs.shareCap[spec.shareCap]);
+        }
         if (spec.srcVm < nvm) {
             s.connsAtVm[spec.srcVm] += c;
             s.desireAtVm[spec.srcVm] += desire;
@@ -288,7 +253,7 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
     s.nicIdx.assign(inputs.vmNicCap.size(), -1);
     s.pathIdx.assign(inputs.pathCap.size(), -1);
     s.tcIdx.assign(inputs.tcLimit.size(), -1);
-    s.groupCapIdx.assign(inputs.groupShareCap.size(), -1);
+    s.shareCapIdx.assign(inputs.shareCap.size(), -1);
     s.resourceCap.clear();
     s.resourceKind.clear();
     s.wsum.clear();
@@ -363,15 +328,12 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
             fr[n++] = touch(s.tcIdx, pair, inputs.tcLimit[pair],
                             Bottleneck::TcLimit, w);
         }
-        const int gc = s.groupCapOfFlow[f];
-        if (gc >= 0) {
-            const auto &entry =
-                inputs.groupShareCap[static_cast<std::size_t>(gc)];
-            if (entry.cap > 0.0) {
-                fr[n++] = touch(s.groupCapIdx,
-                                static_cast<std::size_t>(gc), entry.cap,
-                                Bottleneck::GroupShare, w);
-            }
+        // The desire pass range-checked the share-cap index.
+        if (spec.shareCap != kNoShareCap &&
+            inputs.shareCap[spec.shareCap] > 0.0) {
+            fr[n++] = touch(s.shareCapIdx, spec.shareCap,
+                            inputs.shareCap[spec.shareCap],
+                            Bottleneck::GroupShare, w);
         }
         s.flowResourceCount[f] = static_cast<unsigned char>(n);
     }

@@ -53,8 +53,8 @@ enum class Bottleneck {
     GroupShare,  ///< cross-query allocator share (serve layer)
 };
 
-/** Sentinel for flows that belong to no flow group. */
-constexpr std::size_t kNoFlowGroup = static_cast<std::size_t>(-1);
+/** Sentinel for flows that no share cap binds. */
+constexpr std::size_t kNoShareCap = static_cast<std::size_t>(-1);
 
 /** One transfer bundle presented to the solver. */
 struct FlowSpec
@@ -74,11 +74,11 @@ struct FlowSpec
     Mbps capPerConn = 0.0;
 
     /**
-     * Dense flow-group index (one group per concurrent query in the
-     * serve layer), or kNoFlowGroup. Groups tie a query's flows to
-     * the cross-query share caps in SolverInputs::groupShareCap.
+     * Index of the flow's entry in SolverInputs::shareCap, or
+     * kNoShareCap. Flows naming one entry (one query's flows over one
+     * DC pair in the serve layer) share that entry's cap.
      */
-    std::size_t group = kNoFlowGroup;
+    std::size_t shareCap = kNoShareCap;
 };
 
 /** Per-flow result. */
@@ -118,21 +118,14 @@ struct SolverInputs
     std::vector<Mbps> tcLimit;
 
     /**
-     * Sparse cross-query share caps installed by the serve layer's
-     * BandwidthAllocator: the aggregate rate of one flow group across
-     * one ordered DC pair may not exceed @c cap. Entries must be
-     * sorted by (group, pair) and unique; caps <= 0 are ignored.
-     * This is how one query's WAN share of a contended link is
-     * *divided* away from the others while the ordinary max-min
-     * filling still governs everything inside the share.
+     * Cross-query share caps installed by the serve layer's
+     * BandwidthAllocator: the aggregate rate of the flows naming an
+     * entry (FlowSpec::shareCap) may not exceed its cap; caps <= 0
+     * are ignored. This is how one query's WAN share of a contended
+     * link is *divided* away from the others while the ordinary
+     * max-min filling still governs everything inside the share.
      */
-    struct GroupShareCap
-    {
-        std::size_t group = 0;
-        std::size_t pair = 0;
-        Mbps cap = 0.0;
-    };
-    std::vector<GroupShareCap> groupShareCap;
+    std::vector<Mbps> shareCap;
 };
 
 /** Tunables of the allocation model. */
@@ -219,8 +212,7 @@ struct SolverScratch
     std::vector<int> nicIdx;
     std::vector<int> pathIdx;
     std::vector<int> tcIdx;
-    std::vector<int> groupCapIdx;
-    std::vector<int> groupCapOfFlow;
+    std::vector<int> shareCapIdx;
 
     std::vector<double> weight;
     std::vector<Mbps> selfCap;

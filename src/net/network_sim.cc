@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/error.hh"
 
@@ -94,13 +95,47 @@ NetworkSim::makeTransfer(VmId src, VmId dst, Bytes bytes, int connections,
     t.dstVm = dst;
     t.srcDc = topology_.vm(src).dc;
     t.dstDc = topology_.vm(dst).dc;
+    t.pair = pairs_(t.srcDc, t.dstDc);
     t.connections = connections;
     t.measurement = measurement;
     t.group = group;
+    if (group != 0) {
+        t.groupSlot = groupSlot(group);
+        t.shareCap = shareCapEntry(group, t.pair);
+    }
     t.remaining = measurement ? kInf : bytes;
-    transfers_[t.id] = t;
+    transfers_.push_back(t);
     ratesDirty_ = true;
     return t.id;
+}
+
+const NetworkSim::Transfer *
+NetworkSim::findTransfer(TransferId id) const
+{
+    auto it = std::lower_bound(
+        transfers_.begin(), transfers_.end(), id,
+        [](const Transfer &t, TransferId key) { return t.id < key; });
+    if (it == transfers_.end() || it->id != id || it->stopped)
+        return nullptr;
+    return &*it;
+}
+
+NetworkSim::Transfer *
+NetworkSim::findTransfer(TransferId id)
+{
+    return const_cast<Transfer *>(
+        static_cast<const NetworkSim *>(this)->findTransfer(id));
+}
+
+void
+NetworkSim::dropStopped()
+{
+    transfers_.erase(std::remove_if(transfers_.begin(), transfers_.end(),
+                                    [](const Transfer &t) {
+                                        return t.stopped;
+                                    }),
+                     transfers_.end());
+    stoppedCount_ = 0;
 }
 
 TransferId
@@ -121,11 +156,12 @@ NetworkSim::startMeasurement(VmId src, VmId dst, int connections)
 void
 NetworkSim::stopTransfer(TransferId id)
 {
-    auto it = transfers_.find(id);
-    if (it == transfers_.end())
+    Transfer *t = findTransfer(id);
+    if (t == nullptr)
         return;
-    completed_[id] = it->second;
-    transfers_.erase(it);
+    completed_[id] = *t;
+    t->stopped = true;
+    ++stoppedCount_;
     ratesDirty_ = true;
 }
 
@@ -134,11 +170,11 @@ NetworkSim::setConnections(TransferId id, int connections)
 {
     if (connections < 1)
         fatal("setConnections: connections must be >= 1");
-    auto it = transfers_.find(id);
-    if (it == transfers_.end())
+    Transfer *t = findTransfer(id);
+    if (t == nullptr)
         return;
-    if (it->second.connections != connections) {
-        it->second.connections = connections;
+    if (t->connections != connections) {
+        t->connections = connections;
         ratesDirty_ = true;
     }
 }
@@ -204,6 +240,51 @@ NetworkSim::scenarioRttFactor(DcId src, DcId dst) const
     return scenarioRtt_[topology_.pairIndex(src, dst)];
 }
 
+std::vector<std::size_t>::const_iterator
+NetworkSim::groupPosition(FlowGroupId group) const
+{
+    return std::lower_bound(groupsById_.begin(), groupsById_.end(), group,
+                            [this](std::size_t slot, FlowGroupId key) {
+                                return groups_[slot].id < key;
+                            });
+}
+
+std::size_t
+NetworkSim::findGroupSlot(FlowGroupId group) const
+{
+    auto it = groupPosition(group);
+    if (it == groupsById_.end() || groups_[*it].id != group)
+        return kNoGroupSlot;
+    return *it;
+}
+
+std::size_t
+NetworkSim::groupSlot(FlowGroupId group)
+{
+    auto it = groupPosition(group);
+    if (it != groupsById_.end() && groups_[*it].id == group)
+        return *it;
+    const std::size_t slot = groups_.size();
+    groups_.push_back({group, 1.0});
+    groupsById_.insert(it, slot);
+    return slot;
+}
+
+std::size_t
+NetworkSim::shareCapEntry(FlowGroupId group, std::size_t pair) const
+{
+    auto it = std::lower_bound(
+        shareCaps_.begin(), shareCaps_.end(), std::make_pair(group, pair),
+        [](const GroupPairCap &c,
+           const std::pair<FlowGroupId, std::size_t> &key) {
+            return c.group != key.first ? c.group < key.first
+                                        : c.pair < key.second;
+        });
+    if (it == shareCaps_.end() || it->group != group || it->pair != pair)
+        return kNoShareCap;
+    return static_cast<std::size_t>(it - shareCaps_.begin());
+}
+
 void
 NetworkSim::setGroupWeight(FlowGroupId group, double weight)
 {
@@ -211,60 +292,95 @@ NetworkSim::setGroupWeight(FlowGroupId group, double weight)
         fatal("setGroupWeight: group 0 is ungrouped");
     if (!std::isfinite(weight) || weight <= 0.0)
         fatal("setGroupWeight: weight must be finite and > 0");
-    groups_[group].weight = weight;
-    ratesDirty_ = true;
-    groupsDirty_ = true;
+    GroupSlot &slot = groups_[groupSlot(group)];
+    if (slot.weight != weight) {
+        slot.weight = weight;
+        ratesDirty_ = true;
+    }
 }
 
 void
-NetworkSim::setGroupPairCap(FlowGroupId group, DcId src, DcId dst,
-                            Mbps cap)
+NetworkSim::installShareCaps(const std::vector<GroupPairCap> &caps)
 {
-    if (group == 0)
-        fatal("setGroupPairCap: group 0 is ungrouped");
-    if (!std::isfinite(cap))
-        fatal("setGroupPairCap: cap must be finite");
-    const std::size_t pair = topology_.pairIndex(src, dst);
-    auto lookup = [pair](GroupState &state) {
-        return std::lower_bound(
-            state.pairCap.begin(), state.pairCap.end(), pair,
-            [](const std::pair<std::size_t, Mbps> &e,
-               std::size_t key) { return e.first < key; });
-    };
-    if (cap > 0.0) {
-        GroupState &state = groups_[group];
-        auto it = lookup(state);
-        if (it != state.pairCap.end() && it->first == pair)
-            it->second = cap;
-        else
-            state.pairCap.insert(it, {pair, cap});
-    } else {
-        auto git = groups_.find(group);
-        if (git == groups_.end())
-            return;
-        auto it = lookup(git->second);
-        if (it != git->second.pairCap.end() && it->first == pair)
-            git->second.pairCap.erase(it);
+    // Validate every entry before touching the table, so a rejected
+    // install leaves the previous one in force.
+    for (std::size_t e = 0; e < caps.size(); ++e) {
+        const GroupPairCap &c = caps[e];
+        if (c.group == 0)
+            fatal("installShareCaps: group 0 is ungrouped");
+        if (!std::isfinite(c.cap))
+            fatal("installShareCaps: cap must be finite");
+        if (c.pair >= pairs_.size())
+            panic("installShareCaps: pair index out of range");
+        if (e > 0 && (caps[e - 1].group > c.group ||
+                      (caps[e - 1].group == c.group &&
+                       caps[e - 1].pair >= c.pair)))
+            panic("installShareCaps: caps not sorted by (group, pair) "
+                  "and unique");
     }
+    // An allocator re-installs every round; an unchanged table (an
+    // idle round, say) leaves the rates as they are.
+    if (caps.size() == shareCaps_.size() &&
+        std::equal(caps.begin(), caps.end(), shareCaps_.begin(),
+                   [](const GroupPairCap &a, const GroupPairCap &b) {
+                       return a.group == b.group && a.pair == b.pair &&
+                              a.cap == b.cap;
+                   }))
+        return;
+    shareCaps_ = caps;
+    shareCapsDirty_ = true;
     ratesDirty_ = true;
-    groupsDirty_ = true;
 }
 
 void
 NetworkSim::clearGroupAllocations(FlowGroupId group)
 {
-    if (groups_.erase(group) > 0) {
+    const std::size_t slot = findGroupSlot(group);
+    if (slot != kNoGroupSlot && groups_[slot].weight != 1.0) {
+        groups_[slot].weight = 1.0;
         ratesDirty_ = true;
-        groupsDirty_ = true;
     }
+    // The table is group-major, so the group's caps are one run.
+    auto first = std::lower_bound(
+        shareCaps_.begin(), shareCaps_.end(), group,
+        [](const GroupPairCap &c, FlowGroupId key) {
+            return c.group < key;
+        });
+    auto last = first;
+    while (last != shareCaps_.end() && last->group == group)
+        ++last;
+    if (first != last) {
+        shareCaps_.erase(first, last);
+        shareCapsDirty_ = true;
+        ratesDirty_ = true;
+    }
+}
+
+std::size_t
+NetworkSim::registeredGroupCount() const
+{
+    // Weighted groups, plus the table's groups (one run each) that
+    // hold no weight.
+    std::size_t count = 0;
+    for (const GroupSlot &g : groups_)
+        count += g.weight != 1.0 ? 1 : 0;
+    for (std::size_t e = 0; e < shareCaps_.size(); ++e) {
+        const FlowGroupId g = shareCaps_[e].group;
+        if (e > 0 && shareCaps_[e - 1].group == g)
+            continue;
+        const std::size_t slot = findGroupSlot(g);
+        if (slot == kNoGroupSlot || groups_[slot].weight == 1.0)
+            ++count;
+    }
+    return count;
 }
 
 Mbps
 NetworkSim::groupRate(FlowGroupId group) const
 {
     Mbps total = 0.0;
-    for (const auto &[id, t] : transfers_) {
-        if (t.group == group)
+    for (const Transfer &t : transfers_) {
+        if (t.group == group && !t.stopped)
             total += t.rate;
     }
     return total;
@@ -274,8 +390,8 @@ Bytes
 NetworkSim::groupPendingBytes(FlowGroupId group) const
 {
     Bytes total = 0.0;
-    for (const auto &[id, t] : transfers_) {
-        if (t.group == group && !t.measurement)
+    for (const Transfer &t : transfers_) {
+        if (t.group == group && !t.measurement && !t.stopped)
             total += t.remaining;
     }
     return total;
@@ -285,8 +401,8 @@ std::size_t
 NetworkSim::groupTransferCount(FlowGroupId group) const
 {
     std::size_t count = 0;
-    for (const auto &[id, t] : transfers_) {
-        if (t.group == group)
+    for (const Transfer &t : transfers_) {
+        if (t.group == group && !t.stopped)
             ++count;
     }
     return count;
@@ -310,26 +426,22 @@ NetworkSim::rebuildPairWeights()
 }
 
 void
-NetworkSim::rebuildGroupInputs()
+NetworkSim::refreshShareCaps()
 {
-    // Allocator state: groups_ keys map to dense solver indices in
-    // ascending id order (deterministic), and each group's sparse
-    // share caps land pre-sorted by (group, pair) because the map
-    // iterates in key order and each cap vector is kept sorted.
-    denseGroup_.clear();
-    inputs_.groupShareCap.clear();
-    for (const auto &[g, state] : groups_) {
-        const std::size_t dense = denseGroup_.size();
-        denseGroup_.emplace(g, dense);
-        for (const auto &[pair, cap] : state.pairCap)
-            inputs_.groupShareCap.push_back({dense, pair, cap});
-    }
-    groupsDirty_ = false;
+    inputs_.shareCap.resize(shareCaps_.size());
+    for (std::size_t e = 0; e < shareCaps_.size(); ++e)
+        inputs_.shareCap[e] = shareCaps_[e].cap;
+    for (Transfer &t : transfers_)
+        if (t.group != 0)
+            t.shareCap = shareCapEntry(t.group, t.pair);
+    shareCapsDirty_ = false;
 }
 
 void
 NetworkSim::resolveRates()
 {
+    if (stoppedCount_ > 0)
+        dropStopped();
     if (config_.referenceSolverInputs) {
         resolveRatesReference();
         return;
@@ -355,40 +467,35 @@ NetworkSim::resolveRates()
         inputs_.pathCap[pairs_(i, i)] = basePathCap_[pairs_(i, i)];
     inputs_.tcLimit = tcLimits_;
 
-    if (groupsDirty_)
-        rebuildGroupInputs();
+    if (shareCapsDirty_)
+        refreshShareCaps();
     if (weightsDirty_)
         rebuildPairWeights();
 
-    specs_.clear();
-    specs_.reserve(transfers_.size());
-    for (const auto &[id, t] : transfers_) {
-        FlowSpec spec;
+    // Flows go to the solver in ascending id, the order that numbers
+    // its resources. An unweighted group's slot holds weight 1, and
+    // x * 1 == x, so every grouped flow takes its slot's weight.
+    specs_.resize(transfers_.size());
+    for (std::size_t i = 0; i < transfers_.size(); ++i) {
+        const Transfer &t = transfers_[i];
+        FlowSpec &spec = specs_[i];
         spec.srcVm = t.srcVm;
         spec.dstVm = t.dstVm;
         spec.srcDc = t.srcDc;
         spec.dstDc = t.dstDc;
         spec.connections = t.connections;
-        const std::size_t pair = pairs_(t.srcDc, t.dstDc);
-        spec.weightPerConn = pairWeight_[pair];
-        spec.capPerConn = connCapFlat_[pair];
-        if (t.group != 0) {
-            auto g = groups_.find(t.group);
-            if (g != groups_.end()) {
-                spec.weightPerConn *= g->second.weight;
-                spec.group = denseGroup_.at(t.group);
-            }
-        }
-        specs_.push_back(spec);
+        spec.weightPerConn = pairWeight_[t.pair];
+        spec.capPerConn = connCapFlat_[t.pair];
+        spec.shareCap = t.shareCap;
+        if (t.groupSlot != kNoGroupSlot)
+            spec.weightPerConn *= groups_[t.groupSlot].weight;
     }
 
     const auto rates =
         solveRates(specs_, inputs_, config_.solver, &solverScratch_);
-    std::size_t i = 0;
-    for (auto &[id, t] : transfers_) {
-        t.rate = rates[i].rate;
-        t.bottleneck = rates[i].bottleneck;
-        ++i;
+    for (std::size_t i = 0; i < transfers_.size(); ++i) {
+        transfers_[i].rate = rates[i].rate;
+        transfers_[i].bottleneck = rates[i].bottleneck;
     }
     ratesDirty_ = false;
 }
@@ -396,11 +503,11 @@ NetworkSim::resolveRates()
 void
 NetworkSim::resolveRatesReference()
 {
-    // The pre-flat input builder, preserved verbatim: fresh map-keyed
-    // structures and matrix accessors every call. resolveRates() must
-    // stay bit-identical to this (net_test asserts it on the 8-DC
-    // golden mesh); bench_perf_mesh_scale times the two against each
-    // other.
+    // The pre-flat input builder: fresh map-keyed structures (group
+    // weights and share-cap entries included) and matrix accessors
+    // every call. resolveRates() must stay bit-identical to this
+    // (net_test asserts it on the 8-DC golden mesh);
+    // bench_perf_mesh_scale times the two against each other.
     const std::size_t n = topology_.dcCount();
 
     SolverInputs inputs;
@@ -427,19 +534,19 @@ NetworkSim::resolveRatesReference()
     }
     inputs.tcLimit = tcLimits_;
 
-    std::map<FlowGroupId, std::size_t> denseGroup;
-    for (const auto &[g, state] : groups_) {
-        const std::size_t dense = denseGroup.size();
-        denseGroup.emplace(g, dense);
-        for (const auto &[pair, cap] : state.pairCap)
-            inputs.groupShareCap.push_back({dense, pair, cap});
+    std::map<FlowGroupId, double> groupWeight;
+    for (const GroupSlot &g : groups_)
+        groupWeight.emplace(g.id, g.weight);
+    std::map<std::pair<FlowGroupId, std::size_t>, std::size_t> capEntry;
+    for (std::size_t e = 0; e < shareCaps_.size(); ++e) {
+        capEntry.emplace(
+            std::make_pair(shareCaps_[e].group, shareCaps_[e].pair), e);
+        inputs.shareCap.push_back(shareCaps_[e].cap);
     }
 
     std::vector<FlowSpec> specs;
-    std::vector<TransferId> order;
     specs.reserve(transfers_.size());
-    order.reserve(transfers_.size());
-    for (const auto &[id, t] : transfers_) {
+    for (const Transfer &t : transfers_) {
         FlowSpec spec;
         spec.srcVm = t.srcVm;
         spec.dstVm = t.dstVm;
@@ -454,21 +561,21 @@ NetworkSim::resolveRatesReference()
             topology_.routeQuality(t.srcDc, t.dstDc) / (rtt * rtt);
         spec.capPerConn = topology_.connCap(t.srcDc, t.dstDc);
         if (t.group != 0) {
-            auto g = groups_.find(t.group);
-            if (g != groups_.end()) {
-                spec.weightPerConn *= g->second.weight;
-                spec.group = denseGroup.at(t.group);
-            }
+            auto w = groupWeight.find(t.group);
+            if (w != groupWeight.end())
+                spec.weightPerConn *= w->second;
+            auto e = capEntry.find(std::make_pair(
+                t.group, topology_.pairIndex(t.srcDc, t.dstDc)));
+            if (e != capEntry.end())
+                spec.shareCap = e->second;
         }
         specs.push_back(spec);
-        order.push_back(id);
     }
 
     const auto rates = solveRates(specs, inputs, config_.solver);
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        Transfer &t = transfers_[order[i]];
-        t.rate = rates[i].rate;
-        t.bottleneck = rates[i].bottleneck;
+    for (std::size_t i = 0; i < transfers_.size(); ++i) {
+        transfers_[i].rate = rates[i].rate;
+        transfers_[i].bottleneck = rates[i].bottleneck;
     }
     ratesDirty_ = false;
 }
@@ -477,7 +584,7 @@ Seconds
 NetworkSim::nextCompletionIn() const
 {
     Seconds best = kInf;
-    for (const auto &[id, t] : transfers_) {
+    for (const Transfer &t : transfers_) {
         if (t.measurement)
             continue;
         if (t.remaining <= kByteEps)
@@ -496,26 +603,33 @@ NetworkSim::progress(Seconds dt)
     // byte counters already reached zero.
     if (dt < 0.0)
         panic("progress: negative dt");
-    std::vector<TransferId> finished;
-    for (auto &[id, t] : transfers_) {
+    // Rates come from a resolve, which drops stopped transfers first.
+    if (stoppedCount_ > 0)
+        panic("progress: stopped transfers outlived the resolve");
+    // One stable pass moves bytes and compacts finished transfers
+    // away, recording their completions in ascending id.
+    now_ += dt;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < transfers_.size(); ++i) {
+        Transfer &t = transfers_[i];
         const Bytes moved = units::bytesAtRate(t.rate, dt);
         t.moved += moved;
-        pairBytes_[pairs_(t.srcDc, t.dstDc)] += moved;
+        pairBytes_[t.pair] += moved;
         if (!t.measurement) {
             t.remaining -= moved;
-            if (t.remaining <= kByteEps)
-                finished.push_back(id);
+            if (t.remaining <= kByteEps) {
+                t.remaining = 0.0;
+                completed_[t.id] = t;
+                completions_.push_back({t.id, now_});
+                ratesDirty_ = true;
+                continue;
+            }
         }
+        if (kept != i)
+            transfers_[kept] = t;
+        ++kept;
     }
-    now_ += dt;
-    for (TransferId id : finished) {
-        auto it = transfers_.find(id);
-        it->second.remaining = 0.0;
-        completed_[id] = it->second;
-        completions_.push_back({id, now_});
-        transfers_.erase(it);
-        ratesDirty_ = true;
-    }
+    transfers_.resize(kept);
 }
 
 void
@@ -584,8 +698,8 @@ NetworkSim::runUntilAllComplete(Seconds maxTime)
 bool
 NetworkSim::allTransfersDone() const
 {
-    for (const auto &[id, t] : transfers_) {
-        if (!t.measurement)
+    for (const Transfer &t : transfers_) {
+        if (!t.measurement && !t.stopped)
             return false;
     }
     return true;
@@ -603,9 +717,8 @@ TransferStatus
 NetworkSim::status(TransferId id) const
 {
     TransferStatus st;
-    auto it = transfers_.find(id);
-    if (it != transfers_.end()) {
-        const Transfer &t = it->second;
+    if (const Transfer *active = findTransfer(id)) {
+        const Transfer &t = *active;
         st.exists = true;
         st.done = false;
         st.bytesMoved = t.moved;
@@ -632,20 +745,20 @@ NetworkSim::status(TransferId id) const
 Mbps
 NetworkSim::transferRate(TransferId id) const
 {
-    auto it = transfers_.find(id);
-    if (it == transfers_.end())
+    const Transfer *t = findTransfer(id);
+    if (t == nullptr)
         return 0.0;
     if (ratesDirty_)
         panic("transferRate: rates are stale; advance first");
-    return it->second.rate;
+    return t->rate;
 }
 
 Mbps
 NetworkSim::pairRate(DcId src, DcId dst) const
 {
     Mbps total = 0.0;
-    for (const auto &[id, t] : transfers_) {
-        if (t.srcDc == src && t.dstDc == dst)
+    for (const Transfer &t : transfers_) {
+        if (t.srcDc == src && t.dstDc == dst && !t.stopped)
             total += t.rate;
     }
     return total;
@@ -662,8 +775,9 @@ NetworkSim::pairRateMatrix() const
 {
     const std::size_t n = topology_.dcCount();
     Matrix<Mbps> m = Matrix<Mbps>::square(n, 0.0);
-    for (const auto &[id, t] : transfers_)
-        m.at(t.srcDc, t.dstDc) += t.rate;
+    for (const Transfer &t : transfers_)
+        if (!t.stopped)
+            m.at(t.srcDc, t.dstDc) += t.rate;
     return m;
 }
 
@@ -672,11 +786,10 @@ NetworkSim::pairRetransScore(DcId src, DcId dst) const
 {
     double demand = 0.0;
     double served = 0.0;
-    for (const auto &[id, t] : transfers_) {
-        if (t.srcDc != src || t.dstDc != dst)
+    for (const Transfer &t : transfers_) {
+        if (t.srcDc != src || t.dstDc != dst || t.stopped)
             continue;
-        demand += bundleCap(t.connections,
-                            topology_.connCap(t.srcDc, t.dstDc),
+        demand += bundleCap(t.connections, connCapFlat_[t.pair],
                             config_.solver);
         served += t.rate;
     }
@@ -688,20 +801,22 @@ NetworkSim::pairRetransScore(DcId src, DcId dst) const
 Mbps
 NetworkSim::effectivePathCap(DcId src, DcId dst) const
 {
+    if (src >= pairs_.dcCount() || dst >= pairs_.dcCount())
+        panic("effectivePathCap: DC out of range");
+    const std::size_t pair = pairs_(src, dst);
     if (src == dst)
-        return topology_.pathCap(src, dst);
-    const std::size_t pair = topology_.pairIndex(src, dst);
-    return topology_.pathCap(src, dst) *
-           fluctuation_.multiplier(pair) * scenarioCap_[pair];
+        return basePathCap_[pair];
+    return basePathCap_[pair] * fluctuation_.multipliers()[pair] *
+           scenarioCap_[pair];
 }
 
 std::vector<TransferId>
 NetworkSim::transfersBetween(DcId src, DcId dst) const
 {
     std::vector<TransferId> ids;
-    for (const auto &[id, t] : transfers_) {
-        if (t.srcDc == src && t.dstDc == dst)
-            ids.push_back(id);
+    for (const Transfer &t : transfers_) {
+        if (t.srcDc == src && t.dstDc == dst && !t.stopped)
+            ids.push_back(t.id);
     }
     return ids;
 }
@@ -710,8 +825,9 @@ Bytes
 NetworkSim::pendingBytesBetween(DcId src, DcId dst) const
 {
     Bytes total = 0.0;
-    for (const auto &[id, t] : transfers_) {
-        if (t.srcDc == src && t.dstDc == dst && !t.measurement)
+    for (const Transfer &t : transfers_) {
+        if (t.srcDc == src && t.dstDc == dst && !t.measurement &&
+            !t.stopped)
             total += t.remaining;
     }
     return total;
@@ -721,8 +837,8 @@ int
 NetworkSim::totalConnectionsAtVm(VmId vm) const
 {
     int total = 0;
-    for (const auto &[id, t] : transfers_) {
-        if (t.srcVm == vm || t.dstVm == vm)
+    for (const Transfer &t : transfers_) {
+        if ((t.srcVm == vm || t.dstVm == vm) && !t.stopped)
             total += t.connections;
     }
     return total;

@@ -42,6 +42,18 @@ using TransferId = std::uint64_t;
  */
 using FlowGroupId = std::uint64_t;
 
+/**
+ * One cross-query share cap: the aggregate rate of @c group's
+ * transfers across ordered pair @c pair (PairIndex layout) may not
+ * exceed @c cap. A cap <= 0 binds nothing.
+ */
+struct GroupPairCap
+{
+    FlowGroupId group = 0;
+    std::size_t pair = 0;
+    Mbps cap = 0.0;
+};
+
 /** A transfer completion event. */
 struct CompletionRecord
 {
@@ -141,10 +153,11 @@ class NetworkSim
     // --- flow registry (cross-query WAN sharing) ---------------------------
     //
     // The serve layer's BandwidthAllocator divides each contended
-    // pair's capacity among active queries by installing per-(group,
-    // pair) share caps — enforced inside the flow solver as first-
-    // class resources (Bottleneck::GroupShare) — and may bias the
-    // weighted max-min filling itself through per-group weights.
+    // pair's capacity among active queries by installing a table of
+    // per-(group, pair) share caps — enforced inside the flow solver
+    // as first-class resources (Bottleneck::GroupShare) — and may
+    // bias the weighted max-min filling itself through per-group
+    // weights.
 
     /**
      * Fair-share weight multiplier for every flow of @p group (> 0,
@@ -155,16 +168,22 @@ class NetworkSim
     void setGroupWeight(FlowGroupId group, double weight);
 
     /**
-     * Cap the aggregate rate of @p group across ordered pair
-     * (src, dst) at @p cap Mbps; cap <= 0 removes the cap. The cap
-     * becomes a dedicated solver resource, so the group's flows
-     * share *their* allocation max-min among themselves while other
-     * groups compete only for the remainder.
+     * Replace the whole share-cap table with @p caps, which must be
+     * sorted by (group, pair) and unique, with non-zero groups and
+     * finite caps; a cap left out of @p caps is gone. Each cap
+     * becomes a dedicated solver resource, so a group's flows on the
+     * pair share *their* allocation max-min among themselves while
+     * other groups compete only for the remainder.
      */
-    void setGroupPairCap(FlowGroupId group, DcId src, DcId dst,
-                         Mbps cap);
+    void installShareCaps(const std::vector<GroupPairCap> &caps);
 
-    /** Drop every weight and share cap registered for @p group. */
+    /** The installed share-cap table, in (group, pair) order. */
+    const std::vector<GroupPairCap> &shareCaps() const
+    {
+        return shareCaps_;
+    }
+
+    /** Drop @p group's weight and its entries of the share-cap table. */
     void clearGroupAllocations(FlowGroupId group);
 
     /** Instantaneous aggregate rate of a group's transfers. */
@@ -176,8 +195,8 @@ class NetworkSim
     /** Active transfers (finite + measurement) tagged with @p group. */
     std::size_t groupTransferCount(FlowGroupId group) const;
 
-    /** Groups with registered weights or share caps. */
-    std::size_t registeredGroupCount() const { return groups_.size(); }
+    /** Groups with a weight other than 1 or at least one share cap. */
+    std::size_t registeredGroupCount() const;
 
     // --- time -------------------------------------------------------------
 
@@ -233,9 +252,15 @@ class NetworkSim
     Bytes pendingBytesBetween(DcId src, DcId dst) const;
 
     /** Number of active transfers (finite + measurement). */
-    std::size_t activeTransferCount() const { return transfers_.size(); }
+    std::size_t activeTransferCount() const
+    {
+        return transfers_.size() - stoppedCount_;
+    }
 
   private:
+    static constexpr std::size_t kNoGroupSlot =
+        static_cast<std::size_t>(-1);
+
     struct Transfer
     {
         TransferId id = 0;
@@ -243,22 +268,27 @@ class NetworkSim
         VmId dstVm = 0;
         DcId srcDc = 0;
         DcId dstDc = 0;
+        std::size_t pair = 0; ///< pairs_(srcDc, dstDc)
         int connections = 1;
         bool measurement = false;
+
+        /** Stopped, awaiting removal by the next resolve. */
+        bool stopped = false;
+
         FlowGroupId group = 0;
+        std::size_t groupSlot = kNoGroupSlot; ///< groups_ slot
+        std::size_t shareCap = kNoShareCap;   ///< shareCaps_ entry
         Bytes remaining = 0.0;
         Bytes moved = 0.0;
         Mbps rate = 0.0;
         Bottleneck bottleneck = Bottleneck::None;
     };
 
-    /** Allocator state for one flow group (see setGroupWeight). */
-    struct GroupState
+    /** One flow group's slot in the group table (see setGroupWeight). */
+    struct GroupSlot
     {
+        FlowGroupId id = 0;
         double weight = 1.0;
-
-        /** Share caps as (pair index, cap), sorted by pair. */
-        std::vector<std::pair<std::size_t, Mbps>> pairCap;
     };
 
     /** Recompute rates for the current flow set. */
@@ -270,8 +300,29 @@ class NetworkSim
     /** Refresh pairWeight_ from the scenario RTT factors. */
     void rebuildPairWeights();
 
-    /** Refresh denseGroup_ + the solver's sparse group share caps. */
-    void rebuildGroupInputs();
+    /** Re-point every transfer at its share-cap entry and copy the
+     *  caps into the solver inputs. */
+    void refreshShareCaps();
+
+    /** Drop stopped transfers in one stable pass. */
+    void dropStopped();
+
+    /** The active transfer with @p id, or nullptr. */
+    const Transfer *findTransfer(TransferId id) const;
+    Transfer *findTransfer(TransferId id);
+
+    /** Where @p group's slot is, or would go, in groupsById_. */
+    std::vector<std::size_t>::const_iterator
+    groupPosition(FlowGroupId group) const;
+
+    /** The slot of @p group, or kNoGroupSlot. */
+    std::size_t findGroupSlot(FlowGroupId group) const;
+
+    /** The slot of @p group, appended on first use. */
+    std::size_t groupSlot(FlowGroupId group);
+
+    /** The share-cap entry of (group, pair), or kNoShareCap. */
+    std::size_t shareCapEntry(FlowGroupId group, std::size_t pair) const;
 
     /** Earliest finite-transfer completion horizon at current rates. */
     Seconds nextCompletionIn() const;
@@ -297,9 +348,24 @@ class NetworkSim
     TransferId nextId_ = 1;
     bool ratesDirty_ = true;
 
-    std::map<TransferId, Transfer> transfers_;
+    /**
+     * Active transfers in ascending id. Ids rise with every start, so
+     * a start appends and a lookup binary-searches; a stop only marks
+     * its entry (stoppedCount_ counts them) and the next resolve drops
+     * the marked ones, so stopping a whole mesh stays linear.
+     * Completions leave in progress()'s stable pass.
+     */
+    std::vector<Transfer> transfers_;
+    std::size_t stoppedCount_ = 0;
     std::map<TransferId, Transfer> completed_;
-    std::map<FlowGroupId, GroupState> groups_;
+
+    /** The group table: one slot per group ever named, never moved,
+     *  so a transfer keeps the slot it recorded at its start. */
+    std::vector<GroupSlot> groups_;
+    std::vector<std::size_t> groupsById_; ///< slots by ascending id
+
+    /** Installed share caps, sorted by (group, pair). */
+    std::vector<GroupPairCap> shareCaps_;
     std::vector<CompletionRecord> completions_;
     std::vector<Mbps> tcLimits_;      ///< per ordered pair; <=0 = none
     std::vector<double> scenarioCap_; ///< per ordered pair; default 1
@@ -319,8 +385,7 @@ class NetworkSim
     std::vector<Mbps> vmWanCap_;       ///< per-VM WAN cap, unwobbled
     std::vector<Mbps> vmNicCap_;       ///< per-VM NIC cap, unwobbled
     bool weightsDirty_ = true;         ///< pairWeight_ needs rebuild
-    bool groupsDirty_ = true;          ///< group share caps changed
-    std::map<FlowGroupId, std::size_t> denseGroup_;
+    bool shareCapsDirty_ = false;      ///< share-cap table changed
     SolverInputs inputs_;
     SolverScratch solverScratch_;
     std::vector<FlowSpec> specs_;

@@ -72,51 +72,59 @@ BandwidthAllocator::waterFill(Mbps capacity, Claim *claims,
     }
 }
 
-Allocation
+const Allocation &
 BandwidthAllocator::allocate(net::NetworkSim &sim,
                              const std::vector<QueryDemand> &demands)
 {
-    const net::Topology &topo = sim.topology();
-    Allocation out;
+    const net::PairIndex pairs(sim.topology().dcCount());
 
     // Queries arrive sorted by group; the per-pair claim lists below
     // inherit that order, so ties in the water-fill resolve the same
-    // way every round and every run.
+    // way every round and every run, and the installed table comes
+    // out group-major.
     for (std::size_t q = 1; q < demands.size(); ++q)
         if (demands[q - 1].group >= demands[q].group)
             panic("BandwidthAllocator: demands not sorted by group");
 
-    // Group weights steer the solver's organic filling between
-    // allocation rounds (new flows join mid-epoch); the caps bound
-    // each query's aggregate per pair. Both express the same policy.
+    // Validate, and count the demanding queries per ordered pair —
+    // counting sort into one flat claim array instead of a
+    // node-per-pair map, so the scan is contiguous and the steady
+    // state allocates nothing.
+    const std::size_t pairCount = pairs.size();
+    claimCount_.assign(pairCount, 0);
+    touched_.clear();
+    std::size_t total = 0;
     for (const QueryDemand &q : demands) {
         if (q.group == 0)
             fatal("BandwidthAllocator: group 0 is reserved");
         if (!(q.weight > 0.0) || !std::isfinite(q.weight))
             fatal("BandwidthAllocator: weight must be positive");
-        sim.setGroupWeight(q.group,
-                           policy_ == AllocPolicy::WeightedPriority
-                               ? q.weight
-                               : 1.0);
-        out.planningShare[q.group] = 1.0;
-    }
-
-    // Collect the demanding queries per ordered pair — counting sort
-    // into one flat claim array instead of a node-per-pair map, so
-    // the scan is contiguous and the steady state allocates nothing.
-    const std::size_t pairCount = topo.pairCount();
-    claimCount_.assign(pairCount, 0);
-    touched_.clear();
-    std::size_t total = 0;
-    for (const QueryDemand &q : demands) {
-        for (const PairDemand &p : q.pairs) {
+        for (std::size_t k = 0; k < q.pairs.size(); ++k) {
+            const PairDemand &p = q.pairs[k];
             if (p.pair >= pairCount)
                 panic("BandwidthAllocator: pair index out of range");
+            // A repeated pair would count the query twice in that
+            // pair's water-fill.
+            if (k > 0 && q.pairs[k - 1].pair >= p.pair)
+                panic("BandwidthAllocator: pairs not sorted and unique");
+            if (std::isnan(p.demand))
+                fatal("BandwidthAllocator: demand must not be NaN");
             if (claimCount_[p.pair]++ == 0)
                 touched_.push_back(p.pair);
             ++total;
         }
     }
+
+    // Group weights steer the solver's organic filling between
+    // allocation rounds (new flows join mid-epoch); the caps bound
+    // each query's aggregate per pair. Both express the same policy.
+    round_.planningShare.assign(demands.size(), 1.0);
+    for (const QueryDemand &q : demands)
+        sim.setGroupWeight(q.group,
+                           policy_ == AllocPolicy::WeightedPriority
+                               ? q.weight
+                               : 1.0);
+
     // Ascending pair order — the iteration order the map-keyed scan
     // had, so installed caps and planning shares are bit-identical.
     std::sort(touched_.begin(), touched_.end());
@@ -127,62 +135,59 @@ BandwidthAllocator::allocate(net::NetworkSim &sim,
         running += static_cast<std::size_t>(claimCount_[pair]);
     }
     claims_.resize(total);
-    for (const QueryDemand &q : demands) {
-        const double w =
-            policy_ == AllocPolicy::WeightedPriority ? q.weight : 1.0;
-        for (const PairDemand &p : q.pairs)
-            claims_[claimSlot_[p.pair]++] = {q.group, w, p.demand,
-                                             0.0, false};
+    for (std::size_t q = 0; q < demands.size(); ++q) {
+        const double w = policy_ == AllocPolicy::WeightedPriority
+                             ? demands[q].weight
+                             : 1.0;
+        for (const PairDemand &p : demands[q].pairs)
+            claims_[claimSlot_[p.pair]++] = {q, w, p.demand, 0.0, false};
     }
 
-    // Water-fill the contended pairs and install the shares; record
-    // which caps each group now holds so stale ones can be retired.
-    // claimSlot_ now points one past each pair's span.
-    std::map<net::FlowGroupId, std::vector<std::size_t>> fresh;
+    // Water-fill the contended pairs, keeping them in touched_, and
+    // count each query's grants. claimSlot_ now points one past each
+    // pair's span.
+    capSlot_.assign(demands.size() + 1, 0);
+    std::size_t filled = 0;
     for (const std::size_t pair : touched_) {
         const std::size_t count =
             static_cast<std::size_t>(claimCount_[pair]);
         if (count < 2)
             continue; // sole demander keeps whole-link behavior
 
-        const net::DcId src = pair / topo.dcCount();
-        const net::DcId dst = pair % topo.dcCount();
-        const Mbps capacity = sim.effectivePathCap(src, dst);
+        const Mbps capacity =
+            sim.effectivePathCap(pairs.src(pair), pairs.dst(pair));
         if (capacity <= 0.0)
             continue; // outage: the solver starves the pair anyway
 
         Claim *claims = claims_.data() + (claimSlot_[pair] - count);
         waterFill(capacity, claims, count);
-        ++out.cappedPairs;
+        touched_[filled++] = pair;
         for (std::size_t k = 0; k < count; ++k) {
             const Claim &c = claims[k];
-            sim.setGroupPairCap(c.group, src, dst, c.granted);
-            fresh[c.group].push_back(pair);
-            ++out.installedCaps;
-            auto it = out.planningShare.find(c.group);
-            it->second =
-                std::min(it->second, c.granted / capacity);
+            ++capSlot_[c.query + 1];
+            round_.planningShare[c.query] = std::min(
+                round_.planningShare[c.query], c.granted / capacity);
         }
     }
+    touched_.resize(filled);
+    round_.cappedPairs = filled;
 
-    // Retire caps installed in earlier rounds that this round did not
-    // renew — the pair went uncontended or the query left it. Both
-    // pair lists are ascending (emitted in touched order), so the
-    // membership check is a binary search, not a linear scan.
-    for (const auto &[group, pairs] : installed_) {
-        const auto now = fresh.find(group);
-        for (const std::size_t pair : pairs) {
-            const bool kept =
-                now != fresh.end() &&
-                std::binary_search(now->second.begin(),
-                                   now->second.end(), pair);
-            if (!kept)
-                sim.setGroupPairCap(group, pair / topo.dcCount(),
-                                    pair % topo.dcCount(), 0.0);
-        }
+    // Scatter the grants group-major: each query's run starts at its
+    // prefix offset and fills in ascending pair order.
+    for (std::size_t q = 1; q <= demands.size(); ++q)
+        capSlot_[q] += capSlot_[q - 1];
+    round_.installedCaps = capSlot_[demands.size()];
+    caps_.resize(round_.installedCaps);
+    for (const std::size_t pair : touched_) {
+        const std::size_t count =
+            static_cast<std::size_t>(claimCount_[pair]);
+        const Claim *claims = claims_.data() + (claimSlot_[pair] - count);
+        for (std::size_t k = 0; k < count; ++k)
+            caps_[capSlot_[claims[k].query]++] = {
+                demands[claims[k].query].group, pair, claims[k].granted};
     }
-    installed_ = std::move(fresh);
-    return out;
+    sim.installShareCaps(caps_);
+    return round_;
 }
 
 void
@@ -190,7 +195,6 @@ BandwidthAllocator::release(net::NetworkSim &sim,
                             net::FlowGroupId group)
 {
     sim.clearGroupAllocations(group);
-    installed_.erase(group);
 }
 
 } // namespace serve

@@ -9,9 +9,9 @@
  * query is currently shuffling over, and at what rate it could usefully
  * consume), water-fills each contended pair's effective capacity among
  * the demanding queries, and installs the resulting shares on the
- * shared NetworkSim through the flow-registry hooks: per-(group, pair)
- * share caps — first-class solver resources — plus per-group fair-share
- * weights.
+ * shared NetworkSim through the flow-registry hooks: one table of
+ * per-(group, pair) share caps — first-class solver resources — that
+ * replaces the previous round's, plus per-group fair-share weights.
  *
  * Two policies:
  *  - MaxMinFair: every demanding query weighs 1; the water-fill is the
@@ -20,18 +20,17 @@
  *    weight (its priority class), so a weight-4 query gets 4x the share
  *    of a weight-1 query wherever they contend.
  *
- * Caps are installed only on *contended* pairs (two or more demanding
- * queries, or aggregate demand above capacity): an uncontended query
- * keeps whole-link behavior at zero solver cost, which keeps the flow
- * solver's resource count proportional to actual contention rather
- * than to queries x pairs.
+ * Caps are installed only on *contended* pairs, those with two or more
+ * demanding queries: a sole demander keeps the whole link whatever its
+ * demand, at zero solver cost, which keeps the flow solver's resource
+ * count proportional to actual contention rather than to queries x
+ * pairs.
  */
 
 #ifndef WANIFY_SERVE_ALLOCATOR_HH
 #define WANIFY_SERVE_ALLOCATOR_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "net/network_sim.hh"
@@ -56,7 +55,7 @@ struct PairDemand
 
     /**
      * Rate the query could usefully consume on the pair (Mbps);
-     * <= 0 means elastic (take any share granted).
+     * <= 0 means elastic (take any share granted). Not NaN.
      */
     Mbps demand = 0.0;
 };
@@ -69,7 +68,8 @@ struct QueryDemand
     /** Priority weight (> 0); ignored under MaxMinFair. */
     double weight = 1.0;
 
-    /** Pairs the query is actively shuffling over, sorted by index. */
+    /** Pairs the query is actively shuffling over, in strictly
+     *  ascending index. */
     std::vector<PairDemand> pairs;
 };
 
@@ -77,13 +77,14 @@ struct QueryDemand
 struct Allocation
 {
     /**
-     * Per-query planning share in (0, 1]: the worst granted
-     * capacity fraction across the query's contended pairs (1 when
-     * it contends nowhere). This is the scalar the fraction search
-     * consumes via StageContext::wanShare, so placement is computed
-     * against the bandwidth the query will actually receive.
+     * Per-query planning share in (0, 1], aligned with the round's
+     * demands (planningShare[k] belongs to demands[k]): the worst
+     * granted capacity fraction across the query's contended pairs
+     * (1 when it contends nowhere). This is the scalar the fraction
+     * search consumes via StageContext::wanShare, so placement is
+     * computed against the bandwidth the query will actually receive.
      */
-    std::map<net::FlowGroupId, double> planningShare;
+    std::vector<double> planningShare;
 
     /** Pairs that received share caps this round. */
     std::size_t cappedPairs = 0;
@@ -101,24 +102,26 @@ class BandwidthAllocator
 
     /**
      * Run one allocation round: water-fill every contended pair's
-     * effective capacity among the queries demanding it and install
-     * the shares on @p sim (group weights + per-(group, pair) caps).
-     * Caps from earlier rounds that are no longer warranted are
-     * removed, so the sim's registered allocation state always
-     * mirrors the latest round. Deterministic in (demands, sim
-     * state); queries must be pre-sorted by group id.
+     * effective capacity among the queries demanding it, set each
+     * demanding group's weight on @p sim, and install the grants as
+     * @p sim's whole share-cap table, group-major with pairs
+     * ascending. The install replaces the previous round's table, so
+     * caps this round did not renew are gone. Deterministic in
+     * (demands, sim state); queries must be sorted by group id.
+     *
+     * @return This round's outcome, valid until the next call.
      */
-    Allocation allocate(net::NetworkSim &sim,
-                        const std::vector<QueryDemand> &demands);
+    const Allocation &allocate(net::NetworkSim &sim,
+                               const std::vector<QueryDemand> &demands);
 
-    /** Forget a departed query's installed state (weights + caps). */
+    /** Drop a departed query's weight and share caps from @p sim. */
     void release(net::NetworkSim &sim, net::FlowGroupId group);
 
   private:
     /** One demander at a contended pair during the water-fill. */
     struct Claim
     {
-        net::FlowGroupId group = 0;
+        std::size_t query = 0; ///< index into the round's demands
         double weight = 1.0;
         Mbps demand = 0.0; ///< <= 0 = elastic
         Mbps granted = 0.0;
@@ -130,22 +133,21 @@ class BandwidthAllocator
                           std::size_t count);
 
     AllocPolicy policy_;
+    Allocation round_;
 
-    /** (group, pair) caps currently installed on the sim; each
-     *  group's pair list is sorted ascending (the scan emits pairs
-     *  in index order), so retirement checks binary-search it. */
-    std::map<net::FlowGroupId, std::vector<std::size_t>> installed_;
-
-    // Flat counting-sort scratch for the contended-pair scan,
-    // reused across rounds so the steady state allocates nothing:
-    // claims land in one contiguous array grouped by pair index
-    // (demand order within a pair, i.e. ascending group), with
-    // claimCount_/claimSlot_ dense over pairCount() and touched_
-    // listing the pairs that saw any demand this round.
+    // Flat counting-sort scratch, reused across rounds so the steady
+    // state allocates nothing: claims land in one contiguous array
+    // grouped by pair index (demand order within a pair, i.e.
+    // ascending group), with claimCount_/claimSlot_ dense over
+    // pairCount() and touched_ listing the pairs that saw any demand
+    // this round. capSlot_ places each query's grants in caps_, the
+    // table the round installs.
     std::vector<std::int32_t> claimCount_;
     std::vector<std::size_t> claimSlot_;
     std::vector<Claim> claims_;
     std::vector<std::size_t> touched_;
+    std::vector<std::size_t> capSlot_;
+    std::vector<net::GroupPairCap> caps_;
 };
 
 } // namespace serve

@@ -443,16 +443,22 @@ Service::planAndLaunch()
 void
 Service::runAllocationRound()
 {
-    std::vector<QueryDemand> demands;
+    // The demand list and each demand's pair list are reused round to
+    // round, so a round in steady state allocates nothing.
+    const net::PairIndex pairs(topo_.dcCount());
+    std::size_t count = 0;
     for (const std::size_t idx : active_) {
         QueryState &q = queries_[idx];
         if (q.phase != Phase::Shuffling || q.exec->pending().empty())
             continue;
-        QueryDemand d;
+        if (count == demands_.size())
+            demands_.emplace_back();
+        QueryDemand &d = demands_[count++];
         d.group = q.group;
         d.weight = q.spec.weight;
+        d.pairs.clear();
         for (const auto &[id, t] : q.exec->pending()) {
-            const std::size_t pair = topo_.pairIndex(t.src, t.dst);
+            const std::size_t pair = pairs(t.src, t.dst);
             // Elastic demand: a shuffle takes any rate granted.
             if (d.pairs.empty() || d.pairs.back().pair != pair)
                 d.pairs.push_back({pair, 0.0});
@@ -467,21 +473,22 @@ Service::runAllocationRound()
                             return a.pair == b.pair;
                         }),
             d.pairs.end());
-        demands.push_back(std::move(d));
     }
+    demands_.resize(count);
     // Admission follows arrival order, not submission order, so the
     // demand list needs the allocator's canonical group order before
     // the round runs.
-    std::sort(demands.begin(), demands.end(),
+    std::sort(demands_.begin(), demands_.end(),
               [](const QueryDemand &a, const QueryDemand &b) {
                   return a.group < b.group;
               });
-    const Allocation alloc = allocator_.allocate(sim_, demands);
+    const Allocation &alloc = allocator_.allocate(sim_, demands_);
     cappedPairRounds_ += alloc.cappedPairs;
-    for (const auto &[group, share] : alloc.planningShare) {
-        QueryState &q = queries_[static_cast<std::size_t>(group) - 1];
+    for (std::size_t k = 0; k < demands_.size(); ++k) {
+        QueryState &q =
+            queries_[static_cast<std::size_t>(demands_[k].group) - 1];
         q.outcome.minPlanningShare =
-            std::min(q.outcome.minPlanningShare, share);
+            std::min(q.outcome.minPlanningShare, alloc.planningShare[k]);
     }
 }
 

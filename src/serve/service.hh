@@ -372,6 +372,9 @@ class Service
     Rng rng_;
     BandwidthAllocator allocator_;
 
+    /** runAllocationRound's demand list, reused every round. */
+    std::vector<QueryDemand> demands_;
+
     std::vector<QueryState> queries_;   ///< submission order
     std::vector<std::size_t> arrivalOrder_;
     std::size_t nextArrival_ = 0;

@@ -472,8 +472,8 @@ bitsOf(double x)
 }
 
 /** One random solver problem: 2-64 DCs with 1-3 VMs each, duplicate
- *  flows, tc limits, sorted group share caps and zero-capacity VMs
- *  and paths. */
+ *  flows, tc limits, per-(group, pair) share caps and zero-capacity
+ *  VMs and paths. */
 struct RandomMesh
 {
     SolverInputs inputs;
@@ -546,7 +546,10 @@ randomMesh(Rng &rng, MeshShape shape = MeshShape::Mixed)
     }
 
     // Flows over a random subset of VM pairs, keeping the larger
-    // meshes near the few thousand flows of a 64-DC shuffle.
+    // meshes near the few thousand flows of a 64-DC shuffle; a flow
+    // may belong to one of a few groups (groupOf, kNone = ungrouped).
+    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> groupOf;
     const std::size_t groups =
         static_cast<std::size_t>(rng.uniformInt(0, 4));
     const double density =
@@ -555,6 +558,7 @@ randomMesh(Rng &rng, MeshShape shape = MeshShape::Mixed)
         for (std::size_t b = 0; b < vms; ++b) {
             if (a == b || !rng.bernoulli(density))
                 continue;
+            std::size_t group = kNone;
             FlowSpec f;
             f.srcVm = a;
             f.dstVm = b;
@@ -573,26 +577,55 @@ randomMesh(Rng &rng, MeshShape shape = MeshShape::Mixed)
                                                    : draw(30.0, 600.0);
             }
             if (groups > 0 && rng.bernoulli(0.7))
-                f.group = static_cast<std::size_t>(
+                group = static_cast<std::size_t>(
                     rng.uniformInt(0, static_cast<std::int64_t>(
                                           groups - 1)));
             mesh.flows.push_back(f);
+            groupOf.push_back(group);
             // An exact duplicate ties every key the flow carries.
-            if (rng.bernoulli(0.15))
+            if (rng.bernoulli(0.15)) {
                 mesh.flows.push_back(f);
+                groupOf.push_back(group);
+            }
         }
     }
 
     // Sparse share caps, sorted by (group, pair) and unique; some
     // non-positive entries, which the solver must ignore.
+    struct Entry
+    {
+        std::size_t group;
+        std::size_t pair;
+    };
+    std::vector<Entry> entries;
     for (std::size_t g = 0; g < groups; ++g) {
         for (std::size_t p = 0; p < dcs * dcs; ++p) {
             if (!rng.bernoulli(0.2))
                 continue;
             const Mbps cap =
                 rng.bernoulli(0.1) ? 0.0 : draw(10.0, 800.0);
-            in.groupShareCap.push_back({g, p, cap});
+            entries.push_back({g, p});
+            in.shareCap.push_back(cap);
         }
+    }
+
+    // Each grouped flow names the entry of its (group, pair), found
+    // by binary search; a flow whose pair has no entry is uncapped.
+    for (std::size_t f = 0; f < mesh.flows.size(); ++f) {
+        if (groupOf[f] == kNone)
+            continue;
+        const std::size_t pair =
+            mesh.flows[f].srcDc * dcs + mesh.flows[f].dstDc;
+        auto it = std::lower_bound(
+            entries.begin(), entries.end(), Entry{groupOf[f], pair},
+            [](const Entry &a, const Entry &b) {
+                return a.group != b.group ? a.group < b.group
+                                          : a.pair < b.pair;
+            });
+        if (it != entries.end() && it->group == groupOf[f] &&
+            it->pair == pair)
+            mesh.flows[f].shareCap =
+                static_cast<std::size_t>(it - entries.begin());
     }
     return mesh;
 }
@@ -912,20 +945,42 @@ TEST(NetworkSim, GroupSettersValidated)
 {
     NetworkSim sim(paperTopo(2), quiet(), 1);
     const double inf = std::numeric_limits<double>::infinity();
+    const std::size_t p01 = sim.topology().pairIndex(0, 1);
+    const std::size_t p10 = sim.topology().pairIndex(1, 0);
     EXPECT_EQ(whatOf<FatalError>(
-                  [&] { sim.setGroupPairCap(1, 0, 1, inf); }),
-              "fatal: setGroupPairCap: cap must be finite");
+                  [&] { sim.installShareCaps({{1, p01, inf}}); }),
+              "fatal: installShareCaps: cap must be finite");
     EXPECT_EQ(whatOf<FatalError>([&] {
-                  sim.setGroupPairCap(
-                      1, 0, 1, std::numeric_limits<double>::quiet_NaN());
+                  sim.installShareCaps(
+                      {{1, p01, std::numeric_limits<double>::quiet_NaN()}});
               }),
-              "fatal: setGroupPairCap: cap must be finite");
+              "fatal: installShareCaps: cap must be finite");
     EXPECT_EQ(whatOf<FatalError>(
-                  [&] { sim.setGroupPairCap(0, 0, 1, 100.0); }),
-              "fatal: setGroupPairCap: group 0 is ungrouped");
+                  [&] { sim.installShareCaps({{0, p01, 100.0}}); }),
+              "fatal: installShareCaps: group 0 is ungrouped");
+    EXPECT_EQ(whatOf<PanicError>(
+                  [&] { sim.installShareCaps({{1, 4, 100.0}}); }),
+              "panic: installShareCaps: pair index out of range");
+    const std::string unsorted =
+        "panic: installShareCaps: caps not sorted by (group, pair) and "
+        "unique";
+    EXPECT_EQ(whatOf<PanicError>([&] {
+                  sim.installShareCaps({{1, p10, 100.0}, {1, p01, 50.0}});
+              }),
+              unsorted);
+    EXPECT_EQ(whatOf<PanicError>([&] {
+                  sim.installShareCaps({{2, p01, 100.0}, {1, p10, 50.0}});
+              }),
+              unsorted);
+    EXPECT_EQ(whatOf<PanicError>([&] {
+                  sim.installShareCaps({{1, p01, 100.0}, {1, p01, 50.0}});
+              }),
+              unsorted);
     EXPECT_EQ(whatOf<FatalError>(
                   [&] { sim.setGroupWeight(1, 0.0); }),
               "fatal: setGroupWeight: weight must be finite and > 0");
+    // A rejected install leaves the table as it was.
+    EXPECT_TRUE(sim.shareCaps().empty());
     EXPECT_EQ(sim.registeredGroupCount(), 0u);
 }
 
@@ -978,8 +1033,8 @@ TEST(NetworkSim, FlatSolverInputsMatchReferenceBitExact)
         ids.push_back(sim.startMeasurement(t.dc(0).vms.front(),
                                            t.dc(7).vms.front(), 2));
         sim.setGroupWeight(1, 2.5);
-        sim.setGroupPairCap(1, 0, 1, 300.0);
-        sim.setGroupPairCap(2, 3, 4, 150.0);
+        sim.installShareCaps({{1, t.pairIndex(0, 1), 300.0},
+                              {2, t.pairIndex(3, 4), 150.0}});
         sim.setScenarioCapFactor(2, 3, 0.4);
         sim.setScenarioRttFactor(1, 2, 1.5);
         sim.setTcLimit(0, 2, 500.0);
@@ -1007,7 +1062,9 @@ TEST(NetworkSim, FlatSolverInputsMatchReferenceBitExact)
     driveBoth([&](NetworkSim &sim, std::vector<TransferId> &ids) {
         sim.setConnections(ids[3], 6);
         sim.stopTransfer(ids[10]);
-        sim.setGroupPairCap(1, 0, 1, 0.0); // clear a cap
+        // Clear group 1's cap by leaving it out of the table.
+        sim.installShareCaps(
+            {{2, sim.topology().pairIndex(3, 4), 150.0}});
         sim.setGroupWeight(2, 0.5);
         sim.setScenarioCapFactor(2, 3, 1.0);
         sim.setTcLimit(0, 2, 0.0);
@@ -1020,4 +1077,100 @@ TEST(NetworkSim, FlatSolverInputsMatchReferenceBitExact)
     const Seconds doneRef = ref.runUntilAllComplete(600.0);
     EXPECT_EQ(doneFlat, doneRef);
     EXPECT_TRUE(flat.allTransfersDone());
+}
+
+TEST(NetworkSim, RegistryCompactionKeepsSolveOrder)
+{
+    // Stops only mark their transfers until the next resolve drops
+    // them, and completions leave in progress()'s compaction pass.
+    // Either way the survivors must stay in ascending id, the order
+    // the solver numbers its resources in: they must get exactly the
+    // rates of a fresh sim that starts them in that order.
+    const auto topo = paperTopo(4);
+    auto vm = [&](DcId dc) { return topo.dc(dc).vms.front(); };
+    struct Start
+    {
+        DcId src;
+        DcId dst;
+        Bytes bytes;
+        int connections;
+        FlowGroupId group;
+    };
+    const Bytes big = units::gigabytes(50.0);
+    const Bytes twin = units::megabytes(30.0);
+    // Three identical twins (3, 5, 7) share group 2's cap on 0->1.
+    std::vector<Start> starts = {
+        {0, 1, big, 2, 1},  {0, 2, big, 3, 2}, {1, 0, big, 1, 0},
+        {0, 1, twin, 2, 2}, {2, 3, big, 4, 1}, {0, 1, twin, 2, 2},
+        {3, 1, big, 2, 2},  {0, 1, twin, 2, 2}, {1, 2, big, 1, 1},
+        {2, 0, big, 2, 0},
+    };
+
+    NetworkSim sim(topo, quiet(), 7);
+    std::vector<TransferId> ids;
+    for (const Start &s : starts)
+        ids.push_back(sim.startTransfer(vm(s.src), vm(s.dst), s.bytes,
+                                        s.connections, s.group));
+    sim.setGroupWeight(2, 1.5);
+    sim.installShareCaps({{1, topo.pairIndex(0, 1), 120.0},
+                          {2, topo.pairIndex(0, 1), 90.0},
+                          {2, topo.pairIndex(3, 1), 40.0}});
+    sim.advanceBy(0.2);
+
+    // Stop the first, a middle and the last transfer: telemetry
+    // skips them before any resolve drops them.
+    sim.stopTransfer(ids[0]);
+    sim.stopTransfer(ids[4]);
+    sim.stopTransfer(ids[9]);
+    sim.setConnections(ids[6], 5);
+    starts[6].connections = 5;
+    EXPECT_EQ(sim.activeTransferCount(), 7u);
+    EXPECT_EQ(sim.groupTransferCount(1), 1u);
+    EXPECT_TRUE(sim.status(ids[4]).done);
+    EXPECT_EQ(sim.transfersBetween(2, 0).size(), 0u);
+
+    // The twins finish in one progress step, reported in ascending id.
+    sim.advanceBy(30.0);
+    const auto done = sim.drainCompletions();
+    ASSERT_EQ(done.size(), 3u);
+    EXPECT_EQ(done[0].id, ids[3]);
+    EXPECT_EQ(done[1].id, ids[5]);
+    EXPECT_EQ(done[2].id, ids[7]);
+    EXPECT_EQ(done[0].time, done[2].time);
+    EXPECT_EQ(sim.activeTransferCount(), 4u);
+
+    // A new table, then two more starts that append after the gaps.
+    const std::vector<GroupPairCap> caps = {
+        {1, topo.pairIndex(1, 2), 60.0}, {2, topo.pairIndex(3, 1), 45.0}};
+    sim.installShareCaps(caps);
+    starts.push_back({3, 1, big, 3, 2});
+    ids.push_back(sim.startTransfer(vm(3), vm(1), big, 3, 2));
+    starts.push_back({1, 2, big, 2, 1});
+    ids.push_back(sim.startTransfer(vm(1), vm(2), big, 2, 1));
+    sim.advanceBy(0.0);
+
+    NetworkSim fresh(topo, quiet(), 7);
+    fresh.setGroupWeight(2, 1.5);
+    const std::vector<std::size_t> survivors = {1, 2, 6, 8, 10, 11};
+    std::vector<TransferId> freshIds;
+    for (const std::size_t k : survivors)
+        freshIds.push_back(fresh.startTransfer(
+            vm(starts[k].src), vm(starts[k].dst), starts[k].bytes,
+            starts[k].connections, starts[k].group));
+    fresh.installShareCaps(caps);
+    fresh.advanceBy(0.0);
+
+    ASSERT_EQ(sim.activeTransferCount(), survivors.size());
+    bool groupShare = false;
+    for (std::size_t k = 0; k < survivors.size(); ++k) {
+        const auto a = sim.status(ids[survivors[k]]);
+        const auto b = fresh.status(freshIds[k]);
+        ASSERT_TRUE(a.exists && !a.done) << "survivor " << k;
+        EXPECT_EQ(bitsOf(a.currentRate), bitsOf(b.currentRate))
+            << "survivor " << k;
+        EXPECT_EQ(a.bottleneck, b.bottleneck) << "survivor " << k;
+        EXPECT_EQ(a.connections, b.connections) << "survivor " << k;
+        groupShare = groupShare || a.bottleneck == Bottleneck::GroupShare;
+    }
+    EXPECT_TRUE(groupShare); // the installed caps bind
 }

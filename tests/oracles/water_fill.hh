@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "common/error.hh"
@@ -68,25 +67,6 @@ struct LazyHeapScratch
     std::vector<FillEvent> heap;
 };
 
-/** Binary search the sorted sparse group-share caps for (group, pair);
- *  returns the entry index or -1. */
-inline int
-findGroupCap(const std::vector<net::SolverInputs::GroupShareCap> &caps,
-             std::size_t group, std::size_t pair)
-{
-    auto it = std::lower_bound(
-        caps.begin(), caps.end(),
-        std::make_pair(group, pair),
-        [](const net::SolverInputs::GroupShareCap &c,
-           const std::pair<std::size_t, std::size_t> &key) {
-            return c.group != key.first ? c.group < key.first
-                                        : c.pair < key.second;
-        });
-    if (it == caps.end() || it->group != group || it->pair != pair)
-        return -1;
-    return static_cast<int>(it - caps.begin());
-}
-
 /** net::solveRates with the lazy min-heap fill. */
 inline std::vector<net::FlowRate>
 solveRatesLazyHeap(const std::vector<net::FlowSpec> &flows,
@@ -95,7 +75,7 @@ solveRatesLazyHeap(const std::vector<net::FlowSpec> &flows,
 {
     using net::Bottleneck;
     using net::FlowSpec;
-    using net::kNoFlowGroup;
+    using net::kNoShareCap;
     using Resource = LazyHeapScratch::Resource;
     constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -112,12 +92,11 @@ solveRatesLazyHeap(const std::vector<net::FlowSpec> &flows,
 
     s.groupCapOfFlow.assign(nf, -1);
     for (std::size_t f = 0; f < nf; ++f) {
-        if (flows[f].group == kNoFlowGroup)
+        if (flows[f].shareCap == kNoShareCap)
             continue;
-        const std::size_t pair =
-            flows[f].srcDc * inputs.dcCount + flows[f].dstDc;
-        s.groupCapOfFlow[f] =
-            findGroupCap(inputs.groupShareCap, flows[f].group, pair);
+        panicIf(flows[f].shareCap >= inputs.shareCap.size(),
+                "solveRates: share-cap index out of range");
+        s.groupCapOfFlow[f] = static_cast<int>(flows[f].shareCap);
     }
 
     s.connsAtVm.assign(inputs.vmEgressCap.size(), 0);
@@ -132,13 +111,9 @@ solveRatesLazyHeap(const std::vector<net::FlowSpec> &flows,
             inputs.tcLimit[pair] > 0.0)
             desire = std::min(desire, inputs.tcLimit[pair]);
         const int gc = s.groupCapOfFlow[f];
-        if (gc >= 0 &&
-            inputs.groupShareCap[static_cast<std::size_t>(gc)].cap >
-                0.0)
+        if (gc >= 0 && inputs.shareCap[static_cast<std::size_t>(gc)] > 0.0)
             desire = std::min(
-                desire,
-                inputs.groupShareCap[static_cast<std::size_t>(gc)]
-                    .cap);
+                desire, inputs.shareCap[static_cast<std::size_t>(gc)]);
         if (spec.srcVm < s.connsAtVm.size()) {
             s.connsAtVm[spec.srcVm] += c;
             s.desireAtVm[spec.srcVm] += desire;
@@ -170,7 +145,7 @@ solveRatesLazyHeap(const std::vector<net::FlowSpec> &flows,
     s.nicIdx.assign(inputs.vmNicCap.size(), -1);
     s.pathIdx.assign(inputs.pathCap.size(), -1);
     s.tcIdx.assign(inputs.tcLimit.size(), -1);
-    s.groupCapIdx.assign(inputs.groupShareCap.size(), -1);
+    s.groupCapIdx.assign(inputs.shareCap.size(), -1);
 
     auto getResource = [&](std::vector<int> &map, std::size_t key,
                            Mbps cap, Bottleneck kind) -> int {
@@ -247,12 +222,11 @@ solveRatesLazyHeap(const std::vector<net::FlowSpec> &flows,
         }
         const int gc = s.groupCapOfFlow[f];
         if (gc >= 0) {
-            const auto &entry =
-                inputs.groupShareCap[static_cast<std::size_t>(gc)];
-            if (entry.cap > 0.0) {
+            const Mbps cap = inputs.shareCap[static_cast<std::size_t>(gc)];
+            if (cap > 0.0) {
                 fr.push_back(getResource(
-                    s.groupCapIdx, static_cast<std::size_t>(gc),
-                    entry.cap, Bottleneck::GroupShare));
+                    s.groupCapIdx, static_cast<std::size_t>(gc), cap,
+                    Bottleneck::GroupShare));
             }
         }
         for (int r : fr)

@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/error.hh"
@@ -164,7 +166,7 @@ TEST(FlowGroups, GroupPairCapBindsAggregateAndClears)
     sim.advanceBy(0.01);
     const Mbps uncapped = sim.groupRate(1);
 
-    sim.setGroupPairCap(1, 0, 1, 200.0);
+    sim.installShareCaps({{1, sim.topology().pairIndex(0, 1), 200.0}});
     sim.advanceBy(0.01);
     EXPECT_LE(sim.groupRate(1), 200.0 + 1.0);
     // The freed share flows to the other group, not into thin air.
@@ -206,8 +208,8 @@ TEST(Allocator, EqualElasticClaimsSplitEvenly)
     const auto a = alloc.allocate(sim, demands);
     EXPECT_EQ(a.cappedPairs, 1u);
     EXPECT_EQ(a.installedCaps, 2u);
+    EXPECT_NEAR(a.planningShare.at(0), 0.5, 1e-9);
     EXPECT_NEAR(a.planningShare.at(1), 0.5, 1e-9);
-    EXPECT_NEAR(a.planningShare.at(2), 0.5, 1e-9);
 }
 
 TEST(Allocator, WeightedPolicySplitsByWeight)
@@ -221,8 +223,8 @@ TEST(Allocator, WeightedPolicySplitsByWeight)
         {2, 1.0, {{pair, 0.0}}},
     };
     const auto a = alloc.allocate(sim, demands);
-    EXPECT_NEAR(a.planningShare.at(1), 0.75, 1e-9);
-    EXPECT_NEAR(a.planningShare.at(2), 0.25, 1e-9);
+    EXPECT_NEAR(a.planningShare.at(0), 0.75, 1e-9);
+    EXPECT_NEAR(a.planningShare.at(1), 0.25, 1e-9);
 }
 
 TEST(Allocator, FiniteDemandFreezesAndReleasesRemainder)
@@ -238,8 +240,8 @@ TEST(Allocator, FiniteDemandFreezesAndReleasesRemainder)
         {2, 1.0, {{pair, 0.0}}},
     };
     const auto a = alloc.allocate(sim, demands);
-    EXPECT_NEAR(a.planningShare.at(1), 0.1, 1e-9);
-    EXPECT_NEAR(a.planningShare.at(2), 0.9, 1e-9);
+    EXPECT_NEAR(a.planningShare.at(0), 0.1, 1e-9);
+    EXPECT_NEAR(a.planningShare.at(1), 0.9, 1e-9);
 }
 
 TEST(Allocator, SoleDemanderKeepsWholeLink)
@@ -254,8 +256,8 @@ TEST(Allocator, SoleDemanderKeepsWholeLink)
     const auto a = alloc.allocate(sim, demands);
     EXPECT_EQ(a.cappedPairs, 0u);
     EXPECT_EQ(a.installedCaps, 0u);
+    EXPECT_NEAR(a.planningShare.at(0), 1.0, 1e-9);
     EXPECT_NEAR(a.planningShare.at(1), 1.0, 1e-9);
-    EXPECT_NEAR(a.planningShare.at(2), 1.0, 1e-9);
 }
 
 TEST(Allocator, StaleCapsRetireWhenContentionEnds)
@@ -302,6 +304,110 @@ TEST(Allocator, RejectsMalformedDemands)
     EXPECT_EQ(whatOf<FatalError>(
                   [&] { alloc.allocate(sim, reserved); }),
               "fatal: BandwidthAllocator: group 0 is reserved");
+    // A repeated pair would count the query twice in its water-fill.
+    const std::size_t back = sim.topology().pairIndex(1, 0);
+    const std::string unsortedPairs =
+        "panic: BandwidthAllocator: pairs not sorted and unique";
+    std::vector<serve::QueryDemand> repeated{
+        {1, 1.0, {{pair, 0.0}, {pair, 0.0}}}};
+    EXPECT_EQ(whatOf<PanicError>(
+                  [&] { alloc.allocate(sim, repeated); }),
+              unsortedPairs);
+    std::vector<serve::QueryDemand> descending{
+        {1, 1.0, {{back, 0.0}, {pair, 0.0}}}};
+    EXPECT_EQ(whatOf<PanicError>(
+                  [&] { alloc.allocate(sim, descending); }),
+              unsortedPairs);
+    std::vector<serve::QueryDemand> nan{
+        {1, 1.0, {{pair, std::numeric_limits<double>::quiet_NaN()}}}};
+    EXPECT_EQ(whatOf<FatalError>([&] { alloc.allocate(sim, nan); }),
+              "fatal: BandwidthAllocator: demand must not be NaN");
+    // Rejected rounds install nothing.
+    EXPECT_TRUE(sim.shareCaps().empty());
+    EXPECT_EQ(sim.registeredGroupCount(), 0u);
+}
+
+TEST(Allocator, RoundLeavesExactlyItsGrants)
+{
+    auto sim = quietSim(3);
+    const net::Topology &topo = sim.topology();
+    const std::size_t p01 = topo.pairIndex(0, 1);
+    const std::size_t p02 = topo.pairIndex(0, 2);
+    const std::size_t p12 = topo.pairIndex(1, 2);
+    const std::size_t p20 = topo.pairIndex(2, 0);
+    serve::BandwidthAllocator alloc(
+        serve::AllocPolicy::WeightedPriority);
+
+    // A contended pair's claims split its capacity by weight, in
+    // ascending group order (the water-fill's own arithmetic).
+    auto grant = [&](std::size_t pair, double w, double wa, double wb) {
+        return w * (sim.effectivePathCap(pair / 3, pair % 3) / (wa + wb));
+    };
+    auto expectTable = [&](const std::vector<net::GroupPairCap> &want) {
+        const auto &got = sim.shareCaps();
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t e = 0; e < want.size(); ++e) {
+            EXPECT_EQ(got[e].group, want[e].group) << "entry " << e;
+            EXPECT_EQ(got[e].pair, want[e].pair) << "entry " << e;
+            EXPECT_DOUBLE_EQ(got[e].cap, want[e].cap) << "entry " << e;
+        }
+    };
+
+    // Round 1: three pairs contended by two queries each; 2->0 has a
+    // sole demander and stays uncapped.
+    std::vector<serve::QueryDemand> round1{
+        {1, 4.0, {{p01, 0.0}, {p02, 0.0}}},
+        {2, 1.0, {{p01, 0.0}, {p12, 0.0}}},
+        {3, 2.0, {{p02, 0.0}, {p12, 0.0}, {p20, 0.0}}},
+    };
+    const auto a1 = alloc.allocate(sim, round1);
+    EXPECT_EQ(a1.cappedPairs, 3u);
+    EXPECT_EQ(a1.installedCaps, 6u);
+    expectTable({{1, p01, grant(p01, 4.0, 4.0, 1.0)},
+                 {1, p02, grant(p02, 4.0, 4.0, 2.0)},
+                 {2, p01, grant(p01, 1.0, 4.0, 1.0)},
+                 {2, p12, grant(p12, 1.0, 1.0, 2.0)},
+                 {3, p02, grant(p02, 2.0, 4.0, 2.0)},
+                 {3, p12, grant(p12, 2.0, 1.0, 2.0)}});
+    EXPECT_EQ(sim.registeredGroupCount(), 3u);
+
+    // Round 2: query 1 leaves 0->2, so both caps there retire.
+    std::vector<serve::QueryDemand> round2{
+        {1, 4.0, {{p01, 0.0}}},
+        {2, 1.0, {{p01, 0.0}, {p12, 0.0}}},
+        {3, 2.0, {{p02, 0.0}, {p12, 0.0}}},
+    };
+    const std::vector<net::GroupPairCap> grants2{
+        {1, p01, grant(p01, 4.0, 4.0, 1.0)},
+        {2, p01, grant(p01, 1.0, 4.0, 1.0)},
+        {2, p12, grant(p12, 1.0, 1.0, 2.0)},
+        {3, p12, grant(p12, 2.0, 1.0, 2.0)}};
+    const auto a2 = alloc.allocate(sim, round2);
+    EXPECT_EQ(a2.cappedPairs, 2u);
+    EXPECT_EQ(a2.installedCaps, 4u);
+    expectTable(grants2);
+
+    // Query 2's fifth of 0->1 binds its transfer there...
+    const Mbps share = grant(p01, 1.0, 4.0, 1.0);
+    const net::TransferId id = sim.startTransfer(
+        endpoint(topo, 0), endpoint(topo, 1), 5.0e9, 8, 2);
+    sim.advanceBy(0.01);
+    EXPECT_EQ(sim.status(id).bottleneck, net::Bottleneck::GroupShare);
+    EXPECT_LE(sim.groupRate(2), share + 1e-6);
+
+    // ...until its release drops its entries and weight at once: the
+    // query runs uncapped if it demands again before the next round.
+    alloc.release(sim, 2);
+    expectTable({grants2[0], grants2[3]});
+    EXPECT_EQ(sim.registeredGroupCount(), 2u);
+    sim.advanceBy(0.01);
+    EXPECT_NE(sim.status(id).bottleneck, net::Bottleneck::GroupShare);
+    EXPECT_GT(sim.groupRate(2), 1.5 * share);
+
+    alloc.allocate(sim, round2);
+    expectTable(grants2);
+    sim.advanceBy(0.01);
+    EXPECT_LE(sim.groupRate(2), share + 1e-6);
 }
 
 // --- share-aware planning ------------------------------------------------
