@@ -7,12 +7,13 @@
  * Four measurements:
  *
  *  1. parity + determinism — the flat solver-input banks must match
- *     the std::map reference composition bit-exactly after a factor
+ *     the std::map reference composition (the test-only oracle in
+ *     tests/oracles/solver_inputs.hh) bit-exactly after a factor
  *     churn drive, and a repeated event-clock engine run must
  *     reproduce its result bit-identically (enforced in every mode);
  *  2. resolveRates — ns/pair for the flat path across the DC sweep,
- *     plus the flat-vs-reference speedup at 128 and 256 DCs on
- *     identical meshes carrying 2n live flows. The speedups are the
+ *     plus the flat-vs-reference speedup at 128 and 256 DCs on a
+ *     mesh carrying 2n live flows. The speedups are the
  *     gated keys (speedup_ prefix): the flat migration must stay
  *     >= 4x at 256 DCs or the full run fails outright;
  *  3. whole-mesh prediction — predictMatrix ns/pair across the sweep
@@ -34,6 +35,7 @@
 
 #include "bench_util.hh"
 #include "gda/event_clock.hh"
+#include "oracles/solver_inputs.hh"
 #include "scenario/library.hh"
 #include "scenario/scenario.hh"
 
@@ -90,17 +92,18 @@ openMeshFlows(net::NetworkSim &sim, const net::Topology &topo)
 }
 
 /**
- * Time @p rounds resolves: each round dirties the factor bank and
- * advanceBy(0) re-runs the solver on the unchanged flow set. Returns
- * wall milliseconds for the whole loop.
+ * Time @p rounds solves: each round dirties the factor bank, then
+ * @p solve re-solves the unchanged flow set. Returns wall
+ * milliseconds for the whole loop.
  */
+template <typename Solve>
 double
-timeResolveRounds(net::NetworkSim &sim, std::size_t rounds)
+timeRounds(net::NetworkSim &sim, std::size_t rounds, Solve &&solve)
 {
     const auto t0 = Clock::now();
     for (std::size_t r = 0; r < rounds; ++r) {
         sim.setScenarioCapFactor(0, 1, r % 2 == 0 ? 0.8 : 1.0);
-        sim.advanceBy(0.0);
+        solve();
     }
     return wallMs(t0);
 }
@@ -112,36 +115,35 @@ struct ResolveTiming
     bool parity = false;
 };
 
-/** Drive flat and reference sims identically; time both and check
- *  the resulting rate meshes match bit-exactly. */
+/** Time the flat resolve and the reference solve over the same
+ *  factor churn on one mesh, then check that every flow's rate and
+ *  bottleneck match bit-exactly. */
 ResolveTiming
 resolveSweepAt(std::size_t n, std::size_t rounds)
 {
     const auto topo = experiments::workerCluster(n, 1);
-    net::NetworkSimConfig flatCfg = experiments::quietSimConfig();
-    net::NetworkSimConfig refCfg = flatCfg;
-    refCfg.referenceSolverInputs = true;
-
-    net::NetworkSim flat(topo, flatCfg, 4242);
-    net::NetworkSim ref(topo, refCfg, 4242);
-    openMeshFlows(flat, topo);
-    openMeshFlows(ref, topo);
-    flat.advanceBy(0.0);
-    ref.advanceBy(0.0);
+    net::NetworkSim sim(topo, experiments::quietSimConfig(), 4242);
+    openMeshFlows(sim, topo);
+    sim.advanceBy(0.0);
 
     ResolveTiming out;
-    out.flatMs = timeResolveRounds(flat, rounds);
-    out.refMs = timeResolveRounds(ref, rounds);
+    out.flatMs = timeRounds(sim, rounds, [&] { sim.advanceBy(0.0); });
+    std::vector<oracle::ReferenceRate> ref;
+    out.refMs = timeRounds(sim, rounds, [&] {
+        ref = oracle::MapKeyedSolverInputs::rates(sim);
+    });
 
-    out.parity = true;
-    const auto a = flat.pairRateMatrix();
-    const auto b = ref.pairRateMatrix();
-    for (std::size_t i = 0; i < n && out.parity; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            if (a.at(i, j) != b.at(i, j)) {
-                out.parity = false;
-                break;
-            }
+    // Both loops end on the same factors; re-solve the flat way.
+    sim.advanceBy(0.0);
+    out.parity = ref.size() == sim.activeTransferCount();
+    for (const auto &r : ref) {
+        const auto st = sim.status(r.id);
+        if (st.currentRate != r.rate.rate ||
+            st.bottleneck != r.rate.bottleneck) {
+            out.parity = false;
+            break;
+        }
+    }
     return out;
 }
 

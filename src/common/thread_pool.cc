@@ -2,22 +2,26 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <exception>
 #include <memory>
+#include <system_error>
+
+#include "common/error.hh"
 
 namespace wanify {
 
 namespace {
 
+/** The largest pool WANIFY_THREADS may ask for. */
+constexpr std::size_t kMaxThreads = 1024;
+
 std::size_t
 defaultThreadCount()
 {
-    if (const char *env = std::getenv("WANIFY_THREADS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed > 0)
-            return static_cast<std::size_t>(parsed);
-    }
+    if (const char *env = std::getenv("WANIFY_THREADS"))
+        return ThreadPool::parseThreadCount(env);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
 }
@@ -67,6 +71,19 @@ struct Batch
 };
 
 } // namespace
+
+std::size_t
+ThreadPool::parseThreadCount(const std::string &value)
+{
+    // An unsigned from_chars takes no sign or space and reports
+    // overflow; the whole string must be digits.
+    const char *end = value.data() + value.size();
+    std::size_t count = 0;
+    const auto [ptr, ec] = std::from_chars(value.data(), end, count);
+    if (ec != std::errc() || ptr != end || count < 1 || count > kMaxThreads)
+        fatal("WANIFY_THREADS must be an integer in [1, 1024]");
+    return count;
+}
 
 ThreadPool::ThreadPool(std::size_t threads)
 {

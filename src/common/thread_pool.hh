@@ -23,6 +23,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -47,9 +48,17 @@ class ThreadPool
 
     /**
      * Process-wide pool sized from the WANIFY_THREADS environment
-     * variable when set, otherwise std::thread::hardware_concurrency().
+     * variable when set (see parseThreadCount), otherwise
+     * std::thread::hardware_concurrency().
      */
     static ThreadPool &global();
+
+    /**
+     * The pool size a WANIFY_THREADS value asks for. Only a whole
+     * decimal integer in [1, 1024] is accepted (no sign, space or
+     * suffix); anything else is fatal. Builds no pool.
+     */
+    static std::size_t parseThreadCount(const std::string &value);
 
     /** Total concurrency: workers plus the participating caller. */
     std::size_t threadCount() const { return workers_.size() + 1; }

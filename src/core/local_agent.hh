@@ -66,12 +66,6 @@ class LocalAgent
      *  the AIMD targets sit from what the network actually delivers. */
     double meanTrackingError() const;
 
-    /** Monitored rates captured at the last epoch. */
-    const std::vector<Mbps> &lastMonitored() const
-    {
-        return lastMonitored_;
-    }
-
   private:
     /**
      * Dynamic BW throttling (Section 3.2.2): every epoch, compute the

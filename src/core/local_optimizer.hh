@@ -75,13 +75,6 @@ class LocalOptimizer
     Mbps targetBw(std::size_t dst) const;
     AimdMode lastMode(std::size_t dst) const;
 
-    /** Full target vectors (index = destination DC). */
-    const std::vector<int> &targetConnectionVector() const
-    {
-        return cons_;
-    }
-    const std::vector<Mbps> &targetBwVector() const { return bw_; }
-
     std::size_t sourceDc() const { return sourceDc_; }
     std::size_t dcCount() const { return cons_.size(); }
     const AimdConfig &config() const { return cfg_; }

@@ -24,7 +24,7 @@ WanifyFeatures::localOnly()
 }
 
 Wanify::Wanify(WanifyConfig config)
-    : config_(std::move(config)), drift_(config_.drift)
+    : config_(std::move(config))
 {}
 
 void

@@ -204,7 +204,6 @@ class Wanify
     Deployment deploy(net::NetworkSim &sim, const GlobalPlan &plan,
                       const BwMatrix &predictedBw) const;
 
-    ModelDriftDetector &driftDetector() { return drift_; }
     const WanifyConfig &config() const { return config_; }
 
   private:
@@ -219,8 +218,6 @@ class Wanify
      */
     mutable std::shared_ptr<const RuntimeBwPredictor> predictor_;
     mutable std::mutex predictorMu_;
-
-    ModelDriftDetector drift_;
 };
 
 } // namespace core

@@ -74,8 +74,6 @@ class CostModel
                             const Matrix<Bytes> &bytesByPair,
                             double storedGb = 0.0) const;
 
-    const Pricing &pricing() const { return pricing_; }
-
   private:
     const net::Topology &topo_;
     Pricing pricing_;

@@ -309,14 +309,6 @@ DecisionTreeRegressor::predict(const std::vector<double> &x) const
     return nodes_[static_cast<std::size_t>(idx)].leafValue;
 }
 
-double
-DecisionTreeRegressor::predictScalar(const std::vector<double> &x) const
-{
-    const auto &y = predict(x);
-    panicIf(y.size() != 1, "predictScalar on multi-output tree");
-    return y[0];
-}
-
 std::size_t
 DecisionTreeRegressor::depth() const
 {

@@ -80,9 +80,6 @@ class DecisionTreeRegressor
      */
     const std::vector<double> &predict(const std::vector<double> &x) const;
 
-    /** Single-output shortcut. */
-    double predictScalar(const std::vector<double> &x) const;
-
     bool trained() const { return !nodes_.empty(); }
     std::size_t nodeCount() const { return nodes_.size(); }
     std::size_t featureCount() const { return featureCount_; }

@@ -169,31 +169,6 @@ RandomForestRegressor::growTrees(const Dataset &data, std::size_t count,
 }
 
 std::vector<double>
-RandomForestRegressor::predict(const std::vector<double> &x) const
-{
-    panicIf(trees_.empty(), "RandomForest::predict before fit");
-    std::vector<double> mean;
-    for (const auto &tree : trees_) {
-        const auto &y = tree->predict(x);
-        if (mean.empty())
-            mean.assign(y.size(), 0.0);
-        for (std::size_t k = 0; k < y.size(); ++k)
-            mean[k] += y[k];
-    }
-    for (auto &m : mean)
-        m /= static_cast<double>(trees_.size());
-    return mean;
-}
-
-double
-RandomForestRegressor::predictScalar(const std::vector<double> &x) const
-{
-    const auto y = predict(x);
-    panicIf(y.size() != 1, "predictScalar on multi-output forest");
-    return y[0];
-}
-
-std::vector<double>
 RandomForestRegressor::featureImportances() const
 {
     std::vector<double> gains(featureCount_, 0.0);

@@ -82,29 +82,20 @@ class RandomForestRegressor
                    std::uint64_t seed);
 
     /**
-     * Ensemble-mean prediction — the interpreted reference path. Hot
-     * paths should go through compiled() instead; both produce
-     * bit-identical results.
-     */
-    std::vector<double> predict(const std::vector<double> &x) const;
-
-    /** Single-output shortcut. */
-    double predictScalar(const std::vector<double> &x) const;
-
-    /**
-     * The compiled inference engine for the current ensemble, built
-     * by fit()/warmStart() together with the trees (empty, so its
+     * The inference engine: the ensemble mean of the current trees,
+     * compiled by fit()/warmStart() together with them (empty, so its
      * predictions panic, until the forest is trained). Safe for
      * concurrent readers; the reference stays valid until the next
-     * fit()/warmStart() on this forest.
+     * fit()/warmStart() on this forest. tests/oracles/forest_predict.hh
+     * keeps the interpreted ensemble mean it is held bit-identical to.
      */
     const CompiledForest &compiled() const;
 
     bool trained() const { return !trees_.empty(); }
     std::size_t treeCount() const { return trees_.size(); }
 
-    /** The fitted ensemble (reference path; benches emulate legacy
-     *  per-call-allocating inference through this view). */
+    /** The fitted ensemble (parity oracles and benches walk the
+     *  trees through this view). */
     const SharedTrees &trees() const { return trees_; }
 
     /**

@@ -46,18 +46,5 @@ IfTop::endWindow()
     return rates;
 }
 
-std::vector<Mbps>
-IfTop::instantaneous() const
-{
-    const std::size_t n = sim_.topology().dcCount();
-    std::vector<Mbps> rates(n, 0.0);
-    for (DcId j = 0; j < n; ++j) {
-        if (j == sourceDc_)
-            continue;
-        rates[j] = sim_.pairRate(sourceDc_, j);
-    }
-    return rates;
-}
-
 } // namespace monitor
 } // namespace wanify

@@ -39,9 +39,6 @@ class IfTop
      */
     std::vector<Mbps> endWindow();
 
-    /** Instantaneous egress rates (no window needed). */
-    std::vector<Mbps> instantaneous() const;
-
     net::DcId sourceDc() const { return sourceDc_; }
 
   private:

@@ -188,13 +188,6 @@ NetworkSim::setTcLimit(DcId src, DcId dst, Mbps limit)
 }
 
 void
-NetworkSim::clearTcLimits()
-{
-    std::fill(tcLimits_.begin(), tcLimits_.end(), 0.0);
-    ratesDirty_ = true;
-}
-
-void
 NetworkSim::setScenarioCapFactor(DcId src, DcId dst, double factor)
 {
     if (!std::isfinite(factor) || factor < 0.0)
@@ -442,10 +435,6 @@ NetworkSim::resolveRates()
 {
     if (stoppedCount_ > 0)
         dropStopped();
-    if (config_.referenceSolverInputs) {
-        resolveRatesReference();
-        return;
-    }
     const std::size_t n = topology_.dcCount();
 
     // One branch-free composition pass per bank: cached fluctuation
@@ -493,86 +482,6 @@ NetworkSim::resolveRates()
 
     const auto rates =
         solveRates(specs_, inputs_, config_.solver, &solverScratch_);
-    for (std::size_t i = 0; i < transfers_.size(); ++i) {
-        transfers_[i].rate = rates[i].rate;
-        transfers_[i].bottleneck = rates[i].bottleneck;
-    }
-    ratesDirty_ = false;
-}
-
-void
-NetworkSim::resolveRatesReference()
-{
-    // The pre-flat input builder: fresh map-keyed structures (group
-    // weights and share-cap entries included) and matrix accessors
-    // every call. resolveRates() must stay bit-identical to this
-    // (net_test asserts it on the 8-DC golden mesh);
-    // bench_perf_mesh_scale times the two against each other.
-    const std::size_t n = topology_.dcCount();
-
-    SolverInputs inputs;
-    inputs.dcCount = n;
-    inputs.vmEgressCap.resize(topology_.vmCount());
-    inputs.vmIngressCap.resize(topology_.vmCount());
-    inputs.vmNicCap.resize(topology_.vmCount());
-    for (VmId v = 0; v < topology_.vmCount(); ++v) {
-        const VmType &type = topology_.vm(v).type;
-        const double wobble = vmFluctuation_.multiplier(v);
-        inputs.vmEgressCap[v] = type.wanCapMbps * wobble;
-        inputs.vmIngressCap[v] = type.wanCapMbps * wobble;
-        inputs.vmNicCap[v] = type.nicCapMbps * wobble;
-    }
-    inputs.pathCap.resize(n * n);
-    for (DcId i = 0; i < n; ++i) {
-        for (DcId j = 0; j < n; ++j) {
-            const std::size_t pair = topology_.pairIndex(i, j);
-            double mult = i == j ? 1.0
-                                 : fluctuation_.multiplier(pair) *
-                                       scenarioCap_[pair];
-            inputs.pathCap[pair] = topology_.pathCap(i, j) * mult;
-        }
-    }
-    inputs.tcLimit = tcLimits_;
-
-    std::map<FlowGroupId, double> groupWeight;
-    for (const GroupSlot &g : groups_)
-        groupWeight.emplace(g.id, g.weight);
-    std::map<std::pair<FlowGroupId, std::size_t>, std::size_t> capEntry;
-    for (std::size_t e = 0; e < shareCaps_.size(); ++e) {
-        capEntry.emplace(
-            std::make_pair(shareCaps_[e].group, shareCaps_[e].pair), e);
-        inputs.shareCap.push_back(shareCaps_[e].cap);
-    }
-
-    std::vector<FlowSpec> specs;
-    specs.reserve(transfers_.size());
-    for (const Transfer &t : transfers_) {
-        FlowSpec spec;
-        spec.srcVm = t.srcVm;
-        spec.dstVm = t.dstVm;
-        spec.srcDc = t.srcDc;
-        spec.dstDc = t.dstDc;
-        spec.connections = t.connections;
-        const Seconds rtt = std::max(
-            topology_.rttSeconds(t.srcDc, t.dstDc) *
-                scenarioRtt_[topology_.pairIndex(t.srcDc, t.dstDc)],
-            1.0e-3);
-        spec.weightPerConn =
-            topology_.routeQuality(t.srcDc, t.dstDc) / (rtt * rtt);
-        spec.capPerConn = topology_.connCap(t.srcDc, t.dstDc);
-        if (t.group != 0) {
-            auto w = groupWeight.find(t.group);
-            if (w != groupWeight.end())
-                spec.weightPerConn *= w->second;
-            auto e = capEntry.find(std::make_pair(
-                t.group, topology_.pairIndex(t.srcDc, t.dstDc)));
-            if (e != capEntry.end())
-                spec.shareCap = e->second;
-        }
-        specs.push_back(spec);
-    }
-
-    const auto rates = solveRates(specs, inputs, config_.solver);
     for (std::size_t i = 0; i < transfers_.size(); ++i) {
         transfers_[i].rate = rates[i].rate;
         transfers_[i].bottleneck = rates[i].bottleneck;
@@ -829,17 +738,6 @@ NetworkSim::pendingBytesBetween(DcId src, DcId dst) const
         if (t.srcDc == src && t.dstDc == dst && !t.measurement &&
             !t.stopped)
             total += t.remaining;
-    }
-    return total;
-}
-
-int
-NetworkSim::totalConnectionsAtVm(VmId vm) const
-{
-    int total = 0;
-    for (const Transfer &t : transfers_) {
-        if ((t.srcVm == vm || t.dstVm == vm) && !t.stopped)
-            total += t.connections;
     }
     return total;
 }

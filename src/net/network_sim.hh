@@ -29,6 +29,10 @@
 #include "net/topology.hh"
 
 namespace wanify {
+namespace oracle {
+struct MapKeyedSolverInputs;
+} // namespace oracle
+
 namespace net {
 
 using TransferId = std::uint64_t;
@@ -81,15 +85,6 @@ struct NetworkSimConfig
 
     FluctuationParams fluctuation;
     SolverConfig solver;
-
-    /**
-     * Build solver inputs the pre-flat way (fresh map-keyed
-     * structures every resolve) instead of composing the persistent
-     * flat per-pair arrays. Bit-identical results either way — kept
-     * as the parity reference and the honest "before" arm of
-     * bench_perf_mesh_scale's resolveRates speedup.
-     */
-    bool referenceSolverInputs = false;
 };
 
 class NetworkSim
@@ -122,9 +117,6 @@ class NetworkSim
 
     /** Set (or with limit <= 0, clear) a tc throttle on a DC pair. */
     void setTcLimit(DcId src, DcId dst, Mbps limit);
-
-    /** Remove all tc throttles. */
-    void clearTcLimits();
 
     // --- scenario overrides ------------------------------------------------
     //
@@ -242,9 +234,6 @@ class NetworkSim
     /** Effective (fluctuated) path capacity right now. */
     Mbps effectivePathCap(DcId src, DcId dst) const;
 
-    /** Total parallel connections currently open at a VM (both dirs). */
-    int totalConnectionsAtVm(VmId vm) const;
-
     /** Ids of active transfers (incl. measurements) between two DCs. */
     std::vector<TransferId> transfersBetween(DcId src, DcId dst) const;
 
@@ -291,11 +280,13 @@ class NetworkSim
         double weight = 1.0;
     };
 
+    /** The map-keyed input build that resolveRates is held
+     *  bit-identical to (tests/oracles/solver_inputs.hh) reads the
+     *  sim's private state directly. */
+    friend struct oracle::MapKeyedSolverInputs;
+
     /** Recompute rates for the current flow set. */
     void resolveRates();
-
-    /** Legacy map-keyed input build (parity reference + bench arm). */
-    void resolveRatesReference();
 
     /** Refresh pairWeight_ from the scenario RTT factors. */
     void rebuildPairWeights();

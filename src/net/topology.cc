@@ -9,6 +9,13 @@
 namespace wanify {
 namespace net {
 
+namespace {
+
+/** Inter-DC backbone path capacity (Mbps, per direction, per pair). */
+constexpr Mbps kBackboneCap = 2900.0;
+
+} // namespace
+
 const Dc &
 Topology::dc(DcId id) const
 {
@@ -85,21 +92,13 @@ TopologyBuilder::addVm(DcId dc, const VmType &type)
     return *this;
 }
 
-TopologyBuilder &
-TopologyBuilder::setBackboneCap(Mbps cap)
-{
-    fatalIf(cap <= 0.0, "setBackboneCap: cap must be positive");
-    backboneCap_ = cap;
-    return *this;
-}
-
 Topology
 TopologyBuilder::build()
 {
     fatalIf(regions_.empty(), "TopologyBuilder: no DCs added");
 
     Topology topo;
-    topo.rttModel_ = RttModel(rttParams_);
+    const RttModel rttModel(rttParams_);
 
     const std::size_t n = regions_.size();
     topo.dcs_.reserve(n);
@@ -139,19 +138,17 @@ TopologyBuilder::build()
             if (i == j) {
                 // Intra-DC: LAN latency; a single connection saturates
                 // the NIC (Section 2.1), so the conn cap is the NIC cap.
-                topo.rtt_.at(i, j) = topo.rttModel_.params().baseRtt / 4.0;
-                topo.connCap_.at(i, j) =
-                    topo.rttModel_.params().maxConnCap;
+                topo.rtt_.at(i, j) = rttModel.params().baseRtt / 4.0;
+                topo.connCap_.at(i, j) = rttModel.params().maxConnCap;
                 topo.pathCap_.at(i, j) = 10000.0;
                 continue;
             }
             const Kilometers km =
                 distanceKm(regions_[i], regions_[j]);
             topo.distance_.at(i, j) = km;
-            topo.rtt_.at(i, j) = topo.rttModel_.rtt(km);
-            topo.connCap_.at(i, j) =
-                topo.rttModel_.connCap(topo.rtt_.at(i, j));
-            topo.pathCap_.at(i, j) = backboneCap_;
+            topo.rtt_.at(i, j) = rttModel.rtt(km);
+            topo.connCap_.at(i, j) = rttModel.connCap(topo.rtt_.at(i, j));
+            topo.pathCap_.at(i, j) = kBackboneCap;
             topo.routeQuality_.at(i, j) =
                 pairQuality(regions_[i], regions_[j]);
         }

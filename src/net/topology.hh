@@ -99,8 +99,6 @@ class Topology
     /** Number of ordered DC pairs (n * n). */
     std::size_t pairCount() const { return dcCount() * dcCount(); }
 
-    const RttModel &rttModel() const { return rttModel_; }
-
     friend class TopologyBuilder;
 
   private:
@@ -111,7 +109,6 @@ class Topology
     Matrix<Mbps> connCap_;
     Matrix<Mbps> pathCap_;
     Matrix<double> routeQuality_;
-    RttModel rttModel_;
 };
 
 /** Fluent builder for Topology. */
@@ -126,9 +123,6 @@ class TopologyBuilder
 
     /** Add one more VM to an existing DC (heterogeneous VM counts). */
     TopologyBuilder &addVm(DcId dc, const VmType &type);
-
-    /** Override the default backbone path capacity (Mbps). */
-    TopologyBuilder &setBackboneCap(Mbps cap);
 
     /** Finalize; at least 1 DC required. */
     Topology build();
@@ -148,7 +142,6 @@ class TopologyBuilder
     RttModelParams rttParams_;
     std::vector<Region> regions_;
     std::vector<PendingVm> pendingVms_;
-    Mbps backboneCap_ = 2900.0;
 };
 
 } // namespace net

@@ -1,7 +1,5 @@
 #include "net/vm.hh"
 
-#include "common/error.hh"
-
 namespace wanify {
 namespace net {
 
@@ -36,22 +34,6 @@ VmType
 VmTypeCatalog::e2medium()
 {
     return {"e2-medium", 2, 4.0, 4000.0, 2000.0, 1.9, 0.0335};
-}
-
-VmType
-VmTypeCatalog::byName(const std::string &name)
-{
-    if (name == "t3.nano")
-        return t3nano();
-    if (name == "t2.medium")
-        return t2medium();
-    if (name == "t2.large")
-        return t2large();
-    if (name == "m5.large")
-        return m5large();
-    if (name == "e2-medium")
-        return e2medium();
-    fatal("unknown VM type: " + name);
 }
 
 } // namespace net

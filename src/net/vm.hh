@@ -52,9 +52,6 @@ class VmTypeCatalog
     static VmType t2large();
     static VmType m5large();
     static VmType e2medium(); ///< GCP, for the multi-cloud experiment
-
-    /** Look up by name; fatal() if unknown. */
-    static VmType byName(const std::string &name);
 };
 
 } // namespace net

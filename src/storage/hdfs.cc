@@ -32,6 +32,9 @@ HdfsStore::loadSkewed(Bytes totalBytes,
             "HdfsStore::loadSkewed: fraction count mismatch");
     double sum = 0.0;
     for (double f : dcFractions) {
+        // A NaN would pass both checks below and place no bytes.
+        fatalIf(!std::isfinite(f),
+                "HdfsStore::loadSkewed: fractions must be finite");
         fatalIf(f < 0.0, "HdfsStore::loadSkewed: negative fraction");
         sum += f;
     }
@@ -44,6 +47,10 @@ void
 HdfsStore::loadFractions(Bytes totalBytes,
                          const std::vector<double> &fractions)
 {
+    // A NaN would load no block; +inf would never leave the block
+    // loop (inf - blockSize == inf).
+    fatalIf(!std::isfinite(totalBytes),
+            "HdfsStore: totalBytes must be finite");
     fatalIf(totalBytes <= 0.0, "HdfsStore: totalBytes must be > 0");
     blocks_.clear();
     bytesByDc_.assign(topo_.dcCount(), 0.0);

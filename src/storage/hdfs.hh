@@ -48,12 +48,14 @@ class HdfsStore
   public:
     explicit HdfsStore(const net::Topology &topo, HdfsConfig cfg = {});
 
-    /** Load @p totalBytes spread as evenly as blocks allow. */
+    /** Load @p totalBytes (finite, > 0) spread as evenly as blocks
+     *  allow. */
     void loadUniform(Bytes totalBytes);
 
     /**
-     * Load @p totalBytes with the given per-DC fractions (must sum to
-     * ~1); used to emulate moving blocks into skewed DCs.
+     * Load @p totalBytes with the given per-DC fractions (finite,
+     * >= 0, summing to ~1); used to emulate moving blocks into skewed
+     * DCs.
      */
     void loadSkewed(Bytes totalBytes,
                     const std::vector<double> &dcFractions);

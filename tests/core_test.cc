@@ -21,6 +21,7 @@
 #include "monitor/features.hh"
 #include "net/network_sim.hh"
 #include "net/vm.hh"
+#include "oracles/forest_predict.hh"
 
 using namespace wanify;
 using namespace wanify::core;
@@ -532,7 +533,7 @@ TEST(RuntimeBwPredictor, BatchedMatrixMatchesPerPairReference)
 {
     // The batched single-predictBatch path must be bit-identical to
     // predicting each pair individually through the interpreted
-    // ensemble (the pre-PR code shape).
+    // ensemble (tests/oracles/forest_predict.hh).
     const auto topo = net::TopologyBuilder::paperTestbed(
         4, net::VmTypeCatalog::t3nano());
     const auto [predictor, snapshot] = goldenFixture();
@@ -552,7 +553,7 @@ TEST(RuntimeBwPredictor, BatchedMatrixMatchesPerPairReference)
             const auto features = monitor::pairFeatures(
                 topo, snapshot, i, j, load, retrans);
             const double reference = std::max(
-                0.0, predictor.forest().predict(features)[0]);
+                0.0, oracle::forestPredict(predictor.forest(), features)[0]);
             EXPECT_EQ(predicted.at(i, j), reference);
             EXPECT_EQ(predicted.at(i, j),
                       predictor.predictPair(features));

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/stats.hh"
 #include "cost/cost_model.hh"
 #include "experiments/testbed.hh"
@@ -74,8 +77,33 @@ TEST(Hdfs, SkewFractionsValidated)
 {
     const auto topo = workerCluster(2);
     storage::HdfsStore hdfs(topo);
-    EXPECT_THROW(hdfs.loadSkewed(1000.0, {0.6, 0.6}), FatalError);
-    EXPECT_THROW(hdfs.loadSkewed(1000.0, {1.0}), FatalError);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(whatOf<FatalError>(
+                  [&] { hdfs.loadSkewed(1000.0, {0.6, 0.6}); }),
+              "fatal: HdfsStore::loadSkewed: fractions must sum to 1");
+    EXPECT_EQ(
+        whatOf<FatalError>([&] { hdfs.loadSkewed(1000.0, {1.0}); }),
+        "fatal: HdfsStore::loadSkewed: fraction count mismatch");
+    // A NaN fraction passes the sum check, and would put 0 bytes at
+    // its DC without an error.
+    EXPECT_EQ(
+        whatOf<FatalError>([&] { hdfs.loadSkewed(1e9, {nan, 1.0}); }),
+        "fatal: HdfsStore::loadSkewed: fractions must be finite");
+    // A NaN total loads no block; +inf never leaves the block loop.
+    const std::string nonFinite =
+        "fatal: HdfsStore: totalBytes must be finite";
+    EXPECT_EQ(
+        whatOf<FatalError>([&] { hdfs.loadSkewed(nan, {0.5, 0.5}); }),
+        nonFinite);
+    EXPECT_EQ(
+        whatOf<FatalError>([&] { hdfs.loadSkewed(inf, {0.5, 0.5}); }),
+        nonFinite);
+    EXPECT_EQ(whatOf<FatalError>([&] { hdfs.loadUniform(nan); }),
+              nonFinite);
+    EXPECT_EQ(whatOf<FatalError>([&] { hdfs.loadUniform(inf); }),
+              nonFinite);
+    EXPECT_EQ(hdfs.blockCount(), 0u);
 }
 
 // ---- cost --------------------------------------------------------------------

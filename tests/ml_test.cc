@@ -15,6 +15,7 @@
 #include "ml/decision_tree.hh"
 #include "ml/metrics.hh"
 #include "ml/random_forest.hh"
+#include "oracles/forest_predict.hh"
 #include "expect_what.hh"
 
 using namespace wanify;
@@ -105,8 +106,8 @@ TEST(DecisionTree, LearnsStepFunctionExactly)
     DecisionTreeRegressor tree;
     Rng rng(3);
     tree.fit(stepData(200, 5), rng);
-    EXPECT_NEAR(tree.predictScalar({2.0}), 10.0, 1e-9);
-    EXPECT_NEAR(tree.predictScalar({8.0}), 20.0, 1e-9);
+    EXPECT_NEAR(tree.predict({2.0})[0], 10.0, 1e-9);
+    EXPECT_NEAR(tree.predict({8.0})[0], 20.0, 1e-9);
 }
 
 TEST(DecisionTree, FitsLinearTrendApproximately)
@@ -115,7 +116,7 @@ TEST(DecisionTree, FitsLinearTrendApproximately)
     Rng rng(4);
     tree.fit(linearData(500, 6), rng);
     for (double x : {1.0, 4.0, 9.0})
-        EXPECT_NEAR(tree.predictScalar({x, 5.0}), 3.0 * x, 1.0);
+        EXPECT_NEAR(tree.predict({x, 5.0})[0], 3.0 * x, 1.0);
 }
 
 TEST(DecisionTree, MultiOutputLeaves)
@@ -174,7 +175,7 @@ TEST(DecisionTree, ConstantTargetGivesSingleLeaf)
     tree.fit(data, rng);
     EXPECT_EQ(tree.nodeCount(), 1u);
     EXPECT_EQ(tree.depth(), 1u);
-    EXPECT_DOUBLE_EQ(tree.predictScalar({99.0}), 42.0);
+    EXPECT_DOUBLE_EQ(tree.predict({99.0})[0], 42.0);
 }
 
 // ---- random forest ------------------------------------------------------------
@@ -192,7 +193,7 @@ TEST(RandomForest, BeatsNaiveMeanOnLinearData)
     std::vector<double> truth, pred;
     for (std::size_t i = 0; i < test.size(); ++i) {
         truth.push_back(test.target(i));
-        pred.push_back(forest.predictScalar(test.x(i)));
+        pred.push_back(oracle::forestPredict(forest, test.x(i))[0]);
     }
     EXPECT_GT(r2(truth, pred), 0.98);
     EXPECT_LT(mae(truth, pred), 1.0);
@@ -221,7 +222,7 @@ TEST(RandomForest, WarmStartAddsTrees)
     forest.warmStart(grown, 5, 43);
     EXPECT_EQ(forest.treeCount(), 15u);
     // Still accurate after the warm start.
-    EXPECT_NEAR(forest.predictScalar({5.0, 1.0}), 15.0, 1.0);
+    EXPECT_NEAR(oracle::forestPredict(forest, {5.0, 1.0})[0], 15.0, 1.0);
 }
 
 TEST(RandomForest, WarmStartRejectsShapeChange)
@@ -244,7 +245,7 @@ TEST(RandomForest, WarmStartRejectsShapeChange)
     // compiles and predicts its one output.
     EXPECT_EQ(forest.treeCount(), 4u);
     EXPECT_EQ(forest.compiled().outputCount(), 1u);
-    EXPECT_EQ(forest.predict({1.0, 2.0}).size(), 1u);
+    EXPECT_EQ(oracle::forestPredict(forest, {1.0, 2.0}).size(), 1u);
 }
 
 TEST(RandomForest, WarmStartOnUntrainedForestTrainsFromScratch)
@@ -259,7 +260,7 @@ TEST(RandomForest, WarmStartOnUntrainedForestTrainsFromScratch)
     // The extra trees are the whole ensemble; nEstimators is only
     // the fit() batch size.
     EXPECT_EQ(forest.treeCount(), 6u);
-    EXPECT_NEAR(forest.predictScalar({5.0, 1.0}), 15.0, 1.5);
+    EXPECT_NEAR(oracle::forestPredict(forest, {5.0, 1.0})[0], 15.0, 1.5);
     // Shape is locked in by the warm start.
     Dataset other(3, 1);
     other.add({1.0, 2.0, 3.0}, 4.0);
@@ -336,8 +337,8 @@ TEST(RandomForest, DeterministicForSameSeed)
     a.fit(data, 71);
     b.fit(data, 71);
     for (double x : {1.0, 5.0, 9.0})
-        EXPECT_DOUBLE_EQ(a.predictScalar({x, 0.0}),
-                         b.predictScalar({x, 0.0}));
+        EXPECT_DOUBLE_EQ(oracle::forestPredict(a, {x, 0.0})[0],
+                         oracle::forestPredict(b, {x, 0.0})[0]);
 }
 
 // ---- compiled forest -----------------------------------------------------------
@@ -398,7 +399,7 @@ TEST(CompiledForest, BitIdenticalToReferenceOnRandomInputs)
     for (int i = 0; i < 200; ++i) {
         const std::vector<double> x = {rng.uniform(-5.0, 15.0),
                                        rng.uniform(-5.0, 15.0)};
-        const auto ref = forest.predict(x);
+        const auto ref = oracle::forestPredict(forest, x);
         double out = 0.0;
         compiled.predictInto(x.data(), &out);
         // Exact equality: the compiled walk must be bit-identical to
@@ -437,7 +438,7 @@ TEST(CompiledForest, InvalidatedAndRebuiltAfterWarmStartRegrow)
                                            rng.uniform(0.0, 10.0)};
             std::vector<double> out(outputs);
             compiled.predictInto(x.data(), out.data());
-            EXPECT_EQ(out, forest.predict(x));
+            EXPECT_EQ(out, oracle::forestPredict(forest, x));
         }
     }
 }
@@ -460,7 +461,7 @@ TEST(CompiledForest, MultiOutputLeavesMatchReference)
     Rng rng(90);
     for (int i = 0; i < 100; ++i) {
         const std::vector<double> x = {rng.uniform(0.0, 10.0)};
-        const auto ref = forest.predict(x);
+        const auto ref = oracle::forestPredict(forest, x);
         double out[2] = {0.0, 0.0};
         compiled.predictInto(x.data(), out);
         EXPECT_EQ(out[0], ref[0]);

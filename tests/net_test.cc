@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
 
 #include "common/error.hh"
 #include "common/stats.hh"
@@ -21,6 +22,7 @@
 #include "net/rtt_model.hh"
 #include "net/topology.hh"
 #include "net/vm.hh"
+#include "oracles/solver_inputs.hh"
 #include "oracles/water_fill.hh"
 #include "expect_what.hh"
 
@@ -1001,82 +1003,113 @@ TEST(NetworkSim, RetransScoreRisesUnderContention)
 TEST(NetworkSim, FlatSolverInputsMatchReferenceBitExact)
 {
     // The flat per-pair composition path (persistent PairIndex-keyed
-    // arrays) must produce bit-identical rates, progress, and
-    // completion times to the legacy map-keyed input build — the
-    // golden 8-DC mesh drives both through every feature that feeds
-    // the solver: groups, share caps, scenario factors, tc limits,
-    // connection changes, and OU fluctuation.
+    // arrays) must give every transfer bit-identically the rate and
+    // bottleneck that the map-keyed input build in
+    // tests/oracles/solver_inputs.hh gives it — the golden 8-DC mesh
+    // drives one sim through every feature that feeds the solver:
+    // groups, share caps, scenario factors, tc limits, connection
+    // changes, and OU fluctuation. Every solve the run makes is
+    // checked, not just two checkpoints.
     const auto topo = paperTopo(8);
-    NetworkSimConfig flatCfg; // fluctuation ON: wobbled caps too
-    NetworkSimConfig refCfg;
-    refCfg.referenceSolverInputs = true;
+    NetworkSimConfig cfg; // fluctuation ON: wobbled caps too
+    NetworkSim sim(topo, cfg, 99);
+    std::vector<TransferId> ids;
 
-    NetworkSim flat(topo, flatCfg, 99);
-    NetworkSim ref(topo, refCfg, 99);
-
-    std::vector<TransferId> flatIds, refIds;
-    auto driveBoth = [&](auto &&fn) {
-        fn(flat, flatIds);
-        fn(ref, refIds);
-    };
-
-    driveBoth([&](NetworkSim &sim, std::vector<TransferId> &ids) {
-        const auto &t = sim.topology();
-        for (DcId i = 0; i < 8; ++i)
-            for (DcId j = 0; j < 8; ++j)
-                if (i != j)
-                    ids.push_back(sim.startTransfer(
-                        t.dc(i).vms.front(), t.dc(j).vms.front(),
-                        units::megabytes(40.0 + 3.0 * i + j),
-                        1 + static_cast<int>((i + j) % 4),
-                        (i + j) % 3));
-        ids.push_back(sim.startMeasurement(t.dc(0).vms.front(),
-                                           t.dc(7).vms.front(), 2));
-        sim.setGroupWeight(1, 2.5);
-        sim.installShareCaps({{1, t.pairIndex(0, 1), 300.0},
-                              {2, t.pairIndex(3, 4), 150.0}});
-        sim.setScenarioCapFactor(2, 3, 0.4);
-        sim.setScenarioRttFactor(1, 2, 1.5);
-        sim.setTcLimit(0, 2, 500.0);
-        sim.advanceBy(0.7);
-        sim.advanceBy(1.3);
-    });
-
-    ASSERT_EQ(flatIds.size(), refIds.size());
-    auto expectIdenticalState = [&]() {
-        for (std::size_t k = 0; k < flatIds.size(); ++k) {
-            const auto a = flat.status(flatIds[k]);
-            const auto b = ref.status(refIds[k]);
-            EXPECT_EQ(a.currentRate, b.currentRate) << "flow " << k;
-            EXPECT_EQ(a.bytesMoved, b.bytesMoved) << "flow " << k;
-            EXPECT_EQ(a.bottleneck, b.bottleneck) << "flow " << k;
+    std::size_t checks = 0;
+    auto expectMatchesOracle = [&]() {
+        ++checks;
+        const auto ref = oracle::MapKeyedSolverInputs::rates(sim);
+        ASSERT_EQ(ref.size(), sim.activeTransferCount());
+        std::map<TransferId, Mbps> refRate;
+        for (const auto &r : ref) {
+            const auto st = sim.status(r.id);
+            EXPECT_EQ(st.currentRate, r.rate.rate)
+                << "flow " << r.id << " at t=" << sim.now();
+            EXPECT_EQ(st.bottleneck, r.rate.bottleneck)
+                << "flow " << r.id << " at t=" << sim.now();
+            refRate[r.id] = r.rate.rate;
         }
-        for (DcId i = 0; i < 8; ++i)
-            for (DcId j = 0; j < 8; ++j)
-                EXPECT_EQ(flat.pairRate(i, j), ref.pairRate(i, j))
-                    << "pair " << i << "->" << j;
+        for (DcId i = 0; i < 8; ++i) {
+            for (DcId j = 0; j < 8; ++j) {
+                Mbps want = 0.0;
+                for (TransferId id : sim.transfersBetween(i, j))
+                    want += refRate.at(id);
+                EXPECT_EQ(sim.pairRate(i, j), want)
+                    << "pair " << i << "->" << j << " at t=" << sim.now();
+            }
+        }
     };
-    expectIdenticalState();
+    auto nextCompletionIn = [&]() {
+        Seconds best = std::numeric_limits<Seconds>::infinity();
+        for (TransferId id : ids) {
+            const auto st = sim.status(id);
+            if (st.exists && !st.done)
+                best = std::min(best, units::transferTime(
+                                          st.bytesRemaining,
+                                          st.currentRate));
+        }
+        return best;
+    };
+    // The sim's fluctuation ticks, tracked the way the sim tracks them.
+    Seconds nextTick = cfg.tickInterval;
+    // Solve what changed since the last step and check that solve.
+    // Then end each step at the next tick, the earliest completion at
+    // current rates, or the end of dt, so each advanceBy makes at most
+    // one event and re-solves at most once, at its end: every solve
+    // gets checked.
+    auto advanceChecked = [&](Seconds dt) {
+        sim.advanceBy(0.0);
+        expectMatchesOracle();
+        while (dt > 0.0) {
+            const Seconds step = std::min(
+                {dt, nextTick - sim.now(), nextCompletionIn()});
+            sim.advanceBy(step);
+            if (sim.now() >= nextTick - 1.0e-12)
+                nextTick += cfg.tickInterval;
+            for (const auto &c : sim.drainCompletions())
+                EXPECT_EQ(c.time, sim.now())
+                    << "flow " << c.id << " completed mid-step";
+            expectMatchesOracle();
+            dt -= step;
+        }
+    };
+
+    for (DcId i = 0; i < 8; ++i)
+        for (DcId j = 0; j < 8; ++j)
+            if (i != j)
+                ids.push_back(sim.startTransfer(
+                    topo.dc(i).vms.front(), topo.dc(j).vms.front(),
+                    units::megabytes(40.0 + 3.0 * i + j),
+                    1 + static_cast<int>((i + j) % 4), (i + j) % 3));
+    ids.push_back(sim.startMeasurement(topo.dc(0).vms.front(),
+                                       topo.dc(7).vms.front(), 2));
+    sim.setGroupWeight(1, 2.5);
+    sim.installShareCaps({{1, topo.pairIndex(0, 1), 300.0},
+                          {2, topo.pairIndex(3, 4), 150.0}});
+    sim.setScenarioCapFactor(2, 3, 0.4);
+    sim.setScenarioRttFactor(1, 2, 1.5);
+    sim.setTcLimit(0, 2, 500.0);
+    advanceChecked(0.7);
+    advanceChecked(1.3);
 
     // Mutate every dirty-tracking path mid-flight and recheck.
-    driveBoth([&](NetworkSim &sim, std::vector<TransferId> &ids) {
-        sim.setConnections(ids[3], 6);
-        sim.stopTransfer(ids[10]);
-        // Clear group 1's cap by leaving it out of the table.
-        sim.installShareCaps(
-            {{2, sim.topology().pairIndex(3, 4), 150.0}});
-        sim.setGroupWeight(2, 0.5);
-        sim.setScenarioCapFactor(2, 3, 1.0);
-        sim.setTcLimit(0, 2, 0.0);
-        sim.clearGroupAllocations(2);
-        sim.advanceBy(2.0);
-    });
-    expectIdenticalState();
+    sim.setConnections(ids[3], 6);
+    sim.stopTransfer(ids[10]);
+    // Clear group 1's cap by leaving it out of the table.
+    sim.installShareCaps({{2, topo.pairIndex(3, 4), 150.0}});
+    sim.setGroupWeight(2, 0.5);
+    sim.setScenarioCapFactor(2, 3, 1.0);
+    sim.setTcLimit(0, 2, 0.0);
+    sim.clearGroupAllocations(2);
+    advanceChecked(2.0);
 
-    const Seconds doneFlat = flat.runUntilAllComplete(600.0);
-    const Seconds doneRef = ref.runUntilAllComplete(600.0);
-    EXPECT_EQ(doneFlat, doneRef);
-    EXPECT_TRUE(flat.allTransfersDone());
+    // Run the finite transfers out, one tick interval at a time.
+    while (!sim.allTransfersDone() && sim.now() < 600.0)
+        advanceChecked(cfg.tickInterval);
+    EXPECT_TRUE(sim.allTransfersDone());
+    EXPECT_LT(sim.now(), 600.0);
+    // At least one check per tick the run crossed.
+    EXPECT_GE(static_cast<double>(checks), sim.now() / cfg.tickInterval);
 }
 
 TEST(NetworkSim, RegistryCompactionKeepsSolveOrder)

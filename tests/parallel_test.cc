@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/error.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "core/bandwidth_analyzer.hh"
@@ -28,10 +29,13 @@
 #include "sched/locality.hh"
 #include "storage/hdfs.hh"
 #include "workloads/terasort.hh"
+#include "oracles/forest_predict.hh"
+#include "expect_what.hh"
 
 using namespace wanify;
 using namespace wanify::experiments;
 using namespace wanify::ml;
+using test::whatOf;
 
 namespace {
 
@@ -202,6 +206,22 @@ TEST(ThreadPool, SaturatedNestedSubmissionMakesProgress)
     EXPECT_EQ(calls.load(), 512);
 }
 
+TEST(ThreadPool, ThreadCountParseAcceptsOnlyBoundedIntegers)
+{
+    // WANIFY_THREADS values are parsed without building a pool, so
+    // the over-bound case starts no thread.
+    const std::string want =
+        "fatal: WANIFY_THREADS must be an integer in [1, 1024]";
+    for (const char *bad : {"0", "-2", "4x", "abc", "", "1025"})
+        EXPECT_EQ(whatOf<FatalError>(
+                      [&] { ThreadPool::parseThreadCount(bad); }),
+                  want)
+            << "WANIFY_THREADS='" << bad << "'";
+    EXPECT_EQ(ThreadPool::parseThreadCount("1"), 1u);
+    EXPECT_EQ(ThreadPool::parseThreadCount("04"), 4u);
+    EXPECT_EQ(ThreadPool::parseThreadCount("1024"), 1024u);
+}
+
 TEST(Rng, DeriveSeedsAvoidsAdjacentBaseCollisions)
 {
     // Regression for the old `base + 7919 * t` scheme, where e.g.
@@ -258,10 +278,10 @@ TEST(ParallelForest, MatchesSequentialBitForBit)
     EXPECT_EQ(seq.oobR2(), par.oobR2());
     EXPECT_EQ(seq.oobR2(), capped.oobR2());
     for (double x = 0.0; x <= 10.0; x += 0.25) {
-        EXPECT_EQ(seq.predictScalar({x, 5.0}),
-                  par.predictScalar({x, 5.0}));
-        EXPECT_EQ(seq.predictScalar({x, 5.0}),
-                  capped.predictScalar({x, 5.0}));
+        EXPECT_EQ(oracle::forestPredict(seq, {x, 5.0})[0],
+                  oracle::forestPredict(par, {x, 5.0})[0]);
+        EXPECT_EQ(oracle::forestPredict(seq, {x, 5.0})[0],
+                  oracle::forestPredict(capped, {x, 5.0})[0]);
     }
     const auto seqImp = seq.featureImportances();
     const auto parImp = par.featureImportances();
@@ -291,8 +311,8 @@ TEST(ParallelForest, WarmStartMatchesSequential)
     ASSERT_EQ(par.treeCount(), 16u);
     EXPECT_EQ(seq.oobR2(), par.oobR2());
     for (double x = 0.5; x <= 9.5; x += 0.5) {
-        EXPECT_EQ(seq.predictScalar({x, 1.0}),
-                  par.predictScalar({x, 1.0}));
+        EXPECT_EQ(oracle::forestPredict(seq, {x, 1.0})[0],
+                  oracle::forestPredict(par, {x, 1.0})[0]);
     }
 }
 
