@@ -5,43 +5,10 @@
 namespace wanify {
 namespace logging {
 
-namespace {
-
-LogLevel gLevel = LogLevel::Warn;
-
-} // namespace
-
-void
-setLevel(LogLevel level)
-{
-    gLevel = level;
-}
-
-LogLevel
-level()
-{
-    return gLevel;
-}
-
-void
-inform(const std::string &msg)
-{
-    if (gLevel >= LogLevel::Info)
-        std::cerr << "info: " << msg << "\n";
-}
-
 void
 warn(const std::string &msg)
 {
-    if (gLevel >= LogLevel::Warn)
-        std::cerr << "warn: " << msg << "\n";
-}
-
-void
-debug(const std::string &msg)
-{
-    if (gLevel >= LogLevel::Debug)
-        std::cerr << "debug: " << msg << "\n";
+    std::cerr << "warn: " << msg << "\n";
 }
 
 } // namespace logging

@@ -1,8 +1,8 @@
 /**
  * @file
- * Status messages in the gem5 style: inform() for normal operating
- * messages, warn() for conditions that might indicate a problem. Neither
- * stops execution; fatal()/panic() (error.hh) do.
+ * Status messages in the gem5 style: warn() for conditions that might
+ * indicate a problem. It does not stop execution; fatal()/panic()
+ * (error.hh) do.
  */
 
 #ifndef WANIFY_COMMON_LOGGING_HH
@@ -11,26 +11,11 @@
 #include <string>
 
 namespace wanify {
-
-/** Verbosity levels, most severe first. */
-enum class LogLevel { Silent = 0, Warn = 1, Info = 2, Debug = 3 };
-
 namespace logging {
 
-/** Set the global verbosity (default: Warn — keeps benches tidy). */
-void setLevel(LogLevel level);
-
-/** Current global verbosity. */
-LogLevel level();
-
-/** Normal operating message; shown at Info and above. */
-void inform(const std::string &msg);
-
-/** Something might be off but execution continues; Warn and above. */
+/** Something might be off but execution continues: prints
+ *  "warn: <msg>" to standard error. */
 void warn(const std::string &msg);
-
-/** Developer tracing; Debug only. */
-void debug(const std::string &msg);
 
 } // namespace logging
 } // namespace wanify

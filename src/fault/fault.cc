@@ -39,20 +39,6 @@ FaultEvent::killsTransfer(net::DcId from, net::DcId to) const
     return false;
 }
 
-const char *
-predictorModeName(PredictorMode mode)
-{
-    switch (mode) {
-    case PredictorMode::Model:
-        return "model";
-    case PredictorMode::Trend:
-        return "trend";
-    case PredictorMode::Static:
-        return "static";
-    }
-    return "unknown";
-}
-
 namespace {
 
 bool

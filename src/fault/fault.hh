@@ -215,8 +215,6 @@ enum class PredictorMode
     Static = 2, ///< trend unusable too: static a-priori bandwidth
 };
 
-const char *predictorModeName(PredictorMode mode);
-
 /** When the ladder steps down and back up. */
 struct PredictorHealthConfig
 {

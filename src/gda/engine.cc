@@ -61,6 +61,9 @@ struct RetryItem
  * bytes (probe traffic = growth minus job minus bursts) to
  * controlBytes, never to the query. RAII keeps the two halves of the
  * accounting paired however the gauging code between them evolves.
+ * A job transfer that finished is no longer live in the sim: its
+ * final bytes come from its completion record, which the engine
+ * drains only at stage end.
  */
 class ControlProbe
 {
@@ -74,13 +77,12 @@ class ControlProbe
           controlBytes_(controlBytes),
           n_(controlBytes.rows()),
           probe_(Matrix<Bytes>::square(n_, 0.0)),
-          burstBefore_(dynamics.activeBurstMoved())
+          burstBefore_(dynamics.activeBurstMoved()),
+          jobMoved_(jobBytesMoved())
     {
         for (DcId i = 0; i < n_; ++i)
             for (DcId j = 0; j < n_; ++j)
                 probe_.at(i, j) = -sim_.pairBytes(i, j);
-        for (const auto &[id, t] : pending_)
-            jobMoved_[id] = sim_.status(id).bytesMoved;
     }
 
     ~ControlProbe()
@@ -93,9 +95,9 @@ class ControlProbe
                 probe_.at(i, j) += sim_.pairBytes(i, j) -
                                    (burstAfter.at(i, j) -
                                     burstBefore_.at(i, j));
+        const std::map<TransferId, Bytes> jobAfter = jobBytesMoved();
         for (const auto &[id, t] : pending_)
-            probe_.at(t.src, t.dst) -=
-                sim_.status(id).bytesMoved - jobMoved_[id];
+            probe_.at(t.src, t.dst) -= jobAfter.at(id) - jobMoved_[id];
         for (DcId i = 0; i < n_; ++i)
             for (DcId j = 0; j < n_; ++j)
                 controlBytes_.at(i, j) +=
@@ -106,6 +108,20 @@ class ControlProbe
     ControlProbe &operator=(const ControlProbe &) = delete;
 
   private:
+    /** Bytes each pending job transfer has moved so far, by id. */
+    std::map<TransferId, Bytes> jobBytesMoved() const
+    {
+        std::map<TransferId, Bytes> moved;
+        for (const auto &[id, t] : pending_)
+            moved[id] = sim_.status(id).bytesMoved;
+        for (const net::CompletionRecord &rec : sim_.completions()) {
+            auto it = moved.find(rec.id);
+            if (it != moved.end())
+                it->second = rec.moved;
+        }
+        return moved;
+    }
+
     NetworkSim &sim_;
     const scenario::DynamicsCursor &dynamics_;
     const QueryExecution::Transfers &pending_;
@@ -132,6 +148,10 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         fatal("Engine::run: job has no stages");
     if (inputByDc.size() != n)
         fatal("Engine::run: input distribution size mismatch");
+    for (const Bytes bytes : inputByDc)
+        if (!std::isfinite(bytes) || bytes < 0.0)
+            fatal("Engine::run: input bytes must be finite and "
+                  "non-negative");
     if (opts.schedulerBw.rows() != n || opts.schedulerBw.cols() != n)
         fatal("Engine::run: scheduler BW matrix shape mismatch");
 

@@ -117,7 +117,7 @@ QueryExecution::stop(net::NetworkSim &sim, net::TransferId id,
     if (it == pending_.end())
         return std::nullopt;
     const net::TransferStatus st = sim.status(id);
-    if (!st.exists || st.done || st.bytesRemaining < 1.0)
+    if (!st.exists || st.bytesRemaining < 1.0)
         return std::nullopt; // effectively delivered; completion owns it
     ShuffleTransfer t = it->second;
     assignment_.at(t.src, t.dst) -= st.bytesRemaining;

@@ -38,15 +38,12 @@ NetworkSim::NetworkSim(Topology topology, NetworkSimConfig config,
       vmFluctuation_(topology_.vmCount(),
                      vmFluctuationParams(config.fluctuation),
                      seed ^ 0xabcdef1234567ULL),
-      nextTick_(config.tickInterval),
+      nextTick_(kTickInterval),
       tcLimits_(topology_.pairCount(), 0.0),
       scenarioCap_(topology_.pairCount(), 1.0),
       scenarioRtt_(topology_.pairCount(), 1.0),
       pairBytes_(topology_.pairCount(), 0.0)
 {
-    if (config_.tickInterval <= 0.0)
-        fatal("NetworkSim: tickInterval must be positive");
-
     // Unpack the immutable per-pair topology quantities into flat
     // PairIndex-layout banks once, so resolveRates composes arrays
     // instead of chasing matrix accessors.
@@ -142,8 +139,8 @@ TransferId
 NetworkSim::startTransfer(VmId src, VmId dst, Bytes bytes, int connections,
                           FlowGroupId group)
 {
-    if (bytes <= 0.0)
-        fatal("startTransfer: bytes must be positive");
+    if (!std::isfinite(bytes) || bytes <= 0.0)
+        fatal("startTransfer: bytes must be finite and positive");
     return makeTransfer(src, dst, bytes, connections, false, group);
 }
 
@@ -159,7 +156,6 @@ NetworkSim::stopTransfer(TransferId id)
     Transfer *t = findTransfer(id);
     if (t == nullptr)
         return;
-    completed_[id] = *t;
     t->stopped = true;
     ++stoppedCount_;
     ratesDirty_ = true;
@@ -527,9 +523,7 @@ NetworkSim::progress(Seconds dt)
         if (!t.measurement) {
             t.remaining -= moved;
             if (t.remaining <= kByteEps) {
-                t.remaining = 0.0;
-                completed_[t.id] = t;
-                completions_.push_back({t.id, now_});
+                completions_.push_back({t.id, now_, t.group, t.moved});
                 ratesDirty_ = true;
                 continue;
             }
@@ -550,7 +544,7 @@ NetworkSim::advanceBy(Seconds dt)
     std::size_t guard = 0;
     while (remaining > 1.0e-12) {
         if (++guard > 100000000)
-            panic("advanceBy: too many steps; check tickInterval");
+            panic("advanceBy: too many steps");
         if (ratesDirty_)
             resolveRates();
         const Seconds toTick = nextTick_ - now_;
@@ -561,9 +555,9 @@ NetworkSim::advanceBy(Seconds dt)
             progress(step);
         remaining -= step;
         if (now_ >= nextTick_ - 1.0e-12) {
-            fluctuation_.step(config_.tickInterval);
-            vmFluctuation_.step(config_.tickInterval);
-            nextTick_ += config_.tickInterval;
+            fluctuation_.step(kTickInterval);
+            vmFluctuation_.step(kTickInterval);
+            nextTick_ += kTickInterval;
             ratesDirty_ = true;
         } else if (step == 0.0 && toCompletion == 0.0) {
             // A transfer was already complete; run a zero-length sweep
@@ -594,8 +588,7 @@ NetworkSim::runUntilAllComplete(Seconds maxTime)
         // or the horizon. A sub-epsilon step cannot make progress —
         // stop instead of spinning.
         const Seconds step =
-            std::min(toCompletion == kInf ? config_.tickInterval
-                                          : toCompletion,
+            std::min(toCompletion == kInf ? kTickInterval : toCompletion,
                      maxTime - now_);
         if (step <= 1.0e-9)
             break;
@@ -626,28 +619,15 @@ TransferStatus
 NetworkSim::status(TransferId id) const
 {
     TransferStatus st;
-    if (const Transfer *active = findTransfer(id)) {
-        const Transfer &t = *active;
-        st.exists = true;
-        st.done = false;
-        st.bytesMoved = t.moved;
-        st.bytesRemaining = t.measurement ? kInf : t.remaining;
-        st.currentRate = t.rate;
-        st.bottleneck = t.bottleneck;
-        st.connections = t.connections;
+    const Transfer *t = findTransfer(id);
+    if (t == nullptr)
         return st;
-    }
-    auto ct = completed_.find(id);
-    if (ct != completed_.end()) {
-        const Transfer &t = ct->second;
-        st.exists = true;
-        st.done = true;
-        st.bytesMoved = t.moved;
-        st.bytesRemaining = 0.0;
-        st.currentRate = 0.0;
-        st.bottleneck = t.bottleneck;
-        st.connections = t.connections;
-    }
+    st.exists = true;
+    st.bytesMoved = t->moved;
+    st.bytesRemaining = t->measurement ? kInf : t->remaining;
+    st.currentRate = t->rate;
+    st.bottleneck = t->bottleneck;
+    st.connections = t->connections;
     return st;
 }
 

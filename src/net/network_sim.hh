@@ -18,7 +18,6 @@
 #define WANIFY_NET_NETWORK_SIM_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/matrix.hh"
@@ -58,18 +57,21 @@ struct GroupPairCap
     Mbps cap = 0.0;
 };
 
-/** A transfer completion event. */
+/** A finite transfer's completion: when it finished, its flow group
+ *  and the bytes it moved in all. */
 struct CompletionRecord
 {
     TransferId id = 0;
     Seconds time = 0.0;
+    FlowGroupId group = 0;
+    Bytes moved = 0.0;
 };
 
-/** Snapshot of one transfer's progress. */
+/** Snapshot of one live transfer's progress; a finished or stopped
+ *  transfer reads exists == false. */
 struct TransferStatus
 {
     bool exists = false;
-    bool done = false;
     Bytes bytesMoved = 0.0;
     Bytes bytesRemaining = 0.0;
     Mbps currentRate = 0.0;
@@ -80,9 +82,6 @@ struct TransferStatus
 /** Simulator tunables. */
 struct NetworkSimConfig
 {
-    /** Interval between fluctuation updates / rate re-solves. */
-    Seconds tickInterval = 1.0;
-
     FluctuationParams fluctuation;
     SolverConfig solver;
 };
@@ -90,6 +89,9 @@ struct NetworkSimConfig
 class NetworkSim
 {
   public:
+    /** Interval between fluctuation updates / rate re-solves. */
+    static constexpr Seconds kTickInterval = 1.0;
+
     NetworkSim(Topology topology, NetworkSimConfig config = {},
                std::uint64_t seed = 1);
 
@@ -101,7 +103,8 @@ class NetworkSim
 
     // --- transfer management ---------------------------------------------
 
-    /** Start a finite transfer of @p bytes; returns its id. */
+    /** Start a finite transfer of @p bytes (finite, > 0); returns its
+     *  id. */
     TransferId startTransfer(VmId src, VmId dst, Bytes bytes,
                              int connections = 1,
                              FlowGroupId group = 0);
@@ -208,8 +211,17 @@ class NetworkSim
     /** Retrieve and clear accumulated completion events. */
     std::vector<CompletionRecord> drainCompletions();
 
+    /** The completion events accumulated since the last drain, in
+     *  the order they happened. */
+    const std::vector<CompletionRecord> &completions() const
+    {
+        return completions_;
+    }
+
     // --- telemetry ---------------------------------------------------------
 
+    /** Progress of a live transfer; the sim keeps nothing of one that
+     *  finished (see completions()) or was stopped. */
     TransferStatus status(TransferId id) const;
 
     /** Instantaneous rate of one transfer. */
@@ -348,7 +360,6 @@ class NetworkSim
      */
     std::vector<Transfer> transfers_;
     std::size_t stoppedCount_ = 0;
-    std::map<TransferId, Transfer> completed_;
 
     /** The group table: one slot per group ever named, never moved,
      *  so a transfer keeps the slot it recorded at its start. */

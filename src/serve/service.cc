@@ -24,6 +24,9 @@ namespace {
 
 constexpr Seconds kTimeEps = 1.0e-9;
 
+/** Connection cap for re-dispatched transfers. */
+constexpr int kMaxRedispatchConnections = 8;
+
 std::unique_ptr<gda::Scheduler>
 makeScheduler(SchedulerKind kind)
 {
@@ -232,6 +235,9 @@ Service::submit(QuerySpec spec)
             "Service: query has no stages");
     fatalIf(spec.inputByDc.size() != topo_.dcCount(),
             "Service: input distribution size mismatch");
+    for (const Bytes bytes : spec.inputByDc)
+        if (!std::isfinite(bytes) || bytes < 0.0)
+            fatal("Service: input bytes must be finite and non-negative");
     fatalIf(!(spec.weight > 0.0) || !std::isfinite(spec.weight),
             "Service: query weight must be positive");
     fatalIf(!(spec.arrival >= 0.0),
@@ -496,21 +502,19 @@ void
 Service::routeCompletions()
 {
     for (const net::CompletionRecord &rec : sim_.drainCompletions()) {
-        // Completions are sparse relative to active queries; the
-        // linear owner scan is far from the hot path (the flow
-        // solver is).
-        for (const std::size_t idx : active_) {
-            QueryState &q = queries_[idx];
-            auto &pending = q.exec->pending();
-            auto it = pending.find(rec.id);
-            if (it == pending.end())
-                continue;
-            q.exec->landed(it->second.dst, rec.time);
-            pending.erase(it);
-            if (q.phase == Phase::Shuffling && pending.empty())
-                enterComputePhase(q);
-            break;
-        }
+        // submit() tags query k's transfers with group k + 1; group 0
+        // carries no query's transfers.
+        if (rec.group == 0)
+            continue;
+        QueryState &q = queries_[static_cast<std::size_t>(rec.group) - 1];
+        auto &pending = q.exec->pending();
+        auto it = pending.find(rec.id);
+        if (it == pending.end())
+            continue;
+        q.exec->landed(it->second.dst, rec.time);
+        pending.erase(it);
+        if (q.phase == Phase::Shuffling && pending.empty())
+            enterComputePhase(q);
     }
 }
 
@@ -568,7 +572,7 @@ Service::checkStragglersAndGuards()
                 continue;
             gda::ShuffleTransfer &nt = q.exec->start(
                 sim_, t.src, t.dst, remaining,
-                std::min(cfg_.maxRedispatchConnections,
+                std::min(kMaxRedispatchConnections,
                          std::max(1, t.connections * 2)),
                 q.group);
             nt.expected = t.expected;

@@ -89,14 +89,11 @@ struct ServiceConfig
      */
     double stragglerFactor = 4.0;
 
-    /** Connection cap for re-dispatched transfers. */
-    int maxRedispatchConnections = 8;
-
     /**
      * Re-dispatches allowed per transfer (each doubles connections up
-     * to maxRedispatchConnections). The default preserves the
-     * historical once-per-transfer behavior; 0 disables re-dispatch
-     * even with a positive stragglerFactor.
+     * to 8). The default preserves the historical once-per-transfer
+     * behavior; 0 disables re-dispatch even with a positive
+     * stragglerFactor.
      */
     std::size_t maxRedispatches = 1;
 

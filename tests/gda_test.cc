@@ -500,6 +500,15 @@ TEST(Engine, RejectsBadInputs)
     EXPECT_EQ(whatOf<FatalError>(
                   [&] { engine.run(job, {1.0}, locality, opts); }),
               "fatal: Engine::run: input distribution size mismatch");
+    for (const Bytes bad : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -1.0e9})
+        EXPECT_EQ(whatOf<FatalError>([&] {
+                      engine.run(job, {1.0, bad}, locality, opts);
+                  }),
+                  "fatal: Engine::run: input bytes must be finite and "
+                  "non-negative")
+            << "input " << bad;
 }
 
 // ---- ML workload ----------------------------------------------------------------------

@@ -475,6 +475,25 @@ TEST(Service, DrainReproducesBitIdenticalReports)
     EXPECT_GT(a.makespan, 0.0);
 }
 
+TEST(Service, SubmitRejectsNonFiniteOrNegativeInput)
+{
+    serve::Service service(experiments::workerCluster(4),
+                           serve::ServiceConfig{},
+                           experiments::quietSimConfig(), nullptr, 3);
+    for (const Bytes bad : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -1.0e9}) {
+        serve::QuerySpec q = smallQuery(0, 0, 4);
+        q.inputByDc[1] = bad;
+        EXPECT_EQ(whatOf<FatalError>([&] { service.submit(q); }),
+                  "fatal: Service: input bytes must be finite and "
+                  "non-negative")
+            << "input " << bad;
+    }
+    // Nothing rejected was queued.
+    EXPECT_TRUE(service.drain().queries.empty());
+}
+
 TEST(Service, AdmissionCapQueuesExcessQueries)
 {
     serve::ServiceConfig cfg;
