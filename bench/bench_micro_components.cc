@@ -110,11 +110,8 @@ BM_RandomForestPredictCompiled(benchmark::State &state)
         predictor->forest().compiled();
     const std::vector<double> features = {8.0, 250.0, 0.4,
                                           0.3, 0.1, 9000.0};
-    double out = 0.0;
-    for (auto _ : state) {
-        compiled.predictInto(features.data(), &out);
-        benchmark::DoNotOptimize(out);
-    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(compiled.predictRow(features.data()));
 }
 BENCHMARK(BM_RandomForestPredictCompiled);
 

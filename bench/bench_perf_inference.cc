@@ -71,7 +71,11 @@ nsPerOp(std::size_t reps, std::size_t iters, F fn)
  * The pre-PR interpreted ensemble prediction: one freshly allocated
  * leaf vector per tree per call plus the accumulated mean vector —
  * exactly the code shape RandomForestRegressor::predict had before
- * DecisionTreeRegressor::predict returned a const reference.
+ * DecisionTreeRegressor::predict returned a const reference. A leaf
+ * is a double now, so the per-tree vector is built explicitly: the
+ * "before" arm of speedup_predict_pair and speedup_predict_matrix8
+ * keeps its heap allocation per tree per call and times the same
+ * code it always timed.
  */
 double
 legacyPredictScalar(const ml::RandomForestRegressor &forest,
@@ -79,7 +83,7 @@ legacyPredictScalar(const ml::RandomForestRegressor &forest,
 {
     std::vector<double> mean;
     for (const auto &tree : forest.trees()) {
-        const std::vector<double> y = tree->predict(x);
+        const std::vector<double> y(1, tree->predict(x));
         if (mean.empty())
             mean.assign(y.size(), 0.0);
         for (std::size_t k = 0; k < y.size(); ++k)
@@ -194,10 +198,8 @@ main(int argc, char **argv)
     cursor = 0;
     const double pairCompiledNs =
         nsPerOp(reps, 20000 / scale, [&] {
-            double out = 0.0;
-            compiled.predictInto(
-                pairRows[cursor++ % pairRows.size()].data(), &out);
-            gSink = out;
+            gSink = compiled.predictRow(
+                pairRows[cursor++ % pairRows.size()].data());
         });
 
     // --- 2. full matrix, n = 8 -------------------------------------------

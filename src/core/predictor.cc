@@ -16,8 +16,6 @@ RuntimeBwPredictor::train(const ml::Dataset &data, std::uint64_t seed)
 {
     fatalIf(data.featureCount() != monitor::kFeatureCount,
             "RuntimeBwPredictor: dataset feature count mismatch");
-    fatalIf(data.outputCount() != 1,
-            "RuntimeBwPredictor: dataset must be single-output");
     forest_.fit(data, seed);
 }
 
@@ -38,11 +36,7 @@ RuntimeBwPredictor::predictPair(
     const ml::CompiledForest &compiled = forest_.compiled();
     fatalIf(features.size() != compiled.featureCount(),
             "RuntimeBwPredictor: feature count mismatch");
-    panicIf(compiled.outputCount() != 1,
-            "RuntimeBwPredictor: multi-output forest");
-    double y = 0.0;
-    compiled.predictInto(features.data(), &y);
-    return std::max(0.0, y);
+    return std::max(0.0, compiled.predictRow(features.data()));
 }
 
 BwMatrix
@@ -71,8 +65,7 @@ RuntimeBwPredictor::predictMatrix(const net::Topology &topo,
     // gone, and the batch fans out across the process-wide pool while
     // staying bit-identical to a sequential per-pair loop.
     const ml::CompiledForest &compiled = forest_.compiled();
-    panicIf(compiled.featureCount() != monitor::kFeatureCount ||
-                compiled.outputCount() != 1,
+    panicIf(compiled.featureCount() != monitor::kFeatureCount,
             "predictMatrix: forest shape mismatch");
     const std::size_t pairs = n * (n - 1);
     scratch.features.resize(pairs * monitor::kFeatureCount);

@@ -1,7 +1,6 @@
 #include "ml/compiled_forest.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/error.hh"
 #include "common/thread_pool.hh"
@@ -16,23 +15,16 @@ CompiledForest::CompiledForest(const CompiledForest &prefix,
         *this = prefix;
         return;
     }
-    const DecisionTreeRegressor &first = *trees.front();
-    featureCount_ =
-        prefix.empty() ? first.featureCount() : prefix.featureCount_;
-    outputCount_ =
-        prefix.empty() ? first.outputCount() : prefix.outputCount_;
+    featureCount_ = prefix.empty() ? trees.front()->featureCount()
+                                   : prefix.featureCount_;
 
     std::size_t totalNodes = prefix.nodes_.size();
-    std::size_t totalLeaves = prefix.leafCount_;
     for (const auto &tree : trees) {
         if (!tree->trained())
             fatal("CompiledForest: unfitted tree in ensemble");
-        if (tree->featureCount() != featureCount_ ||
-            tree->outputCount() != outputCount_)
+        if (tree->featureCount() != featureCount_)
             fatal("CompiledForest: tree shape mismatch");
         totalNodes += tree->nodeCount();
-        // Every interior node has two children: n nodes, (n+1)/2 leaves.
-        totalLeaves += (tree->nodeCount() + 1) / 2;
     }
 
     // Child references pack (node index, child feature) into 32 bits.
@@ -53,10 +45,8 @@ CompiledForest::CompiledForest(const CompiledForest &prefix,
     treeCount_ = prefix.treeCount_ + trees.size();
     leafCount_ = prefix.leafCount_;
     extend(nodes_, prefix.nodes_, totalNodes);
-    extend(leafOfs_, prefix.leafOfs_, totalNodes);
     extend(rootRef_, prefix.rootRef_, treeCount_);
     extend(depth_, prefix.depth_, treeCount_);
-    extend(leafValues_, prefix.leafValues_, totalLeaves * outputCount_);
 
     for (const auto &tree : trees) {
         const auto &src = tree->nodes();
@@ -82,54 +72,38 @@ CompiledForest::CompiledForest(const CompiledForest &prefix,
             const auto &node = src[local];
             PackedNode packed;
             if (node.feature < 0) {
-                if (node.leafValue.size() != outputCount_)
-                    fatal("CompiledForest: leaf shape mismatch");
                 // Branchless leaf: both children loop back to self,
                 // so the walk parks here whichever way the comparison
-                // goes — which leaves the threshold field dead. For
-                // single-output forests (the production predictor) it
-                // carries the leaf value itself, so accumulation
-                // reads the node already in cache instead of
-                // indirecting through the pooled leaf array.
-                packed.threshold =
-                    outputCount_ == 1
-                        ? node.leafValue.front()
-                        : std::numeric_limits<double>::infinity();
+                // goes — which leaves the threshold field dead. It
+                // carries the leaf value instead, so accumulation
+                // reads the node already in cache.
+                packed.threshold = node.leafValue;
                 packed.left = packRef(static_cast<int>(local));
                 packed.right = packed.left;
-                leafOfs_.push_back(
-                    static_cast<std::int32_t>(leafValues_.size()));
-                leafValues_.insert(leafValues_.end(),
-                                   node.leafValue.begin(),
-                                   node.leafValue.end());
                 ++leafCount_;
             } else {
                 packed.threshold = node.threshold;
                 packed.left = packRef(node.left);
                 packed.right = packRef(node.right);
-                leafOfs_.push_back(-1);
             }
             nodes_.push_back(packed);
         }
     }
 }
 
-void
-CompiledForest::predictInto(const double *x, double *out) const
+double
+CompiledForest::predictRow(const double *x) const
 {
     if (empty())
-        panic("CompiledForest::predictInto on empty forest");
-    const std::size_t o = outputCount_;
-    for (std::size_t k = 0; k < o; ++k)
-        out[k] = 0.0;
+        panic("CompiledForest::predictRow on empty forest");
 
     // Same accumulation order and arithmetic as the interpreted
-    // reference path: per-tree leaf sums in tree order, one divide.
+    // ensemble mean: per-tree leaf sums in tree order, one divide.
     const PackedNode *nodes = nodes_.data();
-    const double *leaves = leafValues_.data();
     const std::uint32_t shift = featShift_;
     const std::uint32_t mask = featMask_;
 
+    double sum = 0.0;
     for (std::size_t t = 0; t < treeCount_; ++t) {
         std::uint32_t ref = rootRef_[t];
         for (;;) {
@@ -143,18 +117,10 @@ CompiledForest::predictInto(const double *x, double *out) const
                 break; // leaf self-loop
             ref = next;
         }
-        if (o == 1) {
-            // Single-output leaf value lives in the parked node.
-            out[0] += nodes[ref >> shift].threshold;
-        } else {
-            const double *leaf = leaves + leafOfs_[ref >> shift];
-            for (std::size_t k = 0; k < o; ++k)
-                out[k] += leaf[k];
-        }
+        // The leaf value lives in the parked node.
+        sum += nodes[ref >> shift].threshold;
     }
-    const double inv = static_cast<double>(treeCount_);
-    for (std::size_t k = 0; k < o; ++k)
-        out[k] /= inv;
+    return sum / static_cast<double>(treeCount_);
 }
 
 void
@@ -162,13 +128,10 @@ CompiledForest::predictRange(const double *X, std::size_t begin,
                              std::size_t end, double *Y) const
 {
     const std::size_t f = featureCount_;
-    const std::size_t o = outputCount_;
     for (std::size_t r = begin; r < end; ++r)
-        for (std::size_t k = 0; k < o; ++k)
-            Y[r * o + k] = 0.0;
+        Y[r] = 0.0;
 
     const PackedNode *nodes = nodes_.data();
-    const double *leaves = leafValues_.data();
     const std::uint32_t shift = featShift_;
     const std::uint32_t mask = featMask_;
 
@@ -205,7 +168,7 @@ CompiledForest::predictRange(const double *X, std::size_t begin,
     // per-lane early-exit finish for the few deep lanes, so shallow
     // leaves don't pay for the tree's maximum depth. Each row still
     // accumulates its leaves in tree order and divides once, so the
-    // result is bit-identical to predictInto on that row.
+    // result is bit-identical to predictRow on that row.
     constexpr std::size_t kLanes = 8;
     const std::size_t blockEnd =
         begin + (end - begin) / kLanes * kLanes;
@@ -252,34 +215,23 @@ CompiledForest::predictRange(const double *X, std::size_t begin,
                 r6 = finish(r6, x6);
                 r7 = finish(r7, x7);
             }
+            // Leaf values live in the parked nodes, already
+            // cache-hot from the walk.
             const std::uint32_t refs[kLanes] = {r0, r1, r2, r3,
                                                 r4, r5, r6, r7};
-            if (o == 1) {
-                // Single-output leaf values live in the parked
-                // nodes, already cache-hot from the walk.
-                for (std::size_t l = 0; l < kLanes; ++l)
-                    Y[r + l] += nodes[refs[l] >> shift].threshold;
-            } else {
-                for (std::size_t l = 0; l < kLanes; ++l) {
-                    const double *leaf =
-                        leaves + leafOfs_[refs[l] >> shift];
-                    double *y = Y + (r + l) * o;
-                    for (std::size_t k = 0; k < o; ++k)
-                        y[k] += leaf[k];
-                }
-            }
+            for (std::size_t l = 0; l < kLanes; ++l)
+                Y[r + l] += nodes[refs[l] >> shift].threshold;
         }
     }
 
     const double inv = static_cast<double>(treeCount_);
     for (std::size_t r = begin; r < blockEnd; ++r)
-        for (std::size_t k = 0; k < o; ++k)
-            Y[r * o + k] /= inv;
+        Y[r] /= inv;
 
     // Tail rows (fewer than a full lane block): the single-row walk,
     // which is bit-identical by construction.
     for (std::size_t r = blockEnd; r < end; ++r)
-        predictInto(X + r * f, Y + r * o);
+        Y[r] = predictRow(X + r * f);
 }
 
 void

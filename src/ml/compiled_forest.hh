@@ -2,18 +2,18 @@
  * @file
  * Compiled, allocation-free batched inference for the Random Forest.
  *
- * The interpreted ensemble walks per-tree `Node` structs with embedded
- * leaf vectors and returns a freshly allocated vector per tree per
- * call — fine for training-time OOB accounting, far too heavy for the
- * predict→plan hot path, which evaluates the WAN Prediction Model once
- * per DC pair, per AIMD epoch, per trial (Sections 3.3, 4.1.1: runtime
- * gauging must stay cheap). CompiledForest flattens every tree into
- * contiguous packed arrays — one 16-byte record per node (threshold +
- * both child references, each carrying the child's feature index),
- * plus side arrays for leaf-value offsets into one pooled leaf array —
- * so a prediction is a pure pointer-free array walk: zero allocations,
- * no per-node indirection, cache-friendly, and branch-free on the
- * random 50/50 splits that defeat branch prediction.
+ * The interpreted ensemble walks per-tree `Node` structs one feature
+ * vector at a time: fine for training-time OOB accounting, far too
+ * heavy for the predict→plan hot path, which evaluates the WAN
+ * Prediction Model once per DC pair, per AIMD epoch, per trial
+ * (Sections 3.3, 4.1.1: runtime gauging must stay cheap).
+ * CompiledForest flattens every tree into one contiguous packed array
+ * — one 16-byte record per node (threshold + both child references,
+ * each carrying the child's feature index), with each leaf's value
+ * parked in its own record — so a prediction is a pure pointer-free
+ * array walk: zero allocations, no per-node indirection,
+ * cache-friendly, and branch-free on the random 50/50 splits that
+ * defeat branch prediction.
  *
  * A compiled forest is immutable and is built by extension only: the
  * packed arrays of an existing compiled forest, then the trees that
@@ -21,12 +21,12 @@
  * start, copies its current arrays and flattens just the new batch,
  * so a drift retrain never recompiles the trees it keeps.
  *
- * predictInto() evaluates one feature row; predictBatch() evaluates a
+ * predictRow() evaluates one feature row; predictBatch() evaluates a
  * row-major matrix of rows, optionally chunked across the process-wide
  * ThreadPool. Every row writes a fixed output slot, so the parallel
  * batch is bit-identical to the sequential one, and both are
- * bit-identical to the interpreted reference path
- * (RandomForestRegressor::predict): trees are accumulated in the same
+ * bit-identical to the interpreted ensemble mean kept in
+ * tests/oracles/forest_predict.hh: trees are accumulated in the same
  * order with the same arithmetic.
  */
 
@@ -50,7 +50,7 @@ class CompiledForest
 
     /**
      * Copy the packed arrays of @p prefix and flatten @p trees (all
-     * fitted, in the prefix's feature/output shape) after them: the
+     * fitted, with the prefix's feature count) after them: the
      * result predicts the ensemble "prefix's trees, then @p trees".
      * A one-shot compile extends an empty prefix. Only the new trees'
      * shapes are checked (the prefix's were checked when it was
@@ -63,23 +63,22 @@ class CompiledForest
     bool empty() const { return treeCount_ == 0; }
     std::size_t treeCount() const { return treeCount_; }
     std::size_t featureCount() const { return featureCount_; }
-    std::size_t outputCount() const { return outputCount_; }
     std::size_t nodeCount() const { return nodes_.size(); }
     std::size_t leafCount() const { return leafCount_; }
 
     /**
-     * Ensemble-mean prediction of one feature row. @p x must hold
-     * featureCount() values and @p out outputCount() slots; @p out is
-     * overwritten. Allocation-free and safe to call concurrently.
+     * Ensemble-mean prediction of one feature row; @p x must hold
+     * featureCount() values. Allocation-free and safe to call
+     * concurrently.
      */
-    void predictInto(const double *x, double *out) const;
+    double predictRow(const double *x) const;
 
     /**
      * Predict @p rows feature rows from the row-major matrix @p X
-     * (rows x featureCount()) into the row-major @p Y (rows x
-     * outputCount()). With @p parallel the rows are chunked across the
-     * process-wide ThreadPool; each row writes only its own output
-     * slot, so the result is bit-identical to the sequential path.
+     * (rows x featureCount()) into @p Y (rows values). With
+     * @p parallel the rows are chunked across the process-wide
+     * ThreadPool; each row writes only its own output slot, so the
+     * result is bit-identical to the sequential path.
      */
     void predictBatch(const double *X, std::size_t rows, double *Y,
                       bool parallel = true) const;
@@ -104,11 +103,8 @@ class CompiledForest
      * batches walk several rows per tree in lockstep to hide the
      * dependent-load latency. Because the select lands on the leaf
      * whichever way its comparison goes, a leaf's threshold field is
-     * dead — single-output forests store the leaf value there, so
-     * accumulation never leaves the node array. Multi-output leaves
-     * keep threshold = +inf and go through leafOfs_ (cold during the
-     * walk), which maps a leaf to its offset into the pooled
-     * leafValues_ (-1 for interior nodes).
+     * dead, so it stores the leaf value and accumulation never leaves
+     * the node array.
      */
     struct PackedNode
     {
@@ -120,7 +116,6 @@ class CompiledForest
                   "PackedNode must stay a quarter of a cache line");
 
     std::vector<PackedNode> nodes_;
-    std::vector<std::int32_t> leafOfs_;
 
     /**
      * Per tree: the root's packed reference (rootIdx << featShift_ |
@@ -129,16 +124,12 @@ class CompiledForest
     std::vector<std::uint32_t> rootRef_;
     std::vector<std::int32_t> depth_;
 
-    /** All leaf vectors pooled, outputCount_ values per leaf. */
-    std::vector<double> leafValues_;
-
     /** Child-reference packing: ref = (idx << featShift_) | feature. */
     std::uint32_t featShift_ = 0;
     std::uint32_t featMask_ = 0;
 
     std::size_t treeCount_ = 0;
     std::size_t featureCount_ = 0;
-    std::size_t outputCount_ = 0;
     std::size_t leafCount_ = 0;
 };
 

@@ -2,9 +2,11 @@
  * @file
  * Feature/target dataset container for the regression stack.
  *
- * Samples are rows; features and targets are stored densely. Targets are
- * multi-output capable (the runtime-BW problem is multivariate, Section
- * 3.1) though the production predictor uses one output per DC pair.
+ * Samples are rows; features and targets are stored densely. The
+ * forests train on one target per sample (TrainingContext refuses any
+ * other count); a row may carry several targets only so that the
+ * trace CSV layout (scenario::BwTrace, per-pair capacity and RTT
+ * columns per timestamp) can round-trip through the CSV reader.
  */
 
 #ifndef WANIFY_ML_DATASET_HH

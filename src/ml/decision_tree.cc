@@ -69,27 +69,6 @@ struct TreeGrower
         build(0, bagSize, 0);
     }
 
-    /** Node sums over members (bag order) -> parent SSE. */
-    double
-    parentSums(std::size_t lo, std::size_t hi)
-    {
-        const std::size_t o = ctx.outputCount();
-        s.sum.assign(o, 0.0);
-        s.sumSq.assign(o, 0.0);
-        for (std::size_t pos = lo; pos < hi; ++pos) {
-            const double *y = ctx.y(s.members[pos]);
-            for (std::size_t k = 0; k < o; ++k) {
-                s.sum[k] += y[k];
-                s.sumSq[k] += y[k] * y[k];
-            }
-        }
-        double parentSse = 0.0;
-        const auto n = static_cast<double>(hi - lo);
-        for (std::size_t k = 0; k < o; ++k)
-            parentSse += s.sumSq[k] - s.sum[k] * s.sum[k] / n;
-        return parentSse;
-    }
-
     /** Candidate features into s.features (same draws as the oracle). */
     void
     candidateFeatures()
@@ -112,29 +91,31 @@ struct TreeGrower
         const std::size_t n = hi - lo;
         if (n < tree.config_.minSamplesSplit)
             return best;
-        const std::size_t o = ctx.outputCount();
 
-        const double parentSse = parentSums(lo, hi);
+        // Node sums over members (bag order) -> parent SSE.
+        double sum = 0.0, sumSq = 0.0;
+        for (std::size_t pos = lo; pos < hi; ++pos) {
+            const double y = ctx.y(s.members[pos]);
+            sum += y;
+            sumSq += y * y;
+        }
+        const double parentSse =
+            sumSq - sum * sum / static_cast<double>(n);
         if (parentSse <= 1.0e-12)
             return best; // pure node
 
         candidateFeatures();
-        s.leftSum.resize(o);
-        s.leftSumSq.resize(o);
 
         for (std::size_t f : s.features) {
             const std::uint32_t *ord =
                 s.sorted.data() + f * bagSize + lo;
-            std::fill(s.leftSum.begin(), s.leftSum.end(), 0.0);
-            std::fill(s.leftSumSq.begin(), s.leftSumSq.end(), 0.0);
+            double leftSum = 0.0, leftSumSq = 0.0;
 
             for (std::size_t pos = 0; pos + 1 < n; ++pos) {
                 const std::uint32_t id = ord[pos];
-                const double *y = ctx.y(id);
-                for (std::size_t k = 0; k < o; ++k) {
-                    s.leftSum[k] += y[k];
-                    s.leftSumSq[k] += y[k] * y[k];
-                }
+                const double y = ctx.y(id);
+                leftSum += y;
+                leftSumSq += y * y;
                 const double xHere = ctx.x(id, f);
                 const double xNext = ctx.x(ord[pos + 1], f);
                 if (xNext <= xHere)
@@ -146,16 +127,12 @@ struct TreeGrower
                     nr < tree.config_.minSamplesLeaf)
                     continue;
 
-                double childSse = 0.0;
-                for (std::size_t k = 0; k < o; ++k) {
-                    const double rs = s.sum[k] - s.leftSum[k];
-                    const double rss = s.sumSq[k] - s.leftSumSq[k];
-                    childSse += s.leftSumSq[k] -
-                                s.leftSum[k] * s.leftSum[k] /
-                                    static_cast<double>(nl);
-                    childSse +=
-                        rss - rs * rs / static_cast<double>(nr);
-                }
+                const double rs = sum - leftSum;
+                const double rss = sumSq - leftSumSq;
+                double childSse =
+                    leftSumSq -
+                    leftSum * leftSum / static_cast<double>(nl);
+                childSse += rss - rs * rs / static_cast<double>(nr);
                 const double gain = parentSse - childSse;
                 if (gain > best.gain + 1.0e-12) {
                     best.found = true;
@@ -194,17 +171,11 @@ struct TreeGrower
     void
     makeLeaf(std::size_t nodeIdx, std::size_t lo, std::size_t hi)
     {
-        const std::size_t o = ctx.outputCount();
-        std::vector<double> mean(o, 0.0);
-        for (std::size_t pos = lo; pos < hi; ++pos) {
-            const double *y = ctx.y(s.members[pos]);
-            for (std::size_t k = 0; k < o; ++k)
-                mean[k] += y[k];
-        }
-        const auto n = static_cast<double>(hi - lo);
-        for (auto &m : mean)
-            m /= n;
-        tree.nodes_[nodeIdx].leafValue = std::move(mean);
+        double mean = 0.0;
+        for (std::size_t pos = lo; pos < hi; ++pos)
+            mean += ctx.y(s.members[pos]);
+        mean /= static_cast<double>(hi - lo);
+        tree.nodes_[nodeIdx].leafValue = mean;
     }
 
     int
@@ -285,7 +256,6 @@ DecisionTreeRegressor::fit(const TrainingContext &ctx,
     fatalIf(sampleIndices.empty(),
             "DecisionTreeRegressor::fit: no sample indices");
     featureCount_ = ctx.featureCount();
-    outputCount_ = ctx.outputCount();
     nodes_.clear();
     featureGains_.assign(featureCount_, 0.0);
 
@@ -293,7 +263,7 @@ DecisionTreeRegressor::fit(const TrainingContext &ctx,
     grower.grow(sampleIndices);
 }
 
-const std::vector<double> &
+double
 DecisionTreeRegressor::predict(const std::vector<double> &x) const
 {
     panicIf(nodes_.empty(), "DecisionTree::predict before fit");

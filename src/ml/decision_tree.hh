@@ -1,12 +1,11 @@
 /**
  * @file
- * CART regression tree with multi-output leaves.
+ * CART regression tree over one target.
  *
- * Splits minimize the summed (over outputs) within-node sum of squared
- * errors; leaves predict the mean target vector of their training
- * samples. Trees are robust to the outliers that plague parametric
- * regressions on WAN bandwidth data (Section 3.1's motivation for
- * tree-based learners).
+ * Splits minimize the within-node sum of squared errors; leaves
+ * predict the mean target of their training samples. Trees are robust
+ * to the outliers that plague parametric regressions on WAN bandwidth
+ * data (Section 3.1's motivation for tree-based learners).
  *
  * Splits are found by a presorted engine: one argsort per feature
  * per fit (shared across a forest's trees via TrainingContext), with
@@ -56,8 +55,9 @@ class DecisionTreeRegressor
      * Fit on the rows of @p data selected by @p sampleIndices (the
      * forest passes bootstrap samples; pass all indices for a plain
      * tree). @p rng drives feature subsampling. Builds a private
-     * TrainingContext; forests share one context across all trees
-     * via the overload below.
+     * TrainingContext, which refuses a dataset without exactly one
+     * target; forests share one context across all trees via the
+     * overload below.
      */
     void fit(const Dataset &data,
              const std::vector<std::size_t> &sampleIndices, Rng &rng);
@@ -73,17 +73,12 @@ class DecisionTreeRegressor
     void fit(const TrainingContext &ctx,
              const std::vector<std::size_t> &sampleIndices, Rng &rng);
 
-    /**
-     * Predict the target vector for a feature vector. Returns a
-     * reference to the matched leaf's value (no copy); it stays valid
-     * until the tree is refit.
-     */
-    const std::vector<double> &predict(const std::vector<double> &x) const;
+    /** The matched leaf's value for a feature vector. */
+    double predict(const std::vector<double> &x) const;
 
     bool trained() const { return !nodes_.empty(); }
     std::size_t nodeCount() const { return nodes_.size(); }
     std::size_t featureCount() const { return featureCount_; }
-    std::size_t outputCount() const { return outputCount_; }
 
     /** Nodes on the longest root-to-leaf path (a lone leaf is 1). */
     std::size_t depth() const;
@@ -96,7 +91,7 @@ class DecisionTreeRegressor
         double threshold = 0.0;
         int left = -1;
         int right = -1;
-        std::vector<double> leafValue;
+        double leafValue = 0.0;
     };
 
     /**
@@ -127,7 +122,6 @@ class DecisionTreeRegressor
 
     TreeConfig config_;
     std::size_t featureCount_ = 0;
-    std::size_t outputCount_ = 0;
     std::vector<Node> nodes_;
     std::vector<double> featureGains_;
 };

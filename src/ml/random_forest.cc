@@ -16,9 +16,7 @@ namespace {
 
 /**
  * Out-of-bag R^2 of one grown batch (@p bags[t] is @p batch[t]'s
- * bootstrap sample); NaN when OOB coverage is insufficient. The
- * single-output path is the production configuration, so OOB
- * handles output 0.
+ * bootstrap sample); NaN when OOB coverage is insufficient.
  */
 double
 batchOobR2(const Dataset &data, const SharedTrees &batch,
@@ -45,8 +43,7 @@ batchOobR2(const Dataset &data, const SharedTrees &batch,
         for (std::size_t t = 0; t < bags.size(); ++t) {
             if (inBag[t][i])
                 continue;
-            // const-ref leaf access: no per-vote temporary.
-            pred += batch[t]->predict(data.x(i)).front();
+            pred += batch[t]->predict(data.x(i));
             ++votes;
         }
         if (votes == 0)
@@ -97,12 +94,8 @@ RandomForestRegressor::warmStart(const Dataset &data,
 {
     fatalIf(data.empty(), "RandomForest::warmStart: empty dataset");
     fatalIf(extraTrees == 0, "RandomForest::warmStart: extraTrees == 0");
-    if (!trees_.empty()) {
-        fatalIf(data.featureCount() != featureCount_,
-                "RandomForest::warmStart: feature count changed");
-        fatalIf(data.outputCount() != trees_.front()->outputCount(),
-                "RandomForest::warmStart: output count changed");
-    }
+    fatalIf(!trees_.empty() && data.featureCount() != featureCount_,
+            "RandomForest::warmStart: feature count changed");
     growTrees(data, extraTrees, seed ^ 0xa5a5a5a5a5a5a5a5ULL);
 }
 

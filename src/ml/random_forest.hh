@@ -62,7 +62,10 @@ class RandomForestRegressor
   public:
     explicit RandomForestRegressor(ForestConfig config = {});
 
-    /** Train from scratch, replacing any existing trees. */
+    /**
+     * Train from scratch, replacing any existing trees. @p data, here
+     * and in warmStart(), must have exactly one target.
+     */
     void fit(const Dataset &data, std::uint64_t seed);
 
     /**
@@ -70,8 +73,8 @@ class RandomForestRegressor
      * on @p data (typically the union of old and newly collected
      * samples, which the caller maintains). On an untrained forest
      * this is the initial fit: the extra trees become the whole
-     * ensemble and @p data locks in the feature and output counts,
-     * which later warm starts must match. extraTrees must be > 0 — a
+     * ensemble and @p data locks in the feature count, which later
+     * warm starts must match. extraTrees must be > 0 — a
      * tree-less "retrain" would silently keep reporting the stale
      * model's accuracy. oobR2() afterwards covers the newly grown
      * batch only. The new trees are compiled by extending the

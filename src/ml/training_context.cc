@@ -9,24 +9,22 @@ namespace wanify {
 namespace ml {
 
 TrainingContext::TrainingContext(const Dataset &data)
-    : sampleCount_(data.size()),
-      featureCount_(data.featureCount()),
-      outputCount_(data.outputCount())
+    : sampleCount_(data.size()), featureCount_(data.featureCount())
 {
     fatalIf(data.empty(), "TrainingContext: empty dataset");
+    fatalIf(data.outputCount() != 1,
+            "TrainingContext: dataset must have exactly one target");
     fatalIf(sampleCount_ >=
                 std::numeric_limits<std::uint32_t>::max(),
             "TrainingContext: dataset too large for 32-bit indices");
 
     features_.resize(sampleCount_ * featureCount_);
-    targets_.resize(sampleCount_ * outputCount_);
+    targets_.resize(sampleCount_);
     for (std::size_t i = 0; i < sampleCount_; ++i) {
         const auto &x = data.x(i);
-        const auto &y = data.y(i);
         for (std::size_t f = 0; f < featureCount_; ++f)
             features_[f * sampleCount_ + i] = x[f];
-        for (std::size_t k = 0; k < outputCount_; ++k)
-            targets_[i * outputCount_ + k] = y[k];
+        targets_[i] = data.y(i)[0];
     }
 
     // One argsort per feature, ties broken by sample index — the

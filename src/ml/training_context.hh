@@ -7,13 +7,14 @@
  * and chased the Dataset's row-major vector-of-vectors for each read.
  * A TrainingContext is built once per fit and shared (immutably)
  * across every tree of the forest: it columnizes the features,
- * flattens the targets, and precomputes one argsort per feature.
+ * copies out the one target per sample, and precomputes one argsort
+ * per feature.
  * Trees then derive their bootstrap-bag orderings from the shared
  * argsort in O(n) and partition them down the tree instead of
  * re-sorting per node.
  *
  * TreeScratch holds every per-node buffer a grower needs (index
- * arrays, running sums, candidate-feature lists), pooled per thread
+ * arrays and candidate-feature lists), pooled per thread
  * and reused across nodes, trees, and fits, so steady-state training
  * allocates nothing per node.
  */
@@ -33,14 +34,14 @@ class TrainingContext
 {
   public:
     /**
-     * Columnize and presort @p data. The context only reads @p data
-     * during construction.
+     * Columnize and presort @p data, which must have exactly one
+     * target: every tree in the library regresses one number. The
+     * context only reads @p data during construction.
      */
     explicit TrainingContext(const Dataset &data);
 
     std::size_t sampleCount() const { return sampleCount_; }
     std::size_t featureCount() const { return featureCount_; }
-    std::size_t outputCount() const { return outputCount_; }
 
     /** Feature @p f of sample @p i (column-major storage). */
     double
@@ -49,12 +50,8 @@ class TrainingContext
         return features_[f * sampleCount_ + i];
     }
 
-    /** Target row of sample @p i (outputCount() values). */
-    const double *
-    y(std::size_t i) const
-    {
-        return targets_.data() + i * outputCount_;
-    }
+    /** Target of sample @p i. */
+    double y(std::size_t i) const { return targets_[i]; }
 
     /**
      * Sample indices sorted by (feature value, sample index) — the
@@ -69,9 +66,8 @@ class TrainingContext
   private:
     std::size_t sampleCount_ = 0;
     std::size_t featureCount_ = 0;
-    std::size_t outputCount_ = 0;
     std::vector<double> features_; // column-major
-    std::vector<double> targets_;  // row-major
+    std::vector<double> targets_;
     std::vector<std::uint32_t> order_;
 };
 
@@ -96,9 +92,6 @@ struct TreeScratch
 
     /** Candidate feature list of the current node. */
     std::vector<std::size_t> features;
-
-    /** Per-output running sums of the current node and scan. */
-    std::vector<double> sum, sumSq, leftSum, leftSumSq;
 };
 
 /** The calling thread's pooled scratch. */

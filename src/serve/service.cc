@@ -240,8 +240,8 @@ Service::submit(QuerySpec spec)
             fatal("Service: input bytes must be finite and non-negative");
     fatalIf(!(spec.weight > 0.0) || !std::isfinite(spec.weight),
             "Service: query weight must be positive");
-    fatalIf(!(spec.arrival >= 0.0),
-            "Service: arrival must be non-negative");
+    fatalIf(!(spec.arrival >= 0.0) || !std::isfinite(spec.arrival),
+            "Service: arrival must be finite and non-negative");
 
     QueryState q;
     q.index = queries_.size();

@@ -375,7 +375,9 @@ class Service
     std::vector<QueryState> queries_;   ///< submission order
     std::vector<std::size_t> arrivalOrder_;
     std::size_t nextArrival_ = 0;
-    std::vector<std::size_t> active_;   ///< admitted, not Done; sorted
+    /** Admitted, not Done, in admission order (which follows arrival,
+     *  not submission, so runAllocationRound sorts its demands). */
+    std::vector<std::size_t> active_;
     bool draining_ = false;
 
     ml::Dataset gaugedRows_;

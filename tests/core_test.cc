@@ -18,6 +18,7 @@
 #include "core/predictor.hh"
 #include "core/throttle.hh"
 #include "core/wanify.hh"
+#include "expect_what.hh"
 #include "monitor/features.hh"
 #include "net/network_sim.hh"
 #include "net/vm.hh"
@@ -25,6 +26,7 @@
 
 using namespace wanify;
 using namespace wanify::core;
+using test::whatOf;
 
 namespace {
 
@@ -553,12 +555,35 @@ TEST(RuntimeBwPredictor, BatchedMatrixMatchesPerPairReference)
             const auto features = monitor::pairFeatures(
                 topo, snapshot, i, j, load, retrans);
             const double reference = std::max(
-                0.0, oracle::forestPredict(predictor.forest(), features)[0]);
+                0.0, oracle::forestPredict(predictor.forest(), features));
             EXPECT_EQ(predicted.at(i, j), reference);
             EXPECT_EQ(predicted.at(i, j),
                       predictor.predictPair(features));
         }
     }
+}
+
+TEST(RuntimeBwPredictor, RefusesMultiTargetDatasets)
+{
+    // The forest regresses one target: a dataset with two is refused
+    // by the trainer before any tree grows, whether it would train a
+    // fresh predictor or warm-start a trained one.
+    ml::Dataset twoTargets(monitor::kFeatureCount, 2);
+    twoTargets.add({4.0, 500.0, 0.5, 0.5, 0.1, 4000.0}, {600.0, 1.0});
+    const std::string want =
+        "fatal: TrainingContext: dataset must have exactly one target";
+
+    RuntimeBwPredictor fresh;
+    EXPECT_EQ(whatOf<FatalError>([&] { fresh.train(twoTargets, 1); }),
+              want);
+    EXPECT_FALSE(fresh.trained());
+
+    auto fixture = goldenFixture();
+    RuntimeBwPredictor &trained = fixture.first;
+    EXPECT_EQ(
+        whatOf<FatalError>([&] { trained.retrain(twoTargets, 5, 2); }),
+        want);
+    EXPECT_EQ(trained.forest().treeCount(), 25u);
 }
 
 // ---- facade ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the learning substrate: dataset handling, CART trees
- * (single- and multi-output), the Random Forest (bagging, warm start,
- * OOB, feature importances), and the metrics.
+ * Tests for the learning substrate: dataset handling, CART trees,
+ * the Random Forest (bagging, warm start, OOB, feature importances),
+ * the compiled forest, and the metrics.
  */
 
 #include <gtest/gtest.h>
@@ -24,23 +24,16 @@ using test::whatOf;
 
 namespace {
 
-/**
- * Targets y_k = (k + 3) * x0 + noise, k < @p outputs (y = 3x0 + noise
- * by default); x1 is an irrelevant feature.
- */
+/** y = 3x0 + noise; x1 is an irrelevant feature. */
 Dataset
-linearData(std::size_t n, std::uint64_t seed, std::size_t outputs = 1)
+linearData(std::size_t n, std::uint64_t seed)
 {
     Rng rng(seed);
-    Dataset data(2, outputs);
+    Dataset data(2, 1);
     for (std::size_t i = 0; i < n; ++i) {
         const double x0 = rng.uniform(0.0, 10.0);
         const double x1 = rng.uniform(0.0, 10.0);
-        std::vector<double> y(outputs);
-        for (std::size_t k = 0; k < outputs; ++k)
-            y[k] = (static_cast<double>(k) + 3.0) * x0 +
-                   rng.normal(0.0, 0.05);
-        data.add({x0, x1}, std::move(y));
+        data.add({x0, x1}, 3.0 * x0 + rng.normal(0.0, 0.05));
     }
     return data;
 }
@@ -106,8 +99,8 @@ TEST(DecisionTree, LearnsStepFunctionExactly)
     DecisionTreeRegressor tree;
     Rng rng(3);
     tree.fit(stepData(200, 5), rng);
-    EXPECT_NEAR(tree.predict({2.0})[0], 10.0, 1e-9);
-    EXPECT_NEAR(tree.predict({8.0})[0], 20.0, 1e-9);
+    EXPECT_NEAR(tree.predict({2.0}), 10.0, 1e-9);
+    EXPECT_NEAR(tree.predict({8.0}), 20.0, 1e-9);
 }
 
 TEST(DecisionTree, FitsLinearTrendApproximately)
@@ -116,25 +109,7 @@ TEST(DecisionTree, FitsLinearTrendApproximately)
     Rng rng(4);
     tree.fit(linearData(500, 6), rng);
     for (double x : {1.0, 4.0, 9.0})
-        EXPECT_NEAR(tree.predict({x, 5.0})[0], 3.0 * x, 1.0);
-}
-
-TEST(DecisionTree, MultiOutputLeaves)
-{
-    // y = (x, 2x): both outputs learned from the same splits.
-    Dataset data(1, 2);
-    Rng gen(7);
-    for (int i = 0; i < 300; ++i) {
-        const double x = gen.uniform(0.0, 10.0);
-        data.add({x}, {x, 2.0 * x});
-    }
-    DecisionTreeRegressor tree;
-    Rng rng(8);
-    tree.fit(data, rng);
-    const auto y = tree.predict({5.0});
-    ASSERT_EQ(y.size(), 2u);
-    EXPECT_NEAR(y[0], 5.0, 0.5);
-    EXPECT_NEAR(y[1], 10.0, 1.0);
+        EXPECT_NEAR(tree.predict({x, 5.0}), 3.0 * x, 1.0);
 }
 
 TEST(DecisionTree, RespectsMaxDepth)
@@ -175,7 +150,7 @@ TEST(DecisionTree, ConstantTargetGivesSingleLeaf)
     tree.fit(data, rng);
     EXPECT_EQ(tree.nodeCount(), 1u);
     EXPECT_EQ(tree.depth(), 1u);
-    EXPECT_DOUBLE_EQ(tree.predict({99.0})[0], 42.0);
+    EXPECT_DOUBLE_EQ(tree.predict({99.0}), 42.0);
 }
 
 // ---- random forest ------------------------------------------------------------
@@ -193,7 +168,7 @@ TEST(RandomForest, BeatsNaiveMeanOnLinearData)
     std::vector<double> truth, pred;
     for (std::size_t i = 0; i < test.size(); ++i) {
         truth.push_back(test.target(i));
-        pred.push_back(oracle::forestPredict(forest, test.x(i))[0]);
+        pred.push_back(oracle::forestPredict(forest, test.x(i)));
     }
     EXPECT_GT(r2(truth, pred), 0.98);
     EXPECT_LT(mae(truth, pred), 1.0);
@@ -222,7 +197,7 @@ TEST(RandomForest, WarmStartAddsTrees)
     forest.warmStart(grown, 5, 43);
     EXPECT_EQ(forest.treeCount(), 15u);
     // Still accurate after the warm start.
-    EXPECT_NEAR(oracle::forestPredict(forest, {5.0, 1.0})[0], 15.0, 1.0);
+    EXPECT_NEAR(oracle::forestPredict(forest, {5.0, 1.0}), 15.0, 1.0);
 }
 
 TEST(RandomForest, WarmStartRejectsShapeChange)
@@ -231,6 +206,8 @@ TEST(RandomForest, WarmStartRejectsShapeChange)
     cfg.nEstimators = 4;
     RandomForestRegressor forest(cfg);
     forest.fit(linearData(100, 50), 51);
+    const std::vector<double> x = {1.0, 2.0};
+    const double before = forest.compiled().predictRow(x.data());
     Dataset moreFeatures(3, 1);
     moreFeatures.add({1.0, 2.0, 3.0}, 4.0);
     EXPECT_EQ(whatOf<FatalError>(
@@ -240,12 +217,14 @@ TEST(RandomForest, WarmStartRejectsShapeChange)
     moreOutputs.add({1.0, 2.0}, {3.0, 4.0, 5.0});
     EXPECT_EQ(whatOf<FatalError>(
                   [&] { forest.warmStart(moreOutputs, 2, 53); }),
-              "fatal: RandomForest::warmStart: output count changed");
-    // Both are refused before any tree grows: the forest still
-    // compiles and predicts its one output.
+              "fatal: TrainingContext: dataset must have exactly one "
+              "target");
+    // Both are refused before any tree grows: the forest keeps its
+    // trees and its predictions.
     EXPECT_EQ(forest.treeCount(), 4u);
-    EXPECT_EQ(forest.compiled().outputCount(), 1u);
-    EXPECT_EQ(oracle::forestPredict(forest, {1.0, 2.0}).size(), 1u);
+    EXPECT_EQ(forest.compiled().treeCount(), 4u);
+    EXPECT_EQ(forest.compiled().predictRow(x.data()), before);
+    EXPECT_EQ(oracle::forestPredict(forest, x), before);
 }
 
 TEST(RandomForest, WarmStartOnUntrainedForestTrainsFromScratch)
@@ -260,7 +239,7 @@ TEST(RandomForest, WarmStartOnUntrainedForestTrainsFromScratch)
     // The extra trees are the whole ensemble; nEstimators is only
     // the fit() batch size.
     EXPECT_EQ(forest.treeCount(), 6u);
-    EXPECT_NEAR(oracle::forestPredict(forest, {5.0, 1.0})[0], 15.0, 1.5);
+    EXPECT_NEAR(oracle::forestPredict(forest, {5.0, 1.0}), 15.0, 1.5);
     // Shape is locked in by the warm start.
     Dataset other(3, 1);
     other.add({1.0, 2.0, 3.0}, 4.0);
@@ -337,8 +316,8 @@ TEST(RandomForest, DeterministicForSameSeed)
     a.fit(data, 71);
     b.fit(data, 71);
     for (double x : {1.0, 5.0, 9.0})
-        EXPECT_DOUBLE_EQ(oracle::forestPredict(a, {x, 0.0})[0],
-                         oracle::forestPredict(b, {x, 0.0})[0]);
+        EXPECT_DOUBLE_EQ(oracle::forestPredict(a, {x, 0.0}),
+                         oracle::forestPredict(b, {x, 0.0}));
 }
 
 // ---- compiled forest -----------------------------------------------------------
@@ -371,14 +350,12 @@ expectMatchesOneShotCompile(const RandomForestRegressor &forest)
     EXPECT_EQ(got.leafCount(), want.leafCount());
 
     const std::size_t rows = 513;
-    const std::size_t o = want.outputCount();
-    ASSERT_EQ(got.outputCount(), o);
     const auto X = randomRows(rows, 2, 96 + forest.treeCount());
-    std::vector<double> a(rows * o, -1.0), b(rows * o, -2.0);
+    std::vector<double> a(rows, -1.0), b(rows, -2.0);
     got.predictBatch(X.data(), rows, a.data());
     want.predictBatch(X.data(), rows, b.data());
-    for (std::size_t i = 0; i < rows * o; ++i)
-        EXPECT_EQ(a[i], b[i]) << "row " << i / o << " output " << i % o;
+    for (std::size_t r = 0; r < rows; ++r)
+        EXPECT_EQ(a[r], b[r]) << "row " << r;
 }
 
 } // namespace
@@ -393,18 +370,15 @@ TEST(CompiledForest, BitIdenticalToReferenceOnRandomInputs)
     const CompiledForest &compiled = forest.compiled();
     EXPECT_EQ(compiled.treeCount(), forest.treeCount());
     EXPECT_EQ(compiled.featureCount(), 2u);
-    EXPECT_EQ(compiled.outputCount(), 1u);
 
     Rng rng(82);
     for (int i = 0; i < 200; ++i) {
         const std::vector<double> x = {rng.uniform(-5.0, 15.0),
                                        rng.uniform(-5.0, 15.0)};
-        const auto ref = oracle::forestPredict(forest, x);
-        double out = 0.0;
-        compiled.predictInto(x.data(), &out);
         // Exact equality: the compiled walk must be bit-identical to
         // the interpreted ensemble, not merely close.
-        EXPECT_EQ(out, ref[0]);
+        EXPECT_EQ(compiled.predictRow(x.data()),
+                  oracle::forestPredict(forest, x));
     }
 }
 
@@ -412,60 +386,30 @@ TEST(CompiledForest, InvalidatedAndRebuiltAfterWarmStartRegrow)
 {
     // A warm start extends the compiled forest with its new trees; the
     // result must equal compiling the whole ensemble in one shot.
-    for (std::size_t outputs : {1u, 2u}) {
-        SCOPED_TRACE("outputs " + std::to_string(outputs));
-        ForestConfig cfg;
-        cfg.nEstimators = 12;
-        RandomForestRegressor forest(cfg);
-        auto data = linearData(250, 83, outputs);
-        forest.fit(data, 84);
-        EXPECT_EQ(forest.compiled().treeCount(), 12u);
-        expectMatchesOneShotCompile(forest);
-
-        for (std::uint64_t round = 0; round < 2; ++round) {
-            data.append(linearData(100, 85 + round, outputs));
-            forest.warmStart(data, 6, 86 + round);
-            // The compiled snapshot must track the regrown ensemble,
-            // not the stale one.
-            ASSERT_EQ(forest.compiled().treeCount(), 18 + 6 * round);
-            expectMatchesOneShotCompile(forest);
-        }
-
-        const CompiledForest &compiled = forest.compiled();
-        Rng rng(87);
-        for (int i = 0; i < 100; ++i) {
-            const std::vector<double> x = {rng.uniform(0.0, 10.0),
-                                           rng.uniform(0.0, 10.0)};
-            std::vector<double> out(outputs);
-            compiled.predictInto(x.data(), out.data());
-            EXPECT_EQ(out, oracle::forestPredict(forest, x));
-        }
-    }
-}
-
-TEST(CompiledForest, MultiOutputLeavesMatchReference)
-{
-    Dataset data(1, 2);
-    Rng gen(88);
-    for (int i = 0; i < 300; ++i) {
-        const double x = gen.uniform(0.0, 10.0);
-        data.add({x}, {x, 2.0 * x + gen.normal(0.0, 0.1)});
-    }
     ForestConfig cfg;
-    cfg.nEstimators = 20;
+    cfg.nEstimators = 12;
     RandomForestRegressor forest(cfg);
-    forest.fit(data, 89);
+    auto data = linearData(250, 83);
+    forest.fit(data, 84);
+    EXPECT_EQ(forest.compiled().treeCount(), 12u);
+    expectMatchesOneShotCompile(forest);
+
+    for (std::uint64_t round = 0; round < 2; ++round) {
+        data.append(linearData(100, 85 + round));
+        forest.warmStart(data, 6, 86 + round);
+        // The compiled snapshot must track the regrown ensemble, not
+        // the stale one.
+        ASSERT_EQ(forest.compiled().treeCount(), 18 + 6 * round);
+        expectMatchesOneShotCompile(forest);
+    }
 
     const CompiledForest &compiled = forest.compiled();
-    ASSERT_EQ(compiled.outputCount(), 2u);
-    Rng rng(90);
+    Rng rng(87);
     for (int i = 0; i < 100; ++i) {
-        const std::vector<double> x = {rng.uniform(0.0, 10.0)};
-        const auto ref = oracle::forestPredict(forest, x);
-        double out[2] = {0.0, 0.0};
-        compiled.predictInto(x.data(), out);
-        EXPECT_EQ(out[0], ref[0]);
-        EXPECT_EQ(out[1], ref[1]);
+        const std::vector<double> x = {rng.uniform(0.0, 10.0),
+                                       rng.uniform(0.0, 10.0)};
+        EXPECT_EQ(compiled.predictRow(x.data()),
+                  oracle::forestPredict(forest, x));
     }
 }
 
@@ -488,9 +432,7 @@ TEST(CompiledForest, PredictBatchSequentialParallelBitIdentical)
     for (std::size_t r = 0; r < rows; ++r) {
         EXPECT_EQ(seq[r], par[r]);
         // And each batch row matches the single-row walk.
-        double one = 0.0;
-        compiled.predictInto(X.data() + 2 * r, &one);
-        EXPECT_EQ(one, seq[r]);
+        EXPECT_EQ(compiled.predictRow(X.data() + 2 * r), seq[r]);
     }
 }
 
@@ -536,8 +478,8 @@ TEST(CompiledForest, EmptyForestPredictPanics)
     const CompiledForest compiled;
     EXPECT_TRUE(compiled.empty());
     double x = 1.0, y = 0.0;
-    EXPECT_EQ(whatOf<PanicError>([&] { compiled.predictInto(&x, &y); }),
-              "panic: CompiledForest::predictInto on empty forest");
+    EXPECT_EQ(whatOf<PanicError>([&] { compiled.predictRow(&x); }),
+              "panic: CompiledForest::predictRow on empty forest");
     EXPECT_EQ(
         whatOf<PanicError>([&] { compiled.predictBatch(&x, 1, &y); }),
         "panic: CompiledForest::predictBatch on empty forest");

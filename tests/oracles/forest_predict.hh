@@ -6,7 +6,7 @@
  * bit-identical to it.
  *
  * It walks every fitted tree through DecisionTreeRegressor::predict
- * and sums their leaf vectors in ensemble order, then divides by the
+ * and sums their leaf values in ensemble order, then divides by the
  * tree count; the compiled forest must reproduce exactly these
  * floating-point operations.
  *
@@ -17,7 +17,6 @@
 #ifndef WANIFY_TESTS_ORACLES_FOREST_PREDICT_HH
 #define WANIFY_TESTS_ORACLES_FOREST_PREDICT_HH
 
-#include <cstddef>
 #include <vector>
 
 #include "common/error.hh"
@@ -27,21 +26,15 @@ namespace wanify {
 namespace oracle {
 
 /** Ensemble-mean prediction of @p forest for feature vector @p x. */
-inline std::vector<double>
+inline double
 forestPredict(const ml::RandomForestRegressor &forest,
               const std::vector<double> &x)
 {
     panicIf(forest.trees().empty(), "RandomForest::predict before fit");
-    std::vector<double> mean;
-    for (const auto &tree : forest.trees()) {
-        const auto &y = tree->predict(x);
-        if (mean.empty())
-            mean.assign(y.size(), 0.0);
-        for (std::size_t k = 0; k < y.size(); ++k)
-            mean[k] += y[k];
-    }
-    for (auto &m : mean)
-        m /= static_cast<double>(forest.trees().size());
+    double mean = 0.0;
+    for (const auto &tree : forest.trees())
+        mean += tree->predict(x);
+    mean /= static_cast<double>(forest.trees().size());
     return mean;
 }
 

@@ -53,15 +53,14 @@ class NodeSortTree
         const std::vector<std::size_t> &sampleIndices, Rng &rng)
     {
         featureCount_ = data.featureCount();
-        outputCount_ = data.outputCount();
         nodes_.clear();
         featureGains_.assign(featureCount_, 0.0);
         std::vector<std::size_t> indices = sampleIndices;
         buildNodeSort(data, indices, 0, rng);
     }
 
-    /** The matched leaf's target vector (the library's tree walk). */
-    const std::vector<double> &
+    /** The matched leaf's value (the library's tree walk). */
+    double
     predict(const std::vector<double> &x) const
     {
         panicIf(nodes_.empty(), "DecisionTree::predict before fit");
@@ -101,29 +100,23 @@ class NodeSortTree
                                   const std::vector<std::size_t> &indices,
                                   Rng &rng) const;
 
-    std::vector<double> meanTarget(
-        const ml::Dataset &data,
-        const std::vector<std::size_t> &indices) const;
+    double meanTarget(const ml::Dataset &data,
+                      const std::vector<std::size_t> &indices) const;
 
     ml::TreeConfig config_;
     std::size_t featureCount_ = 0;
-    std::size_t outputCount_ = 0;
     std::vector<Node> nodes_;
     std::vector<double> featureGains_;
 };
 
-inline std::vector<double>
+inline double
 NodeSortTree::meanTarget(
     const ml::Dataset &data, const std::vector<std::size_t> &indices) const
 {
-    std::vector<double> mean(outputCount_, 0.0);
-    for (std::size_t i : indices) {
-        const auto &y = data.y(i);
-        for (std::size_t k = 0; k < outputCount_; ++k)
-            mean[k] += y[k];
-    }
-    for (auto &m : mean)
-        m /= static_cast<double>(indices.size());
+    double mean = 0.0;
+    for (std::size_t i : indices)
+        mean += data.y(i)[0];
+    mean /= static_cast<double>(indices.size());
     return mean;
 }
 
@@ -137,21 +130,15 @@ NodeSortTree::bestSplitNodeSort(
     if (n < config_.minSamplesSplit)
         return best;
 
-    // Parent SSE via sum and sum of squares, per output.
-    std::vector<double> sum(outputCount_, 0.0);
-    std::vector<double> sumSq(outputCount_, 0.0);
+    // Parent SSE via sum and sum of squares.
+    double sum = 0.0, sumSq = 0.0;
     for (std::size_t i : indices) {
-        const auto &y = data.y(i);
-        for (std::size_t k = 0; k < outputCount_; ++k) {
-            sum[k] += y[k];
-            sumSq[k] += y[k] * y[k];
-        }
+        const double y = data.y(i)[0];
+        sum += y;
+        sumSq += y * y;
     }
-    double parentSse = 0.0;
-    for (std::size_t k = 0; k < outputCount_; ++k) {
-        parentSse +=
-            sumSq[k] - sum[k] * sum[k] / static_cast<double>(n);
-    }
+    const double parentSse =
+        sumSq - sum * sum / static_cast<double>(n);
     if (parentSse <= 1.0e-12)
         return best; // pure node
 
@@ -168,8 +155,6 @@ NodeSortTree::bestSplitNodeSort(
     }
 
     std::vector<std::size_t> sorted(indices);
-    std::vector<double> leftSum(outputCount_);
-    std::vector<double> leftSumSq(outputCount_);
 
     for (std::size_t f : features) {
         // Canonical order: feature value, ties by sample index —
@@ -182,15 +167,12 @@ NodeSortTree::bestSplitNodeSort(
                       const double xb = data.x(b)[f];
                       return xa < xb || (xa == xb && a < b);
                   });
-        std::fill(leftSum.begin(), leftSum.end(), 0.0);
-        std::fill(leftSumSq.begin(), leftSumSq.end(), 0.0);
+        double leftSum = 0.0, leftSumSq = 0.0;
 
         for (std::size_t pos = 0; pos + 1 < n; ++pos) {
-            const auto &y = data.y(sorted[pos]);
-            for (std::size_t k = 0; k < outputCount_; ++k) {
-                leftSum[k] += y[k];
-                leftSumSq[k] += y[k] * y[k];
-            }
+            const double y = data.y(sorted[pos])[0];
+            leftSum += y;
+            leftSumSq += y * y;
             const double xHere = data.x(sorted[pos])[f];
             const double xNext = data.x(sorted[pos + 1])[f];
             if (xNext <= xHere)
@@ -202,16 +184,11 @@ NodeSortTree::bestSplitNodeSort(
                 nr < config_.minSamplesLeaf)
                 continue;
 
-            double childSse = 0.0;
-            for (std::size_t k = 0; k < outputCount_; ++k) {
-                const double rs = sum[k] - leftSum[k];
-                const double rss = sumSq[k] - leftSumSq[k];
-                childSse += leftSumSq[k] -
-                            leftSum[k] * leftSum[k] /
-                                static_cast<double>(nl);
-                childSse +=
-                    rss - rs * rs / static_cast<double>(nr);
-            }
+            const double rs = sum - leftSum;
+            const double rss = sumSq - leftSumSq;
+            double childSse =
+                leftSumSq - leftSum * leftSum / static_cast<double>(nl);
+            childSse += rss - rs * rs / static_cast<double>(nr);
             const double gain = parentSse - childSse;
             if (gain > best.gain + 1.0e-12) {
                 best.found = true;
@@ -343,8 +320,7 @@ class NodeSortForest
         const ml::Dataset &data,
         const std::vector<std::vector<std::size_t>> &bags)
     {
-        // OOB over the trees grown in this batch only; single-output path
-        // is the production configuration, so OOB handles output 0.
+        // OOB over the trees grown in this batch only.
         const std::size_t n = data.size();
         const std::size_t firstNew = trees_.size() - bags.size();
 
@@ -367,8 +343,7 @@ class NodeSortForest
             for (std::size_t t = 0; t < bags.size(); ++t) {
                 if (inBag[t][i])
                     continue;
-                // const-ref leaf access: no per-vote temporary.
-                pred += trees_[firstNew + t].predict(data.x(i)).front();
+                pred += trees_[firstNew + t].predict(data.x(i));
                 ++votes;
             }
             if (votes == 0)

@@ -278,10 +278,10 @@ TEST(ParallelForest, MatchesSequentialBitForBit)
     EXPECT_EQ(seq.oobR2(), par.oobR2());
     EXPECT_EQ(seq.oobR2(), capped.oobR2());
     for (double x = 0.0; x <= 10.0; x += 0.25) {
-        EXPECT_EQ(oracle::forestPredict(seq, {x, 5.0})[0],
-                  oracle::forestPredict(par, {x, 5.0})[0]);
-        EXPECT_EQ(oracle::forestPredict(seq, {x, 5.0})[0],
-                  oracle::forestPredict(capped, {x, 5.0})[0]);
+        EXPECT_EQ(oracle::forestPredict(seq, {x, 5.0}),
+                  oracle::forestPredict(par, {x, 5.0}));
+        EXPECT_EQ(oracle::forestPredict(seq, {x, 5.0}),
+                  oracle::forestPredict(capped, {x, 5.0}));
     }
     const auto seqImp = seq.featureImportances();
     const auto parImp = par.featureImportances();
@@ -311,8 +311,8 @@ TEST(ParallelForest, WarmStartMatchesSequential)
     ASSERT_EQ(par.treeCount(), 16u);
     EXPECT_EQ(seq.oobR2(), par.oobR2());
     for (double x = 0.5; x <= 9.5; x += 0.5) {
-        EXPECT_EQ(oracle::forestPredict(seq, {x, 1.0})[0],
-                  oracle::forestPredict(par, {x, 1.0})[0]);
+        EXPECT_EQ(oracle::forestPredict(seq, {x, 1.0}),
+                  oracle::forestPredict(par, {x, 1.0}));
     }
 }
 

@@ -141,9 +141,9 @@ TEST(WarmStart, SequentialAndParallelBitIdentical)
     EXPECT_EQ(b.treeCount(), 19u);
     EXPECT_EQ(c.treeCount(), 19u);
     for (double x = 0.0; x <= 10.0; x += 0.5) {
-        const double ya = oracle::forestPredict(a, {x, 3.0})[0];
-        EXPECT_DOUBLE_EQ(ya, oracle::forestPredict(b, {x, 3.0})[0]);
-        EXPECT_DOUBLE_EQ(ya, oracle::forestPredict(c, {x, 3.0})[0]);
+        const double ya = oracle::forestPredict(a, {x, 3.0});
+        EXPECT_DOUBLE_EQ(ya, oracle::forestPredict(b, {x, 3.0}));
+        EXPECT_DOUBLE_EQ(ya, oracle::forestPredict(c, {x, 3.0}));
     }
     EXPECT_DOUBLE_EQ(a.oobR2(), b.oobR2());
     EXPECT_DOUBLE_EQ(a.oobR2(), c.oobR2());

@@ -490,6 +490,18 @@ TEST(Service, SubmitRejectsNonFiniteOrNegativeInput)
                   "non-negative")
             << "input " << bad;
     }
+    // An arrival at +inf would never be admitted yet would count as
+    // completed, so it is refused with NaN and negative times.
+    for (const Seconds bad : {std::numeric_limits<double>::quiet_NaN(),
+                              -1.0,
+                              std::numeric_limits<double>::infinity()}) {
+        serve::QuerySpec q = smallQuery(0, 0, 4);
+        q.arrival = bad;
+        EXPECT_EQ(whatOf<FatalError>([&] { service.submit(q); }),
+                  "fatal: Service: arrival must be finite and "
+                  "non-negative")
+            << "arrival " << bad;
+    }
     // Nothing rejected was queued.
     EXPECT_TRUE(service.drain().queries.empty());
 }

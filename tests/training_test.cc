@@ -3,9 +3,8 @@
  * Tests for the presorted tree trainer: forests and single trees
  * locked bit-identical against the node-sort oracle
  * (tests/oracles/node_sort.hh) across random datasets, heavy ties,
- * multi-output targets, minSamples edges, warm starts and parallel
- * growth; the training entry points' checks; and the retrain-latency
- * aggregation plumbing.
+ * minSamples edges, warm starts and parallel growth; the training
+ * entry points' checks; and the retrain-latency aggregation plumbing.
  */
 
 #include <gtest/gtest.h>
@@ -27,20 +26,15 @@ namespace {
 
 /** Continuous features, y = 3a + b - 2c + noise. */
 Dataset
-continuousData(std::size_t n, std::uint64_t seed,
-               std::size_t outputs = 1)
+continuousData(std::size_t n, std::uint64_t seed)
 {
     Rng rng(seed);
-    Dataset data(3, outputs);
+    Dataset data(3, 1);
     for (std::size_t i = 0; i < n; ++i) {
         const double a = rng.uniform(0.0, 10.0);
         const double b = rng.uniform(0.0, 10.0);
         const double c = rng.uniform(0.0, 1.0);
-        std::vector<double> y;
-        for (std::size_t k = 0; k < outputs; ++k)
-            y.push_back(3.0 * a + b * static_cast<double>(k + 1) -
-                        2.0 * c + rng.normal(0.0, 0.5));
-        data.add({a, b, c}, y);
+        data.add({a, b, c}, 3.0 * a + b - 2.0 * c + rng.normal(0.0, 0.5));
     }
     return data;
 }
@@ -106,13 +100,6 @@ TEST(TrainingParity, BitIdenticalOnHeavyTies)
         EXPECT_EQ(fitMismatch(configFor(), tiedData(250, seed), seed),
                   "")
             << "seed " << seed;
-}
-
-TEST(TrainingParity, BitIdenticalMultiOutput)
-{
-    EXPECT_EQ(fitMismatch(configFor(),
-                          continuousData(250, 77, /*outputs=*/3), 78),
-              "");
 }
 
 TEST(TrainingParity, BitIdenticalAtMinSamplesEdges)
@@ -243,6 +230,31 @@ TEST(TrainingChecks, NameTheirCause)
               "fatal: RandomForest::fit: empty dataset");
     EXPECT_EQ(whatOf<FatalError>([&] { forest.warmStart(empty, 2, 134); }),
               "fatal: RandomForest::warmStart: empty dataset");
+
+    // Every entry point trains through a TrainingContext, whose check
+    // is the only target-count check in the ML stack. On an untrained
+    // forest a warm start is the initial fit, so it is refused the
+    // same way and leaves the forest untrained.
+    Dataset twoTargets(3, 2);
+    for (int i = 0; i < 8; ++i)
+        twoTargets.add({1.0 * i, 2.0 * i, 0.5}, {3.0 * i, -1.0 * i});
+    const std::string oneTarget =
+        "fatal: TrainingContext: dataset must have exactly one target";
+    EXPECT_EQ(whatOf<FatalError>([&] { TrainingContext{twoTargets}; }),
+              oneTarget);
+    EXPECT_EQ(whatOf<FatalError>([&] { tree.fit(twoTargets, rng); }),
+              oneTarget);
+    EXPECT_EQ(whatOf<FatalError>(
+                  [&] { tree.fit(twoTargets, {0, 1, 2}, rng); }),
+              oneTarget);
+    EXPECT_FALSE(tree.trained());
+    EXPECT_EQ(whatOf<FatalError>([&] { forest.fit(twoTargets, 135); }),
+              oneTarget);
+    EXPECT_EQ(
+        whatOf<FatalError>([&] { forest.warmStart(twoTargets, 2, 136); }),
+        oneTarget);
+    EXPECT_FALSE(forest.trained());
+    EXPECT_TRUE(forest.compiled().empty());
 }
 
 // ---- retrain latency aggregation -------------------------------------------
