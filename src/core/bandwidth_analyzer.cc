@@ -77,8 +77,8 @@ BandwidthAnalyzer::collectMeshes(std::uint64_t seed)
                 for (const auto &b : dyn->burstsIn(-1.0, t0)) {
                     if (b.start + b.duration <= t0)
                         continue;
-                    sim.startMeasurement(topo.dc(b.src).vms.front(),
-                                         topo.dc(b.dst).vms.front(),
+                    sim.startMeasurement(topo.endpointVm(b.src),
+                                         topo.endpointVm(b.dst),
                                          b.connections);
                 }
             }

@@ -20,13 +20,10 @@ providerRvec(const net::Topology &topo)
     const std::size_t n = topo.dcCount();
     Matrix<double> rvec = Matrix<double>::square(n, 1.0);
 
-    // A DC's capability is its first VM's WAN cap (probes run there).
+    // A DC's capability is its endpoint VM's WAN cap (probes run there).
     std::vector<Mbps> capability(n, 0.0);
-    for (net::DcId i = 0; i < n; ++i) {
-        const auto &vms = topo.dc(i).vms;
-        panicIf(vms.empty(), "providerRvec: DC without VMs");
-        capability[i] = topo.vm(vms.front()).type.wanCapMbps;
-    }
+    for (net::DcId i = 0; i < n; ++i)
+        capability[i] = topo.vm(topo.endpointVm(i)).type.wanCapMbps;
     const Mbps reference =
         *std::max_element(capability.begin(), capability.end());
 

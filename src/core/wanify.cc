@@ -129,8 +129,7 @@ Wanify::gaugeRuntime(net::NetworkSim &sim, Rng &rng,
 
 GlobalPlan
 Wanify::plan(const BwMatrix &predictedBw,
-             const std::vector<double> &skewWeights,
-             const Matrix<double> &rvec) const
+             const std::vector<double> &skewWeights) const
 {
     const std::size_t n = predictedBw.rows();
     GlobalOptimizer optimizer(config_.global);
@@ -139,7 +138,7 @@ Wanify::plan(const BwMatrix &predictedBw,
                                    : std::vector<double>{};
 
     if (config_.features.globalOptimization)
-        return optimizer.optimize(predictedBw, ws, rvec);
+        return optimizer.optimize(predictedBw, ws);
 
     // Local-only ablation: a static [1, M] range for every pair with
     // achievable BWs scaled linearly, exactly the Fig. 8 baseline.

@@ -169,11 +169,9 @@ class Wanify
      *
      * @param skewWeights per-DC input-data skew weights (empty =
      *                    uniform); ignored unless features.skewAware
-     * @param rvec        refactoring matrix (empty = identity)
      */
     GlobalPlan plan(const BwMatrix &predictedBw,
-                    const std::vector<double> &skewWeights = {},
-                    const Matrix<double> &rvec = {}) const;
+                    const std::vector<double> &skewWeights = {}) const;
 
     /**
      * One run's worth of online state: the local agents plus the

@@ -63,7 +63,7 @@ struct RetryItem
  * accounting paired however the gauging code between them evolves.
  * A job transfer that finished is no longer live in the sim: its
  * final bytes come from its completion record, which the engine
- * drains only at stage end.
+ * routes at the next clock pop.
  */
 class ControlProbe
 {
@@ -187,8 +187,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             predicted = opts.wanify->predictRuntimeBw(sim, rng,
                                                       *model);
         }
-        plan = opts.wanify->plan(predicted, opts.skewWeights,
-                                 opts.rvec);
+        plan = opts.wanify->plan(predicted, opts.skewWeights);
         deployment = opts.wanify->deploy(sim, plan, predicted);
         epoch = opts.wanify->config().aimd.epoch;
     }
@@ -241,10 +240,10 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
     const Seconds jobStart = sim.now();
 
     // --- fault injection & recovery state ----------------------------
-    // Null `faults` keeps every code path below structurally identical
-    // to a fault-free build: the lambdas exist but are never invoked
-    // with work to do, and the stage loop schedules no extra events.
-    const fault::FaultPlan *faults =
+    // Every run holds a plan; a fault-free run's is empty, so the
+    // recovery lambdas below find no work, the retry queue stays
+    // empty and the stage loop schedules no fault edges.
+    const fault::FaultPlan &faults =
         resolveFaultPlan(opts.faults, opts.dynamics, n, "Engine::run");
     fault::PredictorHealth health(opts.predictorHealth);
     std::vector<char> agentCrashed(n, 0);
@@ -310,11 +309,10 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
     // assignment) until the blackout clears.
     auto startShuffleTransfer = [&](DcId i, DcId j, Bytes bytes,
                                     std::size_t attempt = 0) -> bool {
-        if (faults != nullptr &&
-            faults->pairBlackedOutAt(i, j, sim.now())) {
+        if (faults.pairBlackedOutAt(i, j, sim.now())) {
             exec.assignment().at(i, j) -= bytes;
             queueRetry({i, j, bytes, attempt,
-                        faults->blackoutClearTime(i, j, sim.now())});
+                        faults.blackoutClearTime(i, j, sim.now())});
             return false;
         }
         exec.start(sim, i, j, bytes, connectionsFor(i, j), 0, attempt);
@@ -350,12 +348,10 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         ++result.transferAborts;
         result.lostBytes += lost->bytes;
         if (lost->attempt + 1 < opts.retry.maxAttempts) {
-            Seconds due = sim.now() +
-                          opts.retry.backoff(lost->attempt,
-                                             splitmix64(retryRngState));
-            if (faults != nullptr)
-                due = std::max(due, faults->blackoutClearTime(
-                                        lost->src, lost->dst, due));
+            const Seconds due = faults.blackoutClearTime(
+                lost->src, lost->dst,
+                sim.now() + opts.retry.backoff(
+                                lost->attempt, splitmix64(retryRngState)));
             queueRetry({lost->src, lost->dst, lost->bytes,
                         lost->attempt + 1, due});
         } else {
@@ -411,8 +407,8 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
     };
     auto restartCrashedAgents = [&](Seconds t) {
         for (DcId dc = 0; dc < n; ++dc) {
-            if (!agentCrashed[dc] || faults->agentCrashedAt(
-                                         static_cast<int>(dc), t))
+            if (!agentCrashed[dc] ||
+                faults.agentCrashedAt(static_cast<int>(dc), t))
                 continue;
             agentCrashed[dc] = 0;
             rearmAgents(dc);
@@ -422,7 +418,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
     // not re-throttle, so the redeploy (which installs fresh static
     // throttles for every DC) re-clears theirs.
     auto redeploy = [&](const Matrix<Mbps> &belief) {
-        plan = opts.wanify->plan(belief, opts.skewWeights, opts.rvec);
+        plan = opts.wanify->plan(belief, opts.skewWeights);
         deployment = opts.wanify->deploy(sim, plan, belief);
         rearmAgents();
         for (DcId dc = 0; dc < n; ++dc)
@@ -436,12 +432,10 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
     // GaugeTimeout have no edge action — the retrain path queries
     // their windows at gauge time.
     auto applyFaultsUpTo = [&](Seconds t) {
-        if (faults == nullptr)
-            return;
         std::vector<std::size_t> started;
-        faults->startsIn(faultCursor, t, started);
+        faults.startsIn(faultCursor, t, started);
         for (std::size_t fi : started) {
-            const fault::FaultEvent &ev = faults->events()[fi].ev;
+            const fault::FaultEvent &ev = faults.events()[fi].ev;
             ++result.faultsInjected;
             if (ev.kind == fault::FaultKind::DcBlackout)
                 ++result.blackouts;
@@ -466,8 +460,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
     auto retrainAndRedeploy =
         [&](Seconds &nextEpoch) {
             fault::FaultKind gaugeKind = fault::FaultKind::ProbeLoss;
-            if (faults != nullptr &&
-                faults->gaugeFaultAt(sim.now(), &gaugeKind)) {
+            if (faults.gaugeFaultAt(sim.now(), &gaugeKind)) {
                 // The gauge never lands: no training rows, no fresh
                 // prediction. A hung probe (GaugeTimeout) still costs
                 // the measurement epoch; a fast error (ProbeLoss)
@@ -568,8 +561,9 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             }
             trend.record(sim.now(), predicted);
             // A gauge landed: the predictor proved itself, so the
-            // degradation ladder steps one rung back up.
-            if (faults != nullptr && health.recordSuccess())
+            // degradation ladder steps one rung back up (a fault-free
+            // run never left the Model rung).
+            if (health.recordSuccess())
                 notePredictorMode();
 
             // Incremental re-plan: stop what is still in flight,
@@ -621,14 +615,34 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         clock.push(guardEnd, ClockEventKind::StageGuard);
         clock.push(shuffleStart + epoch, ClockEventKind::EpochTick);
         scheduleChangePoints(shuffleStart, guardEnd);
-        if (faults != nullptr) {
-            // Fault starts and window-clear instants are first-class
-            // events: recovery must not wait for the epoch grid.
-            std::vector<Seconds> faultEdges;
-            faults->edgesIn(shuffleStart, guardEnd, faultEdges);
-            for (const Seconds t : faultEdges)
-                clock.push(t, ClockEventKind::FaultEdge);
-        }
+        // Fault starts and window-clear instants are first-class
+        // events: recovery must not wait for the epoch grid.
+        std::vector<Seconds> faultEdges;
+        faults.edgesIn(shuffleStart, guardEnd, faultEdges);
+        for (const Seconds t : faultEdges)
+            clock.push(t, ClockEventKind::FaultEdge);
+
+        // Min pair BW: the paper's "minimum BW of the cluster" — the
+        // slowest pair's average achieved rate over its active period.
+        Mbps minPairBw = 0.0;
+        auto accountTransfer = [&](const ShuffleTransfer &t) {
+            stageResult.wanBytes += t.bytes;
+            if (t.bytes >= kMinAccountedBytes) {
+                const Seconds duration =
+                    std::max(1.0e-6, t.done - shuffleStart);
+                const Mbps avg = units::rateFor(t.bytes, duration);
+                minPairBw = minPairBw == 0.0
+                                ? avg
+                                : std::min(minPairBw, avg);
+            }
+        };
+        // A finished transfer is accounted as its completion is routed.
+        auto routeCompletions = [&]() {
+            for (const net::CompletionRecord &rec :
+                 sim.drainCompletions())
+                if (const auto t = exec.complete(rec))
+                    accountTransfer(*t);
+        };
 
         while (!sim.allTransfersDone() || !retries.empty()) {
             if (clock.empty())
@@ -638,10 +652,10 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             // them) make this a no-op; the handler below then applies
             // dynamics at now() rather than rewinding to ev.time.
             sim.runUntilAllComplete(ev.time);
+            routeCompletions();
             if (sim.allTransfersDone() && retries.empty())
                 break;
-            if (faults != nullptr && sim.allTransfersDone() &&
-                ev.time > sim.now()) {
+            if (sim.allTransfersDone() && ev.time > sim.now()) {
                 // Nothing in flight but retries are waiting out their
                 // backoff: runUntilAllComplete returns without moving
                 // an idle sim, so idle-wait explicitly.
@@ -654,8 +668,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                 // stages; they are billed as if finishing now.
                 // Queued retries die with the stage — their bytes
                 // already left the assignment.
-                for (const auto &[id, t] : exec.pending())
-                    sim.stopTransfer(id);
+                exec.abandon(sim);
                 retries.clear();
                 break;
             }
@@ -677,8 +690,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             Seconds tickBase = ev.time;
             applyFaultsUpTo(sim.now());
             for (auto &agent : agents) {
-                if (faults != nullptr &&
-                    agentCrashed[agent->sourceDc()])
+                if (agentCrashed[agent->sourceDc()])
                     continue;
                 agent->onEpoch();
             }
@@ -703,41 +715,17 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                     drift.rebase(sim);
                 }
             }
-            if (faults != nullptr) {
-                // A retrain may have consumed time past queued retry
-                // deadlines; launch the stale ones now.
-                startDueRetries();
-            }
+            // A retrain may have consumed time past queued retry
+            // deadlines; launch the stale ones now.
+            startDueRetries();
             clock.push(tickBase + epoch, ClockEventKind::EpochTick);
         }
-
-        // Collect completion times per transfer.
-        for (const auto &rec : sim.drainCompletions()) {
-            auto it = exec.pending().find(rec.id);
-            if (it != exec.pending().end())
-                it->second.done = rec.time;
-        }
-
-        // Min pair BW: the paper's "minimum BW of the cluster" — the
-        // slowest pair's average achieved rate over its active period.
-        Mbps minPairBw = 0.0;
-        auto accountTransfer = [&](const ShuffleTransfer &t) {
-            const Seconds done = t.done > 0.0 ? t.done : sim.now();
-            exec.landed(t.dst, done);
-            stageResult.wanBytes += t.bytes;
-            if (t.bytes >= kMinAccountedBytes) {
-                const Seconds duration =
-                    std::max(1.0e-6, done - shuffleStart);
-                const Mbps avg = units::rateFor(t.bytes, duration);
-                minPairBw = minPairBw == 0.0
-                                ? avg
-                                : std::min(minPairBw, avg);
-            }
-        };
-        for (const auto &[id, t] : exec.pending())
-            accountTransfer(t);
-        // Transfers retired mid-stage by an incremental re-plan:
-        // their delivered portion is real WAN traffic of this stage.
+        // The last transfers may have finished inside a retrain
+        // window, after the last pop.
+        routeCompletions();
+        // Transfers stopped mid-stage (the delivered part of an abort
+        // or an incremental re-plan, or a guard cut whole) are real
+        // WAN traffic of this stage.
         for (const ShuffleTransfer &t : exec.retired())
             accountTransfer(t);
         stageResult.minPairBw = minPairBw;

@@ -199,9 +199,6 @@ struct RunOptions
     /** Skew weights forwarded to WANify's global optimizer. */
     std::vector<double> skewWeights;
 
-    /** Refactoring matrix forwarded to WANify (empty = identity). */
-    Matrix<double> rvec;
-
     /**
      * Non-stationary WAN dynamics (scenario timeline or trace
      * replay) advanced every AIMD epoch. Scenario time zero is
@@ -263,9 +260,9 @@ struct RunOptions
     /**
      * Hard-fault schedule. Null = consume the dynamics source's
      * faultPlan() (itself null for fault-free sources); an explicit
-     * plan overrides it. Empty plans are treated as null, so a
-     * fault-free run stays structurally identical to pre-fault
-     * builds.
+     * plan, even an empty one, overrides it. A run without faults
+     * holds an empty plan, which injects nothing and leaves results
+     * bit-identical to a build without fault handling.
      */
     const fault::FaultPlan *faults = nullptr;
 

@@ -8,33 +8,20 @@ namespace gda {
 
 using net::DcId;
 
-namespace {
-
-/** First VM of a DC carries that DC's shuffle endpoints, so the
- *  engine and the service bill traffic to the same VM pairs. */
-net::VmId
-shuffleEndpointVm(const net::Topology &topo, DcId dc)
-{
-    if (topo.dc(dc).vms.empty())
-        panic("engine: DC without VMs");
-    return topo.dc(dc).vms.front();
-}
-
-} // namespace
-
-const fault::FaultPlan *
+const fault::FaultPlan &
 resolveFaultPlan(const fault::FaultPlan *explicitPlan,
                  const scenario::Dynamics *dynamics, std::size_t dcCount,
                  const std::string &owner)
 {
+    static const fault::FaultPlan none;
     const fault::FaultPlan *plan = explicitPlan;
     if (plan == nullptr && dynamics != nullptr)
         plan = dynamics->faultPlan();
     if (plan == nullptr || plan->empty())
-        return nullptr;
+        return none;
     if (plan->dcCount() != dcCount)
         fatal(owner + ": fault plan compiled for a different cluster size");
-    return plan;
+    return *plan;
 }
 
 QueryExecution::QueryExecution(const net::Topology &topo,
@@ -96,9 +83,9 @@ QueryExecution::start(net::NetworkSim &sim, DcId src, DcId dst,
                       Bytes bytes, int connections,
                       net::FlowGroupId group, std::size_t attempt)
 {
-    const net::TransferId id = sim.startTransfer(
-        shuffleEndpointVm(*topo_, src), shuffleEndpointVm(*topo_, dst),
-        bytes, connections, group);
+    const net::TransferId id =
+        sim.startTransfer(topo_->endpointVm(src), topo_->endpointVm(dst),
+                          bytes, connections, group);
     ShuffleTransfer &t = pending_[id];
     t.src = src;
     t.dst = dst;
@@ -106,6 +93,19 @@ QueryExecution::start(net::NetworkSim &sim, DcId src, DcId dst,
     t.started = sim.now();
     t.connections = connections;
     t.attempt = attempt;
+    return t;
+}
+
+std::optional<ShuffleTransfer>
+QueryExecution::complete(const net::CompletionRecord &rec)
+{
+    const auto it = pending_.find(rec.id);
+    if (it == pending_.end())
+        return std::nullopt;
+    ShuffleTransfer t = it->second;
+    pending_.erase(it);
+    t.done = rec.time;
+    landed(t.dst, t.done);
     return t;
 }
 
@@ -125,6 +125,7 @@ QueryExecution::stop(net::NetworkSim &sim, net::TransferId id,
         ShuffleTransfer part = t;
         part.bytes = st.bytesMoved;
         part.done = sim.now();
+        landed(part.dst, part.done);
         retired_.push_back(part);
     }
     sim.stopTransfer(id);
@@ -143,6 +144,18 @@ QueryExecution::stopInFlight(net::NetworkSim &sim)
             undelivered[rest->src] += rest->bytes;
     }
     return undelivered;
+}
+
+void
+QueryExecution::abandon(net::NetworkSim &sim)
+{
+    for (auto &[id, t] : pending_) {
+        sim.stopTransfer(id);
+        t.done = sim.now();
+        landed(t.dst, t.done);
+        retired_.push_back(t);
+    }
+    pending_.clear();
 }
 
 std::vector<net::TransferId>

@@ -10,7 +10,8 @@
  * in-flight transfers, the delivered parts of stopped ones, and the
  * warm-start plan memory — plus the mechanics both drivers share.
  *
- * Recovery policy stays with the drivers: gda::Engine retries an
+ * Both route a transfer's completion, stop and abandonment through
+ * it. Recovery policy stays with the drivers: gda::Engine retries an
  * aborted transfer with backoff, replans its residual, and steps the
  * predictor degradation ladder; serve::Service kills and requeues the
  * whole query and re-dispatches stragglers. Iteration orders are part
@@ -44,10 +45,11 @@ namespace gda {
 
 /**
  * The fault plan a run consumes: @p explicitPlan, else the one
- * @p dynamics carries; an empty plan counts as none. Fails, naming
- * @p owner, when the plan was compiled for other than @p dcCount DCs.
+ * @p dynamics carries, else one shared empty plan; an explicit empty
+ * plan still overrides the dynamics' plan. Fails, naming @p owner,
+ * when a non-empty plan was compiled for other than @p dcCount DCs.
  */
-const fault::FaultPlan *resolveFaultPlan(
+const fault::FaultPlan &resolveFaultPlan(
     const fault::FaultPlan *explicitPlan,
     const scenario::Dynamics *dynamics, std::size_t dcCount,
     const std::string &owner);
@@ -60,7 +62,7 @@ struct ShuffleTransfer
     Bytes bytes = 0.0;
     Seconds started = 0.0;
 
-    /** When its last byte landed; 0 while in flight. */
+    /** When its last byte landed or it was stopped; 0 while pending. */
     Seconds done = 0.0;
 
     /** Planned duration (the service's straggler budget). */
@@ -97,12 +99,15 @@ class QueryExecution
     /** A(i, j): bytes resident at DC i processed at DC j this stage. */
     Matrix<Bytes> &assignment() { return assignment_; }
 
-    /** Transfers started this stage. The engine keeps finished ones
-     *  (stamped with their done time); the service erases them. */
+    /** Transfers of this stage not yet completed, stopped or
+     *  abandoned. The engine routes completions at clock pops, so one
+     *  that finished inside a retrain window waits for the next pop.
+     *  The mutable view serves serve's straggler re-dispatch. */
     Transfers &pending() { return pending_; }
     const Transfers &pending() const { return pending_; }
 
-    /** Delivered parts of transfers stopped mid-stage. */
+    /** Transfers stopped this stage, done at their stop: parts stop()
+     *  kept and ones abandon() retired whole. */
     const std::vector<ShuffleTransfer> &retired() const
     {
         return retired_;
@@ -160,10 +165,16 @@ class QueryExecution
                            net::FlowGroupId group = 0,
                            std::size_t attempt = 0);
 
+    /** Route completion @p rec: take the transfer out of pending(),
+     *  stamp its done time and land its bytes. Nothing when @p rec
+     *  is not one of this query's pending transfers. */
+    std::optional<ShuffleTransfer>
+    complete(const net::CompletionRecord &rec);
+
     /**
      * Stop pending transfer @p id unless under one byte of it is left.
      * Its undelivered bytes leave the assignment; its delivered part
-     * stays, as a retired transfer done now, when it moved at least
+     * stays, as a retired transfer landed now, when it moved at least
      * @p minKept bytes. Returns the stopped transfer with bytes set to
      * the undelivered part.
      */
@@ -175,16 +186,13 @@ class QueryExecution
      *  part; returns the undelivered bytes by source DC. */
     std::vector<Bytes> stopInFlight(net::NetworkSim &sim);
 
+    /** Stop every pending transfer and retire it whole, landed now:
+     *  it is billed as if it finished at the cut. */
+    void abandon(net::NetworkSim &sim);
+
     /** Pending transfers @p fault kills, in TransferId order. */
     std::vector<net::TransferId>
     killedBy(const fault::FaultEvent &fault) const;
-
-    /** Bytes bound for DC @p dst landed at @p at. */
-    void
-    landed(net::DcId dst, Seconds at)
-    {
-        landed_[dst] = std::max(landed_[dst], at);
-    }
 
     /**
      * End the shuffle at @p now: each DC computes its assigned bytes
@@ -197,6 +205,13 @@ class QueryExecution
     void nextStage();
 
   private:
+    /** Bytes bound for DC @p dst landed at @p at. */
+    void
+    landed(net::DcId dst, Seconds at)
+    {
+        landed_[dst] = std::max(landed_[dst], at);
+    }
+
     template <typename Start>
     void
     startCells(const Matrix<Bytes> &placed, Start &start)

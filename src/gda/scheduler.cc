@@ -38,20 +38,17 @@ estimateStageTime(const StageContext &ctx,
     if (fc != nullptr && fc->dcCount() != n)
         fatal("estimateStageTime: forecast size mismatch");
 
-    // Aggregate WAN capacity per DC (first VM's throttle; transfers
+    // Aggregate WAN capacity per DC (endpoint VM's throttle; transfers
     // into/out of a DC share its NIC no matter what the per-pair BW
     // says).
     // The shuffle-endpoint NIC is shared across concurrent queries
     // exactly like the links are (every query bills traffic to the
-    // same first VM), so the granted share scales it too.
+    // same endpoint VM), so the granted share scales it too.
     std::vector<Mbps> wanCap(n, 1.0);
-    for (std::size_t d = 0; d < n; ++d) {
-        const auto &vms = ctx.topo->dc(d).vms;
-        if (!vms.empty())
-            wanCap[d] = std::max(
-                1.0,
-                ctx.topo->vm(vms.front()).type.wanCapMbps * ctx.wanShare);
-    }
+    for (std::size_t d = 0; d < n; ++d)
+        wanCap[d] = std::max(
+            1.0, ctx.topo->vm(ctx.topo->endpointVm(d)).type.wanCapMbps *
+                     ctx.wanShare);
 
     // Per destination: slowest inbound link (transfers overlap),
     // floored by the aggregate ingress time, plus local compute on

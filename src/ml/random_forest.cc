@@ -82,9 +82,10 @@ void
 RandomForestRegressor::fit(const Dataset &data, std::uint64_t seed)
 {
     fatalIf(data.empty(), "RandomForest::fit: empty dataset");
-    trees_.clear();
-    compiled_.reset();
-    growTrees(data, config_.nEstimators, seed);
+    // Adopted only when whole: a throw leaves this forest untouched.
+    RandomForestRegressor fresh(config_);
+    fresh.growTrees(data, config_.nEstimators, seed);
+    *this = std::move(fresh);
 }
 
 void
@@ -122,14 +123,8 @@ RandomForestRegressor::growTrees(const Dataset &data, std::size_t count,
 
     auto growOne = [&](std::size_t t) {
         Rng treeRng(treeSeeds[t]);
-        std::vector<std::size_t> bag;
-        if (config_.bootstrap) {
-            bag = treeRng.sampleWithReplacement(n, bagSize);
-        } else {
-            bag.resize(n);
-            for (std::size_t i = 0; i < n; ++i)
-                bag[i] = i;
-        }
+        std::vector<std::size_t> bag =
+            treeRng.sampleWithReplacement(n, bagSize);
         auto tree = std::make_shared<DecisionTreeRegressor>(config_.tree);
         tree->fit(ctx, bag, treeRng);
         batch[t] = std::move(tree);

@@ -32,11 +32,9 @@ struct ForestConfig
 
     TreeConfig tree;
 
-    /** Bootstrap sample size as a fraction of the training set. */
+    /** Bootstrap sample size as a fraction of the training set
+     *  (each tree draws its bag with replacement). */
     double bootstrapFraction = 1.0;
-
-    /** Draw bootstrap samples with replacement. */
-    bool bootstrap = true;
 
     /**
      * Training parallelism: 0 = grow trees on the process-wide
@@ -63,8 +61,10 @@ class RandomForestRegressor
     explicit RandomForestRegressor(ForestConfig config = {});
 
     /**
-     * Train from scratch, replacing any existing trees. @p data, here
-     * and in warmStart(), must have exactly one target.
+     * Train from scratch, replacing any existing trees only once the
+     * new ones are grown and compiled: a fit that throws keeps the
+     * prior forest. @p data, here and in warmStart(), must have
+     * exactly one target.
      */
     void fit(const Dataset &data, std::uint64_t seed);
 

@@ -12,20 +12,6 @@ using net::DcId;
 using net::NetworkSim;
 using net::Topology;
 using net::TransferId;
-using net::VmId;
-
-namespace {
-
-/** First VM of a DC — the monitoring probe host. */
-VmId
-probeVm(const Topology &topo, DcId dc)
-{
-    if (topo.dc(dc).vms.empty())
-        panic("probeVm: DC has no VMs");
-    return topo.dc(dc).vms.front();
-}
-
-} // namespace
 
 MeshMeasurer::MeshMeasurer(NetworkSim &sim) : sim_(sim) {}
 
@@ -50,7 +36,7 @@ MeshMeasurer::measureSimultaneous(Seconds duration, int connections)
             if (i == j)
                 continue;
             probes.push_back(sim_.startMeasurement(
-                probeVm(topo, i), probeVm(topo, j), connections));
+                topo.endpointVm(i), topo.endpointVm(j), connections));
         }
     }
 
@@ -60,7 +46,7 @@ MeshMeasurer::measureSimultaneous(Seconds duration, int connections)
     for (DcId i = 0; i < n; ++i) {
         for (DcId j = 0; j < n; ++j) {
             if (i == j) {
-                bw.at(i, j) = topo.vm(probeVm(topo, i)).type.nicCapMbps;
+                bw.at(i, j) = topo.vm(topo.endpointVm(i)).type.nicCapMbps;
                 continue;
             }
             const Bytes moved = sim_.pairBytes(i, j) - before.at(i, j);
@@ -104,14 +90,14 @@ staticIndependentBw(const Topology &topo,
     for (DcId i = 0; i < n; ++i) {
         for (DcId j = 0; j < n; ++j) {
             if (i == j) {
-                bw.at(i, j) = topo.vm(probeVm(topo, i)).type.nicCapMbps;
+                bw.at(i, j) = topo.vm(topo.endpointVm(i)).type.nicCapMbps;
                 continue;
             }
             // Fresh sim per pair: nothing else is active, exactly like
             // running iPerf between two idle probe VMs.
             NetworkSim sim(topo, simCfg, splitmix64(pairSeed));
             const TransferId id = sim.startMeasurement(
-                probeVm(topo, i), probeVm(topo, j), cfg.connections);
+                topo.endpointVm(i), topo.endpointVm(j), cfg.connections);
             const Bytes before = sim.pairBytes(i, j);
             sim.advanceBy(cfg.stableDuration);
             const Bytes moved = sim.pairBytes(i, j) - before;

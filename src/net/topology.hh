@@ -62,6 +62,11 @@ class Topology
 
     const Dc &dc(DcId id) const;
     const Vm &vm(VmId id) const;
+
+    /** The VM a DC's WAN traffic leaves from and lands on: its first
+     *  (addDc refuses a DC without VMs). Shuffles, probes and bursts
+     *  all use it, so they contend on the same VM pairs. */
+    VmId endpointVm(DcId id) const { return dc(id).vms.front(); }
     const std::vector<Dc> &dcs() const { return dcs_; }
     const std::vector<Vm> &vms() const { return vms_; }
 

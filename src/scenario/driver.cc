@@ -38,8 +38,8 @@ drive(const Dynamics &dynamics, const net::Topology &topo,
     for (net::DcId i = 0; i < n; ++i)
         for (net::DcId j = 0; j < n; ++j)
             if (i != j)
-                sim.startMeasurement(topo.dc(i).vms.front(),
-                                     topo.dc(j).vms.front(),
+                sim.startMeasurement(topo.endpointVm(i),
+                                     topo.endpointVm(j),
                                      cfg.meshConnections);
 
     DriveResult result;

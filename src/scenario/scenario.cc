@@ -82,13 +82,10 @@ DynamicsCursor::advanceTo(Seconds t)
     dynamics_->applyAt(sim_, t);
     const auto &topo = sim_.topology();
     for (const BurstFlow &flow : dynamics_->burstsIn(last_, t)) {
-        panicIf(topo.dc(flow.src).vms.empty() ||
-                    topo.dc(flow.dst).vms.empty(),
-                "DynamicsCursor: DC without VMs");
         ActiveFlow active;
-        active.id = sim_.startMeasurement(
-            topo.dc(flow.src).vms.front(),
-            topo.dc(flow.dst).vms.front(), flow.connections);
+        active.id = sim_.startMeasurement(topo.endpointVm(flow.src),
+                                          topo.endpointVm(flow.dst),
+                                          flow.connections);
         active.src = flow.src;
         active.dst = flow.dst;
         active.end = flow.start + flow.duration;

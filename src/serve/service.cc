@@ -27,6 +27,10 @@ constexpr Seconds kTimeEps = 1.0e-9;
 /** Connection cap for re-dispatched transfers. */
 constexpr int kMaxRedispatchConnections = 8;
 
+/** Forecast admission holds while the mesh mean is below this share
+ *  of the best forecast one (ServiceConfig::forecastAdmission). */
+constexpr double kAdmissionTrough = 0.6;
+
 std::unique_ptr<gda::Scheduler>
 makeScheduler(SchedulerKind kind)
 {
@@ -77,6 +81,8 @@ Service::Service(net::Topology topo, ServiceConfig cfg,
       wanify_(wanify),
       sim_(topo_, simCfg, seed),
       dynamics_(cfg.dynamics, sim_),
+      faults_(gda::resolveFaultPlan(cfg.faults, cfg.dynamics,
+                                    topo_.dcCount(), "Service")),
       rng_(seed ^ 0x5e17ce),
       allocator_(cfg.policy),
       gaugedRows_(monitor::kFeatureCount, 1)
@@ -84,15 +90,12 @@ Service::Service(net::Topology topo, ServiceConfig cfg,
     fatalIf(cfg_.maxConcurrent == 0,
             "Service: maxConcurrent must be positive");
     fatalIf(!(cfg_.epoch > 0.0), "Service: epoch must be positive");
-    cfg_.faults = gda::resolveFaultPlan(cfg_.faults, cfg_.dynamics,
-                                        topo_.dcCount(), "Service");
 }
 
 std::size_t
 Service::effectiveSlotCap() const
 {
-    if (cfg_.faults == nullptr ||
-        !cfg_.faults->anyBlackoutAt(sim_.now()))
+    if (!faults_.anyBlackoutAt(sim_.now()))
         return cfg_.maxConcurrent;
     const double scaled =
         std::ceil(static_cast<double>(cfg_.maxConcurrent) *
@@ -104,9 +107,7 @@ Service::effectiveSlotCap() const
 void
 Service::killQueryRun(QueryState &q, Seconds at)
 {
-    for (const auto &[id, t] : q.exec->pending())
-        sim_.stopTransfer(id);
-    q.exec->pending().clear();
+    q.exec->abandon(sim_);
     allocator_.release(sim_, q.group);
     ++faultKills_;
     if (q.outcome.requeues < cfg_.maxRequeues) {
@@ -125,11 +126,9 @@ Service::killQueryRun(QueryState &q, Seconds at)
 void
 Service::applyFaults()
 {
-    if (cfg_.faults == nullptr)
-        return;
     const Seconds now = sim_.now();
     std::vector<std::size_t> started;
-    cfg_.faults->startsIn(faultCursor_, now, started);
+    faults_.startsIn(faultCursor_, now, started);
     faultCursor_ = std::max(faultCursor_, now);
     if (started.empty())
         return;
@@ -139,7 +138,7 @@ Service::applyFaults()
     // agent to crash on a shared mesh.
     std::vector<std::size_t> victims;
     for (const std::size_t fi : started) {
-        const fault::FaultEvent &ev = cfg_.faults->events()[fi].ev;
+        const fault::FaultEvent &ev = faults_.events()[fi].ev;
         for (const std::size_t idx : active_) {
             const QueryState &q = queries_[idx];
             if (q.phase == Phase::Shuffling &&
@@ -209,7 +208,7 @@ Service::admissionHeld()
         ahead.emplace_back(t, meshMeanFactor(t));
         best = std::max(best, ahead.back().second);
     }
-    if (nowMean >= cfg_.admissionTrough * best)
+    if (nowMean >= kAdmissionTrough * best)
         return false;
 
     // Hold until the first forecast sample out of the trough,
@@ -217,7 +216,7 @@ Service::admissionHeld()
     // repeated troughs cannot defer admission without bound.
     Seconds resume = now + cfg_.maxAdmissionHold;
     for (const auto &[t, mean] : ahead) {
-        if (mean >= cfg_.admissionTrough * best) {
+        if (mean >= kAdmissionTrough * best) {
             resume = std::min(resume, t);
             break;
         }
@@ -507,13 +506,8 @@ Service::routeCompletions()
         if (rec.group == 0)
             continue;
         QueryState &q = queries_[static_cast<std::size_t>(rec.group) - 1];
-        auto &pending = q.exec->pending();
-        auto it = pending.find(rec.id);
-        if (it == pending.end())
-            continue;
-        q.exec->landed(it->second.dst, rec.time);
-        pending.erase(it);
-        if (q.phase == Phase::Shuffling && pending.empty())
+        if (q.exec->complete(rec) && q.phase == Phase::Shuffling &&
+            q.exec->pending().empty())
             enterComputePhase(q);
     }
 }
@@ -533,14 +527,10 @@ Service::checkStragglersAndGuards()
     const Seconds now = sim_.now();
     for (const std::size_t idx : active_) {
         QueryState &q = queries_[idx];
-        auto &pending = q.exec->pending();
-
         if (now - q.outcome.admitted > cfg_.maxQuerySeconds) {
             logging::warn("service: query '" + q.spec.name +
                           "' hit the per-query guard");
-            for (const auto &[id, t] : pending)
-                sim_.stopTransfer(id);
-            pending.clear();
+            q.exec->abandon(sim_);
             finishQuery(q, now, true);
             continue;
         }
@@ -548,6 +538,7 @@ Service::checkStragglersAndGuards()
         if (cfg_.stragglerFactor <= 0.0 ||
             q.phase != Phase::Shuffling)
             continue;
+        auto &pending = q.exec->pending();
 
         // Re-dispatch transfers that overshot their plan: stop the
         // flow and restart the remainder with doubled connections —
@@ -594,8 +585,7 @@ Service::maybeRetrain()
         return;
     // Inside a ProbeLoss/GaugeTimeout window the gauge would never
     // land: keep the stale model and try again next boundary.
-    if (cfg_.faults != nullptr &&
-        cfg_.faults->gaugeFaultAt(sim_.now()))
+    if (faults_.gaugeFaultAt(sim_.now()))
         return;
     const auto published = wanify_->predictorSnapshot();
     if (published == nullptr || !published->trained())

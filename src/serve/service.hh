@@ -105,7 +105,9 @@ struct ServiceConfig
      * query granularity: a query whose in-flight transfer a fault
      * kills has its run torn down and re-admitted after
      * requeueBackoff. Must be compiled for the service's cluster size
-     * and outlive the service. Null (or empty) = fault-free.
+     * and outlive the service. Null = consume the dynamics' plan
+     * (none for fault-free sources); an explicit plan, even an empty
+     * one, overrides it, and an empty plan injects nothing.
      */
     const fault::FaultPlan *faults = nullptr;
 
@@ -147,15 +149,14 @@ struct ServiceConfig
 
     /**
      * Forecast-aware admission: hold admissions while the mesh-mean
-     * forecast capacity is below admissionTrough times the best
-     * mesh-mean within the horizon — the upcoming recovery makes
-     * "right now" the worst moment to start a query. Each hold is
-     * capped at maxAdmissionHold and followed by an equally long
-     * cool-off before another hold may begin, so admission delay
-     * stays bounded. Needs forecast.enabled and dynamics.
+     * forecast capacity is below 0.6 times the best mesh-mean within
+     * the horizon — the upcoming recovery makes "right now" the worst
+     * moment to start a query. Each hold is capped at
+     * maxAdmissionHold and followed by an equally long cool-off
+     * before another hold may begin, so admission delay stays
+     * bounded. Needs forecast.enabled and dynamics.
      */
     bool forecastAdmission = false;
-    double admissionTrough = 0.6;
     Seconds maxAdmissionHold = 120.0;
 
     // --- online model refresh --------------------------------------------
@@ -366,6 +367,7 @@ class Service
      *  other tenants' flows (group 0), competing with every query
      *  through the allocator-managed mesh. */
     scenario::DynamicsCursor dynamics_;
+    const fault::FaultPlan &faults_; ///< resolved; empty = fault-free
     Rng rng_;
     BandwidthAllocator allocator_;
 

@@ -119,7 +119,7 @@ MlQuantizationJob::run(const net::Topology &topo,
                 if (wanify != nullptr && agents.empty())
                     conns = plan.maxCons.at(i, j);
                 const TransferId id = sim.startTransfer(
-                    topo.dc(i).vms.front(), topo.dc(j).vms.front(),
+                    topo.endpointVm(i), topo.endpointVm(j),
                     linkBytes.at(i, j), conns);
                 pending[id] = {i, j};
             }

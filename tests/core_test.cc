@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/error.hh"
 #include "core/bw.hh"
 #include "core/dc_relations.hh"
@@ -584,6 +586,42 @@ TEST(RuntimeBwPredictor, RefusesMultiTargetDatasets)
         whatOf<FatalError>([&] { trained.retrain(twoTargets, 5, 2); }),
         want);
     EXPECT_EQ(trained.forest().treeCount(), 25u);
+}
+
+TEST(RuntimeBwPredictor, FailedTrainKeepsTheModel)
+{
+    // A train() the forest refuses leaves the trained model in place:
+    // the same trees, the same batched predictions and the same OOB
+    // estimate, bit for bit.
+    auto fixture = goldenFixture();
+    RuntimeBwPredictor &trained = fixture.first;
+    const ml::Dataset rows = goldenTrainingData();
+    std::vector<double> X;
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        X.insert(X.end(), rows.x(i).begin(), rows.x(i).end());
+    auto predictAll = [&] {
+        std::vector<double> y(rows.size());
+        trained.forest().compiled().predictBatch(X.data(), rows.size(),
+                                                 y.data());
+        return y;
+    };
+    const std::vector<double> before = predictAll();
+    const double oobBefore = trained.forest().oobR2();
+
+    ml::Dataset twoTargets(monitor::kFeatureCount, 2);
+    twoTargets.add({4.0, 500.0, 0.5, 0.5, 0.1, 4000.0}, {600.0, 1.0});
+    EXPECT_EQ(whatOf<FatalError>([&] { trained.train(twoTargets, 3); }),
+              "fatal: TrainingContext: dataset must have exactly one "
+              "target");
+    EXPECT_TRUE(trained.trained());
+    EXPECT_EQ(trained.forest().treeCount(), 25u);
+    const std::vector<double> after = predictAll();
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i)
+        EXPECT_EQ(after[i], before[i]) << "row " << i;
+    EXPECT_TRUE(std::isnan(oobBefore)
+                    ? std::isnan(trained.forest().oobR2())
+                    : trained.forest().oobR2() == oobBefore);
 }
 
 // ---- facade ---------------------------------------------------------------------------

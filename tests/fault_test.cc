@@ -31,9 +31,11 @@
 #include "storage/hdfs.hh"
 #include "workloads/terasort.hh"
 #include "workloads/tpcds.hh"
+#include "expect_what.hh"
 
 using namespace wanify;
 using namespace wanify::fault;
+using test::whatOf;
 
 namespace {
 
@@ -341,6 +343,50 @@ TEST(EngineFault, EmptyPlanMatchesFaultFreeBitIdentically)
     EXPECT_DOUBLE_EQ(null.minObservedBw, hollow.minObservedBw);
     EXPECT_EQ(hollow.faultsInjected, 0u);
     EXPECT_EQ(hollow.transferAborts, 0u);
+}
+
+TEST(EngineFault, PlanForAnotherClusterSizeIsRefused)
+{
+    std::vector<FaultEvent> evs;
+    FaultEvent a;
+    a.kind = FaultKind::TransferAbort;
+    a.time = 5.0;
+    evs.push_back(a);
+    const FaultPlan threeDcs(evs, 3, 7);
+    EXPECT_EQ(whatOf<FatalError>([&] { runFaultRun(&threeDcs, 1); }),
+              "fatal: Engine::run: fault plan compiled for a different "
+              "cluster size");
+}
+
+TEST(EngineFault, ExplicitEmptyPlanOverridesTheDynamicsPlan)
+{
+    // fault-storm's timeline carries its own plan; an explicit empty
+    // plan replaces it, so the run injects nothing.
+    const scenario::ScenarioTimeline timeline(
+        scenario::libraryScenario("fault-storm"), 4, 11);
+    const auto topo = experiments::workerCluster(4, 2);
+    const auto job = workloads::teraSort(8.0);
+    storage::HdfsStore hdfs(topo);
+    hdfs.loadUniform(job.inputBytes);
+    sched::TetriumScheduler tetrium;
+    auto run = [&](const FaultPlan *faults) {
+        gda::Engine engine(topo, experiments::defaultSimConfig(), 555);
+        gda::RunOptions opts;
+        opts.schedulerBw = Matrix<Mbps>::square(4, 500.0);
+        opts.staticConnections = Matrix<int>::square(4, 2);
+        opts.dynamics = &timeline;
+        opts.faults = faults;
+        return engine.run(job, hdfs.distribution(), tetrium, opts);
+    };
+
+    const FaultPlan none;
+    const auto quiet = run(&none);
+    EXPECT_EQ(quiet.faultsInjected, 0u);
+    EXPECT_EQ(quiet.transferAborts, 0u);
+    EXPECT_EQ(quiet.blackouts, 0u);
+    EXPECT_EQ(quiet.agentCrashes, 0u);
+    EXPECT_EQ(quiet.lostBytes, 0.0);
+    EXPECT_GE(run(nullptr).faultsInjected, 1u);
 }
 
 TEST(EngineFault, ExhaustedRetriesReplanTheResidual)
@@ -733,6 +779,24 @@ TEST(ServiceFault, FaultKillRequeuesAndEveryQueryCompletes)
     const auto a2 = run();
     EXPECT_EQ(a1.resultHash, a2.resultHash);
     EXPECT_EQ(a1.faultKills, a2.faultKills);
+}
+
+TEST(ServiceFault, PlanForAnotherClusterSizeIsRefused)
+{
+    std::vector<FaultEvent> evs;
+    FaultEvent a;
+    a.kind = FaultKind::TransferAbort;
+    a.time = 5.0;
+    evs.push_back(a);
+    const FaultPlan threeDcs(evs, 3, 3);
+    serve::ServiceConfig cfg;
+    cfg.faults = &threeDcs;
+    EXPECT_EQ(whatOf<FatalError>([&] {
+                  serve::Service service(experiments::workerCluster(4),
+                                         cfg);
+              }),
+              "fatal: Service: fault plan compiled for a different "
+              "cluster size");
 }
 
 TEST(ServiceFault, ExhaustedRequeuesAreReportedFailed)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <limits>
 #include <string>
 
@@ -509,6 +511,183 @@ TEST(Engine, RejectsBadInputs)
                   "fatal: Engine::run: input bytes must be finite and "
                   "non-negative")
             << "input " << bad;
+}
+
+namespace {
+
+std::string
+hex(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%a", v);
+    return buf;
+}
+
+} // namespace
+
+TEST(Engine, StageGuardCutsEachShuffleAndBillsItWhole)
+{
+    // No 40 GB TeraSort shuffles in 5 s: the guard cuts both stages'
+    // shuffles at the cap and bills their transfers whole, as if they
+    // finished at the cut. Recorded before the engine routed its
+    // transfers through QueryExecution::complete and abandon.
+    const auto topo = workerCluster(4);
+    const auto job = workloads::teraSort(40.0);
+    storage::HdfsStore hdfs(topo);
+    hdfs.loadSkewed(job.inputBytes, {0.55, 0.25, 0.15, 0.05});
+    sched::TetriumScheduler tetrium;
+
+    gda::Engine engine(topo, defaultSimConfig(), 11);
+    gda::RunOptions opts;
+    opts.schedulerBw = Matrix<Mbps>::square(4, 500.0);
+    opts.maxStageSeconds = 5.0;
+    const auto r = engine.run(job, hdfs.distribution(), tetrium, opts);
+
+    Bytes billed = 0.0;
+    for (std::size_t i = 0; i < 4; ++i)
+        for (std::size_t j = 0; j < 4; ++j)
+            billed += r.wanBytesByPair.at(i, j);
+    EXPECT_EQ(hex(r.latency), "0x1.df9fbe76c8b44p+9");
+    EXPECT_EQ(hex(r.minObservedBw), "0x1.ba61b299e8158p+9");
+    EXPECT_EQ(hex(billed), "0x1.1046cfde9a596p+33");
+    EXPECT_EQ(hex(r.cost.total()), "0x1.41dd9572f6415p-1");
+    ASSERT_EQ(r.stages.size(), 2u);
+    for (const auto &stage : r.stages)
+        EXPECT_EQ(stage.transferEnd - stage.start, 5.0) << stage.name;
+}
+
+// ---- query execution: a transfer's lifecycle -------------------------------------
+
+namespace {
+
+/** One shuffle stage whose compute phase takes no time, so
+ *  computeEnd(0) reads the last landing time. */
+gda::JobSpec
+shuffleOnlyJob()
+{
+    gda::StageSpec stage;
+    stage.name = "shuffle";
+    stage.workPerMb = 0.0;
+    gda::JobSpec job;
+    job.name = "shuffle-only";
+    job.stages.push_back(stage);
+    job.inputBytes = 6.0e8;
+    return job;
+}
+
+/** Open @p exec's shuffle on @p sim: DC 0 keeps nothing and sends
+ *  4e8 bytes to DC 1 and 2e8 to DC 2. */
+void
+openShuffle(gda::QueryExecution &exec, net::NetworkSim &sim)
+{
+    Matrix<Bytes> placed = Matrix<Bytes>::square(3, 0.0);
+    placed.at(0, 1) = 4.0e8;
+    placed.at(0, 2) = 2.0e8;
+    exec.beginShuffle(placed, sim.now(),
+                      [&](net::DcId i, net::DcId j, Bytes bytes) {
+                          exec.start(sim, i, j, bytes, 1);
+                      });
+}
+
+} // namespace
+
+TEST(QueryExecution, CompleteRoutesOnlyItsOwnPendingTransfers)
+{
+    const auto topo = workerCluster(3);
+    const auto job = shuffleOnlyJob();
+    net::NetworkSim sim(topo, quietSimConfig(), 7);
+    gda::QueryExecution exec(topo, job, {6.0e8, 0.0, 0.0});
+    openShuffle(exec, sim);
+    ASSERT_EQ(exec.pending().size(), 2u);
+    // Another tenant's transfer on the same sim.
+    const net::TransferId foreign = sim.startTransfer(
+        topo.endpointVm(1), topo.endpointVm(2), 1.0e8, 1);
+
+    sim.runUntilAllComplete();
+    const auto records = sim.drainCompletions();
+    ASSERT_EQ(records.size(), 3u);
+    Seconds lastLanding = 0.0;
+    for (const net::CompletionRecord &rec : records) {
+        const auto t = exec.complete(rec);
+        if (rec.id == foreign) {
+            EXPECT_FALSE(t.has_value());
+            continue;
+        }
+        ASSERT_TRUE(t.has_value());
+        EXPECT_EQ(t->done, rec.time);
+        EXPECT_EQ(t->src, 0u);
+        EXPECT_EQ(t->bytes, t->dst == 1 ? 4.0e8 : 2.0e8);
+        EXPECT_FALSE(exec.complete(rec).has_value()) << "repeated record";
+        lastLanding = std::max(lastLanding, rec.time);
+    }
+    EXPECT_TRUE(exec.pending().empty());
+    EXPECT_TRUE(exec.retired().empty());
+    EXPECT_GT(lastLanding, 0.0);
+    EXPECT_EQ(exec.computeEnd(0.0), lastLanding);
+}
+
+TEST(QueryExecution, StopLandsTheDeliveredPartNow)
+{
+    const auto topo = workerCluster(3);
+    const auto job = shuffleOnlyJob();
+    net::NetworkSim sim(topo, quietSimConfig(), 7);
+    gda::QueryExecution exec(topo, job, {6.0e8, 0.0, 0.0});
+    openShuffle(exec, sim);
+    sim.advanceBy(0.5);
+    net::TransferId toDc1 = 0;
+    for (const auto &[id, t] : exec.pending())
+        if (t.dst == 1)
+            toDc1 = id;
+    const net::TransferStatus st = sim.status(toDc1);
+    ASSERT_TRUE(st.exists);
+    ASSERT_GE(st.bytesRemaining, 1.0);
+
+    const Seconds stopAt = sim.now();
+    const auto rest = exec.stop(sim, toDc1, 1.0);
+    ASSERT_TRUE(rest.has_value());
+    EXPECT_EQ(rest->bytes, st.bytesRemaining);
+    EXPECT_EQ(exec.assignment().at(0, 1), 4.0e8 - st.bytesRemaining);
+    ASSERT_EQ(exec.retired().size(), 1u);
+    EXPECT_EQ(exec.retired()[0].bytes, st.bytesMoved);
+    EXPECT_EQ(exec.retired()[0].done, stopAt);
+    EXPECT_EQ(exec.computeEnd(0.0), stopAt);
+
+    // The other transfer lands later and moves the end with it.
+    sim.runUntilAllComplete();
+    const auto records = sim.drainCompletions();
+    ASSERT_EQ(records.size(), 1u);
+    const auto t = exec.complete(records[0]);
+    ASSERT_TRUE(t.has_value());
+    EXPECT_EQ(t->dst, 2u);
+    EXPECT_GT(t->done, stopAt);
+    EXPECT_EQ(exec.computeEnd(0.0), t->done);
+}
+
+TEST(QueryExecution, AbandonRetiresEveryTransferWholeAtNow)
+{
+    const auto topo = workerCluster(3);
+    const auto job = shuffleOnlyJob();
+    net::NetworkSim sim(topo, quietSimConfig(), 7);
+    gda::QueryExecution exec(topo, job, {6.0e8, 0.0, 0.0});
+    openShuffle(exec, sim);
+    sim.advanceBy(0.5);
+    for (const auto &[id, t] : exec.pending())
+        ASSERT_GE(sim.status(id).bytesRemaining, 1.0);
+
+    exec.abandon(sim);
+    EXPECT_EQ(sim.activeTransferCount(), 0u);
+    EXPECT_TRUE(exec.pending().empty());
+    ASSERT_EQ(exec.retired().size(), 2u);
+    for (const gda::ShuffleTransfer &t : exec.retired()) {
+        EXPECT_EQ(t.done, sim.now());
+        EXPECT_EQ(t.bytes, t.dst == 1 ? 4.0e8 : 2.0e8);
+    }
+    // Whole: the bytes stay in the assignment and land at the cut.
+    EXPECT_EQ(exec.assignment().at(0, 1), 4.0e8);
+    EXPECT_EQ(exec.assignment().at(0, 2), 2.0e8);
+    EXPECT_EQ(exec.computeEnd(0.0), sim.now());
+    sim.advanceBy(10.0);
+    EXPECT_TRUE(sim.drainCompletions().empty());
 }
 
 // ---- ML workload ----------------------------------------------------------------------

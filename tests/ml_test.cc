@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/error.hh"
 #include "ml/compiled_forest.hh"
@@ -36,6 +38,27 @@ linearData(std::size_t n, std::uint64_t seed)
         data.add({x0, x1}, 3.0 * x0 + rng.normal(0.0, 0.05));
     }
     return data;
+}
+
+/** The bits of @p v, so NaN compares equal to itself. */
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+/** @p forest's batched prediction of every row of @p data. */
+std::vector<double>
+predictRows(const RandomForestRegressor &forest, const Dataset &data)
+{
+    std::vector<double> X;
+    for (std::size_t i = 0; i < data.size(); ++i)
+        X.insert(X.end(), data.x(i).begin(), data.x(i).end());
+    std::vector<double> y(data.size());
+    forest.compiled().predictBatch(X.data(), data.size(), y.data());
+    return y;
 }
 
 /** Step function: y = 10 for x < 5 else 20 — trivially learnable. */
@@ -225,6 +248,34 @@ TEST(RandomForest, WarmStartRejectsShapeChange)
     EXPECT_EQ(forest.compiled().treeCount(), 4u);
     EXPECT_EQ(forest.compiled().predictRow(x.data()), before);
     EXPECT_EQ(oracle::forestPredict(forest, x), before);
+}
+
+TEST(RandomForest, FailedFitKeepsTheTrainedForest)
+{
+    // fit() grows its forest beside the trained one and adopts it
+    // only when complete: a dataset the trainer refuses leaves the
+    // trees, the compiled forest and the OOB estimate bit for bit.
+    ForestConfig cfg;
+    cfg.nEstimators = 4;
+    RandomForestRegressor forest(cfg);
+    const Dataset data = linearData(100, 60);
+    forest.fit(data, 61);
+    const std::vector<double> before = predictRows(forest, data);
+    const double oobBefore = forest.oobR2();
+
+    Dataset twoTargets(2, 2);
+    twoTargets.add({1.0, 2.0}, {3.0, 4.0});
+    EXPECT_EQ(whatOf<FatalError>([&] { forest.fit(twoTargets, 62); }),
+              "fatal: TrainingContext: dataset must have exactly one "
+              "target");
+    EXPECT_TRUE(forest.trained());
+    EXPECT_EQ(forest.treeCount(), 4u);
+    EXPECT_EQ(forest.compiled().treeCount(), 4u);
+    const std::vector<double> after = predictRows(forest, data);
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i)
+        EXPECT_EQ(bitsOf(after[i]), bitsOf(before[i])) << "row " << i;
+    EXPECT_EQ(bitsOf(forest.oobR2()), bitsOf(oobBefore));
 }
 
 TEST(RandomForest, WarmStartOnUntrainedForestTrainsFromScratch)

@@ -289,14 +289,8 @@ class NodeSortForest
 
         auto growOne = [&](std::size_t t) {
             Rng treeRng(treeSeeds[t]);
-            std::vector<std::size_t> bag;
-            if (config_.bootstrap) {
-                bag = treeRng.sampleWithReplacement(n, bagSize);
-            } else {
-                bag.resize(n);
-                for (std::size_t i = 0; i < n; ++i)
-                    bag[i] = i;
-            }
+            std::vector<std::size_t> bag =
+                treeRng.sampleWithReplacement(n, bagSize);
             NodeSortTree tree(config_.tree);
             tree.fit(data, bag, treeRng);
             trees_[firstNew + t] = std::move(tree);

@@ -11,17 +11,18 @@
 # 4-vCPU VM.
 #
 # Usage, from the root of a checkout:  bash tools/check_result_hashes.sh
-# It reuses the bench_wanify that wanbench/check_determinism.sh builds
-# (in ${CARGO_TARGET_DIR:-.bench_build}), building it first if absent.
+# It first brings bench_wanify (in ${CARGO_TARGET_DIR:-.bench_build})
+# up to date with the checkout through wanbench/run.py, as
+# wanbench/check_determinism.sh does: an incremental build, so a
+# binary built before an edit is rebuilt before any hash is compared.
 
 set -u
 cd "$(dirname "$0")/.."
 
+# Build through the normal entry point (its JSON line is dropped).
+python3 wanbench/run.py --workload mesh-cascade-64dc --seconds 1 \
+    --trace 0 --smoke > /dev/null || exit 1
 bench="${CARGO_TARGET_DIR:-.bench_build}/bench_wanify"
-if [ ! -x "$bench" ]; then
-    python3 wanbench/run.py --workload mesh-cascade-64dc --seconds 1 \
-        --trace 0 --smoke > /dev/null || exit 1
-fi
 
 status=0
 while read -r workload seed size want; do
