@@ -13,7 +13,9 @@
  *     reproduce its result bit-identically (enforced in every mode);
  *  2. resolveRates — ns/pair for the flat path across the DC sweep,
  *     plus the flat-vs-reference speedup at 128 and 256 DCs on a
- *     mesh carrying 2n live flows. The speedups are the
+ *     mesh carrying 2n live flows. A factor change keeps the flow
+ *     set, so each flat round refills rates over the kept solver
+ *     structure, while the reference rebuilds it. The speedups are the
  *     gated keys (speedup_ prefix): the flat migration must stay
  *     >= 4x at 256 DCs or the full run fails outright;
  *  3. whole-mesh prediction — predictMatrix ns/pair across the sweep
@@ -133,13 +135,12 @@ resolveSweepAt(std::size_t n, std::size_t rounds)
         ref = oracle::MapKeyedSolverInputs::rates(sim);
     });
 
-    // Both loops end on the same factors; re-solve the flat way.
-    sim.advanceBy(0.0);
+    // Both loops end on the same factors; the rate readers solve
+    // them the flat way.
     out.parity = ref.size() == sim.activeTransferCount();
     for (const auto &r : ref) {
-        const auto st = sim.status(r.id);
-        if (st.currentRate != r.rate.rate ||
-            st.bottleneck != r.rate.bottleneck) {
+        if (sim.transferRate(r.id) != r.rate.rate ||
+            sim.transferBottleneck(r.id) != r.rate.bottleneck) {
             out.parity = false;
             break;
         }

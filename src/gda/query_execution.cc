@@ -30,7 +30,9 @@ QueryExecution::QueryExecution(const net::Topology &topo,
     : topo_(&topo),
       job_(&job),
       computeRate_(topo.dcCount(), 0.0),
-      input_(std::move(input))
+      input_(std::move(input)),
+      pairs_(topo.dcCount()),
+      pendingPerPair_(pairs_.size(), 0)
 {
     for (DcId dc = 0; dc < topo.dcCount(); ++dc)
         for (net::VmId v : topo.dc(dc).vms)
@@ -42,8 +44,27 @@ QueryExecution::restart(std::vector<Bytes> input)
 {
     stage_ = 0;
     input_ = std::move(input);
-    pending_.clear();
+    clearPending();
     retired_.clear();
+}
+
+void
+QueryExecution::erasePending(Transfers::iterator it)
+{
+    const std::size_t pair = pairs_(it->second.src, it->second.dst);
+    pending_.erase(it);
+    if (--pendingPerPair_[pair] == 0)
+        pendingPairs_.erase(std::lower_bound(pendingPairs_.begin(),
+                                             pendingPairs_.end(), pair));
+}
+
+void
+QueryExecution::clearPending()
+{
+    for (const std::size_t pair : pendingPairs_)
+        pendingPerPair_[pair] = 0;
+    pendingPairs_.clear();
+    pending_.clear();
 }
 
 StageContext
@@ -86,6 +107,11 @@ QueryExecution::start(net::NetworkSim &sim, DcId src, DcId dst,
     const net::TransferId id =
         sim.startTransfer(topo_->endpointVm(src), topo_->endpointVm(dst),
                           bytes, connections, group);
+    const std::size_t pair = pairs_(src, dst);
+    if (pendingPerPair_[pair]++ == 0)
+        pendingPairs_.insert(std::lower_bound(pendingPairs_.begin(),
+                                              pendingPairs_.end(), pair),
+                             pair);
     ShuffleTransfer &t = pending_[id];
     t.src = src;
     t.dst = dst;
@@ -103,7 +129,7 @@ QueryExecution::complete(const net::CompletionRecord &rec)
     if (it == pending_.end())
         return std::nullopt;
     ShuffleTransfer t = it->second;
-    pending_.erase(it);
+    erasePending(it);
     t.done = rec.time;
     landed(t.dst, t.done);
     return t;
@@ -129,8 +155,28 @@ QueryExecution::stop(net::NetworkSim &sim, net::TransferId id,
         retired_.push_back(part);
     }
     sim.stopTransfer(id);
-    pending_.erase(it);
+    erasePending(it);
     t.bytes = st.bytesRemaining;
+    return t;
+}
+
+std::optional<ShuffleTransfer>
+QueryExecution::redispatch(net::NetworkSim &sim, net::TransferId id,
+                           int connections, net::FlowGroupId group)
+{
+    const auto it = pending_.find(id);
+    if (it == pending_.end())
+        return std::nullopt;
+    const ShuffleTransfer old = it->second;
+    const Bytes remaining = sim.status(id).bytesRemaining;
+    sim.stopTransfer(id);
+    erasePending(it);
+    if (remaining < 1.0)
+        return std::nullopt;
+    ShuffleTransfer &t =
+        start(sim, old.src, old.dst, remaining, connections, group);
+    t.expected = old.expected;
+    t.redispatches = old.redispatches + 1;
     return t;
 }
 
@@ -155,7 +201,7 @@ QueryExecution::abandon(net::NetworkSim &sim)
         landed(t.dst, t.done);
         retired_.push_back(t);
     }
-    pending_.clear();
+    clearPending();
 }
 
 std::vector<net::TransferId>
@@ -193,7 +239,7 @@ QueryExecution::nextStage()
 {
     input_ = std::move(nextInput_);
     ++stage_;
-    pending_.clear();
+    clearPending();
     retired_.clear();
 }
 

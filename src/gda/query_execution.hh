@@ -11,10 +11,11 @@
  * warm-start plan memory — plus the mechanics both drivers share.
  *
  * Both route a transfer's completion, stop and abandonment through
- * it. Recovery policy stays with the drivers: gda::Engine retries an
- * aborted transfer with backoff, replans its residual, and steps the
- * predictor degradation ladder; serve::Service kills and requeues the
- * whole query and re-dispatches stragglers. Iteration orders are part
+ * it, and the service its straggler re-dispatch. Recovery policy stays
+ * with the drivers: gda::Engine retries an aborted transfer with
+ * backoff, replans its residual, and steps the predictor degradation
+ * ladder; serve::Service kills and requeues the whole query and picks
+ * which stragglers to re-dispatch. Iteration orders are part
  * of the contract — pending transfers are kept in TransferId order and
  * placements start i-major then j — because the float sums and minima
  * over them feed every golden.
@@ -101,10 +102,15 @@ class QueryExecution
 
     /** Transfers of this stage not yet completed, stopped or
      *  abandoned. The engine routes completions at clock pops, so one
-     *  that finished inside a retrain window waits for the next pop.
-     *  The mutable view serves serve's straggler re-dispatch. */
-    Transfers &pending() { return pending_; }
+     *  that finished inside a retrain window waits for the next pop. */
     const Transfers &pending() const { return pending_; }
+
+    /** The ordered DC pairs (net::PairIndex layout) that pending()
+     *  transfers cross, ascending and each once. */
+    const std::vector<std::size_t> &pendingPairs() const
+    {
+        return pendingPairs_;
+    }
 
     /** Transfers stopped this stage, done at their stop: parts stop()
      *  kept and ones abandon() retired whole. */
@@ -182,6 +188,19 @@ class QueryExecution
                                         net::TransferId id,
                                         Bytes minKept);
 
+    /**
+     * Re-dispatch pending transfer @p id: stop it and restart what it
+     * has left on the same pair with @p connections, as one more
+     * re-dispatch of the same planned transfer. The assignment does
+     * not change. Returns the restarted transfer, or nothing when
+     * @p id is not pending or under one byte of it was left (it then
+     * leaves pending() without landing).
+     */
+    std::optional<ShuffleTransfer> redispatch(net::NetworkSim &sim,
+                                              net::TransferId id,
+                                              int connections,
+                                              net::FlowGroupId group);
+
     /** Stop every transfer still in flight, keeping each delivered
      *  part; returns the undelivered bytes by source DC. */
     std::vector<Bytes> stopInFlight(net::NetworkSim &sim);
@@ -212,6 +231,13 @@ class QueryExecution
         landed_[dst] = std::max(landed_[dst], at);
     }
 
+    /** Take @p it out of pending(), and its pair out of
+     *  pendingPairs() with the pair's last transfer. */
+    void erasePending(Transfers::iterator it);
+
+    /** Empty pending() and pendingPairs(). */
+    void clearPending();
+
     template <typename Start>
     void
     startCells(const Matrix<Bytes> &placed, Start &start)
@@ -233,6 +259,9 @@ class QueryExecution
     std::vector<Bytes> nextInput_;
     Matrix<Bytes> assignment_;
     Transfers pending_;
+    net::PairIndex pairs_;
+    std::vector<std::size_t> pendingPairs_;
+    std::vector<std::size_t> pendingPerPair_; ///< per pair: transfers
     std::vector<ShuffleTransfer> retired_;
     std::vector<Seconds> landed_; ///< per DC: last shuffle byte in
     PlanMemory memory_;

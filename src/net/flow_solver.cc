@@ -169,14 +169,16 @@ bundleCap(int connections, Mbps capPerConn, const SolverConfig &cfg)
     return static_cast<double>(connections) * capPerConn * efficiency;
 }
 
-std::vector<FlowRate>
-solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
-           const SolverConfig &cfg, SolverScratch *scratch)
+void
+buildSolverStructure(const std::vector<FlowSpec> &flows,
+                     const SolverInputs &inputs, const SolverConfig &cfg,
+                     SolverScratch &s)
 {
+    constexpr std::size_t kNoClip = SolverScratch::kNoClip;
     const std::size_t nf = flows.size();
-    std::vector<FlowRate> result(nf);
+    s.weight.resize(nf);
     if (nf == 0)
-        return result;
+        return;
 
     // Checks here build their message only when they fire: the
     // panicIf/fatalIf helpers take a std::string, which would allocate
@@ -189,42 +191,175 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
         panic("solveRates: vmEgressCap and vmIngressCap sizes differ");
     const std::size_t nvm = inputs.vmEgressCap.size();
 
-    SolverScratch local;
-    SolverScratch &s = scratch != nullptr ? *scratch : local;
+    // Resource ids follow first touch in flow order, and each touch
+    // adds the flow's weight to the resource's sum in that same order:
+    // ids break ties and sums round, so both shape the exact result.
+    s.egressIdx.assign(nvm, -1);
+    s.ingressIdx.assign(nvm, -1);
+    s.nicIdx.assign(inputs.vmNicCap.size(), -1);
+    s.pathIdx.assign(inputs.pathCap.size(), -1);
+    s.tcIdx.assign(inputs.tcLimit.size(), -1);
+    s.shareCapIdx.assign(inputs.shareCap.size(), -1);
+    s.resourceKind.clear();
+    s.resourceKey.clear();
+    s.resourceWeight.clear();
+    // Counts each resource's flows until the CSR pass below turns the
+    // counts into row offsets.
+    s.resourceFlowStart.clear();
 
-    // --- Per-VM connection overhead --------------------------------------
+    // Callers range-check @p key against @p map.
+    auto touch = [&](std::vector<int> &map, std::size_t key,
+                     Bottleneck kind, double w) -> int {
+        int r = map[key];
+        if (r < 0) {
+            r = static_cast<int>(s.resourceKind.size());
+            map[key] = r;
+            s.resourceKind.push_back(kind);
+            s.resourceKey.push_back(key);
+            s.resourceWeight.push_back(0.0);
+            s.resourceFlowStart.push_back(0);
+        }
+        s.resourceWeight[static_cast<std::size_t>(r)] += w;
+        ++s.resourceFlowStart[static_cast<std::size_t>(r)];
+        return r;
+    };
+
     // Total connections terminating at each VM shrink its effective
     // capacities (memory buffers per connection; see SolverConfig).
     s.connsAtVm.assign(nvm, 0);
-    // Aggregate desire (bundle capability clipped by tc limits)
-    // crossing each VM, for the oversubscription-waste term.
-    s.desireAtVm.assign(nvm, 0.0);
-    // A flow's desire starts from its own capability, kept for the fill.
     s.selfCap.resize(nf);
+    s.flowSrcVm.resize(nf);
+    s.flowDstVm.resize(nf);
+    s.flowTcLimit.resize(nf);
+    s.flowShareCap.resize(nf);
+    constexpr std::size_t kStride = SolverScratch::kMaxFlowResources;
+    s.flowResources.resize(nf * kStride);
+    s.flowResourceCount.assign(nf, 0);
+    s.activeFlows = 0;
+
     for (std::size_t f = 0; f < nf; ++f) {
         const FlowSpec &spec = flows[f];
+        if (spec.srcVm >= nvm || spec.dstVm >= nvm)
+            panic("solveRates: VM id out of range");
         const int c = std::max(1, spec.connections);
+        s.connsAtVm[spec.srcVm] += c;
+        s.connsAtVm[spec.dstVm] += c;
+        s.flowSrcVm[f] = spec.srcVm;
+        s.flowDstVm[f] = spec.dstVm;
         s.selfCap[f] = bundleCap(c, spec.capPerConn, cfg);
-        Mbps desire = s.selfCap[f];
+        // A flow's desire starts from its own capability, clipped by
+        // the tc limit and the share cap it is under while they are
+        // positive.
         const std::size_t pair =
             spec.srcDc * inputs.dcCount + spec.dstDc;
-        if (pair < inputs.tcLimit.size() &&
-            inputs.tcLimit[pair] > 0.0)
-            desire = std::min(desire, inputs.tcLimit[pair]);
+        s.flowTcLimit[f] =
+            pair < inputs.tcLimit.size() && inputs.tcLimit[pair] > 0.0
+                ? pair
+                : kNoClip;
+        s.flowShareCap[f] = kNoClip;
         if (spec.shareCap != kNoShareCap) {
             if (spec.shareCap >= inputs.shareCap.size())
                 panic("solveRates: share-cap index out of range");
             if (inputs.shareCap[spec.shareCap] > 0.0)
-                desire = std::min(desire, inputs.shareCap[spec.shareCap]);
+                s.flowShareCap[f] = spec.shareCap;
         }
-        if (spec.srcVm < nvm) {
-            s.connsAtVm[spec.srcVm] += c;
-            s.desireAtVm[spec.srcVm] += desire;
+
+        const double w = spec.weightPerConn * static_cast<double>(c);
+        s.weight[f] = w;
+        // A flow with no weight or capability gets no resources; the
+        // fill rates it 0, bound by its own cap.
+        if (w <= 0.0 || s.selfCap[f] <= cfg.epsilon)
+            continue;
+        ++s.activeFlows;
+
+        int *fr = &s.flowResources[f * kStride];
+        std::size_t n = 0;
+        fr[n++] = touch(s.egressIdx, spec.srcVm, Bottleneck::SrcVm, w);
+        fr[n++] = touch(s.ingressIdx, spec.dstVm, Bottleneck::DstVm, w);
+        if (spec.srcVm < inputs.vmNicCap.size())
+            fr[n++] =
+                touch(s.nicIdx, spec.srcVm, Bottleneck::NicTotal, w);
+        if (spec.dstVm < inputs.vmNicCap.size())
+            fr[n++] =
+                touch(s.nicIdx, spec.dstVm, Bottleneck::NicTotal, w);
+        if (pair >= inputs.pathCap.size())
+            panic("solveRates: pair index out of range");
+        fr[n++] = touch(s.pathIdx, pair, Bottleneck::Path, w);
+        if (s.flowTcLimit[f] != kNoClip)
+            fr[n++] = touch(s.tcIdx, pair, Bottleneck::TcLimit, w);
+        if (s.flowShareCap[f] != kNoClip)
+            fr[n++] = touch(s.shareCapIdx, spec.shareCap,
+                            Bottleneck::GroupShare, w);
+        s.flowResourceCount[f] = static_cast<unsigned char>(n);
+    }
+
+    const std::size_t resourceCount = s.resourceKind.size();
+
+    // Each resource's flows as one CSR row, in ascending flow order; a
+    // flow crossing a resource twice (both NICs of one VM) is listed
+    // twice, as it counts twice in the resource's sums. Rows fill
+    // back to front from their end offsets, which leaves each offset
+    // at its row's start.
+    std::size_t listed = 0;
+    for (std::size_t r = 0; r < resourceCount; ++r) {
+        listed += s.resourceFlowStart[r];
+        s.resourceFlowStart[r] = listed;
+    }
+    s.resourceFlowStart.push_back(listed);
+    s.resourceFlows.resize(listed);
+    for (std::size_t f = nf; f-- > 0;) {
+        const int *fr = &s.flowResources[f * kStride];
+        for (std::size_t k = s.flowResourceCount[f]; k-- > 0;)
+            s.resourceFlows[--s.resourceFlowStart[static_cast<
+                std::size_t>(fr[k])]] = static_cast<int>(f);
+    }
+}
+
+const std::vector<FlowRate> &
+fillRates(const SolverInputs &inputs, const SolverConfig &cfg,
+          SolverScratch &s)
+{
+    constexpr std::size_t kNoClip = SolverScratch::kNoClip;
+    const std::size_t nf = s.weight.size();
+    s.rates.assign(nf, FlowRate{});
+    if (nf == 0)
+        return s.rates;
+
+    // The build sized its key maps by the inputs it saw.
+    const std::size_t nvm = s.connsAtVm.size();
+    if (inputs.vmEgressCap.size() != nvm ||
+        inputs.vmIngressCap.size() != nvm ||
+        inputs.vmNicCap.size() != s.nicIdx.size() ||
+        inputs.pathCap.size() != s.pathIdx.size() ||
+        inputs.tcLimit.size() != s.tcIdx.size() ||
+        inputs.shareCap.size() != s.shareCapIdx.size())
+        panic("fillRates: solver inputs changed shape since the build");
+
+    // --- Per-VM desire and capacity scale ----------------------------------
+    // Aggregate desire (bundle capability clipped by tc limits and
+    // share caps) crossing each VM, for the oversubscription-waste
+    // term. A flow the build gave no resources rates 0.
+    s.desireAtVm.assign(nvm, 0.0);
+    s.active.resize(nf);
+    for (std::size_t f = 0; f < nf; ++f) {
+        Mbps desire = s.selfCap[f];
+        const std::size_t tc = s.flowTcLimit[f];
+        if (tc != kNoClip) {
+            if (!(inputs.tcLimit[tc] > 0.0))
+                panic("fillRates: a kept tc limit is no longer positive");
+            desire = std::min(desire, inputs.tcLimit[tc]);
         }
-        if (spec.dstVm < nvm) {
-            s.connsAtVm[spec.dstVm] += c;
-            s.desireAtVm[spec.dstVm] += desire;
+        const std::size_t share = s.flowShareCap[f];
+        if (share != kNoClip) {
+            if (!(inputs.shareCap[share] > 0.0))
+                panic("fillRates: a kept share cap is no longer positive");
+            desire = std::min(desire, inputs.shareCap[share]);
         }
+        s.desireAtVm[s.flowSrcVm[f]] += desire;
+        s.desireAtVm[s.flowDstVm[f]] += desire;
+        s.active[f] = s.flowResourceCount[f] != 0 ? 1 : 0;
+        if (s.active[f] == 0)
+            s.rates[f] = {0.0, Bottleneck::SelfCap};
     }
     // One scale per VM for its egress, ingress and NIC capacities.
     s.vmScale.resize(nvm);
@@ -244,121 +379,41 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
         s.vmScale[vm] = 1.0 / penalty;
     }
 
-    // --- Build resources ------------------------------------------------
-    // Resource ids follow first touch in flow order, and each touch
-    // adds the flow's weight to the resource's sum in that same order:
-    // ids break ties and sums round, so both shape the exact result.
-    s.egressIdx.assign(nvm, -1);
-    s.ingressIdx.assign(nvm, -1);
-    s.nicIdx.assign(inputs.vmNicCap.size(), -1);
-    s.pathIdx.assign(inputs.pathCap.size(), -1);
-    s.tcIdx.assign(inputs.tcLimit.size(), -1);
-    s.shareCapIdx.assign(inputs.shareCap.size(), -1);
-    s.resourceCap.clear();
-    s.resourceKind.clear();
-    s.wsum.clear();
-    s.activeAtResource.clear();
-
-    // Callers range-check @p key against @p map.
-    auto touch = [&](std::vector<int> &map, std::size_t key, Mbps cap,
-                     Bottleneck kind, double w) -> int {
-        int r = map[key];
-        if (r < 0) {
-            r = static_cast<int>(s.resourceCap.size());
-            map[key] = r;
-            s.resourceCap.push_back(cap);
-            s.resourceKind.push_back(kind);
-            s.wsum.push_back(0.0);
-            s.activeAtResource.push_back(0);
-        }
-        s.wsum[static_cast<std::size_t>(r)] += w;
-        ++s.activeAtResource[static_cast<std::size_t>(r)];
-        return r;
-    };
-
-    constexpr std::size_t kStride = SolverScratch::kMaxFlowResources;
-    s.weight.resize(nf);
-    s.active.assign(nf, 0);
-    s.flowResources.resize(nf * kStride);
-    s.flowResourceCount.assign(nf, 0);
-
-    for (std::size_t f = 0; f < nf; ++f) {
-        const FlowSpec &spec = flows[f];
-        if (spec.srcVm >= nvm || spec.dstVm >= nvm)
-            panic("solveRates: VM id out of range");
-        const double w = spec.weightPerConn *
-                         static_cast<double>(std::max(1, spec.connections));
-        s.weight[f] = w;
-        if (w <= 0.0 || s.selfCap[f] <= cfg.epsilon) {
-            result[f] = {0.0, Bottleneck::SelfCap};
-            continue;
-        }
-        s.active[f] = 1;
-
-        int *fr = &s.flowResources[f * kStride];
-        std::size_t n = 0;
-        fr[n++] = touch(s.egressIdx, spec.srcVm,
-                        inputs.vmEgressCap[spec.srcVm] *
-                            s.vmScale[spec.srcVm],
-                        Bottleneck::SrcVm, w);
-        fr[n++] = touch(s.ingressIdx, spec.dstVm,
-                        inputs.vmIngressCap[spec.dstVm] *
-                            s.vmScale[spec.dstVm],
-                        Bottleneck::DstVm, w);
-        if (spec.srcVm < inputs.vmNicCap.size()) {
-            fr[n++] = touch(s.nicIdx, spec.srcVm,
-                            inputs.vmNicCap[spec.srcVm] *
-                                s.vmScale[spec.srcVm],
-                            Bottleneck::NicTotal, w);
-        }
-        if (spec.dstVm < inputs.vmNicCap.size()) {
-            fr[n++] = touch(s.nicIdx, spec.dstVm,
-                            inputs.vmNicCap[spec.dstVm] *
-                                s.vmScale[spec.dstVm],
-                            Bottleneck::NicTotal, w);
-        }
-
-        const std::size_t pair =
-            spec.srcDc * inputs.dcCount + spec.dstDc;
-        if (pair >= inputs.pathCap.size())
-            panic("solveRates: pair index out of range");
-        fr[n++] = touch(s.pathIdx, pair, inputs.pathCap[pair],
-                        Bottleneck::Path, w);
-        if (pair < inputs.tcLimit.size() && inputs.tcLimit[pair] > 0.0) {
-            fr[n++] = touch(s.tcIdx, pair, inputs.tcLimit[pair],
-                            Bottleneck::TcLimit, w);
-        }
-        // The desire pass range-checked the share-cap index.
-        if (spec.shareCap != kNoShareCap &&
-            inputs.shareCap[spec.shareCap] > 0.0) {
-            fr[n++] = touch(s.shareCapIdx, spec.shareCap,
-                            inputs.shareCap[spec.shareCap],
-                            Bottleneck::GroupShare, w);
-        }
-        s.flowResourceCount[f] = static_cast<unsigned char>(n);
-    }
-
-    const std::size_t resourceCount = s.resourceCap.size();
-
-    // Each resource's flows as one CSR row, in ascending flow order; a
-    // flow crossing a resource twice (both NICs of one VM) is listed
-    // twice, as it counts twice in the resource's sums. Rows fill
-    // back to front from their end offsets, which leaves each offset
-    // at its row's start.
-    s.resourceFlowStart.resize(resourceCount + 1);
-    std::size_t listed = 0;
+    // --- Resource capacities and sums -------------------------------------
+    const std::size_t resourceCount = s.resourceKind.size();
+    s.resourceCap.resize(resourceCount);
+    s.activeAtResource.resize(resourceCount);
     for (std::size_t r = 0; r < resourceCount; ++r) {
-        listed += static_cast<std::size_t>(s.activeAtResource[r]);
-        s.resourceFlowStart[r] = listed;
+        const std::size_t key = s.resourceKey[r];
+        Mbps cap = 0.0;
+        switch (s.resourceKind[r]) {
+        case Bottleneck::SrcVm:
+            cap = inputs.vmEgressCap[key] * s.vmScale[key];
+            break;
+        case Bottleneck::DstVm:
+            cap = inputs.vmIngressCap[key] * s.vmScale[key];
+            break;
+        case Bottleneck::NicTotal:
+            cap = inputs.vmNicCap[key] * s.vmScale[key];
+            break;
+        case Bottleneck::Path:
+            cap = inputs.pathCap[key];
+            break;
+        case Bottleneck::TcLimit:
+            cap = inputs.tcLimit[key];
+            break;
+        case Bottleneck::GroupShare:
+            cap = inputs.shareCap[key];
+            break;
+        case Bottleneck::None:
+        case Bottleneck::SelfCap:
+            panic("fillRates: a resource of no capacity kind");
+        }
+        s.resourceCap[r] = cap;
+        s.activeAtResource[r] = static_cast<int>(
+            s.resourceFlowStart[r + 1] - s.resourceFlowStart[r]);
     }
-    s.resourceFlowStart[resourceCount] = listed;
-    s.resourceFlows.resize(listed);
-    for (std::size_t f = nf; f-- > 0;) {
-        const int *fr = &s.flowResources[f * kStride];
-        for (std::size_t k = s.flowResourceCount[f]; k-- > 0;)
-            s.resourceFlows[--s.resourceFlowStart[static_cast<
-                std::size_t>(fr[k])]] = static_cast<int>(f);
-    }
+    s.wsum.assign(s.resourceWeight.begin(), s.resourceWeight.end());
 
     // --- Weighted progressive filling ------------------------------------
     // All active flows grow their rate proportionally to their weight
@@ -392,9 +447,9 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
     // pops its valid entries (tests/oracles/water_fill.hh), so freeze
     // order and every float operation match it bit for bit, without
     // its stale pushes and pops.
-    std::size_t remaining = 0;
-    for (std::size_t f = 0; f < nf; ++f)
-        remaining += s.active[f] != 0 ? 1 : 0;
+    std::vector<FlowRate> &result = s.rates;
+    std::size_t remaining = s.activeFlows;
+    constexpr std::size_t kStride = SolverScratch::kMaxFlowResources;
 
     s.frozenUsed.assign(resourceCount, 0.0);
     s.heapPos.assign(resourceCount, -1);
@@ -598,6 +653,16 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
     }
 
     return result;
+}
+
+std::vector<FlowRate>
+solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
+           const SolverConfig &cfg, SolverScratch *scratch)
+{
+    SolverScratch local;
+    SolverScratch &s = scratch != nullptr ? *scratch : local;
+    buildSolverStructure(flows, inputs, cfg, s);
+    return fillRates(inputs, cfg, s);
 }
 
 } // namespace net

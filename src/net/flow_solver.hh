@@ -170,23 +170,36 @@ struct SolverConfig
 Mbps bundleCap(int connections, Mbps capPerConn, const SolverConfig &cfg);
 
 /**
- * Reusable per-call workspace for solveRates.
+ * The solver's persistent workspace: a structure that
+ * buildSolverStructure() keeps for a flow set, and the buffers and
+ * result of each fillRates() over it.
  *
- * A caller that solves every simulated tick (NetworkSim) keeps one
- * scratch alive so steady state allocates nothing. Contents are
- * meaningless between calls. Everything is a flat array:
+ * The structure is what depends only on the flows and on which tc
+ * limits and share caps are positive: it holds from a build until the
+ * next one. Everything is a flat array:
  *
- *  - per VM: connections, desire and the capacity scale of the
- *    connection and oversubscription penalties, one each;
- *  - per flow: weight, own capability, and up to kMaxFlowResources
- *    resource ids at that fixed stride;
+ *  - per VM: connections;
+ *  - per VM, pair and share-cap entry: the id of the resource keyed
+ *    there, or -1 (their sizes are the input shape a fill checks);
+ *  - per flow: weight, own capability, its endpoint VMs, the tc limit
+ *    and share cap that clip its desire (kNoClip when none), and
+ *    up to kMaxFlowResources resource ids at that fixed stride (none
+ *    for a flow with no weight or capability);
  *  - per resource, numbered in order of first touch (ids break ties,
- *    so the numbering is part of the result): capacity, kind, and its
- *    flows as one compressed sparse row (CSR) list in ascending flow
- *    order, duplicates kept;
- *  - the fill: per-resource weight sums, frozen capacity and live
- *    flow counts; the static events, in key buckets sorted only when
- *    the fill reaches them; the indexed heap of shared resources; the
+ *    so the numbering is part of the result): kind, the key its
+ *    capacity is read at (VM, pair or share-cap entry), weight sum,
+ *    and its flows as one compressed sparse row (CSR) list in
+ *    ascending flow order, duplicates kept.
+ *
+ * The fill's buffers are meaningless between calls except @c rates,
+ * which holds the last fill's result:
+ *
+ *  - per VM: desire, and the capacity scale of the connection and
+ *    oversubscription penalties;
+ *  - per resource: capacity, live weight sum, frozen capacity and
+ *    live flow count; per flow: whether it still grows;
+ *  - the static events, in key buckets sorted only when the fill
+ *    reaches them; the indexed heap of shared resources; the
  *    resources a freeze has touched since their last re-key; and the
  *    heap entries left below a key that rose.
  */
@@ -194,6 +207,9 @@ struct SolverScratch
 {
     /** Egress, ingress, two NICs, path, tc limit and group share. */
     static constexpr std::size_t kMaxFlowResources = 7;
+
+    /** A flow's tc limit or share cap when none clips its desire. */
+    static constexpr std::size_t kNoClip = static_cast<std::size_t>(-1);
 
     /** A fill event: a flow's own cap or a resource saturating. */
     struct FillEvent
@@ -204,9 +220,8 @@ struct SolverScratch
         std::size_t flow = 0; ///< flow a static event freezes
     };
 
+    // --- structure (buildSolverStructure) ---------------------------------
     std::vector<int> connsAtVm;
-    std::vector<Mbps> desireAtVm;
-    std::vector<double> vmScale;
     std::vector<int> egressIdx;
     std::vector<int> ingressIdx;
     std::vector<int> nicIdx;
@@ -216,15 +231,25 @@ struct SolverScratch
 
     std::vector<double> weight;
     std::vector<Mbps> selfCap;
-    std::vector<char> active;
+    std::vector<std::size_t> flowSrcVm;
+    std::vector<std::size_t> flowDstVm;
+    std::vector<std::size_t> flowTcLimit;
+    std::vector<std::size_t> flowShareCap;
     std::vector<int> flowResources;
     std::vector<unsigned char> flowResourceCount;
+    std::size_t activeFlows = 0;
 
-    std::vector<Mbps> resourceCap;
     std::vector<Bottleneck> resourceKind;
+    std::vector<std::size_t> resourceKey;
+    std::vector<double> resourceWeight;
     std::vector<std::size_t> resourceFlowStart;
     std::vector<int> resourceFlows;
 
+    // --- fill (fillRates) -------------------------------------------------
+    std::vector<Mbps> desireAtVm;
+    std::vector<double> vmScale;
+    std::vector<Mbps> resourceCap;
+    std::vector<char> active;
     std::vector<double> wsum;
     std::vector<double> frozenUsed;
     std::vector<int> activeAtResource;
@@ -236,10 +261,36 @@ struct SolverScratch
     std::vector<char> rekeyPending;
     std::vector<char> keyRaised;
     std::vector<int> rekeyList;
+
+    /** One FlowRate per flow of the last fill, in flow order. */
+    std::vector<FlowRate> rates;
 };
 
 /**
- * Allocate rates to all flows with weighted progressive filling.
+ * Build the structure of @p flows into @p scratch: everything a fill
+ * needs that does not move with capacities. It reads @p inputs only
+ * for their sizes and for which tc limits and share caps are positive.
+ */
+void buildSolverStructure(const std::vector<FlowSpec> &flows,
+                          const SolverInputs &inputs,
+                          const SolverConfig &cfg, SolverScratch &scratch);
+
+/**
+ * Allocate rates with weighted progressive filling over the structure
+ * last built into @p scratch, at the capacities in @p inputs, and
+ * return them (scratch.rates). The result is what solveRates() gives
+ * for the built flows and @p inputs, bit for bit, provided the inputs
+ * have the shape of the build and the same tc limits and share caps
+ * are positive; a kept tc limit or share cap that is no longer
+ * positive panics, and one that became positive is not seen.
+ */
+const std::vector<FlowRate> &fillRates(const SolverInputs &inputs,
+                                       const SolverConfig &cfg,
+                                       SolverScratch &scratch);
+
+/**
+ * Allocate rates to all flows with weighted progressive filling: a
+ * build and a fill.
  *
  * @p scratch, when given, pools the solver's internal buffers across
  * calls (identical results either way).

@@ -46,12 +46,22 @@ OuProcess::step(Seconds dt)
     // desynchronize replays that mix zero- and nonzero-length ticks.
     if (!(dt > 0.0))
         return multiplier();
+    return advance(stepConstants(params_, dt));
+}
+
+OuProcess::OuStep
+OuProcess::stepConstants(const FluctuationParams &params, Seconds dt)
+{
     // Exact OU discretization with stationary SD sigma:
     //   X' = X e^{-theta dt} + N(0, sigma sqrt(1 - e^{-2 theta dt}))
-    const double decay = std::exp(-params_.theta * dt);
-    const double noiseSd =
-        params_.logSigma * std::sqrt(1.0 - decay * decay);
-    x_ = x_ * decay + rng_.normal(0.0, noiseSd);
+    const double decay = std::exp(-params.theta * dt);
+    return {decay, params.logSigma * std::sqrt(1.0 - decay * decay)};
+}
+
+double
+OuProcess::advance(const OuStep &c)
+{
+    x_ = x_ * c.decay + rng_.normal(0.0, c.noiseSd);
     // Defensive: a non-finite state would poison every rate solve
     // from here on; snap back to the mean instead.
     if (!std::isfinite(x_))
@@ -71,6 +81,7 @@ OuProcess::multiplier() const
 FluctuationBank::FluctuationBank(std::size_t pairs,
                                  FluctuationParams params,
                                  std::uint64_t seed)
+    : params_(params)
 {
     Rng master(seed);
     processes_.reserve(pairs);
@@ -84,8 +95,16 @@ FluctuationBank::FluctuationBank(std::size_t pairs,
 void
 FluctuationBank::step(Seconds dt)
 {
+    // An inactive bank, or a step of no time, leaves every multiplier
+    // where it is (see OuProcess::step).
+    if (processes_.empty() || !processes_.front().active() ||
+        !(dt > 0.0))
+        return;
+    // Every process shares the bank's params, so the step's constants
+    // are one exp and one sqrt per bank, not per process.
+    const OuProcess::OuStep c = OuProcess::stepConstants(params_, dt);
     for (std::size_t i = 0; i < processes_.size(); ++i)
-        multipliers_[i] = processes_[i].step(dt);
+        multipliers_[i] = processes_[i].advance(c);
 }
 
 double

@@ -62,6 +62,22 @@ class OuProcess
     /** True when the process actually fluctuates (enabled, sigma > 0). */
     bool active() const;
 
+    /** The exact discretization's constants for a step of @p dt > 0. */
+    struct OuStep
+    {
+        double decay = 1.0;   ///< e^{-theta dt}
+        double noiseSd = 0.0; ///< sigma sqrt(1 - decay^2)
+    };
+    static OuStep stepConstants(const FluctuationParams &params,
+                                Seconds dt);
+
+    /**
+     * Advance an active process by one step with constants @p c and
+     * return the new multiplier: step(dt) for the dt @p c was computed
+     * for (FluctuationBank computes them once per bank step).
+     */
+    double advance(const OuStep &c);
+
   private:
     FluctuationParams params_;
     Rng rng_;
@@ -98,6 +114,7 @@ class FluctuationBank
     std::size_t size() const { return processes_.size(); }
 
   private:
+    FluctuationParams params_; ///< shared by every process
     std::vector<OuProcess> processes_;
     std::vector<double> multipliers_;
 };

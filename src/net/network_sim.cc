@@ -102,7 +102,7 @@ NetworkSim::makeTransfer(VmId src, VmId dst, Bytes bytes, int connections,
     }
     t.remaining = measurement ? kInf : bytes;
     transfers_.push_back(t);
-    ratesDirty_ = true;
+    structureDirty_ = true;
     return t.id;
 }
 
@@ -158,7 +158,7 @@ NetworkSim::stopTransfer(TransferId id)
         return;
     t->stopped = true;
     ++stoppedCount_;
-    ratesDirty_ = true;
+    structureDirty_ = true;
 }
 
 void
@@ -171,7 +171,7 @@ NetworkSim::setConnections(TransferId id, int connections)
         return;
     if (t->connections != connections) {
         t->connections = connections;
-        ratesDirty_ = true;
+        structureDirty_ = true;
     }
 }
 
@@ -179,8 +179,15 @@ void
 NetworkSim::setTcLimit(DcId src, DcId dst, Mbps limit)
 {
     const std::size_t pair = topology_.pairIndex(src, dst);
-    tcLimits_[pair] = limit > 0.0 ? limit : 0.0;
-    ratesDirty_ = true;
+    const Mbps next = limit > 0.0 ? limit : 0.0;
+    Mbps &tc = tcLimits_[pair];
+    if (tc == next)
+        return;
+    // A limit turning on or off adds or drops a solver resource.
+    if ((tc > 0.0) != (next > 0.0))
+        structureDirty_ = true;
+    tc = next;
+    capacityDirty_ = true;
 }
 
 void
@@ -191,7 +198,7 @@ NetworkSim::setScenarioCapFactor(DcId src, DcId dst, double factor)
     const std::size_t pair = topology_.pairIndex(src, dst);
     if (scenarioCap_[pair] != factor) {
         scenarioCap_[pair] = factor;
-        ratesDirty_ = true;
+        capacityDirty_ = true;
     }
 }
 
@@ -203,18 +210,9 @@ NetworkSim::setScenarioRttFactor(DcId src, DcId dst, double factor)
     const std::size_t pair = topology_.pairIndex(src, dst);
     if (scenarioRtt_[pair] != factor) {
         scenarioRtt_[pair] = factor;
-        ratesDirty_ = true;
+        structureDirty_ = true;
         weightsDirty_ = true;
     }
-}
-
-void
-NetworkSim::clearScenarioFactors()
-{
-    std::fill(scenarioCap_.begin(), scenarioCap_.end(), 1.0);
-    std::fill(scenarioRtt_.begin(), scenarioRtt_.end(), 1.0);
-    ratesDirty_ = true;
-    weightsDirty_ = true;
 }
 
 double
@@ -284,7 +282,7 @@ NetworkSim::setGroupWeight(FlowGroupId group, double weight)
     GroupSlot &slot = groups_[groupSlot(group)];
     if (slot.weight != weight) {
         slot.weight = weight;
-        ratesDirty_ = true;
+        structureDirty_ = true;
     }
 }
 
@@ -307,18 +305,29 @@ NetworkSim::installShareCaps(const std::vector<GroupPairCap> &caps)
             panic("installShareCaps: caps not sorted by (group, pair) "
                   "and unique");
     }
+    bool sameKeys = caps.size() == shareCaps_.size();
+    bool sameCaps = true;
+    bool samePositive = true;
+    for (std::size_t e = 0; sameKeys && e < caps.size(); ++e) {
+        const GroupPairCap &next = caps[e];
+        const GroupPairCap &was = shareCaps_[e];
+        sameKeys = next.group == was.group && next.pair == was.pair;
+        sameCaps = sameCaps && next.cap == was.cap;
+        samePositive =
+            samePositive && (next.cap > 0.0) == (was.cap > 0.0);
+    }
     // An allocator re-installs every round; an unchanged table (an
-    // idle round, say) leaves the rates as they are.
-    if (caps.size() == shareCaps_.size() &&
-        std::equal(caps.begin(), caps.end(), shareCaps_.begin(),
-                   [](const GroupPairCap &a, const GroupPairCap &b) {
-                       return a.group == b.group && a.pair == b.pair &&
-                              a.cap == b.cap;
-                   }))
+    // idle round, say) leaves the rates as they are, and one that
+    // moves only cap values keeps the solver structure.
+    if (sameKeys && sameCaps)
         return;
     shareCaps_ = caps;
-    shareCapsDirty_ = true;
-    ratesDirty_ = true;
+    copyShareCaps();
+    if (!sameKeys)
+        shareCapKeysDirty_ = true;
+    if (!sameKeys || !samePositive)
+        structureDirty_ = true;
+    capacityDirty_ = true;
 }
 
 void
@@ -327,7 +336,7 @@ NetworkSim::clearGroupAllocations(FlowGroupId group)
     const std::size_t slot = findGroupSlot(group);
     if (slot != kNoGroupSlot && groups_[slot].weight != 1.0) {
         groups_[slot].weight = 1.0;
-        ratesDirty_ = true;
+        structureDirty_ = true;
     }
     // The table is group-major, so the group's caps are one run.
     auto first = std::lower_bound(
@@ -340,8 +349,9 @@ NetworkSim::clearGroupAllocations(FlowGroupId group)
         ++last;
     if (first != last) {
         shareCaps_.erase(first, last);
-        shareCapsDirty_ = true;
-        ratesDirty_ = true;
+        copyShareCaps();
+        shareCapKeysDirty_ = true;
+        structureDirty_ = true;
     }
 }
 
@@ -365,11 +375,12 @@ NetworkSim::registeredGroupCount() const
 }
 
 Mbps
-NetworkSim::groupRate(FlowGroupId group) const
+NetworkSim::groupRate(FlowGroupId group)
 {
+    solveIfStale();
     Mbps total = 0.0;
     for (const Transfer &t : transfers_) {
-        if (t.group == group && !t.stopped)
+        if (t.group == group)
             total += t.rate;
     }
     return total;
@@ -417,13 +428,18 @@ NetworkSim::rebuildPairWeights()
 void
 NetworkSim::refreshShareCaps()
 {
-    inputs_.shareCap.resize(shareCaps_.size());
-    for (std::size_t e = 0; e < shareCaps_.size(); ++e)
-        inputs_.shareCap[e] = shareCaps_[e].cap;
     for (Transfer &t : transfers_)
         if (t.group != 0)
             t.shareCap = shareCapEntry(t.group, t.pair);
-    shareCapsDirty_ = false;
+    shareCapKeysDirty_ = false;
+}
+
+void
+NetworkSim::copyShareCaps()
+{
+    inputs_.shareCap.resize(shareCaps_.size());
+    for (std::size_t e = 0; e < shareCaps_.size(); ++e)
+        inputs_.shareCap[e] = shareCaps_[e].cap;
 }
 
 void
@@ -452,37 +468,45 @@ NetworkSim::resolveRates()
         inputs_.pathCap[pairs_(i, i)] = basePathCap_[pairs_(i, i)];
     inputs_.tcLimit = tcLimits_;
 
-    if (shareCapsDirty_)
-        refreshShareCaps();
-    if (weightsDirty_)
-        rebuildPairWeights();
+    if (structureDirty_) {
+        if (shareCapKeysDirty_)
+            refreshShareCaps();
+        if (weightsDirty_)
+            rebuildPairWeights();
 
-    // Flows go to the solver in ascending id, the order that numbers
-    // its resources. An unweighted group's slot holds weight 1, and
-    // x * 1 == x, so every grouped flow takes its slot's weight.
-    specs_.resize(transfers_.size());
-    for (std::size_t i = 0; i < transfers_.size(); ++i) {
-        const Transfer &t = transfers_[i];
-        FlowSpec &spec = specs_[i];
-        spec.srcVm = t.srcVm;
-        spec.dstVm = t.dstVm;
-        spec.srcDc = t.srcDc;
-        spec.dstDc = t.dstDc;
-        spec.connections = t.connections;
-        spec.weightPerConn = pairWeight_[t.pair];
-        spec.capPerConn = connCapFlat_[t.pair];
-        spec.shareCap = t.shareCap;
-        if (t.groupSlot != kNoGroupSlot)
-            spec.weightPerConn *= groups_[t.groupSlot].weight;
+        // Flows go to the solver in ascending id, the order that
+        // numbers its resources. An unweighted group's slot holds
+        // weight 1, and x * 1 == x, so every grouped flow takes its
+        // slot's weight.
+        specs_.resize(transfers_.size());
+        for (std::size_t i = 0; i < transfers_.size(); ++i) {
+            const Transfer &t = transfers_[i];
+            FlowSpec &spec = specs_[i];
+            spec.srcVm = t.srcVm;
+            spec.dstVm = t.dstVm;
+            spec.srcDc = t.srcDc;
+            spec.dstDc = t.dstDc;
+            spec.connections = t.connections;
+            spec.weightPerConn = pairWeight_[t.pair];
+            spec.capPerConn = connCapFlat_[t.pair];
+            spec.shareCap = t.shareCap;
+            if (t.groupSlot != kNoGroupSlot)
+                spec.weightPerConn *= groups_[t.groupSlot].weight;
+        }
+        buildSolverStructure(specs_, inputs_, config_.solver,
+                             solverScratch_);
+        ++solveCounts_.structureBuilds;
     }
 
-    const auto rates =
-        solveRates(specs_, inputs_, config_.solver, &solverScratch_);
+    const std::vector<FlowRate> &rates =
+        fillRates(inputs_, config_.solver, solverScratch_);
+    ++solveCounts_.solves;
     for (std::size_t i = 0; i < transfers_.size(); ++i) {
         transfers_[i].rate = rates[i].rate;
         transfers_[i].bottleneck = rates[i].bottleneck;
     }
-    ratesDirty_ = false;
+    structureDirty_ = false;
+    capacityDirty_ = false;
 }
 
 Seconds
@@ -524,7 +548,7 @@ NetworkSim::progress(Seconds dt)
             t.remaining -= moved;
             if (t.remaining <= kByteEps) {
                 completions_.push_back({t.id, now_, t.group, t.moved});
-                ratesDirty_ = true;
+                structureDirty_ = true;
                 continue;
             }
         }
@@ -540,13 +564,15 @@ NetworkSim::advanceBy(Seconds dt)
 {
     if (dt < 0.0)
         fatal("advanceBy: negative dt");
+    // Solve before time moves, never after it: what a trailing solve
+    // found would be lost to the caller's next mutation unread.
+    solveIfStale();
     Seconds remaining = dt;
     std::size_t guard = 0;
     while (remaining > 1.0e-12) {
         if (++guard > 100000000)
             panic("advanceBy: too many steps");
-        if (ratesDirty_)
-            resolveRates();
+        solveIfStale();
         const Seconds toTick = nextTick_ - now_;
         const Seconds toCompletion = nextCompletionIn();
         const Seconds step =
@@ -558,19 +584,16 @@ NetworkSim::advanceBy(Seconds dt)
             fluctuation_.step(kTickInterval);
             vmFluctuation_.step(kTickInterval);
             nextTick_ += kTickInterval;
-            ratesDirty_ = true;
+            capacityDirty_ = true;
         } else if (step == 0.0 && toCompletion == 0.0) {
             // A transfer was already complete; run a zero-length sweep
             // pass to collect it.
             progress(0.0);
-            // Completions flip ratesDirty_; loop continues.
-            if (!ratesDirty_)
+            // Completions flip structureDirty_; loop continues.
+            if (!structureDirty_)
                 break; // defensive: nothing changed, avoid spinning
         }
     }
-    // Leave rates fresh so telemetry right after advanceBy is valid.
-    if (ratesDirty_)
-        resolveRates();
 }
 
 Seconds
@@ -580,8 +603,7 @@ NetworkSim::runUntilAllComplete(Seconds maxTime)
     while (!allTransfersDone() && now_ < maxTime - 1.0e-9) {
         if (++guard > 100000000)
             panic("runUntilAllComplete: stuck");
-        if (ratesDirty_)
-            resolveRates();
+        solveIfStale();
         const Seconds toCompletion = nextCompletionIn();
         // Advance to the earlier of the next completion, the next
         // tick (stalled transfers may unstall when fluctuation moves),
@@ -625,29 +647,33 @@ NetworkSim::status(TransferId id) const
     st.exists = true;
     st.bytesMoved = t->moved;
     st.bytesRemaining = t->measurement ? kInf : t->remaining;
-    st.currentRate = t->rate;
-    st.bottleneck = t->bottleneck;
     st.connections = t->connections;
     return st;
 }
 
 Mbps
-NetworkSim::transferRate(TransferId id) const
+NetworkSim::transferRate(TransferId id)
 {
+    solveIfStale();
     const Transfer *t = findTransfer(id);
-    if (t == nullptr)
-        return 0.0;
-    if (ratesDirty_)
-        panic("transferRate: rates are stale; advance first");
-    return t->rate;
+    return t != nullptr ? t->rate : 0.0;
+}
+
+Bottleneck
+NetworkSim::transferBottleneck(TransferId id)
+{
+    solveIfStale();
+    const Transfer *t = findTransfer(id);
+    return t != nullptr ? t->bottleneck : Bottleneck::None;
 }
 
 Mbps
-NetworkSim::pairRate(DcId src, DcId dst) const
+NetworkSim::pairRate(DcId src, DcId dst)
 {
+    solveIfStale();
     Mbps total = 0.0;
     for (const Transfer &t : transfers_) {
-        if (t.srcDc == src && t.dstDc == dst && !t.stopped)
+        if (t.srcDc == src && t.dstDc == dst)
             total += t.rate;
     }
     return total;
@@ -660,31 +686,14 @@ NetworkSim::pairBytes(DcId src, DcId dst) const
 }
 
 Matrix<Mbps>
-NetworkSim::pairRateMatrix() const
+NetworkSim::pairRateMatrix()
 {
+    solveIfStale();
     const std::size_t n = topology_.dcCount();
     Matrix<Mbps> m = Matrix<Mbps>::square(n, 0.0);
     for (const Transfer &t : transfers_)
-        if (!t.stopped)
-            m.at(t.srcDc, t.dstDc) += t.rate;
+        m.at(t.srcDc, t.dstDc) += t.rate;
     return m;
-}
-
-double
-NetworkSim::pairRetransScore(DcId src, DcId dst) const
-{
-    double demand = 0.0;
-    double served = 0.0;
-    for (const Transfer &t : transfers_) {
-        if (t.srcDc != src || t.dstDc != dst || t.stopped)
-            continue;
-        demand += bundleCap(t.connections, connCapFlat_[t.pair],
-                            config_.solver);
-        served += t.rate;
-    }
-    if (demand <= 0.0)
-        return 0.0;
-    return std::clamp(1.0 - served / demand, 0.0, 1.0);
 }
 
 Mbps

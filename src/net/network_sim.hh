@@ -4,10 +4,29 @@
  *
  * NetworkSim owns the dynamic network state: the set of active transfers
  * (finite shuffles or infinite iPerf-style measurement flows), per-pair
- * capacity fluctuation, and WANify tc throttles. Rates are re-solved
- * whenever the flow set changes and at every fluctuation tick; between
- * rate changes, transfers progress linearly and completions are located
- * exactly.
+ * capacity fluctuation, and WANify tc throttles. Between rate changes,
+ * transfers progress linearly and completions are located exactly.
+ *
+ * Rates are solved when they are read, never ahead of a read: a
+ * mutation only marks them stale, advanceBy() solves a stale state
+ * before it moves time (advanceBy(0) included) and never after, and
+ * the rate readers (transferRate, transferBottleneck, pairRate,
+ * pairRateMatrix, groupRate) solve one on demand. status() and the
+ * byte and count readers never solve. What a mutation touches sets the
+ * cost of the next solve:
+ *
+ *  - structure: a start, stop or completion, a connection change, a
+ *    group weight, an RTT factor, a tc limit or share cap turning
+ *    positive or non-positive, or a share-cap table with other keys.
+ *    The solve rebuilds the flow specs and the solver's structure
+ *    (net::buildSolverStructure) before it fills;
+ *  - capacity: a fluctuation tick, a scenario capacity factor, a tc
+ *    limit moving between positive values, or a share-cap table with
+ *    the same keys and the same caps positive. The solve only refills
+ *    rates over the kept structure (net::fillRates).
+ *
+ * Either way the rates are bit-identical to a fresh net::solveRates of
+ * the current state: a solve is pure in its inputs.
  *
  * The simulator is the common substrate for the measurement plane
  * (monitor/), for WANify's local agents, and for the GDA engine's shuffle
@@ -68,15 +87,24 @@ struct CompletionRecord
 };
 
 /** Snapshot of one live transfer's progress; a finished or stopped
- *  transfer reads exists == false. */
+ *  transfer reads exists == false. Reading it never solves rates: its
+ *  rate comes from NetworkSim::transferRate. */
 struct TransferStatus
 {
     bool exists = false;
     Bytes bytesMoved = 0.0;
     Bytes bytesRemaining = 0.0;
-    Mbps currentRate = 0.0;
-    Bottleneck bottleneck = Bottleneck::None;
     int connections = 0;
+};
+
+/** The rate solver's work since a NetworkSim was built. */
+struct SolveCounts
+{
+    /** Rate solves: one fill each. */
+    std::uint64_t solves = 0;
+
+    /** Solves that rebuilt the specs and solver structure first. */
+    std::uint64_t structureBuilds = 0;
 };
 
 /** Simulator tunables. */
@@ -139,9 +167,6 @@ class NetworkSim
     /** Scenario RTT inflation factor for a pair. Must be finite, > 0. */
     void setScenarioRttFactor(DcId src, DcId dst, double factor);
 
-    /** Reset every scenario factor to 1. */
-    void clearScenarioFactors();
-
     double scenarioCapFactor(DcId src, DcId dst) const;
     double scenarioRttFactor(DcId src, DcId dst) const;
 
@@ -182,7 +207,7 @@ class NetworkSim
     void clearGroupAllocations(FlowGroupId group);
 
     /** Instantaneous aggregate rate of a group's transfers. */
-    Mbps groupRate(FlowGroupId group) const;
+    Mbps groupRate(FlowGroupId group);
 
     /** Remaining bytes of a group's active finite transfers. */
     Bytes groupPendingBytes(FlowGroupId group) const;
@@ -195,7 +220,9 @@ class NetworkSim
 
     // --- time -------------------------------------------------------------
 
-    /** Advance simulated time by exactly @p dt. */
+    /** Advance simulated time by exactly @p dt, solving a stale state
+     *  first (also when @p dt is 0). What the last tick or completion
+     *  changes stays unsolved until the next read or advance. */
     void advanceBy(Seconds dt);
 
     /**
@@ -221,27 +248,23 @@ class NetworkSim
     // --- telemetry ---------------------------------------------------------
 
     /** Progress of a live transfer; the sim keeps nothing of one that
-     *  finished (see completions()) or was stopped. */
+     *  finished (see completions()) or was stopped. Never solves. */
     TransferStatus status(TransferId id) const;
 
-    /** Instantaneous rate of one transfer. */
-    Mbps transferRate(TransferId id) const;
+    /** Instantaneous rate of one transfer (0 when not live). */
+    Mbps transferRate(TransferId id);
+
+    /** What limits one transfer's rate (None when not live). */
+    Bottleneck transferBottleneck(TransferId id);
 
     /** Instantaneous aggregate rate between two DCs. */
-    Mbps pairRate(DcId src, DcId dst) const;
+    Mbps pairRate(DcId src, DcId dst);
 
     /** Cumulative bytes moved between two DCs since construction. */
     Bytes pairBytes(DcId src, DcId dst) const;
 
     /** Instantaneous DC-pair rate matrix. */
-    Matrix<Mbps> pairRateMatrix() const;
-
-    /**
-     * Congestion proxy for a DC pair: the fraction of aggregate
-     * connection capability left unserved, in [0, 1]. Feeds the Nr
-     * (retransmissions) feature of Table 3.
-     */
-    double pairRetransScore(DcId src, DcId dst) const;
+    Matrix<Mbps> pairRateMatrix();
 
     /** Effective (fluctuated) path capacity right now. */
     Mbps effectivePathCap(DcId src, DcId dst) const;
@@ -257,6 +280,9 @@ class NetworkSim
     {
         return transfers_.size() - stoppedCount_;
     }
+
+    /** Solves and structure builds so far. */
+    const SolveCounts &solveCounts() const { return solveCounts_; }
 
   private:
     static constexpr std::size_t kNoGroupSlot =
@@ -297,15 +323,26 @@ class NetworkSim
      *  sim's private state directly. */
     friend struct oracle::MapKeyedSolverInputs;
 
-    /** Recompute rates for the current flow set. */
+    /** Solve rates if a mutation left them stale. */
+    void
+    solveIfStale()
+    {
+        if (structureDirty_ || capacityDirty_)
+            resolveRates();
+    }
+
+    /** Solve rates for the current state: rebuild the specs and the
+     *  solver structure if structureDirty_, then fill. */
     void resolveRates();
 
     /** Refresh pairWeight_ from the scenario RTT factors. */
     void rebuildPairWeights();
 
-    /** Re-point every transfer at its share-cap entry and copy the
-     *  caps into the solver inputs. */
+    /** Re-point every transfer at its share-cap entry. */
     void refreshShareCaps();
+
+    /** Copy the share-cap table's caps into the solver inputs. */
+    void copyShareCaps();
 
     /** Drop stopped transfers in one stable pass. */
     void dropStopped();
@@ -349,7 +386,14 @@ class NetworkSim
     Seconds now_ = 0.0;
     Seconds nextTick_ = 0.0;
     TransferId nextId_ = 1;
-    bool ratesDirty_ = true;
+
+    /** The specs and solver structure are stale (see the file
+     *  comment); a structure change is a capacity change too. */
+    bool structureDirty_ = true;
+
+    /** Rates are stale over a kept structure. */
+    bool capacityDirty_ = true;
+    SolveCounts solveCounts_;
 
     /**
      * Active transfers in ascending id. Ids rise with every start, so
@@ -378,7 +422,8 @@ class NetworkSim
     // Immutable topology quantities unpacked once into PairIndex
     // layout, plus the persistent solver inputs/scratch so a resolve
     // in steady state is one branch-free composition pass over
-    // contiguous arrays with no allocation.
+    // contiguous arrays with no allocation. The scratch keeps the
+    // solver structure of specs_ between structure changes.
     std::vector<Mbps> basePathCap_;    ///< topology pathCap, flat
     std::vector<Mbps> connCapFlat_;    ///< topology connCap, flat
     std::vector<Seconds> baseRtt_;     ///< topology rttSeconds, flat
@@ -387,7 +432,7 @@ class NetworkSim
     std::vector<Mbps> vmWanCap_;       ///< per-VM WAN cap, unwobbled
     std::vector<Mbps> vmNicCap_;       ///< per-VM NIC cap, unwobbled
     bool weightsDirty_ = true;         ///< pairWeight_ needs rebuild
-    bool shareCapsDirty_ = false;      ///< share-cap table changed
+    bool shareCapKeysDirty_ = false;   ///< share-cap keys changed
     SolverInputs inputs_;
     SolverScratch solverScratch_;
     std::vector<FlowSpec> specs_;

@@ -450,7 +450,6 @@ Service::runAllocationRound()
 {
     // The demand list and each demand's pair list are reused round to
     // round, so a round in steady state allocates nothing.
-    const net::PairIndex pairs(topo_.dcCount());
     std::size_t count = 0;
     for (const std::size_t idx : active_) {
         QueryState &q = queries_[idx];
@@ -462,22 +461,9 @@ Service::runAllocationRound()
         d.group = q.group;
         d.weight = q.spec.weight;
         d.pairs.clear();
-        for (const auto &[id, t] : q.exec->pending()) {
-            const std::size_t pair = pairs(t.src, t.dst);
-            // Elastic demand: a shuffle takes any rate granted.
-            if (d.pairs.empty() || d.pairs.back().pair != pair)
-                d.pairs.push_back({pair, 0.0});
-        }
-        std::sort(d.pairs.begin(), d.pairs.end(),
-                  [](const PairDemand &a, const PairDemand &b) {
-                      return a.pair < b.pair;
-                  });
-        d.pairs.erase(
-            std::unique(d.pairs.begin(), d.pairs.end(),
-                        [](const PairDemand &a, const PairDemand &b) {
-                            return a.pair == b.pair;
-                        }),
-            d.pairs.end());
+        // Elastic demand: a shuffle takes any rate granted.
+        for (const std::size_t pair : q.exec->pendingPairs())
+            d.pairs.push_back({pair, 0.0});
     }
     demands_.resize(count);
     // Admission follows arrival order, not submission order, so the
@@ -538,14 +524,14 @@ Service::checkStragglersAndGuards()
         if (cfg_.stragglerFactor <= 0.0 ||
             q.phase != Phase::Shuffling)
             continue;
-        auto &pending = q.exec->pending();
+        const auto &pending = q.exec->pending();
 
         // Re-dispatch transfers that overshot their plan: stop the
         // flow and restart the remainder with doubled connections —
         // the classic speculative-retry answer to a path that turned
         // out far slower than the predictor believed. Each transfer
         // gets maxRedispatches attempts (historically exactly one).
-        std::vector<std::pair<TransferId, gda::ShuffleTransfer>> retry;
+        std::vector<std::pair<TransferId, int>> retry;
         for (const auto &[id, t] : pending) {
             const Seconds budget =
                 cfg_.stragglerFactor *
@@ -553,23 +539,17 @@ Service::checkStragglersAndGuards()
             if (t.redispatches <
                     static_cast<int>(cfg_.maxRedispatches) &&
                 now - t.started > budget)
-                retry.push_back({id, t});
+                retry.push_back(
+                    {id, std::min(kMaxRedispatchConnections,
+                                  std::max(1, t.connections * 2))});
         }
-        for (auto &[id, t] : retry) {
-            const Bytes remaining = sim_.status(id).bytesRemaining;
-            sim_.stopTransfer(id);
-            pending.erase(id);
-            if (remaining < 1.0)
+        for (const auto &[id, connections] : retry) {
+            const auto restarted =
+                q.exec->redispatch(sim_, id, connections, q.group);
+            if (!restarted)
                 continue;
-            gda::ShuffleTransfer &nt = q.exec->start(
-                sim_, t.src, t.dst, remaining,
-                std::min(kMaxRedispatchConnections,
-                         std::max(1, t.connections * 2)),
-                q.group);
-            nt.expected = t.expected;
-            nt.redispatches = t.redispatches + 1;
             ++q.outcome.redispatches;
-            q.outcome.wanBytes += remaining;
+            q.outcome.wanBytes += restarted->bytes;
         }
         if (q.phase == Phase::Shuffling && pending.empty())
             enterComputePhase(q);

@@ -690,6 +690,61 @@ TEST(QueryExecution, AbandonRetiresEveryTransferWholeAtNow)
     EXPECT_TRUE(sim.drainCompletions().empty());
 }
 
+TEST(QueryExecution, RedispatchKeepsTheAssignmentAndPendingPairsFollow)
+{
+    const auto topo = workerCluster(3);
+    const auto job = shuffleOnlyJob();
+    net::NetworkSim sim(topo, quietSimConfig(), 7);
+    gda::QueryExecution exec(topo, job, {6.0e8, 0.0, 0.0});
+    using Pairs = std::vector<std::size_t>;
+    const net::PairIndex pairs(3);
+    const Pairs both{pairs(0, 1), pairs(0, 2)};
+    EXPECT_TRUE(exec.pendingPairs().empty());
+    openShuffle(exec, sim);
+    // A second transfer on 0 -> 1: the pair is listed once.
+    exec.start(sim, 0, 1, 3.0e8, 1);
+    const net::TransferId second = exec.pending().rbegin()->first;
+    EXPECT_EQ(exec.pendingPairs(), both);
+    sim.advanceBy(0.5);
+
+    net::TransferId toDc2 = 0;
+    for (const auto &[id, t] : exec.pending())
+        if (t.dst == 2)
+            toDc2 = id;
+    const net::TransferStatus st = sim.status(toDc2);
+    ASSERT_GE(st.bytesRemaining, 1.0);
+    const auto again = exec.redispatch(sim, toDc2, 4, 0);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(again->bytes, st.bytesRemaining);
+    EXPECT_EQ(again->connections, 4);
+    EXPECT_EQ(again->redispatches, 1);
+    EXPECT_EQ(again->started, sim.now());
+    EXPECT_FALSE(sim.status(toDc2).exists);
+    EXPECT_EQ(exec.pending().size(), 3u);
+    EXPECT_EQ(exec.assignment().at(0, 2), 2.0e8);
+    EXPECT_EQ(exec.pendingPairs(), both);
+    EXPECT_FALSE(exec.redispatch(sim, toDc2, 4, 0).has_value());
+
+    // A pair leaves the list with its last pending transfer.
+    ASSERT_TRUE(exec.stop(sim, second, 0.0).has_value());
+    EXPECT_EQ(exec.pendingPairs(), both);
+    exec.stopInFlight(sim);
+    EXPECT_TRUE(exec.pending().empty());
+    EXPECT_TRUE(exec.pendingPairs().empty());
+
+    openShuffle(exec, sim);
+    sim.runUntilAllComplete();
+    for (const net::CompletionRecord &rec : sim.drainCompletions())
+        exec.complete(rec);
+    EXPECT_TRUE(exec.pendingPairs().empty());
+    openShuffle(exec, sim);
+    exec.abandon(sim);
+    EXPECT_TRUE(exec.pendingPairs().empty());
+    openShuffle(exec, sim);
+    exec.restart({6.0e8, 0.0, 0.0});
+    EXPECT_TRUE(exec.pendingPairs().empty());
+}
+
 // ---- ML workload ----------------------------------------------------------------------
 
 TEST(MlQuantization, QuantizedTrainingIsFasterThanFullPrecision)

@@ -12,9 +12,13 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <set>
+#include <vector>
 
 #include "common/error.hh"
+#include "common/rng.hh"
 #include "common/stats.hh"
+#include "experiments/testbed.hh"
 #include "net/flow_solver.hh"
 #include "net/fluctuation.hh"
 #include "net/network_sim.hh"
@@ -390,6 +394,47 @@ TEST(FlowSolver, BundleCapEfficiencyDecaysPastKnee)
 TEST(FlowSolver, EmptyProblemIsEmpty)
 {
     EXPECT_TRUE(solveRates({}, simpleInputs(1, 1)).empty());
+}
+
+TEST(FlowSolver, FillOverAKeptStructureRefusesWhatItCannotSee)
+{
+    // Two flows from VM 0 under a tc limit and a share cap: a refill
+    // at new values of both gives what a fresh solve gives.
+    SolverInputs in = simpleInputs(3, 3);
+    in.tcLimit.assign(9, 0.0);
+    in.tcLimit[1] = 300.0;
+    in.shareCap = {200.0};
+    std::vector<FlowSpec> flows = {flow(0, 1, 0, 1, 4, 1.0, 500.0),
+                                   flow(0, 2, 0, 2, 2, 1.0, 500.0)};
+    flows[0].shareCap = 0;
+    SolverScratch s;
+    buildSolverStructure(flows, in, SolverConfig{}, s);
+    in.tcLimit[1] = 150.0;
+    in.shareCap[0] = 120.0;
+    in.pathCap[2] = 90.0;
+    const auto fresh = solveRates(flows, in);
+    const auto &kept = fillRates(in, SolverConfig{}, s);
+    ASSERT_EQ(kept.size(), fresh.size());
+    for (std::size_t f = 0; f < kept.size(); ++f) {
+        EXPECT_EQ(kept[f].rate, fresh[f].rate) << "flow " << f;
+        EXPECT_EQ(kept[f].bottleneck, fresh[f].bottleneck) << "flow " << f;
+    }
+    EXPECT_EQ(kept[0].bottleneck, Bottleneck::GroupShare);
+    EXPECT_EQ(kept[1].bottleneck, Bottleneck::Path);
+
+    // A kept limit that is no longer positive, or inputs of another
+    // shape, need a new build.
+    in.tcLimit[1] = 0.0;
+    EXPECT_EQ(whatOf<PanicError>([&] { fillRates(in, {}, s); }),
+              "panic: fillRates: a kept tc limit is no longer positive");
+    in.tcLimit[1] = 150.0;
+    in.shareCap[0] = -1.0;
+    EXPECT_EQ(whatOf<PanicError>([&] { fillRates(in, {}, s); }),
+              "panic: fillRates: a kept share cap is no longer positive");
+    in.shareCap = {120.0, 80.0};
+    EXPECT_EQ(whatOf<PanicError>([&] { fillRates(in, {}, s); }),
+              "panic: fillRates: solver inputs changed shape since the "
+              "build");
 }
 
 // ---- flow solver: properties over random meshes ------------------------------
@@ -926,7 +971,7 @@ TEST(NetworkSim, ScenarioCapFactorScalesEffectiveCapacity)
     EXPECT_NEAR(sim.effectivePathCap(0, 1), 0.25 * nominal, 1e-9);
     // The reverse direction is untouched.
     EXPECT_NEAR(sim.effectivePathCap(1, 0), nominal, 1e-9);
-    sim.clearScenarioFactors();
+    sim.setScenarioCapFactor(0, 1, 1.0);
     EXPECT_NEAR(sim.effectivePathCap(0, 1), nominal, 1e-9);
 }
 
@@ -1008,20 +1053,6 @@ TEST(NetworkSim, GroupSettersValidated)
     EXPECT_EQ(sim.registeredGroupCount(), 0u);
 }
 
-TEST(NetworkSim, RetransScoreRisesUnderContention)
-{
-    NetworkSim sim(paperTopo(8), quiet(), 1);
-    // Load every pair; the weak pairs' demand goes unserved.
-    const auto &topo = sim.topology();
-    for (DcId i = 0; i < 8; ++i)
-        for (DcId j = 0; j < 8; ++j)
-            if (i != j)
-                sim.startMeasurement(topo.dc(i).vms.front(),
-                                     topo.dc(j).vms.front(), 4);
-    sim.advanceBy(1.0);
-    EXPECT_GT(sim.pairRetransScore(7, 3), 0.05);
-}
-
 TEST(NetworkSim, FlatSolverInputsMatchReferenceBitExact)
 {
     // The flat per-pair composition path (persistent PairIndex-keyed
@@ -1030,9 +1061,11 @@ TEST(NetworkSim, FlatSolverInputsMatchReferenceBitExact)
     // tests/oracles/solver_inputs.hh gives it — the golden 8-DC mesh
     // drives one sim through every feature that feeds the solver:
     // groups, share caps, scenario factors, tc limits, connection
-    // changes, and OU fluctuation. Every solve the run makes is
-    // checked, not just two checkpoints.
+    // changes, and OU fluctuation, and through every kind of change
+    // that keeps or rebuilds the solver's structure. Every solve the
+    // run makes is checked, not just two checkpoints.
     const auto topo = paperTopo(8);
+    auto vm = [&](DcId dc) { return topo.dc(dc).vms.front(); };
     NetworkSimConfig cfg; // fluctuation ON: wobbled caps too
     NetworkSim sim(topo, cfg, 99);
     std::vector<TransferId> ids;
@@ -1051,10 +1084,9 @@ TEST(NetworkSim, FlatSolverInputsMatchReferenceBitExact)
         for (const auto &r : ref) {
             otherBound = otherBound ||
                          r.rate.bottleneck != Bottleneck::SelfCap;
-            const auto st = sim.status(r.id);
-            EXPECT_EQ(st.currentRate, r.rate.rate)
+            EXPECT_EQ(sim.transferRate(r.id), r.rate.rate)
                 << "flow " << r.id << " at t=" << sim.now();
-            EXPECT_EQ(st.bottleneck, r.rate.bottleneck)
+            EXPECT_EQ(sim.transferBottleneck(r.id), r.rate.bottleneck)
                 << "flow " << r.id << " at t=" << sim.now();
             refRate[r.id] = r.rate.rate;
         }
@@ -1079,7 +1111,7 @@ TEST(NetworkSim, FlatSolverInputsMatchReferenceBitExact)
             if (st.exists)
                 best = std::min(best, units::transferTime(
                                           st.bytesRemaining,
-                                          st.currentRate));
+                                          sim.transferRate(id)));
         }
         return best;
     };
@@ -1088,8 +1120,8 @@ TEST(NetworkSim, FlatSolverInputsMatchReferenceBitExact)
     // Solve what changed since the last step and check that solve.
     // Then end each step at the next tick, the earliest completion at
     // current rates, or the end of dt, so each advanceBy makes at most
-    // one event and re-solves at most once, at its end: every solve
-    // gets checked.
+    // one event and the check after it makes the one solve that
+    // event needs: every solve gets checked.
     auto advanceChecked = [&](Seconds dt) {
         sim.advanceBy(0.0);
         expectMatchesOracle();
@@ -1142,6 +1174,47 @@ TEST(NetworkSim, FlatSolverInputsMatchReferenceBitExact)
     sim.setTcLimit(0, 2, 0.0);
     sim.clearGroupAllocations(2);
     advanceChecked(2.0);
+
+    // One kind of change at a time, each on its own checked solve,
+    // over transfers that outlive this part of the script.
+    const std::size_t p01 = topo.pairIndex(0, 1);
+    const std::size_t p34 = topo.pairIndex(3, 4);
+    const Bytes longer = units::gigabytes(1.0);
+    const TransferId capped = sim.startTransfer(vm(0), vm(1), longer, 4, 1);
+    ids.push_back(capped);
+    ids.push_back(sim.startTransfer(vm(3), vm(4), longer, 2, 2));
+    const TransferId limited = sim.startTransfer(vm(2), vm(5), longer, 3);
+    ids.push_back(limited);
+    sim.installShareCaps({{1, p01, 60.0}});
+    advanceChecked(0.5);
+    // Cap values only: the structure is kept, the new cap binds.
+    sim.installShareCaps({{1, p01, 45.0}});
+    advanceChecked(0.5);
+    EXPECT_EQ(sim.transferBottleneck(capped), Bottleneck::GroupShare);
+    // Share-cap keys added, then removed.
+    sim.installShareCaps({{1, p01, 45.0}, {2, p34, 30.0}});
+    advanceChecked(0.5);
+    sim.installShareCaps({{2, p34, 30.0}});
+    advanceChecked(0.5);
+    // A tc limit set 0 -> positive, moved to another positive value,
+    // and set back to 0.
+    sim.setTcLimit(2, 5, 60.0);
+    advanceChecked(0.5);
+    sim.setTcLimit(2, 5, 40.0);
+    advanceChecked(0.5);
+    EXPECT_EQ(sim.transferBottleneck(limited), Bottleneck::TcLimit);
+    sim.setTcLimit(2, 5, 0.0);
+    advanceChecked(0.5);
+    // An outage on the kept structure, and back.
+    sim.setScenarioCapFactor(0, 1, 0.0);
+    advanceChecked(0.5);
+    EXPECT_EQ(sim.transferRate(capped), 0.0);
+    sim.setScenarioCapFactor(0, 1, 1.0);
+    advanceChecked(0.5);
+    sim.setScenarioRttFactor(3, 4, 2.0);
+    advanceChecked(0.5);
+    sim.setGroupWeight(1, 1.5);
+    advanceChecked(0.5);
 
     // Run the finite transfers out, one tick interval at a time.
     while (!sim.allTransfersDone() && sim.now() < 600.0)
@@ -1239,14 +1312,209 @@ TEST(NetworkSim, RegistryCompactionKeepsSolveOrder)
     ASSERT_EQ(sim.activeTransferCount(), survivors.size());
     bool groupShare = false;
     for (std::size_t k = 0; k < survivors.size(); ++k) {
-        const auto a = sim.status(ids[survivors[k]]);
-        const auto b = fresh.status(freshIds[k]);
-        ASSERT_TRUE(a.exists) << "survivor " << k;
-        EXPECT_EQ(bitsOf(a.currentRate), bitsOf(b.currentRate))
+        const TransferId a = ids[survivors[k]];
+        const TransferId b = freshIds[k];
+        ASSERT_TRUE(sim.status(a).exists) << "survivor " << k;
+        EXPECT_EQ(bitsOf(sim.transferRate(a)), bitsOf(fresh.transferRate(b)))
             << "survivor " << k;
-        EXPECT_EQ(a.bottleneck, b.bottleneck) << "survivor " << k;
-        EXPECT_EQ(a.connections, b.connections) << "survivor " << k;
-        groupShare = groupShare || a.bottleneck == Bottleneck::GroupShare;
+        EXPECT_EQ(sim.transferBottleneck(a), fresh.transferBottleneck(b))
+            << "survivor " << k;
+        EXPECT_EQ(sim.status(a).connections, fresh.status(b).connections)
+            << "survivor " << k;
+        groupShare = groupShare ||
+                     sim.transferBottleneck(a) == Bottleneck::GroupShare;
     }
     EXPECT_TRUE(groupShare); // the installed caps bind
+}
+
+TEST(NetworkSim, KeptStructureMatchesFreshSolveUnderRandomMutations)
+{
+    // Random 2-16-DC meshes under random mutation scripts: after
+    // every step, each live transfer's rate and bottleneck must equal,
+    // bit for bit, a fresh solveRates of the map-keyed oracle inputs,
+    // whichever mix of structure and capacity changes the step made.
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        Rng rng(seed);
+        const auto pick = [&](std::size_t count) {
+            return static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<std::int64_t>(count) - 1));
+        };
+        const std::size_t n = 2 + pick(15);
+        const Topology topo = experiments::workerCluster(n, 1 + pick(2));
+        NetworkSim sim(topo, experiments::defaultSimConfig(), seed);
+        const std::size_t vms = topo.vmCount();
+        std::vector<TransferId> ids;
+        const auto anyId = [&] { return ids[pick(ids.size())]; };
+        const auto anyPair = [&] {
+            const DcId src = pick(n);
+            const DcId dst = (src + 1 + pick(n - 1)) % n;
+            return std::make_pair(src, dst);
+        };
+        const auto anyCap = [&] {
+            return rng.bernoulli(0.2) ? 0.0 : rng.uniform(20.0, 800.0);
+        };
+        const auto start = [&] {
+            const VmId src = pick(vms);
+            VmId dst = pick(vms);
+            if (topo.vm(dst).dc == topo.vm(src).dc)
+                dst = topo.dc((topo.vm(src).dc + 1) % n).vms.front();
+            const int conns = 1 + static_cast<int>(pick(8));
+            ids.push_back(
+                rng.bernoulli(0.15)
+                    ? sim.startMeasurement(src, dst, conns)
+                    : sim.startTransfer(src, dst,
+                                        units::megabytes(
+                                            rng.uniform(5.0, 400.0)),
+                                        conns, pick(5)));
+        };
+        for (int k = 0; k < 6; ++k)
+            start();
+
+        for (std::size_t step = 0; step < 50; ++step) {
+            const std::size_t mutations = 1 + pick(3);
+            for (std::size_t m = 0; m < mutations; ++m) {
+                switch (pick(11)) {
+                case 0:
+                    start();
+                    break;
+                case 1:
+                    sim.stopTransfer(anyId());
+                    break;
+                case 2:
+                    sim.setConnections(anyId(),
+                                       1 + static_cast<int>(pick(8)));
+                    break;
+                case 3: {
+                    const auto [src, dst] = anyPair();
+                    sim.setTcLimit(src, dst, anyCap());
+                    break;
+                }
+                case 4: {
+                    const auto [src, dst] = anyPair();
+                    sim.setScenarioCapFactor(
+                        src, dst,
+                        rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.2, 1.5));
+                    break;
+                }
+                case 5: {
+                    const auto [src, dst] = anyPair();
+                    sim.setScenarioRttFactor(src, dst,
+                                             rng.uniform(0.5, 3.0));
+                    break;
+                }
+                case 6:
+                    sim.setGroupWeight(1 + pick(4), rng.uniform(0.5, 3.0));
+                    break;
+                case 7: {
+                    // The same keys with new values.
+                    std::vector<GroupPairCap> caps = sim.shareCaps();
+                    for (GroupPairCap &c : caps)
+                        c.cap = anyCap();
+                    sim.installShareCaps(caps);
+                    break;
+                }
+                case 8: {
+                    std::vector<GroupPairCap> caps;
+                    for (FlowGroupId g = 1; g <= 4; ++g) {
+                        std::set<std::size_t> pairs;
+                        for (std::size_t k = pick(4); k > 0; --k) {
+                            const auto [src, dst] = anyPair();
+                            pairs.insert(topo.pairIndex(src, dst));
+                        }
+                        for (const std::size_t pair : pairs)
+                            caps.push_back({g, pair, anyCap()});
+                    }
+                    sim.installShareCaps(caps);
+                    break;
+                }
+                case 9:
+                    sim.clearGroupAllocations(1 + pick(4));
+                    break;
+                default:
+                    sim.advanceBy(rng.uniform(0.0, 2.5));
+                    break;
+                }
+            }
+
+            const auto ref = oracle::MapKeyedSolverInputs::rates(sim);
+            ASSERT_EQ(ref.size(), sim.activeTransferCount())
+                << "seed " << seed << " step " << step;
+            for (const auto &r : ref) {
+                EXPECT_EQ(bitsOf(sim.transferRate(r.id)),
+                          bitsOf(r.rate.rate))
+                    << "seed " << seed << " step " << step << " flow "
+                    << r.id;
+                EXPECT_EQ(sim.transferBottleneck(r.id), r.rate.bottleneck)
+                    << "seed " << seed << " step " << step << " flow "
+                    << r.id;
+            }
+        }
+    }
+}
+
+TEST(NetworkSim, SolveCountersPinTheLazyContract)
+{
+    const auto topo = paperTopo(4);
+    auto vm = [&](DcId dc) { return topo.dc(dc).vms.front(); };
+    NetworkSim sim(topo, NetworkSimConfig{}, 5);
+    const TransferId a =
+        sim.startTransfer(vm(0), vm(1), units::gigabytes(50.0), 2, 1);
+    sim.startTransfer(vm(2), vm(3), units::gigabytes(50.0), 3, 2);
+    sim.startMeasurement(vm(1), vm(0), 4);
+    SolveCounts want;
+    auto expectCounts = [&](const char *when) {
+        EXPECT_EQ(sim.solveCounts().solves, want.solves) << when;
+        EXPECT_EQ(sim.solveCounts().structureBuilds, want.structureBuilds)
+            << when;
+    };
+
+    // A rate read after a mutation solves once; the next reads reuse it.
+    expectCounts("before any read");
+    EXPECT_GT(sim.transferRate(a), 0.0);
+    (void)sim.pairRate(0, 1);
+    (void)sim.groupRate(1);
+    want = {1, 1};
+    expectCounts("after the first reads");
+
+    // status() never solves.
+    sim.setConnections(a, 3);
+    EXPECT_TRUE(sim.status(a).exists);
+    expectCounts("after status()");
+    (void)sim.pairRateMatrix();
+    want = {2, 2};
+    expectCounts("after the matrix read");
+
+    // Ticks alone refill the kept structure: one solve each.
+    for (int tick = 0; tick < 3; ++tick) {
+        sim.advanceBy(NetworkSim::kTickInterval);
+        (void)sim.transferRate(a);
+    }
+    want = {5, 2};
+    expectCounts("after three ticks");
+
+    // An advance ending on a tick leaves the tick's solve to the next
+    // read, so the mutation right after it costs one solve, not two.
+    sim.advanceBy(NetworkSim::kTickInterval);
+    expectCounts("after an advance");
+    sim.setConnections(a, 4);
+    (void)sim.transferRate(a);
+    want = {6, 3};
+    expectCounts("after a mutation that follows an advance");
+
+    // A value-only share-cap install builds nothing; a key change
+    // builds once.
+    const std::size_t p01 = topo.pairIndex(0, 1);
+    const std::size_t p23 = topo.pairIndex(2, 3);
+    sim.installShareCaps({{1, p01, 80.0}});
+    (void)sim.transferRate(a);
+    want = {7, 4};
+    expectCounts("after new share-cap keys");
+    sim.installShareCaps({{1, p01, 60.0}});
+    (void)sim.transferRate(a);
+    want = {8, 4};
+    expectCounts("after new share-cap values");
+    sim.installShareCaps({{1, p01, 60.0}, {2, p23, 50.0}});
+    (void)sim.transferRate(a);
+    want = {9, 5};
+    expectCounts("after an added share-cap key");
 }

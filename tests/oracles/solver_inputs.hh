@@ -9,8 +9,9 @@
  * Every call builds fresh solver inputs from the topology's matrix
  * accessors and the fluctuation banks' checked lookups, and fresh
  * std::map indexes of the group weights and share-cap entries, then
- * solves the sim's active transfers (in ascending id, the order the
- * library solves them in) without a persistent scratch.
+ * solves the sim's live transfers (in ascending id, the order the
+ * library solves them in) without a persistent scratch. It reads no
+ * rate the sim solved, so it leaves a stale sim stale.
  * net::NetworkSim names MapKeyedSolverInputs as a friend, so the
  * oracle reads the same private state resolveRates reads.
  *
@@ -27,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/error.hh"
 #include "net/flow_solver.hh"
 #include "net/network_sim.hh"
 
@@ -44,9 +44,9 @@ struct ReferenceRate
 struct MapKeyedSolverInputs
 {
     /**
-     * The rates of @p sim's active transfers, in ascending id, from
-     * inputs built the pre-flat way. @p sim must hold no stopped
-     * transfer awaiting its next resolve (any advanceBy drops them).
+     * The rates of @p sim's live transfers, in ascending id, from
+     * inputs built the pre-flat way; a stopped transfer the sim has
+     * not yet dropped is left out, as the sim's next solve drops it.
      */
     static std::vector<ReferenceRate>
     rates(const net::NetworkSim &sim)
@@ -54,9 +54,6 @@ struct MapKeyedSolverInputs
         using namespace net;
         using Transfer = NetworkSim::Transfer;
         using GroupSlot = NetworkSim::GroupSlot;
-        if (sim.stoppedCount_ > 0)
-            panic("MapKeyedSolverInputs: stopped transfers await the "
-                  "next resolve");
 
         // The pre-flat input builder: fresh map-keyed structures (group
         // weights and share-cap entries included) and matrix accessors
@@ -100,8 +97,12 @@ struct MapKeyedSolverInputs
         }
 
         std::vector<FlowSpec> specs;
+        std::vector<TransferId> ids;
         specs.reserve(sim.transfers_.size());
+        ids.reserve(sim.transfers_.size());
         for (const Transfer &t : sim.transfers_) {
+            if (t.stopped)
+                continue;
             FlowSpec spec;
             spec.srcVm = t.srcVm;
             spec.dstVm = t.dstVm;
@@ -128,12 +129,13 @@ struct MapKeyedSolverInputs
                     spec.shareCap = e->second;
             }
             specs.push_back(spec);
+            ids.push_back(t.id);
         }
 
         const auto rates = solveRates(specs, inputs, sim.config_.solver);
-        std::vector<ReferenceRate> out(sim.transfers_.size());
-        for (std::size_t i = 0; i < sim.transfers_.size(); ++i)
-            out[i] = {sim.transfers_[i].id, rates[i]};
+        std::vector<ReferenceRate> out(ids.size());
+        for (std::size_t i = 0; i < ids.size(); ++i)
+            out[i] = {ids[i], rates[i]};
         return out;
     }
 };

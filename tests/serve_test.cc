@@ -392,7 +392,7 @@ TEST(Allocator, RoundLeavesExactlyItsGrants)
     const net::TransferId id = sim.startTransfer(
         endpoint(topo, 0), endpoint(topo, 1), 5.0e9, 8, 2);
     sim.advanceBy(0.01);
-    EXPECT_EQ(sim.status(id).bottleneck, net::Bottleneck::GroupShare);
+    EXPECT_EQ(sim.transferBottleneck(id), net::Bottleneck::GroupShare);
     EXPECT_LE(sim.groupRate(2), share + 1e-6);
 
     // ...until its release drops its entries and weight at once: the
@@ -401,7 +401,7 @@ TEST(Allocator, RoundLeavesExactlyItsGrants)
     expectTable({grants2[0], grants2[3]});
     EXPECT_EQ(sim.registeredGroupCount(), 2u);
     sim.advanceBy(0.01);
-    EXPECT_NE(sim.status(id).bottleneck, net::Bottleneck::GroupShare);
+    EXPECT_NE(sim.transferBottleneck(id), net::Bottleneck::GroupShare);
     EXPECT_GT(sim.groupRate(2), 1.5 * share);
 
     alloc.allocate(sim, round2);
