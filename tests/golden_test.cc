@@ -10,8 +10,10 @@
  *   drift-adaptive retraining and forecast planning, once under the
  *   library fault-storm scenario (transfer aborts, a gauge outage, an
  *   agent crash) and once under blackout (a hard DC blackout). The
- *   recovery counters are pinned too, and each run is checked to have
- *   actually taken the paths it is meant to lock.
+ *   recovery counters, each stage's timeline and traffic, every pair's
+ *   billed bytes and the drift, retrain-error and degradation-ladder
+ *   telemetry are pinned too, and each run is checked to have actually
+ *   taken the paths it is meant to lock.
  * - Service: the result hash of a straggler-heavy drain (re-dispatch
  *   fires) and of a drain under fault-storm (kill and requeue fire).
  */
@@ -112,6 +114,16 @@ totalWanBytes(const gda::QueryResult &r)
     return sum;
 }
 
+/** One stage's recorded timeline and traffic. */
+struct StageGolden
+{
+    const char *start;
+    const char *transferEnd;
+    const char *end;
+    const char *wanBytes;
+    const char *minPairBw;
+};
+
 /** The recorded outcome of one engine golden run. */
 struct EngineGolden
 {
@@ -131,6 +143,16 @@ struct EngineGolden
     std::size_t blackouts;
     std::size_t retrainTriggers;
     std::size_t retrainsApplied;
+    const char *preRetrainError;
+    const char *postRetrainError;
+    const char *driftErrorFraction;
+    std::size_t driftObservations;
+    std::size_t trendPlans;
+    std::size_t staticPlans;
+    int worstPredictorMode;
+    std::vector<StageGolden> stages;
+    /** wanBytesByPair, row-major. */
+    std::vector<const char *> wanBytesByPair;
 };
 
 void
@@ -152,6 +174,34 @@ expectEngineGolden(const gda::QueryResult &r, const EngineGolden &g)
     EXPECT_EQ(r.blackouts, g.blackouts);
     EXPECT_EQ(r.retrainTriggers, g.retrainTriggers);
     EXPECT_EQ(r.retrainsApplied, g.retrainsApplied);
+    EXPECT_EQ(r.retrainLatencies.size(), g.retrainsApplied);
+    EXPECT_EQ(hex(r.preRetrainError), g.preRetrainError);
+    EXPECT_EQ(hex(r.postRetrainError), g.postRetrainError);
+    EXPECT_EQ(hex(r.driftErrorFraction), g.driftErrorFraction);
+    EXPECT_EQ(r.driftObservations, g.driftObservations);
+    EXPECT_EQ(r.trendPlans, g.trendPlans);
+    EXPECT_EQ(r.staticPlans, g.staticPlans);
+    EXPECT_EQ(r.worstPredictorMode, g.worstPredictorMode);
+
+    ASSERT_EQ(r.stages.size(), g.stages.size());
+    for (std::size_t s = 0; s < g.stages.size(); ++s) {
+        SCOPED_TRACE("stage " + std::to_string(s));
+        const gda::StageResult &got = r.stages[s];
+        const StageGolden &want = g.stages[s];
+        EXPECT_EQ(hex(got.start), want.start);
+        EXPECT_EQ(hex(got.transferEnd), want.transferEnd);
+        EXPECT_EQ(hex(got.end), want.end);
+        EXPECT_EQ(hex(got.wanBytes), want.wanBytes);
+        EXPECT_EQ(hex(got.minPairBw), want.minPairBw);
+    }
+
+    const std::size_t n = r.wanBytesByPair.rows();
+    ASSERT_EQ(n * r.wanBytesByPair.cols(), g.wanBytesByPair.size());
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            EXPECT_EQ(hex(r.wanBytesByPair.at(i, j)),
+                      g.wanBytesByPair[i * n + j])
+                << "pair " << i << " -> " << j;
 }
 
 /** A 4-DC service draining mixedWorkload's seed-@p mixSeed mix. */
@@ -181,12 +231,30 @@ TEST(EngineGolden, FaultStorm)
     EXPECT_GE(r.transferRetries, 1u);
     EXPECT_GE(r.faultReplans, 1u);
     EXPECT_GE(r.gaugeFaults, 1u);
+    EXPECT_GE(r.trendPlans, 1u);
     EXPECT_GE(r.agentCrashes, 1u);
     EXPECT_GE(r.retrainsApplied, 1u);
     expectEngineGolden(r, {"0x1.2a50fcfb1952dp+11", "0x1.011c8319dababp+3",
                            "0x1.6f2fc7889a707p+2", "0x1.304dc7ed4e229p+37",
                            "0x1.d0d74b2dbf8f6p+34", "0x1.7dea02286881cp+2",
-                           4, 4, 3, 1, 2, 2, 1, 0, 10, 8});
+                           4, 4, 3, 1, 2, 2, 1, 0, 10, 8,
+                           "0x1.37466d9c66ef8p+6", "0x1.2409a913b2556p+6",
+                           "0x1p-1", 1488, 2, 0, 1,
+                           {{"0x1p+0", "0x1.7e37b097297p+8",
+                             "0x1.8f180af97d75p+9", "0x1.39d23554382d6p+36",
+                             "0x1.6f2fc7889a707p+2"},
+                            {"0x1.8f180af97d75p+9", "0x1.1ccff85f7f434p+10",
+                             "0x1.2a70fcfb1952dp+11",
+                             "0x1.26c95a866417cp+36",
+                             "0x1.b2ff1fd0d0ccbp+2"}},
+                           {"0x0p+0", "0x1.3c02e8d676316p+34",
+                            "0x1.3202aa1b26396p+34", "0x1.fdd200e810391p+33",
+                            "0x1.cfe889c3eadf9p+33", "0x0p+0",
+                            "0x1.bd8e268b04eebp+33", "0x1.bd38dcc8338ap+33",
+                            "0x1.6b59d7da5d25ep+33", "0x1.6b59d7da5d264p+33",
+                            "0x0p+0", "0x1.6b59d7da5d24ap+33",
+                            "0x1.a7382ba0e44f7p+32", "0x1.ae2623b912243p+32",
+                            "0x1.e726376cc62dcp+32", "0x0p+0"}});
 }
 
 TEST(EngineGolden, Blackout)
@@ -198,7 +266,25 @@ TEST(EngineGolden, Blackout)
     expectEngineGolden(r, {"0x1.83ce855958098p+11", "0x1.db882d54dc78p+2",
                            "0x1.df54e24f38f3ep-2", "0x1.3941dbb5a9bb7p+37",
                            "0x1.34fd0500987e8p+30", "0x1.5p+8", 1, 2, 2,
-                           0, 0, 0, 0, 1, 2, 2});
+                           0, 0, 0, 0, 1, 2, 2, "0x1.5b0491ebe0159p+7",
+                           "0x1.3081a30ff31fap+7", "0x1p-2", 3240, 0, 0, 0,
+                           {{"0x1p+0", "0x1.3a6f59c99408cp+8",
+                             "0x1.0f3c8f1a70ab7p+10",
+                             "0x1.ff6dd53d0d52ep+35",
+                             "0x1.df54e24f38f3ep-2"},
+                            {"0x1.0f3c8f1a70ab7p+10",
+                             "0x1.0d4695bba5dc7p+11",
+                             "0x1.83ee855958098p+11",
+                             "0x1.72ccccccccccfp+36",
+                             "0x1.d92338e88d039p+6"}},
+                           {"0x0p+0", "0x1.b8cd77a6d762fp+34",
+                            "0x1.99e8e8e14bc0fp+34", "0x1.22f0620848a2p+34",
+                            "0x1.2622d66a7e44bp+34", "0x0p+0",
+                            "0x1.d0f3dd89958b9p+33", "0x1.3e167cec4a8fcp+33",
+                            "0x1.7b8afc95f6b92p+33", "0x1.7899b86323e68p+33",
+                            "0x0p+0", "0x1.ec6e766994eefp+32",
+                            "0x1.01daff19dd089p+32", "0x1.c46d7e6827d7p+31",
+                            "0x1.c46d7e6827d6dp+31", "0x0p+0"}});
 }
 
 TEST(ServeGolden, StragglerHeavyDrain)
