@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <map>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -43,6 +42,14 @@ meanAbsOffDiag(const Matrix<Mbps> &a, const Matrix<Mbps> &b)
     return pairs == 0 ? 0.0 : sum / static_cast<double>(pairs);
 }
 
+/** Lower the running minimum @p min to @p bw; 0 means none for both. */
+void
+foldMin(Mbps &min, Mbps bw)
+{
+    if (bw > 0.0)
+        min = min == 0.0 ? bw : std::min(min, bw);
+}
+
 /** An aborted (or blackout-deferred) transfer waiting out backoff.
  *  Its bytes live here, not in the stage assignment, until it flies:
  *  a retry the stage guard drops never reaches the compute phase. */
@@ -55,81 +62,776 @@ struct RetryItem
 };
 
 /**
- * Brackets a control-plane measurement window. Construction records
- * the per-pair byte counters, the job transfers' progress, and the
- * active bursts' progress; destruction bills the window's *extra*
- * bytes (probe traffic = growth minus job minus bursts) to
- * controlBytes, never to the query. RAII keeps the two halves of the
- * accounting paired however the gauging code between them evolves.
- * A job transfer that finished is no longer live in the sim: its
- * final bytes come from its completion record, which the engine
- * routes at the next clock pop.
+ * A control-plane measurement window as it opened: the per-pair byte
+ * counters (negated), the active bursts' progress, and the pending job
+ * transfers' progress in pending() order. Closing it bills the window's
+ * *extra* bytes (growth minus job minus bursts) as control-plane bytes,
+ * never to the query. The window starts and stops no job transfer.
  */
-class ControlProbe
+struct ControlProbe
+{
+    Matrix<Bytes> probe;
+    Matrix<Bytes> burstBefore;
+    std::vector<Bytes> jobMoved;
+};
+
+/**
+ * One Engine::run, phase by phase. deploy() predicts, plans and deploys
+ * WANify (Section 4.1). Per stage, shuffle() places the stage and pops
+ * the event clock until its transfers are done: fault edges fire the
+ * recovery machinery, and each AIMD epoch's onEpochTick() wakes the
+ * agents and checks the drift gauge, whose trip runs
+ * retrainAndRedeploy() (Section 3.3.4); compute() then runs the compute
+ * phase. bill() prices the query. The members are the run's state.
+ */
+class QueryRun
 {
   public:
-    ControlProbe(NetworkSim &sim, const scenario::DynamicsCursor &dynamics,
-                 const QueryExecution::Transfers &pending,
-                 Matrix<Bytes> &controlBytes)
-        : sim_(sim),
-          dynamics_(dynamics),
-          pending_(pending),
-          controlBytes_(controlBytes),
-          n_(controlBytes.rows()),
-          probe_(Matrix<Bytes>::square(n_, 0.0)),
-          burstBefore_(dynamics.activeBurstMoved()),
-          jobMoved_(jobBytesMoved())
-    {
-        for (DcId i = 0; i < n_; ++i)
-            for (DcId j = 0; j < n_; ++j)
-                probe_.at(i, j) = -sim_.pairBytes(i, j);
-    }
+    QueryRun(const net::Topology &topo, const net::NetworkSimConfig &simCfg,
+             std::uint64_t runSeed, const JobSpec &job,
+             const std::vector<Bytes> &inputByDc, Scheduler &scheduler,
+             const RunOptions &opts)
+        : topo_(topo), job_(job), scheduler_(scheduler), opts_(opts),
+          runSeed_(runSeed), sim_(topo, simCfg, runSeed),
+          exec_(topo, job, inputByDc)
+    {}
 
-    ~ControlProbe()
+    QueryResult
+    run()
     {
-        // Bursts settle their own bill via burstBytes when they
-        // stop; here only their in-window progress is netted out.
-        const Matrix<Bytes> burstAfter = dynamics_.activeBurstMoved();
+        // Scenario time zero is job start: install initial conditions
+        // before WANify snapshots the network, so prediction and
+        // planning see the scenario's opening state.
+        dynamics_.advanceTo(sim_.now());
+        deploy();
+        drift_.rebase(sim_);
         for (DcId i = 0; i < n_; ++i)
             for (DcId j = 0; j < n_; ++j)
-                probe_.at(i, j) += sim_.pairBytes(i, j) -
-                                   (burstAfter.at(i, j) -
-                                    burstBefore_.at(i, j));
-        const std::map<TransferId, Bytes> jobAfter = jobBytesMoved();
-        for (const auto &[id, t] : pending_)
-            probe_.at(t.src, t.dst) -= jobAfter.at(id) - jobMoved_[id];
-        for (DcId i = 0; i < n_; ++i)
-            for (DcId j = 0; j < n_; ++j)
-                controlBytes_.at(i, j) +=
-                    std::max(0.0, probe_.at(i, j));
-    }
+                bytesAtStart_.at(i, j) = sim_.pairBytes(i, j);
+        jobStart_ = sim_.now();
+        // Forecast-aware planning: the gauge trend backs deployed-mode
+        // forecasts when no dynamics timetable exists.
+        if (opts_.wanify != nullptr && !predicted_.empty())
+            trend_.record(sim_.now(), predicted_);
 
-    ControlProbe(const ControlProbe &) = delete;
-    ControlProbe &operator=(const ControlProbe &) = delete;
+        for (; !exec_.done(); exec_.nextStage()) {
+            stage_ = StageResult{};
+            stage_.name = exec_.stageSpec().name;
+            stage_.start = sim_.now();
+            shuffle();
+            compute();
+            result_.stages.push_back(stage_);
+        }
+        bill();
+        return std::move(result_);
+    }
 
   private:
-    /** Bytes each pending job transfer has moved so far, by id. */
-    std::map<TransferId, Bytes> jobBytesMoved() const
+    // --- WANify deployment (Section 4.1) ---------------------------------
+    void
+    deploy()
     {
-        std::map<TransferId, Bytes> moved;
-        for (const auto &[id, t] : pending_)
-            moved[id] = sim_.status(id).bytesMoved;
-        for (const net::CompletionRecord &rec : sim_.completions()) {
-            auto it = moved.find(rec.id);
-            if (it != moved.end())
-                it->second = rec.moved;
+        if (opts_.wanify == nullptr)
+            return;
+        // The run pins one predictor snapshot up front: retrains by
+        // concurrent trials may swap the facade's published model at
+        // any time, but this run's predictions (and its own warm
+        // starts) evolve only from the pinned lineage, keeping every
+        // trial deterministic in its seed alone.
+        model_ = opts_.wanify->predictorSnapshot();
+        if (opts_.predictedBwOverride.has_value()) {
+            predicted_ = *opts_.predictedBwOverride;
+        } else {
+            if (model_ == nullptr || !model_->trained())
+                fatal("Engine::run: WANify predictor not trained");
+            predicted_ = opts_.wanify->predictRuntimeBw(sim_, rng_,
+                                                        *model_);
+        }
+        plan_ = opts_.wanify->plan(predicted_, opts_.skewWeights);
+        deployment_ = opts_.wanify->deploy(sim_, plan_, predicted_);
+        epoch_ = opts_.wanify->config().aimd.epoch;
+    }
+
+    int
+    connectionsFor(DcId i, DcId j) const
+    {
+        if (!deployment_.agents.empty())
+            return 1; // agents overwrite via applyTargets()
+        if (opts_.wanify != nullptr &&
+            opts_.wanify->config().features.globalOptimization) {
+            // Global-only ablation: fixed at the plan's maximum.
+            return plan_.maxCons.at(i, j);
+        }
+        if (!opts_.staticConnections.empty())
+            return std::max(1, opts_.staticConnections.at(i, j));
+        return 1;
+    }
+
+    void
+    notePredictorMode()
+    {
+        ++result_.predictorModeSwitches;
+        result_.worstPredictorMode = std::max(
+            result_.worstPredictorMode, static_cast<int>(health_.mode()));
+    }
+
+    core::BwForecast
+    buildForecast() const
+    {
+        if (!opts_.forecast.enabled)
+            return {};
+        if (opts_.dynamics != nullptr)
+            return scenario::forecastFromDynamics(
+                *opts_.dynamics, opts_.schedulerBw, sim_.now(),
+                opts_.forecast);
+        if (trend_.ready())
+            return trend_.forecast(sim_.now(), opts_.forecast.horizon,
+                                   opts_.forecast.step);
+        return {};
+    }
+
+    /** Wake the clock at the dynamics' change points in [t0, t1]. */
+    void
+    scheduleChangePoints(Seconds t0, Seconds t1)
+    {
+        if (opts_.dynamics == nullptr)
+            return;
+        std::vector<scenario::ChangePoint> edges;
+        opts_.dynamics->changePointsIn(t0, t1, edges);
+        for (const scenario::ChangePoint &cp : edges)
+            clock_.push(cp.time, cp.kind == scenario::ChangeKind::Factor
+                                     ? ClockEventKind::DynamicsChange
+                                     : ClockEventKind::BurstEdge);
+    }
+
+    // --- fault recovery machinery ----------------------------------------
+    // A fault-free run holds an empty plan: these find no work, and
+    // shuffle() schedules no fault edges.
+    void
+    queueRetry(const RetryItem &item)
+    {
+        result_.backoffSeconds += item.due - sim_.now();
+        retries_.push_back(item);
+        clock_.push(item.due, ClockEventKind::RetryDue);
+    }
+
+    /** Start (or blackout-defer) one shuffle transfer whose bytes are
+     *  already counted in the assignment. A pair that is dark right
+     *  now holds its bytes back in the retry queue (and out of the
+     *  assignment) until the blackout clears. */
+    bool
+    startShuffleTransfer(DcId i, DcId j, Bytes bytes,
+                         std::size_t attempt = 0)
+    {
+        if (faults_.pairBlackedOutAt(i, j, sim_.now())) {
+            exec_.assignment().at(i, j) -= bytes;
+            queueRetry({i, j, bytes, attempt,
+                        faults_.blackoutClearTime(i, j, sim_.now())});
+            return false;
+        }
+        exec_.start(sim_, i, j, bytes, connectionsFor(i, j), 0, attempt);
+        return true;
+    }
+
+    /** A transfer that exhausted its retry budget re-places its
+     *  undelivered bytes as a fresh residual placement with the dead
+     *  pair's believed bandwidth floored, so the fraction search
+     *  routes around it (the replan-of-undelivered-bytes path,
+     *  alternate-path flavor). No warm-start memory: the penalized
+     *  belief has a different shape than the stage's original plan. */
+    void
+    replanResidual(DcId src, DcId dst, Bytes bytes)
+    {
+        ++result_.faultReplans;
+        std::vector<Bytes> residual(n_, 0.0);
+        residual[src] = bytes;
+        Matrix<Mbps> penalized = opts_.schedulerBw;
+        penalized.at(src, dst) = core::BwForecast::kMinFeasibleMbps;
+        StageContext rctx = exec_.context(residual, penalized);
+        rctx.memory = nullptr;
+        exec_.launch(
+            exec_.place(scheduler_, rctx, buildForecast(), sim_.now()),
+            [this](DcId i, DcId j, Bytes b) { startShuffleTransfer(i, j, b); });
+    }
+
+    /** Kill one in-flight transfer — its delivered part stays where it
+     *  landed — and either queue a backed-off retry of the remainder
+     *  or fall through to the residual replan. */
+    void
+    abortTransfer(TransferId id)
+    {
+        const auto lost = exec_.stop(sim_, id, 1.0);
+        if (!lost)
+            return; // effectively delivered; completion handling owns it
+        ++result_.transferAborts;
+        result_.lostBytes += lost->bytes;
+        if (lost->attempt + 1 < opts_.retry.maxAttempts) {
+            const Seconds due = faults_.blackoutClearTime(
+                lost->src, lost->dst,
+                sim_.now() + opts_.retry.backoff(
+                                 lost->attempt, splitmix64(retryRngState_)));
+            queueRetry({lost->src, lost->dst, lost->bytes,
+                        lost->attempt + 1, due});
+        } else {
+            replanResidual(lost->src, lost->dst, lost->bytes);
+        }
+    }
+
+    /** Launch every queued retry whose backoff has expired. A retry
+     *  that finds its pair dark again nets back out of the assignment
+     *  and re-queues with a later due time, so the index scan below
+     *  never revisits it this pass. */
+    void
+    startDueRetries()
+    {
+        for (std::size_t k = 0; k < retries_.size();) {
+            if (retries_[k].due > sim_.now() + 1.0e-9) {
+                ++k;
+                continue;
+            }
+            const RetryItem item = retries_[k];
+            retries_.erase(retries_.begin() +
+                           static_cast<std::ptrdiff_t>(k));
+            exec_.assignment().at(item.src, item.dst) += item.bytes;
+            if (startShuffleTransfer(item.src, item.dst, item.bytes,
+                                     item.attempt) &&
+                item.attempt > 0)
+                ++result_.transferRetries;
+        }
+    }
+
+    /** Re-arm the agents whose DC's agent is up (only DC @p only's
+     *  when given): install their targets and start a fresh AIMD
+     *  window. */
+    void
+    rearmAgents(std::optional<DcId> only = std::nullopt)
+    {
+        for (auto &agent : deployment_.agents) {
+            const DcId dc = agent->sourceDc();
+            if (agentCrashed_[dc] || (only && dc != *only))
+                continue;
+            agent->applyTargets();
+            agent->resetWindow();
+        }
+    }
+
+    /** A dead agent's throttles dissolve: its outgoing pairs fall back
+     *  to unthrottled contention until it restarts. */
+    void
+    dropThrottles(DcId dc)
+    {
+        for (DcId j = 0; j < n_; ++j)
+            if (dc != j)
+                sim_.setTcLimit(dc, j, 0.0);
+    }
+
+    void
+    crashAgentAt(DcId dc)
+    {
+        ++result_.agentCrashes;
+        if (agentCrashed_[dc])
+            return;
+        agentCrashed_[dc] = 1;
+        dropThrottles(dc);
+    }
+
+    void
+    restartCrashedAgents(Seconds t)
+    {
+        for (DcId dc = 0; dc < n_; ++dc) {
+            if (!agentCrashed_[dc] ||
+                faults_.agentCrashedAt(static_cast<int>(dc), t))
+                continue;
+            agentCrashed_[dc] = 0;
+            rearmAgents(dc);
+        }
+    }
+
+    /** Plan and deploy fresh agents for @p belief. Crashed agents must
+     *  not re-throttle, so the redeploy (which installs fresh static
+     *  throttles for every DC) re-clears theirs. */
+    void
+    redeploy(const Matrix<Mbps> &belief)
+    {
+        plan_ = opts_.wanify->plan(belief, opts_.skewWeights);
+        deployment_ = opts_.wanify->deploy(sim_, plan_, belief);
+        rearmAgents();
+        for (DcId dc = 0; dc < n_; ++dc)
+            if (agentCrashed_[dc])
+                dropThrottles(dc);
+        predicted_ = belief;
+    }
+
+    /** Fire every fault whose start lies in (faultCursor_, t], then
+     *  restart agents whose crash windows have closed. ProbeLoss /
+     *  GaugeTimeout have no edge action — retrainAndRedeploy() queries
+     *  their windows at gauge time. */
+    void
+    applyFaultsUpTo(Seconds t)
+    {
+        std::vector<std::size_t> started;
+        faults_.startsIn(faultCursor_, t, started);
+        for (std::size_t fi : started) {
+            const fault::FaultEvent &ev = faults_.events()[fi].ev;
+            ++result_.faultsInjected;
+            if (ev.kind == fault::FaultKind::DcBlackout)
+                ++result_.blackouts;
+            if (ev.kind == fault::FaultKind::AgentCrash)
+                crashAgentAt(static_cast<DcId>(ev.dc));
+            for (const TransferId id : exec_.killedBy(ev))
+                abortTransfer(id);
+        }
+        faultCursor_ = std::max(faultCursor_, t);
+        restartCrashedAgents(t);
+    }
+
+    // --- drift retraining (Section 3.3.4) ---------------------------------
+    /** Bytes each pending job transfer has moved so far, in pending()
+     *  order; a finished one's come from its completion record, which
+     *  the next clock pop routes. */
+    std::vector<Bytes>
+    jobBytesMoved() const
+    {
+        std::vector<Bytes> moved;
+        for (const auto &[id, t] : exec_.pending()) {
+            Bytes bytes = sim_.status(id).bytesMoved;
+            for (const net::CompletionRecord &rec : sim_.completions())
+                if (rec.id == id)
+                    bytes = rec.moved;
+            moved.push_back(bytes);
         }
         return moved;
     }
 
-    NetworkSim &sim_;
-    const scenario::DynamicsCursor &dynamics_;
-    const QueryExecution::Transfers &pending_;
-    Matrix<Bytes> &controlBytes_;
-    std::size_t n_;
-    Matrix<Bytes> probe_;
-    Matrix<Bytes> burstBefore_;
-    std::map<TransferId, Bytes> jobMoved_;
+    ControlProbe
+    openProbe() const
+    {
+        ControlProbe p{Matrix<Bytes>::square(n_, 0.0),
+                       dynamics_.activeBurstMoved(), jobBytesMoved()};
+        for (DcId i = 0; i < n_; ++i)
+            for (DcId j = 0; j < n_; ++j)
+                p.probe.at(i, j) = -sim_.pairBytes(i, j);
+        return p;
+    }
+
+    void
+    closeProbe(ControlProbe &p)
+    {
+        // Bursts settle their own bill via burstBytes when they stop;
+        // here only their in-window progress is netted out.
+        const Matrix<Bytes> burstAfter = dynamics_.activeBurstMoved();
+        for (DcId i = 0; i < n_; ++i)
+            for (DcId j = 0; j < n_; ++j)
+                p.probe.at(i, j) += sim_.pairBytes(i, j) -
+                                    (burstAfter.at(i, j) -
+                                     p.burstBefore.at(i, j));
+        const std::vector<Bytes> jobAfter = jobBytesMoved();
+        std::size_t k = 0;
+        for (const auto &[id, t] : exec_.pending()) {
+            p.probe.at(t.src, t.dst) -= jobAfter[k] - p.jobMoved[k];
+            ++k;
+        }
+        for (DcId i = 0; i < n_; ++i)
+            for (DcId j = 0; j < n_; ++j)
+                controlBytes_.at(i, j) += std::max(0.0, p.probe.at(i, j));
+    }
+
+    /**
+     * The online learning loop, run when the drift gauge fires under
+     * adaptOnDrift: clear the stale throttles, gauge the live network
+     * (snapshot + one epoch of stable mesh BW — this costs measurement
+     * time, as in the paper), convert the gauge into training rows,
+     * warm-start retrain the pinned model, then re-predict from a
+     * second out-of-sample gauge, re-plan, and redeploy fresh agents.
+     * A ControlProbe brackets the whole window so the probes bill to
+     * WANify's control plane, not the query.
+     */
+    void
+    retrainAndRedeploy()
+    {
+        fault::FaultKind gaugeKind = fault::FaultKind::ProbeLoss;
+        if (faults_.gaugeFaultAt(sim_.now(), &gaugeKind)) {
+            replanOnGaugeFault(gaugeKind);
+            return;
+        }
+        deployment_.clear(sim_);
+        ControlProbe probe = openProbe();
+
+        // Gauge A: the stale model's error under current conditions,
+        // and the training rows.
+        const auto gaugeA = opts_.wanify->gaugeRuntime(sim_, rng_, *model_);
+        preErrSum_ += meanAbsOffDiag(gaugeA.predicted, gaugeA.stable);
+        const core::CollectedMesh mesh = gaugeA.mesh();
+        std::uint64_t retrainState =
+            runSeed_ ^ (0x9e3779b97f4a7c15ULL * (result_.retrainsApplied + 1));
+        const std::uint64_t retrainSeed = splitmix64(retrainState);
+        const ml::Dataset *trainingRows = &gaugedRows_;
+        if (opts_.campaign != nullptr) {
+            // Cross-run campaign: the gauge joins the shared
+            // incremental dataset and the warm start learns from every
+            // run's gauges.
+            opts_.campaign->absorb(topo_, {mesh}, retrainSeed);
+            trainingRows = &opts_.campaign->incremental();
+        } else {
+            core::BandwidthAnalyzer::appendRows(gaugedRows_, topo_, mesh, rng_);
+        }
+
+        // Warm-start retrain the pinned lineage; publishing (opt-in)
+        // atomically swaps the facade's model for future runs. The
+        // wall time is real control-plane stall (the query waits to
+        // re-plan), reported per retrain so benches can show what
+        // adapting costs.
+        const auto retrainT0 = std::chrono::steady_clock::now();
+        model_ = opts_.wanify->retrain(*trainingRows, retrainSeed, model_,
+                                       opts_.publishRetrainedModel);
+        const double retrainSecs = std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - retrainT0).count();
+        result_.retrainLatencies.push_back(retrainSecs);
+        result_.retrainCpuSeconds += retrainSecs;
+
+        // Gauge B: fresh snapshot + stable mesh, out-of-sample for the
+        // new trees — the post-retrain error, and the matrix the
+        // redeployment plans from.
+        const auto gaugeB = opts_.wanify->gaugeRuntime(sim_, rng_, *model_);
+        postErrSum_ += meanAbsOffDiag(gaugeB.predicted, gaugeB.stable);
+        ++result_.retrainsApplied;
+        redeploy(gaugeB.predicted);
+        // The probe settles its control-plane bill before any
+        // re-planned transfer starts; a transfer opened inside the
+        // window would otherwise be misread as probe traffic.
+        closeProbe(probe);
+        trend_.record(sim_.now(), predicted_);
+        // A gauge landed: the predictor proved itself, so the
+        // degradation ladder steps one rung back up (a fault-free run
+        // never left the Model rung).
+        if (health_.recordSuccess())
+            notePredictorMode();
+
+        // Incremental re-plan: stop what is still in flight, re-place
+        // only the undelivered bytes under the retrained belief
+        // (warm-started from this stage's previous plan), and restart.
+        // Delivered bytes stay where they landed; the effective
+        // assignment matrix is updated so the compute phase and the
+        // next stage's input see the true landing spots.
+        if (!opts_.forecast.enabled)
+            return;
+        const std::vector<Bytes> residual = exec_.stopInFlight(sim_);
+        if (std::any_of(residual.begin(), residual.end(),
+                        [](Bytes b) { return b > 0.0; }))
+            exec_.launch(
+                exec_.place(scheduler_,
+                            exec_.context(residual, opts_.schedulerBw),
+                            buildForecast(), sim_.now()),
+                [this](DcId i, DcId j, Bytes b) {
+                    startShuffleTransfer(i, j, b);
+                });
+    }
+
+    /**
+     * The gauge never lands: no training rows, no fresh prediction. A
+     * hung probe (GaugeTimeout) still costs the measurement epoch; a
+     * fast error (ProbeLoss) does not. Step the health ladder down and
+     * re-plan from the best belief the ladder still allows — trend
+     * extrapolation, then the static a-priori matrix.
+     */
+    void
+    replanOnGaugeFault(fault::FaultKind kind)
+    {
+        ++result_.gaugeFaults;
+        if (kind == fault::FaultKind::GaugeTimeout)
+            sim_.runUntilAllComplete(sim_.now() + epoch_);
+        if (health_.recordFailure())
+            notePredictorMode();
+        Matrix<Mbps> belief;
+        if (health_.mode() == fault::PredictorMode::Trend &&
+            trend_.size() > 0) {
+            belief = trend_.extrapolateAt(sim_.now());
+            ++result_.trendPlans;
+        } else {
+            belief = opts_.schedulerBw;
+            ++result_.staticPlans;
+        }
+        // Sanitize: the ladder exists precisely because bad data shows
+        // up on this path.
+        for (DcId i = 0; i < n_; ++i)
+            for (DcId j = 0; j < n_; ++j)
+                if (!std::isfinite(belief.at(i, j)) || belief.at(i, j) < 0.0)
+                    belief.at(i, j) = opts_.schedulerBw.at(i, j);
+        deployment_.clear(sim_);
+        redeploy(belief);
+        // Do not trend_.record(): feeding extrapolations back into the
+        // trend would let the ladder hallucinate.
+    }
+
+    // --- stage phases ------------------------------------------------------
+    /** Bill finished or stopped transfer @p t to the stage. Min pair
+     *  BW is the paper's "minimum BW of the cluster": the slowest
+     *  pair's average achieved rate over its active period. */
+    void
+    accountTransfer(const ShuffleTransfer &t)
+    {
+        const Seconds active = std::max(1.0e-6, t.done - shuffleStart_);
+        stage_.wanBytes += t.bytes;
+        if (t.bytes >= kMinAccountedBytes)
+            foldMin(stage_.minPairBw, units::rateFor(t.bytes, active));
+    }
+
+    /** A finished transfer is accounted as its completion is routed. */
+    void
+    routeCompletions()
+    {
+        for (const net::CompletionRecord &rec : sim_.drainCompletions())
+            if (const auto t = exec_.complete(rec))
+                accountTransfer(*t);
+    }
+
+    /** Place the stage, start its transfers, and pop the event clock
+     *  until they (and every queued retry) are done or the stage guard
+     *  cuts them. */
+    void
+    shuffle()
+    {
+        retries_.clear();
+        clock_.clear();
+        // Faults due before the shuffle opens (e.g. a crash during the
+        // previous compute phase's tail) take effect now, so placement
+        // and the blackout check see the true fault state.
+        applyFaultsUpTo(sim_.now());
+        exec_.beginShuffle(
+            exec_.place(scheduler_,
+                        exec_.context(exec_.stageInput(), opts_.schedulerBw),
+                        buildForecast(), sim_.now()),
+            sim_.now(),
+            [this](DcId i, DcId j, Bytes b) { startShuffleTransfer(i, j, b); });
+        rearmAgents();
+
+        shuffleStart_ = sim_.now();
+        const Seconds guardEnd = shuffleStart_ + opts_.maxStageSeconds;
+        clock_.push(guardEnd, ClockEventKind::StageGuard);
+        clock_.push(shuffleStart_ + epoch_, ClockEventKind::EpochTick);
+        scheduleChangePoints(shuffleStart_, guardEnd);
+        // Fault starts and window-clear instants are first-class
+        // events: recovery must not wait for the epoch grid.
+        std::vector<Seconds> faultEdges;
+        faults_.edgesIn(shuffleStart_, guardEnd, faultEdges);
+        for (const Seconds t : faultEdges)
+            clock_.push(t, ClockEventKind::FaultEdge);
+
+        while (!sim_.allTransfersDone() || !retries_.empty()) {
+            if (clock_.empty())
+                panic("engine: event clock ran dry before the guard");
+            const ClockEvent ev = clock_.pop();
+            // Stale events (a retrain consumed simulated time past
+            // them) make this a no-op; the handler below then applies
+            // dynamics at now() rather than rewinding to ev.time.
+            sim_.runUntilAllComplete(ev.time);
+            routeCompletions();
+            if (sim_.allTransfersDone() && retries_.empty())
+                break;
+            if (sim_.allTransfersDone() && ev.time > sim_.now()) {
+                // Nothing in flight but retries are waiting out their
+                // backoff: runUntilAllComplete returns without moving
+                // an idle sim, so idle-wait explicitly.
+                sim_.advanceBy(ev.time - sim_.now());
+            }
+            if (ev.kind == ClockEventKind::StageGuard) {
+                logging::warn("stage '" + stage_.name +
+                              "' hit the per-stage guard");
+                // Abort stragglers so they cannot leak into later
+                // stages; they are billed as if finishing now. Queued
+                // retries die with the stage — their bytes already
+                // left the assignment.
+                exec_.abandon(sim_);
+                retries_.clear();
+                break;
+            }
+            if (ev.kind == ClockEventKind::EpochTick) {
+                onEpochTick(ev.time);
+                continue;
+            }
+            // A dynamics edge, fault edge, or retry deadline at its
+            // true instant: install the new conditions (and open/close
+            // bursts) mid-epoch, then fire the faults and launch the
+            // due retries. When a dynamics edge coincides with a tick,
+            // the tick pops first (kind order) and this is an
+            // idempotent no-op.
+            dynamics_.advanceTo(sim_.now());
+            if (ev.kind == ClockEventKind::FaultEdge)
+                applyFaultsUpTo(sim_.now());
+            if (ev.kind == ClockEventKind::FaultEdge ||
+                ev.kind == ClockEventKind::RetryDue)
+                startDueRetries();
+        }
+        // The last transfers may have finished inside a retrain
+        // window, after the last pop.
+        routeCompletions();
+        // Transfers stopped mid-stage (the delivered part of an abort
+        // or an incremental re-plan, or a guard cut whole) are real
+        // WAN traffic of this stage.
+        for (const ShuffleTransfer &t : exec_.retired())
+            accountTransfer(t);
+        stage_.transferEnd = sim_.now();
+        foldMin(result_.minObservedBw, stage_.minPairBw);
+    }
+
+    /** The AIMD epoch tick due at @p tick: fire due faults, wake the
+     *  live agents, check the drift gauge, and schedule the next tick
+     *  one epoch on (from the retrain's end when one ran). */
+    void
+    onEpochTick(Seconds tick)
+    {
+        applyFaultsUpTo(sim_.now());
+        for (auto &agent : deployment_.agents)
+            if (!agentCrashed_[agent->sourceDc()])
+                agent->onEpoch();
+        dynamics_.advanceTo(sim_.now());
+
+        // Out-of-date model detection (Section 3.3.4): the shared
+        // capacity-factor gauge (core/drift.hh) stands in for the
+        // paper's re-measurement on the monitoring plane. It is quiet
+        // under stationary noise and WANify's own throttling, and fires
+        // when the scenario moves capacity away from the calibration.
+        if (opts_.wanify != nullptr) {
+            drift_.observe(sim_);
+            result_.driftObservations += drift_.meshSize();
+            result_.driftErrorFraction = std::max(
+                result_.driftErrorFraction, drift_.errorFraction());
+            if (drift_.needsRetraining()) {
+                ++result_.retrainTriggers;
+                if (opts_.adaptOnDrift &&
+                    !opts_.predictedBwOverride.has_value() &&
+                    model_ != nullptr && model_->trained()) {
+                    retrainAndRedeploy();
+                    tick = sim_.now();
+                }
+                // With or without the adaptive path, the model now counts
+                // as recalibrated on current conditions.
+                drift_.rebase(sim_);
+            }
+        }
+        // A retrain may have consumed time past queued retry
+        // deadlines; launch the stale ones now.
+        startDueRetries();
+        clock_.push(tick + epoch_, ClockEventKind::EpochTick);
+    }
+
+    /** Step through the stage's compute phase. */
+    void
+    compute()
+    {
+        const Seconds stageEnd = exec_.computeEnd(sim_.now());
+        // Step through the window's burst edges so flash crowds open
+        // and close at their true instants even though the job itself
+        // moves no bytes here. Factor edges only matter mid-compute
+        // while burst flows are live; with an idle mesh they are
+        // batched to the phase end, which saves advanceBy splits on
+        // burst-free windows.
+        clock_.clear();
+        scheduleChangePoints(sim_.now(), stageEnd);
+        while (!clock_.empty()) {
+            const ClockEvent ev = clock_.pop();
+            if (ev.kind == ClockEventKind::DynamicsChange &&
+                sim_.activeTransferCount() == 0)
+                continue;
+            if (ev.time > sim_.now())
+                sim_.advanceBy(ev.time - sim_.now());
+            dynamics_.advanceTo(sim_.now());
+        }
+        if (stageEnd > sim_.now())
+            sim_.advanceBy(stageEnd - sim_.now());
+        // Keep the scenario clock current through the compute phase so
+        // the next stage's shuffle starts under the right conditions.
+        dynamics_.advanceTo(sim_.now());
+        // Crashes and recoveries during the compute phase land here;
+        // transfer-killing faults are no-ops (everything delivered).
+        applyFaultsUpTo(sim_.now());
+        stage_.end = sim_.now();
+    }
+
+    /** Close the run and price the query: latency, the WAN bytes it
+     *  moved per pair, and the cost they add up to. */
+    void
+    bill()
+    {
+        if (opts_.wanify != nullptr)
+            deployment_.clear(sim_);
+        dynamics_.finish();
+
+        result_.latency = sim_.now() - jobStart_;
+        result_.wanBytesByPair = Matrix<Bytes>::square(n_, 0.0);
+        for (DcId i = 0; i < n_; ++i) {
+            for (DcId j = 0; j < n_; ++j) {
+                if (i == j)
+                    continue;
+                // Flash-crowd bursts are other tenants' data and the
+                // retrain probes are WANify's control plane: neither
+                // is billed to the query.
+                result_.wanBytesByPair.at(i, j) = std::max(
+                    0.0, sim_.pairBytes(i, j) - bytesAtStart_.at(i, j) -
+                             dynamics_.burstBytes().at(i, j) -
+                             controlBytes_.at(i, j));
+            }
+        }
+        const cost::CostModel costModel(topo_);
+        result_.cost = costModel.queryCost(
+            result_.latency, result_.wanBytesByPair,
+            units::toGigabytes(job_.inputBytes));
+        if (result_.retrainsApplied > 0) {
+            result_.preRetrainError =
+                preErrSum_ / static_cast<double>(result_.retrainsApplied);
+            result_.postRetrainError =
+                postErrSum_ / static_cast<double>(result_.retrainsApplied);
+        }
+    }
+
+    const net::Topology &topo_;
+    const JobSpec &job_;
+    Scheduler &scheduler_;
+    const RunOptions &opts_;
+    const std::size_t n_ = topo_.dcCount();
+    const std::uint64_t runSeed_;
+    NetworkSim sim_;
+    Rng rng_{runSeed_ ^ 0xc0ffee};
+    scenario::DynamicsCursor dynamics_{opts_.dynamics, sim_};
+    const fault::FaultPlan &faults_ =
+        resolveFaultPlan(opts_.faults, opts_.dynamics, n_, "Engine::run");
+    QueryExecution exec_;
+    /** One clock for the whole run: its seq counter keeps running
+     *  across clear(), which fixes the pop order of equal events. */
+    EventClock clock_;
+    std::vector<RetryItem> retries_;
+
+    core::GlobalPlan plan_;
+    core::Wanify::Deployment deployment_;
+    Matrix<Mbps> predicted_;
+    Seconds epoch_ = 1.0;
+    std::shared_ptr<const core::RuntimeBwPredictor> model_;
+    core::CapacityDriftGauge drift_{opts_.wanify != nullptr
+                                        ? opts_.wanify->config().drift
+                                        : core::DriftConfig{},
+                                    n_};
+    core::GaugeTrend trend_;
+    fault::PredictorHealth health_{opts_.predictorHealth};
+    std::vector<char> agentCrashed_ = std::vector<char>(n_, 0);
+    Seconds faultCursor_ = -1.0;
+    std::uint64_t retryRngState_ = runSeed_ ^ 0xfa177e7ULL;
+
+    /** Training rows gauged at runtime accumulate across this run's
+     *  retrains (Section 3.3.4: "the additionally collected samples");
+     *  each warm start trains its extra trees on the union so far. */
+    ml::Dataset gaugedRows_{monitor::kFeatureCount, 1};
+    double preErrSum_ = 0.0, postErrSum_ = 0.0;
+
+    QueryResult result_;
+    Seconds jobStart_ = 0.0;
+    Matrix<Bytes> bytesAtStart_ = Matrix<Bytes>::square(n_, 0.0);
+    /** WANify's own mid-run re-measurement probes are control-plane
+     *  traffic: collected here and excluded from the query's bill,
+     *  like the initial snapshot (measured before bytesAtStart_) and
+     *  flash-crowd bursts. */
+    Matrix<Bytes> controlBytes_ = Matrix<Bytes>::square(n_, 0.0);
+    StageResult stage_;
+    Seconds shuffleStart_ = 0.0;
 };
 
 } // namespace
@@ -155,652 +857,9 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
     if (opts.schedulerBw.rows() != n || opts.schedulerBw.cols() != n)
         fatal("Engine::run: scheduler BW matrix shape mismatch");
 
-    std::uint64_t runSeed = seed_ + 0x9e37 * (++runCounter_);
-    NetworkSim sim(topo_, simCfg_, runSeed);
-    Rng rng(runSeed ^ 0xc0ffee);
-
-    // Scenario time zero is job start: install initial conditions
-    // before WANify snapshots the network, so prediction and planning
-    // see the scenario's opening state.
-    scenario::DynamicsCursor dynamics(opts.dynamics, sim);
-    dynamics.advanceTo(sim.now());
-
-    // --- WANify deployment (Section 4.1) ---------------------------------
-    core::GlobalPlan plan;
-    core::Wanify::Deployment deployment;
-    auto &agents = deployment.agents;
-    Matrix<Mbps> predicted;
-    Seconds epoch = 1.0;
-    // The run pins one predictor snapshot up front: retrains by
-    // concurrent trials may swap the facade's published model at any
-    // time, but this run's predictions (and its own warm starts)
-    // evolve only from the pinned lineage, keeping every trial
-    // deterministic in its seed alone.
-    std::shared_ptr<const core::RuntimeBwPredictor> model;
-    if (opts.wanify != nullptr) {
-        model = opts.wanify->predictorSnapshot();
-        if (opts.predictedBwOverride.has_value()) {
-            predicted = *opts.predictedBwOverride;
-        } else {
-            if (model == nullptr || !model->trained())
-                fatal("Engine::run: WANify predictor not trained");
-            predicted = opts.wanify->predictRuntimeBw(sim, rng,
-                                                      *model);
-        }
-        plan = opts.wanify->plan(predicted, opts.skewWeights);
-        deployment = opts.wanify->deploy(sim, plan, predicted);
-        epoch = opts.wanify->config().aimd.epoch;
-    }
-
-    // Out-of-date model detection (Section 3.3.4): the paper
-    // intermittently compares predicted BWs against observed runtime
-    // values on the monitoring plane. The simulator's stand-in for
-    // that re-measurement is the shared capacity-factor gauge
-    // (core/drift.hh): quiet under stationary noise and WANify's own
-    // throttling, firing when the scenario moves real capacity away
-    // from what the model was calibrated on.
-    core::CapacityDriftGauge drift(
-        opts.wanify != nullptr ? opts.wanify->config().drift
-                               : core::DriftConfig{},
-        n);
-    drift.rebase(sim);
-
-    auto connectionsFor = [&](DcId i, DcId j) -> int {
-        if (!agents.empty())
-            return 1; // agents overwrite via applyTargets()
-        if (opts.wanify != nullptr &&
-            opts.wanify->config().features.globalOptimization) {
-            // Global-only ablation: fixed at the plan's maximum.
-            return plan.maxCons.at(i, j);
-        }
-        if (!opts.staticConnections.empty())
-            return std::max(1, opts.staticConnections.at(i, j));
-        return 1;
-    };
-
-    QueryResult result;
-    result.wanBytesByPair = Matrix<Bytes>::square(n, 0.0);
-    Matrix<Bytes> bytesAtStart = Matrix<Bytes>::square(n, 0.0);
-    for (DcId i = 0; i < n; ++i)
-        for (DcId j = 0; j < n; ++j)
-            bytesAtStart.at(i, j) = sim.pairBytes(i, j);
-
-    // WANify's own mid-run re-measurement probes (retrain path) are
-    // control-plane traffic: collected here and excluded from the
-    // query's bill, consistent with the initial snapshot (measured
-    // before bytesAtStart) and with flash-crowd bursts.
-    Matrix<Bytes> controlBytes = Matrix<Bytes>::square(n, 0.0);
-
-    // Training rows gauged at runtime accumulate across this run's
-    // retrains (Section 3.3.4: "the additionally collected samples");
-    // each warm start trains its extra trees on the union so far.
-    ml::Dataset gaugedRows(monitor::kFeatureCount, 1);
-    double preErrSum = 0.0, postErrSum = 0.0;
-
-    const Seconds jobStart = sim.now();
-
-    // --- fault injection & recovery state ----------------------------
-    // Every run holds a plan; a fault-free run's is empty, so the
-    // recovery lambdas below find no work, the retry queue stays
-    // empty and the stage loop schedules no fault edges.
-    const fault::FaultPlan &faults =
-        resolveFaultPlan(opts.faults, opts.dynamics, n, "Engine::run");
-    fault::PredictorHealth health(opts.predictorHealth);
-    std::vector<char> agentCrashed(n, 0);
-    Seconds faultCursor = -1.0;
-    std::uint64_t retryRngState = runSeed ^ 0xfa177e7ULL;
-    auto notePredictorMode = [&]() {
-        ++result.predictorModeSwitches;
-        result.worstPredictorMode =
-            std::max(result.worstPredictorMode,
-                     static_cast<int>(health.mode()));
-    };
-
-    // The query's stage state (input, assignment, in-flight and retired
-    // transfers, warm-start plan memory) and the stage loop's clock,
-    // hoisted to run scope so the recovery lambdas and the retrain path
-    // share one view of the in-flight stage. The EventClock's seq
-    // counter keeps running across clear(), so hoisting it preserves
-    // the pre-fault pop order bit for bit.
-    QueryExecution exec(topo_, job, inputByDc);
-    EventClock clock;
-    std::vector<RetryItem> retries;
-
-    // Forecast-aware planning: the gauge trend backs deployed-mode
-    // forecasts when no dynamics timetable exists.
-    core::GaugeTrend trend;
-    if (opts.wanify != nullptr && !predicted.empty())
-        trend.record(sim.now(), predicted);
-    auto buildForecast = [&]() -> core::BwForecast {
-        if (!opts.forecast.enabled)
-            return {};
-        if (opts.dynamics != nullptr)
-            return scenario::forecastFromDynamics(
-                *opts.dynamics, opts.schedulerBw, sim.now(),
-                opts.forecast);
-        if (trend.ready())
-            return trend.forecast(sim.now(), opts.forecast.horizon,
-                                  opts.forecast.step);
-        return {};
-    };
-
-    // Wake the clock at the dynamics' change points in [t0, t1].
-    auto scheduleChangePoints = [&](Seconds t0, Seconds t1) {
-        if (opts.dynamics == nullptr)
-            return;
-        std::vector<scenario::ChangePoint> edges;
-        opts.dynamics->changePointsIn(t0, t1, edges);
-        for (const scenario::ChangePoint &cp : edges)
-            clock.push(cp.time, cp.kind == scenario::ChangeKind::Factor
-                                    ? ClockEventKind::DynamicsChange
-                                    : ClockEventKind::BurstEdge);
-    };
-
-    // --- fault recovery machinery ------------------------------------
-    auto queueRetry = [&](const RetryItem &item) {
-        result.backoffSeconds += item.due - sim.now();
-        retries.push_back(item);
-        clock.push(item.due, ClockEventKind::RetryDue);
-    };
-
-    // Start (or blackout-defer) one shuffle transfer whose bytes are
-    // already counted in the assignment. A pair that is dark right now
-    // holds its bytes back in the retry queue (and out of the
-    // assignment) until the blackout clears.
-    auto startShuffleTransfer = [&](DcId i, DcId j, Bytes bytes,
-                                    std::size_t attempt = 0) -> bool {
-        if (faults.pairBlackedOutAt(i, j, sim.now())) {
-            exec.assignment().at(i, j) -= bytes;
-            queueRetry({i, j, bytes, attempt,
-                        faults.blackoutClearTime(i, j, sim.now())});
-            return false;
-        }
-        exec.start(sim, i, j, bytes, connectionsFor(i, j), 0, attempt);
-        return true;
-    };
-
-    // A transfer that exhausted its retry budget re-places its
-    // undelivered bytes as a fresh residual placement with the dead
-    // pair's believed bandwidth floored, so the fraction search routes
-    // around it (the replan-of-undelivered-bytes path, alternate-path
-    // flavor). No warm-start memory: the penalized belief has a
-    // different shape than the stage's original plan.
-    auto replanResidual = [&](DcId src, DcId dst, Bytes bytes) {
-        ++result.faultReplans;
-        std::vector<Bytes> residual(n, 0.0);
-        residual[src] = bytes;
-        Matrix<Mbps> penalized = opts.schedulerBw;
-        penalized.at(src, dst) = core::BwForecast::kMinFeasibleMbps;
-        StageContext rctx = exec.context(residual, penalized);
-        rctx.memory = nullptr;
-        exec.launch(exec.place(scheduler, rctx, buildForecast(),
-                               sim.now()),
-                    startShuffleTransfer);
-    };
-
-    // Kill one in-flight transfer — its delivered part stays where it
-    // landed — and either queue a backed-off retry of the remainder or
-    // fall through to the residual replan.
-    auto abortTransfer = [&](TransferId id) {
-        const auto lost = exec.stop(sim, id, 1.0);
-        if (!lost)
-            return; // effectively delivered; completion handling owns it
-        ++result.transferAborts;
-        result.lostBytes += lost->bytes;
-        if (lost->attempt + 1 < opts.retry.maxAttempts) {
-            const Seconds due = faults.blackoutClearTime(
-                lost->src, lost->dst,
-                sim.now() + opts.retry.backoff(
-                                lost->attempt, splitmix64(retryRngState)));
-            queueRetry({lost->src, lost->dst, lost->bytes,
-                        lost->attempt + 1, due});
-        } else {
-            replanResidual(lost->src, lost->dst, lost->bytes);
-        }
-    };
-
-    // Launch every queued retry whose backoff has expired. A retry
-    // that finds its pair dark again nets back out of the assignment
-    // and re-queues with a later due time, so the index scan below
-    // never revisits it this pass.
-    auto startDueRetries = [&]() {
-        for (std::size_t k = 0; k < retries.size();) {
-            if (retries[k].due > sim.now() + 1.0e-9) {
-                ++k;
-                continue;
-            }
-            const RetryItem item = retries[k];
-            retries.erase(retries.begin() +
-                          static_cast<std::ptrdiff_t>(k));
-            exec.assignment().at(item.src, item.dst) += item.bytes;
-            if (startShuffleTransfer(item.src, item.dst, item.bytes,
-                                     item.attempt) &&
-                item.attempt > 0)
-                ++result.transferRetries;
-        }
-    };
-
-    // Re-arm the agents whose DC's agent is up (only DC @p only's when
-    // given): install their targets and start a fresh AIMD window.
-    auto rearmAgents = [&](std::optional<DcId> only = std::nullopt) {
-        for (auto &agent : agents) {
-            const DcId dc = agent->sourceDc();
-            if (agentCrashed[dc] || (only && dc != *only))
-                continue;
-            agent->applyTargets();
-            agent->resetWindow();
-        }
-    };
-    // A dead agent's throttles dissolve: its outgoing pairs fall back
-    // to unthrottled contention until it restarts.
-    auto dropThrottles = [&](DcId dc) {
-        for (DcId j = 0; j < n; ++j)
-            if (dc != j)
-                sim.setTcLimit(dc, j, 0.0);
-    };
-    auto crashAgentAt = [&](DcId dc) {
-        ++result.agentCrashes;
-        if (agentCrashed[dc])
-            return;
-        agentCrashed[dc] = 1;
-        dropThrottles(dc);
-    };
-    auto restartCrashedAgents = [&](Seconds t) {
-        for (DcId dc = 0; dc < n; ++dc) {
-            if (!agentCrashed[dc] ||
-                faults.agentCrashedAt(static_cast<int>(dc), t))
-                continue;
-            agentCrashed[dc] = 0;
-            rearmAgents(dc);
-        }
-    };
-    // Plan and deploy fresh agents for @p belief. Crashed agents must
-    // not re-throttle, so the redeploy (which installs fresh static
-    // throttles for every DC) re-clears theirs.
-    auto redeploy = [&](const Matrix<Mbps> &belief) {
-        plan = opts.wanify->plan(belief, opts.skewWeights);
-        deployment = opts.wanify->deploy(sim, plan, belief);
-        rearmAgents();
-        for (DcId dc = 0; dc < n; ++dc)
-            if (agentCrashed[dc])
-                dropThrottles(dc);
-        predicted = belief;
-    };
-
-    // Fire every fault whose start lies in (faultCursor, t], then
-    // restart agents whose crash windows have closed. ProbeLoss /
-    // GaugeTimeout have no edge action — the retrain path queries
-    // their windows at gauge time.
-    auto applyFaultsUpTo = [&](Seconds t) {
-        std::vector<std::size_t> started;
-        faults.startsIn(faultCursor, t, started);
-        for (std::size_t fi : started) {
-            const fault::FaultEvent &ev = faults.events()[fi].ev;
-            ++result.faultsInjected;
-            if (ev.kind == fault::FaultKind::DcBlackout)
-                ++result.blackouts;
-            if (ev.kind == fault::FaultKind::AgentCrash)
-                crashAgentAt(static_cast<DcId>(ev.dc));
-            for (const TransferId id : exec.killedBy(ev))
-                abortTransfer(id);
-        }
-        faultCursor = std::max(faultCursor, t);
-        restartCrashedAgents(t);
-    };
-
-    // The online learning loop (Section 3.3.4), invoked when the
-    // drift gauge fires under adaptOnDrift: clear the stale
-    // throttles, gauge the live network (snapshot + one epoch of
-    // stable mesh BW — this costs measurement time, as in the
-    // paper), convert the gauge into training rows, warm-start
-    // retrain the pinned model, then re-predict from a second
-    // out-of-sample gauge, re-plan, and redeploy fresh agents. The
-    // ControlProbe brackets the whole window so the probes bill to
-    // WANify's control plane, not the query.
-    auto retrainAndRedeploy =
-        [&](Seconds &nextEpoch) {
-            fault::FaultKind gaugeKind = fault::FaultKind::ProbeLoss;
-            if (faults.gaugeFaultAt(sim.now(), &gaugeKind)) {
-                // The gauge never lands: no training rows, no fresh
-                // prediction. A hung probe (GaugeTimeout) still costs
-                // the measurement epoch; a fast error (ProbeLoss)
-                // does not. Step the health ladder down and re-plan
-                // from the best belief the ladder still allows —
-                // trend extrapolation, then the static a-priori
-                // matrix.
-                ++result.gaugeFaults;
-                if (gaugeKind == fault::FaultKind::GaugeTimeout)
-                    sim.runUntilAllComplete(sim.now() + epoch);
-                if (health.recordFailure())
-                    notePredictorMode();
-                Matrix<Mbps> belief;
-                if (health.mode() == fault::PredictorMode::Trend &&
-                    trend.size() > 0) {
-                    belief = trend.extrapolateAt(sim.now());
-                    ++result.trendPlans;
-                } else {
-                    belief = opts.schedulerBw;
-                    ++result.staticPlans;
-                }
-                // Sanitize: the ladder exists precisely because bad
-                // data shows up on this path.
-                for (DcId i = 0; i < n; ++i)
-                    for (DcId j = 0; j < n; ++j)
-                        if (!std::isfinite(belief.at(i, j)) ||
-                            belief.at(i, j) < 0.0)
-                            belief.at(i, j) =
-                                opts.schedulerBw.at(i, j);
-                deployment.clear(sim);
-                redeploy(belief);
-                // Do not trend.record(): feeding extrapolations back
-                // into the trend would let the ladder hallucinate.
-                nextEpoch = sim.now();
-                return;
-            }
-            // Scoped so the probe settles its control-plane bill
-            // before any re-planned transfer starts; a transfer
-            // opened inside the window would otherwise be misread
-            // as probe traffic.
-            {
-            deployment.clear(sim);
-            const ControlProbe probe(sim, dynamics, exec.pending(),
-                                     controlBytes);
-
-            // Gauge A: the stale model's error under current
-            // conditions, and the training rows.
-            const auto gaugeA =
-                opts.wanify->gaugeRuntime(sim, rng, *model);
-            preErrSum +=
-                meanAbsOffDiag(gaugeA.predicted, gaugeA.stable);
-            const core::CollectedMesh mesh = gaugeA.mesh();
-            std::uint64_t retrainState =
-                runSeed ^ (0x9e3779b97f4a7c15ULL *
-                           (result.retrainsApplied + 1));
-            const std::uint64_t retrainSeed =
-                splitmix64(retrainState);
-            const ml::Dataset *trainingRows;
-            if (opts.campaign != nullptr) {
-                // Cross-run campaign: the gauge joins the shared
-                // incremental dataset and the warm start learns from
-                // every run's gauges.
-                opts.campaign->absorb(topo_, {mesh}, retrainSeed);
-                trainingRows = &opts.campaign->incremental();
-            } else {
-                core::BandwidthAnalyzer::appendRows(gaugedRows,
-                                                    topo_, mesh,
-                                                    rng);
-                trainingRows = &gaugedRows;
-            }
-
-            // Warm-start retrain the pinned lineage; publishing
-            // (opt-in) atomically swaps the facade's model for
-            // future runs. The wall time is real control-plane
-            // stall (the query waits to re-plan), reported per
-            // retrain so benches can show what adapting costs.
-            const auto retrainT0 =
-                std::chrono::steady_clock::now();
-            model = opts.wanify->retrain(
-                *trainingRows, retrainSeed, model,
-                opts.publishRetrainedModel);
-            const double retrainSecs =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - retrainT0)
-                    .count();
-            result.retrainLatencies.push_back(retrainSecs);
-            result.retrainCpuSeconds += retrainSecs;
-
-            // Gauge B: fresh snapshot + stable mesh, out-of-sample
-            // for the new trees — the post-retrain error, and the
-            // matrix the redeployment plans from.
-            const auto gaugeB =
-                opts.wanify->gaugeRuntime(sim, rng, *model);
-            postErrSum +=
-                meanAbsOffDiag(gaugeB.predicted, gaugeB.stable);
-            ++result.retrainsApplied;
-            redeploy(gaugeB.predicted);
-            }
-            trend.record(sim.now(), predicted);
-            // A gauge landed: the predictor proved itself, so the
-            // degradation ladder steps one rung back up (a fault-free
-            // run never left the Model rung).
-            if (health.recordSuccess())
-                notePredictorMode();
-
-            // Incremental re-plan: stop what is still in flight,
-            // re-place only the undelivered bytes under the
-            // retrained belief (warm-started from this stage's
-            // previous plan), and restart. Delivered bytes stay
-            // where they landed; the effective assignment matrix is
-            // updated so the compute phase and the next stage's
-            // input see the true landing spots.
-            if (opts.forecast.enabled) {
-                const std::vector<Bytes> residual =
-                    exec.stopInFlight(sim);
-                if (std::any_of(residual.begin(), residual.end(),
-                                [](Bytes b) { return b > 0.0; }))
-                    exec.launch(
-                        exec.place(scheduler,
-                                   exec.context(residual,
-                                                opts.schedulerBw),
-                                   buildForecast(), sim.now()),
-                        startShuffleTransfer);
-            }
-            nextEpoch = sim.now();
-        };
-
-    for (; !exec.done(); exec.nextStage()) {
-        const StageSpec &spec = exec.stageSpec();
-        StageResult stageResult;
-        stageResult.name = spec.name;
-        stageResult.start = sim.now();
-
-        retries.clear();
-        clock.clear();
-        // Faults due before the shuffle opens (e.g. a crash during the
-        // previous compute phase's tail) take effect now, so placement
-        // and the blackout check below see the true fault state.
-        applyFaultsUpTo(sim.now());
-
-        // --- shuffle phase ------------------------------------------------
-        exec.beginShuffle(
-            exec.place(scheduler,
-                       exec.context(exec.stageInput(), opts.schedulerBw),
-                       buildForecast(), sim.now()),
-            sim.now(), startShuffleTransfer);
-        rearmAgents();
-
-        const Seconds shuffleStart = sim.now();
-        const Seconds guardEnd = shuffleStart + opts.maxStageSeconds;
-
-        clock.push(guardEnd, ClockEventKind::StageGuard);
-        clock.push(shuffleStart + epoch, ClockEventKind::EpochTick);
-        scheduleChangePoints(shuffleStart, guardEnd);
-        // Fault starts and window-clear instants are first-class
-        // events: recovery must not wait for the epoch grid.
-        std::vector<Seconds> faultEdges;
-        faults.edgesIn(shuffleStart, guardEnd, faultEdges);
-        for (const Seconds t : faultEdges)
-            clock.push(t, ClockEventKind::FaultEdge);
-
-        // Min pair BW: the paper's "minimum BW of the cluster" — the
-        // slowest pair's average achieved rate over its active period.
-        Mbps minPairBw = 0.0;
-        auto accountTransfer = [&](const ShuffleTransfer &t) {
-            stageResult.wanBytes += t.bytes;
-            if (t.bytes >= kMinAccountedBytes) {
-                const Seconds duration =
-                    std::max(1.0e-6, t.done - shuffleStart);
-                const Mbps avg = units::rateFor(t.bytes, duration);
-                minPairBw = minPairBw == 0.0
-                                ? avg
-                                : std::min(minPairBw, avg);
-            }
-        };
-        // A finished transfer is accounted as its completion is routed.
-        auto routeCompletions = [&]() {
-            for (const net::CompletionRecord &rec :
-                 sim.drainCompletions())
-                if (const auto t = exec.complete(rec))
-                    accountTransfer(*t);
-        };
-
-        while (!sim.allTransfersDone() || !retries.empty()) {
-            if (clock.empty())
-                panic("engine: event clock ran dry before the guard");
-            const ClockEvent ev = clock.pop();
-            // Stale events (a retrain consumed simulated time past
-            // them) make this a no-op; the handler below then applies
-            // dynamics at now() rather than rewinding to ev.time.
-            sim.runUntilAllComplete(ev.time);
-            routeCompletions();
-            if (sim.allTransfersDone() && retries.empty())
-                break;
-            if (sim.allTransfersDone() && ev.time > sim.now()) {
-                // Nothing in flight but retries are waiting out their
-                // backoff: runUntilAllComplete returns without moving
-                // an idle sim, so idle-wait explicitly.
-                sim.advanceBy(ev.time - sim.now());
-            }
-            if (ev.kind == ClockEventKind::StageGuard) {
-                logging::warn("stage '" + spec.name +
-                              "' hit the per-stage guard");
-                // Abort stragglers so they cannot leak into later
-                // stages; they are billed as if finishing now.
-                // Queued retries die with the stage — their bytes
-                // already left the assignment.
-                exec.abandon(sim);
-                retries.clear();
-                break;
-            }
-            if (ev.kind != ClockEventKind::EpochTick) {
-                // A dynamics edge, fault edge, or retry deadline at its
-                // true instant: install the new conditions (and
-                // open/close bursts) mid-epoch, then fire the faults
-                // and launch the due retries. When a dynamics edge
-                // coincides with a tick, the tick pops first (kind
-                // order) and this is an idempotent no-op.
-                dynamics.advanceTo(sim.now());
-                if (ev.kind == ClockEventKind::FaultEdge)
-                    applyFaultsUpTo(sim.now());
-                if (ev.kind == ClockEventKind::FaultEdge ||
-                    ev.kind == ClockEventKind::RetryDue)
-                    startDueRetries();
-                continue;
-            }
-            Seconds tickBase = ev.time;
-            applyFaultsUpTo(sim.now());
-            for (auto &agent : agents) {
-                if (agentCrashed[agent->sourceDc()])
-                    continue;
-                agent->onEpoch();
-            }
-            dynamics.advanceTo(sim.now());
-
-            if (opts.wanify != nullptr) {
-                drift.observe(sim);
-                result.driftObservations += drift.meshSize();
-                result.driftErrorFraction =
-                    std::max(result.driftErrorFraction,
-                             drift.errorFraction());
-                if (drift.needsRetraining()) {
-                    ++result.retrainTriggers;
-                    if (opts.adaptOnDrift &&
-                        !opts.predictedBwOverride.has_value() &&
-                        model != nullptr && model->trained()) {
-                        retrainAndRedeploy(tickBase);
-                    }
-                    // With or without the adaptive path, the model
-                    // is considered recalibrated on current
-                    // conditions from here.
-                    drift.rebase(sim);
-                }
-            }
-            // A retrain may have consumed time past queued retry
-            // deadlines; launch the stale ones now.
-            startDueRetries();
-            clock.push(tickBase + epoch, ClockEventKind::EpochTick);
-        }
-        // The last transfers may have finished inside a retrain
-        // window, after the last pop.
-        routeCompletions();
-        // Transfers stopped mid-stage (the delivered part of an abort
-        // or an incremental re-plan, or a guard cut whole) are real
-        // WAN traffic of this stage.
-        for (const ShuffleTransfer &t : exec.retired())
-            accountTransfer(t);
-        stageResult.minPairBw = minPairBw;
-        stageResult.transferEnd = sim.now();
-        if (minPairBw > 0.0) {
-            result.minObservedBw =
-                result.minObservedBw == 0.0
-                    ? minPairBw
-                    : std::min(result.minObservedBw, minPairBw);
-        }
-
-        // --- compute phase ------------------------------------------------
-        const Seconds stageEnd = exec.computeEnd(sim.now());
-        // Step through the window's burst edges so flash crowds open
-        // and close at their true instants even though the job itself
-        // moves no bytes here. Factor edges only matter mid-compute
-        // while burst flows are live; with an idle mesh they are
-        // batched to the phase end, which saves advanceBy splits on
-        // burst-free windows.
-        clock.clear();
-        scheduleChangePoints(sim.now(), stageEnd);
-        while (!clock.empty()) {
-            const ClockEvent ev = clock.pop();
-            if (ev.kind == ClockEventKind::DynamicsChange &&
-                sim.activeTransferCount() == 0)
-                continue;
-            if (ev.time > sim.now())
-                sim.advanceBy(ev.time - sim.now());
-            dynamics.advanceTo(sim.now());
-        }
-        if (stageEnd > sim.now())
-            sim.advanceBy(stageEnd - sim.now());
-        // Keep the scenario clock current through the compute phase
-        // so the next stage's shuffle starts under the right
-        // conditions.
-        dynamics.advanceTo(sim.now());
-        // Crashes and recoveries during the compute phase land here;
-        // transfer-killing faults are no-ops (everything delivered).
-        applyFaultsUpTo(sim.now());
-        stageResult.end = sim.now();
-
-        result.stages.push_back(stageResult);
-    }
-
-    if (opts.wanify != nullptr)
-        deployment.clear(sim);
-    dynamics.finish();
-
-    result.latency = sim.now() - jobStart;
-    for (DcId i = 0; i < n; ++i) {
-        for (DcId j = 0; j < n; ++j) {
-            if (i == j)
-                continue;
-            // Flash-crowd bursts are other tenants' data and the
-            // retrain probes are WANify's control plane: neither is
-            // billed to the query.
-            result.wanBytesByPair.at(i, j) = std::max(
-                0.0, sim.pairBytes(i, j) - bytesAtStart.at(i, j) -
-                         dynamics.burstBytes().at(i, j) -
-                         controlBytes.at(i, j));
-        }
-    }
-
-    const cost::CostModel costModel(topo_);
-    result.cost = costModel.queryCost(
-        result.latency, result.wanBytesByPair,
-        units::toGigabytes(job.inputBytes));
-
-    if (result.retrainsApplied > 0) {
-        result.preRetrainError =
-            preErrSum / static_cast<double>(result.retrainsApplied);
-        result.postRetrainError =
-            postErrSum / static_cast<double>(result.retrainsApplied);
-    }
-    return result;
+    const std::uint64_t runSeed = seed_ + 0x9e37 * (++runCounter_);
+    return QueryRun(topo_, simCfg_, runSeed, job, inputByDc, scheduler, opts)
+        .run();
 }
 
 } // namespace gda
