@@ -155,12 +155,6 @@ BandwidthAnalyzer::absorb(const net::Topology &topo,
     return incremental_.size() - before;
 }
 
-void
-BandwidthAnalyzer::clearIncremental()
-{
-    incremental_ = ml::Dataset(monitor::kFeatureCount, 1);
-}
-
 ml::Dataset
 BandwidthAnalyzer::collect(std::uint64_t seed)
 {

@@ -148,9 +148,6 @@ class BandwidthAnalyzer
     /** The growing mid-run dataset (empty until absorb() is called). */
     const ml::Dataset &incremental() const { return incremental_; }
 
-    /** Drop the accumulated mid-run samples. */
-    void clearIncremental();
-
     const AnalyzerConfig &config() const { return config_; }
 
   private:

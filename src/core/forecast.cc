@@ -96,15 +96,6 @@ BwForecast::transferTime(net::DcId i, net::DcId j, Bytes bytes,
     }
 }
 
-double
-BwForecast::meshMeanAt(Seconds t) const
-{
-    const Matrix<Mbps> &m = matrixAt(t);
-    if (m.rows() < 2)
-        return m.at(0, 0);
-    return m.offDiagonalMean();
-}
-
 GaugeTrend::GaugeTrend(std::size_t maxPoints) : maxPoints_(maxPoints)
 {
     if (maxPoints_ < 2)

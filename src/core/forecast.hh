@@ -116,9 +116,6 @@ class BwForecast
     Seconds transferTime(net::DcId i, net::DcId j, Bytes bytes,
                          double share, Seconds start) const;
 
-    /** Mean off-diagonal bandwidth at time @p t (admission signal). */
-    double meshMeanAt(Seconds t) const;
-
   private:
     std::size_t segmentFor(Seconds t) const;
 

@@ -9,12 +9,6 @@ namespace wanify {
 namespace core {
 
 Matrix<double>
-identityRvec(std::size_t n)
-{
-    return Matrix<double>::square(n, 1.0);
-}
-
-Matrix<double>
 providerRvec(const net::Topology &topo)
 {
     const std::size_t n = topo.dcCount();

@@ -25,9 +25,6 @@
 namespace wanify {
 namespace core {
 
-/** All-ones rvec for @p n DCs (the default, refactoring disabled). */
-Matrix<double> identityRvec(std::size_t n);
-
 /**
  * Build an rvec from the topology's providers and VM types: pairs whose
  * endpoints differ in provider or WAN capability are scaled by the

@@ -8,6 +8,13 @@
 namespace wanify {
 namespace scenario {
 
+namespace {
+
+/** Parallel connections of each background mesh flow. */
+constexpr int kMeshConnections = 2;
+
+} // namespace
+
 DriveResult
 drive(const Dynamics &dynamics, const net::Topology &topo,
       const DriveConfig &cfg, const std::string &name, Seconds epoch,
@@ -16,8 +23,6 @@ drive(const Dynamics &dynamics, const net::Topology &topo,
     const std::size_t n = topo.dcCount();
     fatalIf(epoch <= 0.0, "scenario::drive: epoch must be > 0");
     fatalIf(horizon <= 0.0, "scenario::drive: horizon must be > 0");
-    fatalIf(cfg.meshConnections < 1,
-            "scenario::drive: meshConnections must be >= 1");
 
     net::NetworkSimConfig simCfg;
     simCfg.fluctuation.enabled = cfg.fluctuation;
@@ -40,7 +45,7 @@ drive(const Dynamics &dynamics, const net::Topology &topo,
             if (i != j)
                 sim.startMeasurement(topo.endpointVm(i),
                                      topo.endpointVm(j),
-                                     cfg.meshConnections);
+                                     kMeshConnections);
 
     DriveResult result;
     result.name = name;

@@ -47,9 +47,6 @@ struct DriveConfig
     /** Keep the stationary OU noise on underneath the scenario. */
     bool fluctuation = true;
 
-    /** Parallel connections of each background mesh flow. */
-    int meshConnections = 2;
-
     /**
      * Drift detector configuration. windowSize 0 = auto-size to two
      * full meshes of observations (2 n (n-1)) with minObservations

@@ -8,17 +8,6 @@
 namespace wanify {
 namespace sched {
 
-std::vector<double>
-searchFractions(const gda::StageContext &ctx,
-                const AssignmentObjective &objective,
-                std::vector<double> seedFractions,
-                const FractionSearchConfig &cfg)
-{
-    return searchFractionsDetailed(ctx, objective,
-                                   std::move(seedFractions), cfg)
-        .fractions;
-}
-
 FractionSearchResult
 searchFractionsDetailed(const gda::StageContext &ctx,
                         const AssignmentObjective &objective,
@@ -27,7 +16,7 @@ searchFractionsDetailed(const gda::StageContext &ctx,
 {
     const std::size_t n = ctx.inputByDc.size();
     if (seedFractions.size() != n)
-        fatal("searchFractions: seed size mismatch");
+        fatal("searchFractionsDetailed: seed size mismatch");
 
     // Normalize the seed onto the simplex.
     double sum = 0.0;

@@ -55,16 +55,10 @@ struct FractionSearchResult
 
 /**
  * Minimize @p objective over fractions r (sum 1, r >= 0), returning
- * the best fractions found. @p seedFractions is the starting point
- * (normalized internally).
+ * the best fractions found with the iterations and final objective
+ * (the warm-start effectiveness surface). @p seedFractions is the
+ * starting point (normalized internally).
  */
-std::vector<double> searchFractions(
-    const gda::StageContext &ctx, const AssignmentObjective &objective,
-    std::vector<double> seedFractions,
-    const FractionSearchConfig &cfg = {});
-
-/** As searchFractions, but reporting iterations and the final
- *  objective — the warm-start effectiveness surface. */
 FractionSearchResult searchFractionsDetailed(
     const gda::StageContext &ctx, const AssignmentObjective &objective,
     std::vector<double> seedFractions,

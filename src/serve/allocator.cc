@@ -8,18 +8,6 @@
 namespace wanify {
 namespace serve {
 
-const char *
-allocPolicyName(AllocPolicy policy)
-{
-    switch (policy) {
-    case AllocPolicy::MaxMinFair:
-        return "maxmin";
-    case AllocPolicy::WeightedPriority:
-        return "weighted";
-    }
-    return "?";
-}
-
 BandwidthAllocator::BandwidthAllocator(AllocPolicy policy)
     : policy_(policy)
 {}

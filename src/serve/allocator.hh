@@ -45,8 +45,6 @@ enum class AllocPolicy
     WeightedPriority,
 };
 
-const char *allocPolicyName(AllocPolicy policy);
-
 /** One query's appetite on one ordered DC pair. */
 struct PairDemand
 {

@@ -71,8 +71,7 @@ Bytes
 HdfsStore::bytesAt(net::DcId dc) const
 {
     panicIf(dc >= bytesByDc_.size(), "HdfsStore::bytesAt: out of range");
-    const double overhead = cfg_.s3Mounted ? cfg_.s3ReadOverhead : 1.0;
-    return bytesByDc_[dc] * overhead;
+    return bytesByDc_[dc] * cfg_.s3ReadOverhead;
 }
 
 std::vector<Bytes>

@@ -36,11 +36,9 @@ struct HdfsConfig
     /** Block size (the paper's skew experiments use 64 MB). */
     Bytes blockSize = 64.0 * 1024.0 * 1024.0;
 
-    /** Read-amplification of S3-mounted data nodes (< 5%). */
+    /** Read-amplification of the data nodes, which are S3-mounted
+     *  buckets (Section 5.1; < 5%). */
     double s3ReadOverhead = 1.03;
-
-    /** Data nodes are S3-mounted buckets (Section 5.1). */
-    bool s3Mounted = true;
 };
 
 class HdfsStore

@@ -401,14 +401,6 @@ TEST(Drift, SlidingWindowForgetsOldErrors)
 
 // ---- heterogeneity ----------------------------------------------------------------------
 
-TEST(Heterogeneity, IdentityRvecIsAllOnes)
-{
-    const auto rvec = identityRvec(4);
-    for (std::size_t i = 0; i < 4; ++i)
-        for (std::size_t j = 0; j < 4; ++j)
-            EXPECT_DOUBLE_EQ(rvec.at(i, j), 1.0);
-}
-
 TEST(Heterogeneity, ProviderRvecScalesWeakerEndpoints)
 {
     net::TopologyBuilder builder;

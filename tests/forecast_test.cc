@@ -141,18 +141,6 @@ TEST(BwForecast, EmptyForecastTransferTimeFails)
               "fatal: BwForecast::transferTime: empty forecast");
 }
 
-TEST(BwForecast, MeshMeanSkipsDiagonal)
-{
-    core::BwForecast fc;
-    auto bw = Matrix<Mbps>::square(2, 0.0);
-    bw.at(0, 0) = 1.0e6; // diagonal junk must not leak in
-    bw.at(1, 1) = 1.0e6;
-    bw.at(0, 1) = 100.0;
-    bw.at(1, 0) = 300.0;
-    fc.addSegment(60.0, bw);
-    EXPECT_DOUBLE_EQ(fc.meshMeanAt(30.0), 200.0);
-}
-
 // ---- GaugeTrend (deployed-mode source) --------------------------------------
 
 TEST(GaugeTrend, FewerThanTwoPointsForecastsFlat)
