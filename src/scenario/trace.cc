@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/error.hh"
 #include "common/rng.hh"
@@ -20,6 +21,14 @@ doubleBits(double v)
     static_assert(sizeof(bits) == sizeof(v), "64-bit doubles");
     std::memcpy(&bits, &v, sizeof(bits));
     return bits;
+}
+
+/** True when marker cell @p v is a whole number in [lo, hi], so that
+ *  casting it to an integer is defined. */
+bool
+wholeIn(double v, double lo, double hi)
+{
+    return v >= lo && v <= hi && v == std::floor(v);
 }
 
 /**
@@ -232,17 +241,23 @@ BwTrace::fromDataset(const ml::Dataset &data,
             fatalIf(!withRtt,
                     "BwTrace::fromDataset: marker row in a legacy "
                     "trace");
+            // Marker cells are checked before any integer cast: an
+            // out-of-range double cast to an integer is undefined.
+            const double lastDc = static_cast<double>(n - 1);
             if (y[5] != 0.0) {
                 // Fault marker: kind rides in the sixth slot as
                 // kind + 1 so burst markers (slot = 0) stay distinct.
-                const int kind = static_cast<int>(y[5]) - 1;
-                fatalIf(kind < 0 ||
-                            kind > static_cast<int>(
-                                       fault::FaultKind::DcBlackout),
-                        "BwTrace::fromDataset: unknown fault kind "
-                        "marker");
+                const double kinds =
+                    static_cast<double>(fault::FaultKind::DcBlackout) + 1;
+                if (!wholeIn(y[5], 1.0, kinds))
+                    badRow("unknown fault kind marker", i);
+                if (!wholeIn(y[2], fault::kAnyDc, lastDc) ||
+                    !wholeIn(y[3], fault::kAnyDc, lastDc) ||
+                    !wholeIn(y[4], 0.0, lastDc))
+                    badRow("fault marker DC out of range", i);
                 fault::FaultEvent fe;
-                fe.kind = static_cast<fault::FaultKind>(kind);
+                fe.kind = static_cast<fault::FaultKind>(
+                    static_cast<int>(y[5]) - 1);
                 fe.time = y[0];
                 fe.duration = y[1];
                 fe.src = static_cast<int>(y[2]);
@@ -252,6 +267,15 @@ BwTrace::fromDataset(const ml::Dataset &data,
                 trace.faults.push_back(fe);
                 continue;
             }
+            if (!wholeIn(y[2], 0.0, lastDc) ||
+                !wholeIn(y[3], 0.0, lastDc) || y[2] == y[3])
+                badRow("burst DCs must be distinct and in range", i);
+            if (!wholeIn(y[4], 1.0, std::numeric_limits<int>::max()))
+                badRow("burst connections must be an integer >= 1", i);
+            if (!std::isfinite(y[0]) || y[0] < 0.0)
+                badRow("burst start must be finite and >= 0", i);
+            if (!std::isfinite(y[1]) || y[1] <= 0.0)
+                badRow("burst duration must be finite and > 0", i);
             BurstFlow burst;
             burst.start = y[0];
             burst.duration = y[1];

@@ -477,6 +477,58 @@ TEST(ScenarioTrace, RejectsMalformedTraces)
     lines.insert(lines.begin() + 1, "");
     EXPECT_EQ(loadEdited(4, 0, "nan"),
               rowCause + "non-finite t at line 4");
+
+    // A recorded flash-crowd trace's first burst marker, edited one
+    // cell at a time: every marker cell is checked before it is cast.
+    const auto crowd =
+        driveScenario(libraryScenario("flash-crowd"), topo4(), cfg);
+    ASSERT_FALSE(crowd.trace.bursts.empty());
+    writeTraceCsv(path, crowd.trace);
+    lines.clear();
+    {
+        std::ifstream in(path);
+        for (std::string line; std::getline(in, line);)
+            lines.push_back(line);
+    }
+    const auto marker = std::find_if(
+        lines.begin(), lines.end(),
+        [](const std::string &l) { return l.rfind("-1,", 0) == 0; });
+    ASSERT_NE(marker, lines.end());
+    const std::size_t burst =
+        static_cast<std::size_t>(marker - lines.begin()) + 1;
+    const std::string at = " at line " + std::to_string(burst);
+    // Marker columns: t, start, duration, src, dst, connections, then
+    // the fault kind + 1 (0 on a burst marker).
+    const std::string dcs = rowCause + "burst DCs must be distinct and "
+                                       "in range" + at;
+    EXPECT_EQ(loadEdited(burst, 3, "9"), dcs);
+    EXPECT_EQ(loadEdited(burst, 3, "-1"), dcs);
+    EXPECT_EQ(loadEdited(burst, 3, "0.5"), dcs);
+    EXPECT_EQ(loadEdited(burst, 4,
+                         std::to_string(crowd.trace.bursts[0].src)),
+              dcs);
+    const std::string conns =
+        rowCause + "burst connections must be an integer >= 1" + at;
+    EXPECT_EQ(loadEdited(burst, 5, "0"), conns);
+    EXPECT_EQ(loadEdited(burst, 5, "1e30"), conns);
+    const std::string start =
+        rowCause + "burst start must be finite and >= 0" + at;
+    EXPECT_EQ(loadEdited(burst, 1, "nan"), start);
+    EXPECT_EQ(loadEdited(burst, 1, "-1"), start);
+    const std::string duration =
+        rowCause + "burst duration must be finite and > 0" + at;
+    EXPECT_EQ(loadEdited(burst, 2, "-5"), duration);
+    EXPECT_EQ(loadEdited(burst, 2, "inf"), duration);
+    // A nonzero kind slot makes the row a fault marker.
+    const std::string kind =
+        rowCause + "unknown fault kind marker" + at;
+    EXPECT_EQ(loadEdited(burst, 6, "nan"), kind);
+    EXPECT_EQ(loadEdited(burst, 6, "1e30"), kind);
+    EXPECT_EQ(loadEdited(burst, 6, "1.5"), kind);
+    // As a fault, the burst's connections cell is the target DC.
+    ASSERT_GE(crowd.trace.bursts[0].connections, 4);
+    EXPECT_EQ(loadEdited(burst, 6, "2"),
+              rowCause + "fault marker DC out of range" + at);
     std::remove(path.c_str());
 }
 
