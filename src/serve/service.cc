@@ -109,7 +109,7 @@ Service::killQueryRun(QueryState &q, Seconds at)
 {
     q.exec->abandon(sim_);
     allocator_.release(sim_, q.group);
-    ++faultKills_;
+    ++report_.faultKills;
     if (q.outcome.requeues < cfg_.maxRequeues) {
         // Tear the run down and send the query back through
         // admission; re-execution starts from stage zero (delivered
@@ -270,11 +270,12 @@ Service::admitQuery(QueryState &q, Seconds now, bool readmission)
     if (!readmission) {
         q.outcome.queueWait = now - q.spec.arrival;
         if (q.outcome.queueWait > kTimeEps)
-            ++queuedAdmissions_;
+            ++report_.queuedAdmissions;
     }
 
     active_.push_back(q.index);
-    peakConcurrent_ = std::max(peakConcurrent_, active_.size());
+    report_.peakConcurrent =
+        std::max(report_.peakConcurrent, active_.size());
 }
 
 void
@@ -303,7 +304,7 @@ Service::admitDueQueries()
             // trough that lifts within the horizon.
             if (!q.heldByForecast) {
                 q.heldByForecast = true;
-                ++forecastHeldAdmissions_;
+                ++report_.forecastHeldAdmissions;
             }
             break;
         }
@@ -474,7 +475,7 @@ Service::runAllocationRound()
                   return a.group < b.group;
               });
     const Allocation &alloc = allocator_.allocate(sim_, demands_);
-    cappedPairRounds_ += alloc.cappedPairs;
+    report_.cappedPairRounds += alloc.cappedPairs;
     for (std::size_t k = 0; k < demands_.size(); ++k) {
         QueryState &q =
             queries_[static_cast<std::size_t>(demands_[k].group) - 1];
@@ -579,11 +580,10 @@ Service::maybeRetrain()
     core::BandwidthAnalyzer::appendRows(gaugedRows_, topo_, gauge.mesh(),
                                         rng_);
 
-    std::uint64_t state =
-        0x5e12feedULL ^ (retrainsPublished_ + 1);
+    std::uint64_t state = 0x5e12feedULL ^ (report_.retrainsPublished + 1);
     wanify_->retrain(gaugedRows_, splitmix64(state), published,
                      /*publish=*/true);
-    ++retrainsPublished_;
+    ++report_.retrainsPublished;
 }
 
 void
@@ -601,13 +601,7 @@ Service::finishQuery(QueryState &q, Seconds at, bool timedOut)
 ServiceReport
 Service::buildReport() const
 {
-    ServiceReport report;
-    report.peakConcurrent = peakConcurrent_;
-    report.queuedAdmissions = queuedAdmissions_;
-    report.retrainsPublished = retrainsPublished_;
-    report.cappedPairRounds = cappedPairRounds_;
-    report.forecastHeldAdmissions = forecastHeldAdmissions_;
-    report.faultKills = faultKills_;
+    ServiceReport report = report_;
 
     Seconds firstAdmitted = 0.0, lastFinished = 0.0;
     double xSum = 0.0, x2Sum = 0.0;

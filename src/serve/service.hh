@@ -382,22 +382,21 @@ class Service
     std::vector<std::size_t> active_;
     bool draining_ = false;
 
+    /** The counters the drain keeps as it runs (peak concurrency,
+     *  queued and forecast-held admissions, published retrains, capped
+     *  pair rounds, fault kills); buildReport() adds the rest. */
+    ServiceReport report_;
+
     ml::Dataset gaugedRows_;
     std::size_t completedSinceRetrain_ = 0;
-    std::size_t retrainsPublished_ = 0;
-    std::size_t cappedPairRounds_ = 0;
-    std::size_t peakConcurrent_ = 0;
-    std::size_t queuedAdmissions_ = 0;
 
     Seconds admissionResumeAt_ = 0.0;
     Seconds holdCooloffUntil_ = 0.0;
-    std::size_t forecastHeldAdmissions_ = 0;
 
     /** Fault-killed queries awaiting re-admission, in due order
      *  (backoff is constant, so appends keep it sorted). */
     std::vector<PendingRequeue> requeue_;
     Seconds faultCursor_ = -1.0;
-    std::size_t faultKills_ = 0;
 };
 
 } // namespace serve
