@@ -66,7 +66,8 @@ struct RetryItem
  * counters (negated), the active bursts' progress, and the pending job
  * transfers' progress in pending() order. Closing it bills the window's
  * *extra* bytes (growth minus job minus bursts) as control-plane bytes,
- * never to the query. The window starts and stops no job transfer.
+ * never to the query. The window starts and stops no job transfer, so
+ * both ends list the same pending() transfers in the same order.
  */
 struct ControlProbe
 {
@@ -95,6 +96,8 @@ class QueryRun
           runSeed_(runSeed), sim_(topo, simCfg, runSeed),
           exec_(topo, job, inputByDc)
     {}
+
+    QueryRun(const QueryRun &) = delete; // dynamics_ refers to sim_
 
     QueryResult
     run()

@@ -13,6 +13,10 @@
  * coupling the paper exploits. The per-stage state and mechanics live
  * in gda::QueryExecution, shared with serve::Service; the engine adds
  * WANify deployment, drift retraining, and per-transfer recovery.
+ * Engine keeps only what outlives a run (topology, simulator config,
+ * seed, run counter): each run() builds a private run object in
+ * engine.cc that holds the run's simulator, RNG streams, event clock,
+ * retry queue, WANify deployment and the result being built.
  *
  * The engine reports latency, the cost breakdown (compute incl. burst
  * surcharge, network egress, storage) and the minimum per-pair average

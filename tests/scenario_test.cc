@@ -431,13 +431,15 @@ TEST(ScenarioTrace, RejectsMalformedTraces)
     const auto run =
         driveScenario(libraryScenario("diurnal"), topo4(), cfg);
     const std::string path = tmpPath("edited.csv");
-    writeTraceCsv(path, run.trace);
     std::vector<std::string> lines;
-    {
+    auto writeAndRead = [&](const BwTrace &recorded) {
+        writeTraceCsv(path, recorded);
+        lines.clear();
         std::ifstream in(path);
         for (std::string line; std::getline(in, line);)
             lines.push_back(line);
-    }
+    };
+    writeAndRead(run.trace);
     ASSERT_GE(lines.size(), 3u);
     // Set cell @p col of CSV line @p line (the header is line 1) and
     // load the file.
@@ -483,13 +485,7 @@ TEST(ScenarioTrace, RejectsMalformedTraces)
     const auto crowd =
         driveScenario(libraryScenario("flash-crowd"), topo4(), cfg);
     ASSERT_FALSE(crowd.trace.bursts.empty());
-    writeTraceCsv(path, crowd.trace);
-    lines.clear();
-    {
-        std::ifstream in(path);
-        for (std::string line; std::getline(in, line);)
-            lines.push_back(line);
-    }
+    writeAndRead(crowd.trace);
     const auto marker = std::find_if(
         lines.begin(), lines.end(),
         [](const std::string &l) { return l.rfind("-1,", 0) == 0; });
