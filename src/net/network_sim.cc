@@ -175,10 +175,18 @@ NetworkSim::setConnections(TransferId id, int connections)
     }
 }
 
+std::size_t
+NetworkSim::pairSlot(DcId src, DcId dst) const
+{
+    if (src >= pairs_.dcCount() || dst >= pairs_.dcCount())
+        panic("NetworkSim: DC out of range");
+    return pairs_(src, dst);
+}
+
 void
 NetworkSim::setTcLimit(DcId src, DcId dst, Mbps limit)
 {
-    const std::size_t pair = topology_.pairIndex(src, dst);
+    const std::size_t pair = pairSlot(src, dst);
     const Mbps next = limit > 0.0 ? limit : 0.0;
     Mbps &tc = tcLimits_[pair];
     if (tc == next)
@@ -195,7 +203,7 @@ NetworkSim::setScenarioCapFactor(DcId src, DcId dst, double factor)
 {
     if (!std::isfinite(factor) || factor < 0.0)
         fatal("setScenarioCapFactor: factor must be finite and >= 0");
-    const std::size_t pair = topology_.pairIndex(src, dst);
+    const std::size_t pair = pairSlot(src, dst);
     if (scenarioCap_[pair] != factor) {
         scenarioCap_[pair] = factor;
         capacityDirty_ = true;
@@ -207,7 +215,7 @@ NetworkSim::setScenarioRttFactor(DcId src, DcId dst, double factor)
 {
     if (!std::isfinite(factor) || factor <= 0.0)
         fatal("setScenarioRttFactor: factor must be finite and > 0");
-    const std::size_t pair = topology_.pairIndex(src, dst);
+    const std::size_t pair = pairSlot(src, dst);
     if (scenarioRtt_[pair] != factor) {
         scenarioRtt_[pair] = factor;
         structureDirty_ = true;
@@ -218,13 +226,13 @@ NetworkSim::setScenarioRttFactor(DcId src, DcId dst, double factor)
 double
 NetworkSim::scenarioCapFactor(DcId src, DcId dst) const
 {
-    return scenarioCap_[topology_.pairIndex(src, dst)];
+    return scenarioCap_[pairSlot(src, dst)];
 }
 
 double
 NetworkSim::scenarioRttFactor(DcId src, DcId dst) const
 {
-    return scenarioRtt_[topology_.pairIndex(src, dst)];
+    return scenarioRtt_[pairSlot(src, dst)];
 }
 
 std::vector<std::size_t>::const_iterator
@@ -682,7 +690,7 @@ NetworkSim::pairRate(DcId src, DcId dst)
 Bytes
 NetworkSim::pairBytes(DcId src, DcId dst) const
 {
-    return pairBytes_[topology_.pairIndex(src, dst)];
+    return pairBytes_[pairSlot(src, dst)];
 }
 
 Matrix<Mbps>
@@ -699,9 +707,7 @@ NetworkSim::pairRateMatrix()
 Mbps
 NetworkSim::effectivePathCap(DcId src, DcId dst) const
 {
-    if (src >= pairs_.dcCount() || dst >= pairs_.dcCount())
-        panic("effectivePathCap: DC out of range");
-    const std::size_t pair = pairs_(src, dst);
+    const std::size_t pair = pairSlot(src, dst);
     if (src == dst)
         return basePathCap_[pair];
     return basePathCap_[pair] * fluctuation_.multipliers()[pair] *

@@ -323,6 +323,9 @@ class NetworkSim
      *  sim's private state directly. */
     friend struct oracle::MapKeyedSolverInputs;
 
+    /** The pairs_ slot of (src, dst); panics on a DC out of range. */
+    std::size_t pairSlot(DcId src, DcId dst) const;
+
     /** Solve rates if a mutation left them stale. */
     void
     solveIfStale()

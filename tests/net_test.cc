@@ -13,6 +13,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/error.hh"
@@ -940,6 +941,34 @@ TEST(NetworkSim, InvalidArgumentsFail)
               "fatal: NetworkSim: VM id out of range");
     EXPECT_EQ(whatOf<FatalError>([&] { sim.advanceBy(-1.0); }),
               "fatal: advanceBy: negative dt");
+
+    // Every per-pair accessor refuses DC n, as either endpoint.
+    const std::string dcMsg = "panic: NetworkSim: DC out of range";
+    for (const std::pair<DcId, DcId> &pair :
+         {std::pair<DcId, DcId>{2, 0}, std::pair<DcId, DcId>{0, 2}}) {
+        const DcId src = pair.first;
+        const DcId dst = pair.second;
+        EXPECT_EQ(whatOf<PanicError>(
+                      [&] { sim.setTcLimit(src, dst, 100.0); }),
+                  dcMsg);
+        EXPECT_EQ(whatOf<PanicError>(
+                      [&] { sim.setScenarioCapFactor(src, dst, 0.5); }),
+                  dcMsg);
+        EXPECT_EQ(whatOf<PanicError>(
+                      [&] { sim.setScenarioRttFactor(src, dst, 2.0); }),
+                  dcMsg);
+        EXPECT_EQ(whatOf<PanicError>(
+                      [&] { sim.scenarioCapFactor(src, dst); }),
+                  dcMsg);
+        EXPECT_EQ(whatOf<PanicError>(
+                      [&] { sim.scenarioRttFactor(src, dst); }),
+                  dcMsg);
+        EXPECT_EQ(whatOf<PanicError>([&] { sim.pairBytes(src, dst); }),
+                  dcMsg);
+        EXPECT_EQ(whatOf<PanicError>(
+                      [&] { sim.effectivePathCap(src, dst); }),
+                  dcMsg);
+    }
 
     // The solver's per-VM arrays are sized by egress; a longer
     // ingress list would let a destination VM index past them.
