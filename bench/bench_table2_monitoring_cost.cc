@@ -141,7 +141,7 @@ main()
     for (int s = 0; s < 336; ++s) {
         const std::size_t i =
             static_cast<std::size_t>(trainRng.uniformInt(0, 2399));
-        grown.add(campaign.x(i), campaign.y(i)[0]);
+        grown.add(campaign.x(i), campaign.y(i));
     }
     const auto t2 = std::chrono::steady_clock::now();
     trained.retrain(grown, 25, 20250733);

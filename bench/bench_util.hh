@@ -109,7 +109,7 @@ inline ml::Dataset
 campaignTable3Data(std::size_t rows, std::uint64_t seed)
 {
     Rng rng(seed);
-    ml::Dataset data(monitor::kFeatureCount, 1);
+    ml::Dataset data(monitor::kFeatureCount);
     for (std::size_t s = 0; s < rows; ++s) {
         const double n = 2.0 + rng.uniformInt(0, 6);
         const double snap = rng.uniform(20.0, 2000.0);

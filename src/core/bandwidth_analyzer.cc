@@ -17,7 +17,7 @@ using net::TopologyBuilder;
 
 BandwidthAnalyzer::BandwidthAnalyzer(AnalyzerConfig config)
     : config_(std::move(config)),
-      incremental_(monitor::kFeatureCount, 1)
+      incremental_(monitor::kFeatureCount)
 {
     fatalIf(config_.clusterSizes.empty(),
             "BandwidthAnalyzer: no cluster sizes configured");
@@ -134,7 +134,7 @@ BandwidthAnalyzer::flatten(const std::vector<CollectedMesh> &meshes,
                            std::uint64_t seed) const
 {
     Rng rng(seed ^ 0x5bd1e995UL);
-    ml::Dataset data(monitor::kFeatureCount, 1);
+    ml::Dataset data(monitor::kFeatureCount);
     for (const auto &mesh : meshes) {
         const Topology topo = TopologyBuilder::paperTestbed(
             mesh.clusterSize, config_.vmType);

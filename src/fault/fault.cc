@@ -47,6 +47,8 @@ windowed(FaultKind kind)
     return kind != FaultKind::TransferAbort;
 }
 
+} // namespace
+
 void
 validate(const FaultEvent &ev, std::size_t dcCount)
 {
@@ -56,7 +58,8 @@ validate(const FaultEvent &ev, std::size_t dcCount)
             "fault time must be finite and non-negative");
     fatalIf(!std::isfinite(ev.duration) || ev.duration < 0.0,
             "fault duration must be finite and non-negative");
-    fatalIf(ev.startJitter < 0.0, "fault startJitter must be >= 0");
+    fatalIf(!std::isfinite(ev.startJitter) || ev.startJitter < 0.0,
+            "fault startJitter must be finite and >= 0");
     if (ev.kind == FaultKind::TransferAbort) {
         fatalIf(ev.src < kAnyDc || ev.src >= n,
                 "fault src out of range");
@@ -71,8 +74,6 @@ validate(const FaultEvent &ev, std::size_t dcCount)
                 "windowed DC faults need a positive duration");
     }
 }
-
-} // namespace
 
 FaultPlan::FaultPlan(std::vector<FaultEvent> events,
                      std::size_t dcCount, std::uint64_t seed)

@@ -113,6 +113,13 @@ struct FaultEvent
     bool killsTransfer(net::DcId from, net::DcId to) const;
 };
 
+/**
+ * Check @p ev against a @p dcCount-DC cluster: finite non-negative
+ * time, duration and startJitter, selectors in range, and a positive
+ * duration for windowed DC faults. fatal() naming the first bad field.
+ */
+void validate(const FaultEvent &ev, std::size_t dcCount);
+
 /** A FaultEvent with its jitter resolved against the plan seed. */
 struct CompiledFault
 {

@@ -822,7 +822,7 @@ class QueryRun
     /** Training rows gauged at runtime accumulate across this run's
      *  retrains (Section 3.3.4: "the additionally collected samples");
      *  each warm start trains its extra trees on the union so far. */
-    ml::Dataset gaugedRows_{monitor::kFeatureCount, 1};
+    ml::Dataset gaugedRows_{monitor::kFeatureCount};
     double preErrSum_ = 0.0, postErrSum_ = 0.0;
 
     QueryResult result_;

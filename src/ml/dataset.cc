@@ -5,32 +5,22 @@
 namespace wanify {
 namespace ml {
 
-Dataset::Dataset(std::size_t featureCount, std::size_t outputCount)
-    : featureCount_(featureCount), outputCount_(outputCount)
+Dataset::Dataset(std::size_t featureCount, std::size_t targetCount)
+    : featureCount_(featureCount)
 {
     fatalIf(featureCount == 0, "Dataset: featureCount must be > 0");
-    fatalIf(outputCount == 0, "Dataset: outputCount must be > 0");
-}
-
-void
-Dataset::add(std::vector<double> features, std::vector<double> targets)
-{
-    if (featureCount_ == 0 && outputCount_ == 0) {
-        featureCount_ = features.size();
-        outputCount_ = targets.size();
-    }
-    fatalIf(features.size() != featureCount_,
-            "Dataset::add: feature count mismatch");
-    fatalIf(targets.size() != outputCount_,
-            "Dataset::add: target count mismatch");
-    features_.push_back(std::move(features));
-    targets_.push_back(std::move(targets));
+    fatalIf(targetCount != 1, "Dataset: a sample has one target");
 }
 
 void
 Dataset::add(std::vector<double> features, double target)
 {
-    add(std::move(features), std::vector<double>{target});
+    if (featureCount_ == 0)
+        featureCount_ = features.size();
+    fatalIf(features.size() != featureCount_,
+            "Dataset::add: feature count mismatch");
+    features_.push_back(std::move(features));
+    targets_.push_back(target);
 }
 
 const std::vector<double> &
@@ -40,25 +30,17 @@ Dataset::x(std::size_t i) const
     return features_[i];
 }
 
-const std::vector<double> &
+double
 Dataset::y(std::size_t i) const
 {
     panicIf(i >= size(), "Dataset::y out of range");
     return targets_[i];
 }
 
-double
-Dataset::target(std::size_t i) const
-{
-    panicIf(outputCount_ != 1, "Dataset::target needs single output");
-    return y(i)[0];
-}
-
 void
 Dataset::append(const Dataset &other)
 {
-    fatalIf(other.featureCount_ != featureCount_ ||
-                other.outputCount_ != outputCount_,
+    fatalIf(other.featureCount_ != featureCount_,
             "Dataset::append: shape mismatch");
     // Reserve once instead of reallocating per row. The row count is
     // read before the loop, so d.append(d) doubles d; the reserve
@@ -91,7 +73,7 @@ Dataset::split(double trainFraction, Rng &rng) const
 Dataset
 Dataset::subset(const std::vector<std::size_t> &indices) const
 {
-    Dataset out(featureCount_, outputCount_);
+    Dataset out(featureCount_);
     for (std::size_t i : indices)
         out.add(x(i), y(i));
     return out;

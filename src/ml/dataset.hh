@@ -2,11 +2,8 @@
  * @file
  * Feature/target dataset container for the regression stack.
  *
- * Samples are rows; features and targets are stored densely. The
- * forests train on one target per sample (TrainingContext refuses any
- * other count); a row may carry several targets only so that the
- * trace CSV layout (scenario::BwTrace, per-pair capacity and RTT
- * columns per timestamp) can round-trip through the CSV reader.
+ * Samples are rows; features are stored densely and each sample has
+ * one target, the one number every tree in the library regresses.
  */
 
 #ifndef WANIFY_ML_DATASET_HH
@@ -26,25 +23,20 @@ class Dataset
   public:
     Dataset() = default;
 
-    /** Create an empty dataset with fixed dimensionality. */
-    Dataset(std::size_t featureCount, std::size_t outputCount);
+    /** Create an empty dataset with fixed dimensionality;
+     *  @p targetCount must be 1. */
+    explicit Dataset(std::size_t featureCount,
+                     std::size_t targetCount = 1);
 
-    /** Append one sample; sizes must match the dataset's shape. */
-    void add(std::vector<double> features, std::vector<double> targets);
-
-    /** Convenience for single-output problems. */
+    /** Append one sample; its feature count must match the dataset's. */
     void add(std::vector<double> features, double target);
 
     std::size_t size() const { return features_.size(); }
     std::size_t featureCount() const { return featureCount_; }
-    std::size_t outputCount() const { return outputCount_; }
     bool empty() const { return features_.empty(); }
 
     const std::vector<double> &x(std::size_t i) const;
-    const std::vector<double> &y(std::size_t i) const;
-
-    /** Single-output shortcut: y(i)[0]. */
-    double target(std::size_t i) const;
+    double y(std::size_t i) const;
 
     /** Append all samples of another dataset (shapes must match). */
     void append(const Dataset &other);
@@ -58,9 +50,8 @@ class Dataset
 
   private:
     std::size_t featureCount_ = 0;
-    std::size_t outputCount_ = 0;
     std::vector<std::vector<double>> features_;
-    std::vector<std::vector<double>> targets_;
+    std::vector<double> targets_;
 };
 
 } // namespace ml

@@ -34,7 +34,7 @@ batchOobR2(const Dataset &data, const SharedTrees &batch,
     double ssRes = 0.0, ssTot = 0.0, meanY = 0.0;
     std::size_t covered = 0;
     for (std::size_t i = 0; i < n; ++i)
-        meanY += data.y(i)[0];
+        meanY += data.y(i);
     meanY /= static_cast<double>(n);
 
     for (std::size_t i = 0; i < n; ++i) {
@@ -49,7 +49,7 @@ batchOobR2(const Dataset &data, const SharedTrees &batch,
         if (votes == 0)
             continue;
         pred /= static_cast<double>(votes);
-        const double yi = data.y(i)[0];
+        const double yi = data.y(i);
         ssRes += (yi - pred) * (yi - pred);
         ssTot += (yi - meanY) * (yi - meanY);
         ++covered;

@@ -12,8 +12,6 @@ TrainingContext::TrainingContext(const Dataset &data)
     : sampleCount_(data.size()), featureCount_(data.featureCount())
 {
     fatalIf(data.empty(), "TrainingContext: empty dataset");
-    fatalIf(data.outputCount() != 1,
-            "TrainingContext: dataset must have exactly one target");
     fatalIf(sampleCount_ >=
                 std::numeric_limits<std::uint32_t>::max(),
             "TrainingContext: dataset too large for 32-bit indices");
@@ -24,7 +22,7 @@ TrainingContext::TrainingContext(const Dataset &data)
         const auto &x = data.x(i);
         for (std::size_t f = 0; f < featureCount_; ++f)
             features_[f * sampleCount_ + i] = x[f];
-        targets_[i] = data.y(i)[0];
+        targets_[i] = data.y(i);
     }
 
     // One argsort per feature, ties broken by sample index — the

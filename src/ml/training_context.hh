@@ -34,9 +34,8 @@ class TrainingContext
 {
   public:
     /**
-     * Columnize and presort @p data, which must have exactly one
-     * target: every tree in the library regresses one number. The
-     * context only reads @p data during construction.
+     * Columnize and presort @p data. The context only reads @p data
+     * during construction.
      */
     explicit TrainingContext(const Dataset &data);
 

@@ -50,9 +50,21 @@ drive(const Dynamics &dynamics, const net::Topology &topo,
     DriveResult result;
     result.name = name;
     result.trace.dcs = n;
-    // Bursts scheduled over the horizon become part of the recorded
-    // trace, so a replay re-launches the same background flows.
+    // Bursts and faults scheduled over the horizon become part of the
+    // recorded trace, so a replay re-launches the same background
+    // flows and injects the same faults. A fault is stored at its
+    // resolved start: replay compiles the trace's faults unjittered.
     result.trace.bursts = dynamics.burstsIn(-1.0, horizon);
+    if (const fault::FaultPlan *plan = dynamics.faultPlan()) {
+        for (const fault::CompiledFault &cf : plan->events()) {
+            if (cf.start <= -1.0 || cf.start > horizon)
+                continue;
+            fault::FaultEvent ev = cf.ev;
+            ev.time = cf.start;
+            ev.startJitter = 0.0;
+            result.trace.faults.push_back(ev);
+        }
+    }
 
     // The gauge's baseline starts at 1 everywhere: the "model" is
     // calibrated on the static (nominal) measurement.

@@ -1,13 +1,16 @@
 #include "scenario/trace.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstring>
+#include <fstream>
+#include <initializer_list>
 #include <limits>
+#include <sstream>
 
 #include "common/error.hh"
 #include "common/rng.hh"
-#include "ml/csv.hh"
 
 namespace wanify {
 namespace scenario {
@@ -32,18 +35,22 @@ wholeIn(double v, double lo, double hi)
 }
 
 /**
- * The struct's fields are public (hand-built traces predate the RTT
- * schema), so every consumer that indexes rttRows parallel to rows
- * validates the invariant first instead of walking off the end.
+ * The struct's fields are public, so every consumer that indexes
+ * rows and rttRows validates their shape first instead of walking
+ * off the end.
  */
 void
 checkParallelRows(const BwTrace &trace, const char *who)
 {
-    fatalIf(trace.rows.size() != trace.times.size() ||
-                trace.rttRows.size() != trace.rows.size(),
+    bool parallel = trace.rows.size() == trace.times.size() &&
+                    trace.rttRows.size() == trace.rows.size();
+    for (std::size_t k = 0; parallel && k < trace.rows.size(); ++k)
+        parallel = trace.rows[k].size() == trace.dcs * trace.dcs &&
+                   trace.rttRows[k].size() == trace.dcs * trace.dcs;
+    fatalIf(!parallel,
             std::string(who) +
-                ": times/rows/rttRows must stay parallel (build "
-                "traces through BwTrace::add)");
+                ": times/rows/rttRows must stay parallel and dcs * dcs "
+                "wide (build traces through BwTrace::add)");
 }
 
 } // namespace
@@ -158,171 +165,219 @@ BwTrace::hash() const
     return splitmix64(digest);
 }
 
-ml::Dataset
-BwTrace::toDataset() const
+namespace {
+
+/** Parse the whole of @p cell as a number; std::stod alone stops at
+ *  the first bad character, reading "1abc" as 1. Whitespace around
+ *  the number is allowed on both sides, as std::stod allows it before. */
+bool
+parseCell(const std::string &cell, double &out)
 {
-    fatalIf(dcs == 0, "BwTrace::toDataset: empty trace");
-    checkParallelRows(*this, "BwTrace::toDataset");
-    const std::size_t pairs = dcs * dcs;
-    ml::Dataset data(1, 2 * pairs);
-    for (std::size_t k = 0; k < times.size(); ++k) {
-        std::vector<double> y = rows[k];
-        y.insert(y.end(), rttRows[k].begin(), rttRows[k].end());
-        data.add({times[k]}, std::move(y));
+    try {
+        std::size_t used = 0;
+        out = std::stod(cell, &used);
+        for (; used < cell.size(); ++used)
+            if (std::isspace(static_cast<unsigned char>(cell[used])) == 0)
+                return false;
+        return true;
+    } catch (const std::exception &) {
+        return false;
     }
-    // Burst markers after the samples: t < 0, payload in the first
-    // five target slots (2 n^2 >= 8 for any n >= 2, so they fit).
-    for (std::size_t k = 0; k < bursts.size(); ++k) {
-        std::vector<double> y(2 * pairs, 0.0);
-        y[0] = bursts[k].start;
-        y[1] = bursts[k].duration;
-        y[2] = static_cast<double>(bursts[k].src);
-        y[3] = static_cast<double>(bursts[k].dst);
-        y[4] = static_cast<double>(bursts[k].connections);
-        data.add({-static_cast<double>(k + 1)}, std::move(y));
-    }
-    // Fault markers after the bursts: also t < 0, distinguished by a
-    // nonzero sixth slot (kind + 1; burst markers leave it 0).
-    for (std::size_t k = 0; k < faults.size(); ++k) {
-        std::vector<double> y(2 * pairs, 0.0);
-        y[0] = faults[k].time;
-        y[1] = faults[k].duration;
-        y[2] = static_cast<double>(faults[k].src);
-        y[3] = static_cast<double>(faults[k].dst);
-        y[4] = static_cast<double>(faults[k].dc);
-        y[5] = static_cast<double>(
-                   static_cast<int>(faults[k].kind)) + 1.0;
-        y[6] = faults[k].startJitter;
-        data.add({-static_cast<double>(bursts.size() + k + 1)},
-                 std::move(y));
-    }
-    return data;
 }
 
-BwTrace
-BwTrace::fromDataset(const ml::Dataset &data,
-                     const std::vector<std::size_t> *rowLines)
+/** std::getline that also drops the '\r' of a CRLF line ending. */
+bool
+getLine(std::istream &in, std::string &line)
 {
-    fatalIf(data.featureCount() != 1,
-            "BwTrace::fromDataset: expected a single `t` feature");
-    // n^2 targets = legacy capacity-only layout; 2 n^2 = capacity +
-    // RTT. The two are never ambiguous (n1^2 == 2 n2^2 has no integer
-    // solutions).
-    const std::size_t out = data.outputCount();
-    std::size_t n = 0;
-    while (n * n < out)
+    if (!std::getline(in, line))
+        return false;
+    if (!line.empty() && line.back() == '\r')
+        line.pop_back();
+    return true;
+}
+
+/** The cause of @p e: its what() without the "fatal: " prefix. */
+std::string
+causeOf(const FatalError &e)
+{
+    return std::string(e.what()).substr(std::strlen("fatal: "));
+}
+
+/** The header of an @p n-DC trace: `t,y0,...,y{2n^2-1}`. */
+std::string
+traceHeader(std::size_t n)
+{
+    std::string header = "t";
+    for (std::size_t c = 0; c < 2 * n * n; ++c)
+        header += ",y" + std::to_string(c);
+    return header;
+}
+
+/** The DC count a trace header names; fatal() unless it is
+ *  traceHeader(n) for some n >= 2. */
+std::size_t
+headerDcs(const std::string &header)
+{
+    const auto cells = static_cast<std::size_t>(
+        std::count(header.begin(), header.end(), ',') + 1);
+    std::size_t n = 2;
+    while (1 + 2 * n * n < cells)
         ++n;
-    bool withRtt = false;
-    if (n * n != out) {
-        n = 0;
-        while (2 * n * n < out)
-            ++n;
-        withRtt = true;
+    if (1 + 2 * n * n != cells || header != traceHeader(n))
+        fatal("header must be t,y0,...,y{2n^2-1} with n >= 2 DCs");
+    return n;
+}
+
+/** Add CSV row @p y (the cells after t) of an @p n-DC trace to
+ *  @p trace; fatal() naming the first bad cell. */
+void
+addRow(BwTrace &trace, std::size_t n, double t, const double *y)
+{
+    const std::size_t pairs = n * n;
+    if (t >= 0.0) {
+        for (std::size_t p = 0; p < pairs; ++p)
+            if (!std::isfinite(y[p]) || y[p] < 0.0)
+                fatal("capacity factor must be finite and >= 0");
+        for (std::size_t p = pairs; p < 2 * pairs; ++p)
+            if (!std::isfinite(y[p]) || y[p] <= 0.0)
+                fatal("RTT factor must be finite and > 0");
+        trace.add(t, std::vector<double>(y, y + pairs),
+                  std::vector<double>(y + pairs, y + 2 * pairs));
+        return;
     }
-    fatalIf((withRtt ? 2 * n * n : n * n) != out || n < 2,
-            "BwTrace::fromDataset: target count is not a DC-pair "
-            "square");
+    // A marker uses the first seven cells (n >= 2 gives at least 8).
+    // They are checked before any integer cast: an out-of-range
+    // double cast to an integer is undefined. A nonzero kind cell
+    // (kind + 1) makes the row a fault marker.
+    const double lastDc = static_cast<double>(n - 1);
+    if (y[5] != 0.0) {
+        const double kinds =
+            static_cast<double>(fault::FaultKind::DcBlackout) + 1;
+        if (!wholeIn(y[5], 1.0, kinds))
+            fatal("unknown fault kind marker");
+        if (!wholeIn(y[2], fault::kAnyDc, lastDc) ||
+            !wholeIn(y[3], fault::kAnyDc, lastDc) ||
+            !wholeIn(y[4], 0.0, lastDc))
+            fatal("fault marker DC out of range");
+        fault::FaultEvent fe;
+        fe.kind = static_cast<fault::FaultKind>(static_cast<int>(y[5]) - 1);
+        fe.time = y[0];
+        fe.duration = y[1];
+        fe.src = static_cast<int>(y[2]);
+        fe.dst = static_cast<int>(y[3]);
+        fe.dc = static_cast<int>(y[4]);
+        fe.startJitter = y[6];
+        fault::validate(fe, n);
+        trace.faults.push_back(fe);
+        return;
+    }
+    if (!wholeIn(y[2], 0.0, lastDc) || !wholeIn(y[3], 0.0, lastDc) ||
+        y[2] == y[3])
+        fatal("burst DCs must be distinct and in range");
+    if (!wholeIn(y[4], 1.0, std::numeric_limits<int>::max()))
+        fatal("burst connections must be an integer >= 1");
+    if (!std::isfinite(y[0]) || y[0] < 0.0)
+        fatal("burst start must be finite and >= 0");
+    if (!std::isfinite(y[1]) || y[1] <= 0.0)
+        fatal("burst duration must be finite and > 0");
+    BurstFlow burst;
+    burst.start = y[0];
+    burst.duration = y[1];
+    burst.src = static_cast<net::DcId>(y[2]);
+    burst.dst = static_cast<net::DcId>(y[3]);
+    burst.connections = static_cast<int>(y[4]);
+    trace.bursts.push_back(burst);
+}
+
+/** Parse a whole trace CSV from @p in; a bad row is named by its file
+ *  line (the header is line 1). */
+BwTrace
+parseTrace(std::istream &in)
+{
+    std::string line;
+    if (!getLine(in, line))
+        fatal("missing header");
+    const std::size_t n = headerDcs(line);
     BwTrace trace;
     trace.dcs = n;
-    // A row read from a CSV is named by its file line, else by its
-    // position counting from 1.
-    auto badRow = [&](const char *what, std::size_t i) {
-        fatal(std::string("BwTrace::fromDataset: ") + what +
-              (rowLines != nullptr
-                   ? " at line " + std::to_string((*rowLines)[i])
-                   : " at row " + std::to_string(i + 1)));
-    };
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        const double t = data.x(i)[0];
-        const auto &y = data.y(i);
-        if (!std::isfinite(t))
-            badRow("non-finite t", i);
-        if (t < 0.0) {
-            fatalIf(!withRtt,
-                    "BwTrace::fromDataset: marker row in a legacy "
-                    "trace");
-            // Marker cells are checked before any integer cast: an
-            // out-of-range double cast to an integer is undefined.
-            const double lastDc = static_cast<double>(n - 1);
-            if (y[5] != 0.0) {
-                // Fault marker: kind rides in the sixth slot as
-                // kind + 1 so burst markers (slot = 0) stay distinct.
-                const double kinds =
-                    static_cast<double>(fault::FaultKind::DcBlackout) + 1;
-                if (!wholeIn(y[5], 1.0, kinds))
-                    badRow("unknown fault kind marker", i);
-                if (!wholeIn(y[2], fault::kAnyDc, lastDc) ||
-                    !wholeIn(y[3], fault::kAnyDc, lastDc) ||
-                    !wholeIn(y[4], 0.0, lastDc))
-                    badRow("fault marker DC out of range", i);
-                fault::FaultEvent fe;
-                fe.kind = static_cast<fault::FaultKind>(
-                    static_cast<int>(y[5]) - 1);
-                fe.time = y[0];
-                fe.duration = y[1];
-                fe.src = static_cast<int>(y[2]);
-                fe.dst = static_cast<int>(y[3]);
-                fe.dc = static_cast<int>(y[4]);
-                fe.startJitter = y[6];
-                trace.faults.push_back(fe);
-                continue;
+    std::vector<double> cells;
+    for (std::size_t lineNo = 2; getLine(in, line); ++lineNo) {
+        if (line.empty())
+            continue;
+        try {
+            cells.clear();
+            std::stringstream ss(line);
+            for (std::string cell; std::getline(ss, cell, ',');) {
+                double value = 0.0;
+                if (!parseCell(cell, value))
+                    fatal("bad number");
+                cells.push_back(value);
             }
-            if (!wholeIn(y[2], 0.0, lastDc) ||
-                !wholeIn(y[3], 0.0, lastDc) || y[2] == y[3])
-                badRow("burst DCs must be distinct and in range", i);
-            if (!wholeIn(y[4], 1.0, std::numeric_limits<int>::max()))
-                badRow("burst connections must be an integer >= 1", i);
-            if (!std::isfinite(y[0]) || y[0] < 0.0)
-                badRow("burst start must be finite and >= 0", i);
-            if (!std::isfinite(y[1]) || y[1] <= 0.0)
-                badRow("burst duration must be finite and > 0", i);
-            BurstFlow burst;
-            burst.start = y[0];
-            burst.duration = y[1];
-            burst.src = static_cast<net::DcId>(y[2]);
-            burst.dst = static_cast<net::DcId>(y[3]);
-            burst.connections = static_cast<int>(y[4]);
-            trace.bursts.push_back(burst);
-            continue;
+            if (cells.size() != 1 + 2 * n * n)
+                fatal("wrong column count");
+            if (!std::isfinite(cells[0]))
+                fatal("non-finite t");
+            addRow(trace, n, cells[0], cells.data() + 1);
+        } catch (const FatalError &e) {
+            fatal(causeOf(e) + " at line " + std::to_string(lineNo));
         }
-        for (std::size_t p = 0; p < n * n; ++p)
-            if (!std::isfinite(y[p]) || y[p] < 0.0)
-                badRow("capacity factor must be finite and >= 0", i);
-        if (!withRtt) {
-            trace.add(t, y);
-            continue;
-        }
-        for (std::size_t p = n * n; p < 2 * n * n; ++p)
-            if (!std::isfinite(y[p]) || y[p] <= 0.0)
-                badRow("RTT factor must be finite and > 0", i);
-        std::vector<double> caps(y.begin(), y.begin() + n * n);
-        std::vector<double> rtts(y.begin() + n * n, y.end());
-        trace.add(t, std::move(caps), std::move(rtts));
     }
     return trace;
 }
 
+} // namespace
+
 void
 writeTraceCsv(const std::string &path, const BwTrace &trace)
 {
-    ml::writeCsvFile(path, trace.toDataset(), {"t"});
+    fatalIf(trace.dcs < 2, "writeTraceCsv: a trace needs at least 2 DCs");
+    checkParallelRows(trace, "writeTraceCsv");
+    std::ofstream out(path);
+    fatalIf(!out, "writeTraceCsv: cannot open " + path);
+    const std::size_t cells = 2 * trace.dcs * trace.dcs;
+    out << traceHeader(trace.dcs) << "\n";
+    out.precision(std::numeric_limits<double>::max_digits10);
+    for (std::size_t k = 0; k < trace.size(); ++k) {
+        out << trace.times[k];
+        for (double m : trace.rows[k])
+            out << "," << m;
+        for (double f : trace.rttRows[k])
+            out << "," << f;
+        out << "\n";
+    }
+    std::size_t markers = 0;
+    auto marker = [&](std::initializer_list<double> payload) {
+        out << -static_cast<double>(++markers);
+        for (double v : payload)
+            out << "," << v;
+        for (std::size_t c = payload.size(); c < cells; ++c)
+            out << ",0";
+        out << "\n";
+    };
+    for (const BurstFlow &b : trace.bursts)
+        marker({b.start, b.duration, static_cast<double>(b.src),
+                static_cast<double>(b.dst),
+                static_cast<double>(b.connections)});
+    for (const fault::FaultEvent &f : trace.faults)
+        marker({f.time, f.duration, static_cast<double>(f.src),
+                static_cast<double>(f.dst), static_cast<double>(f.dc),
+                static_cast<double>(static_cast<int>(f.kind)) + 1.0,
+                f.startJitter});
+    fatalIf(!out, "writeTraceCsv: write failed for " + path);
 }
 
 BwTrace
 readTraceCsv(const std::string &path)
 {
-    // Re-raise parse/layout failures with the file path attached:
-    // "unreadable CSV" without a name is useless from the CLI.
+    // Every cause names the file: "bad number" without a name is
+    // useless from the CLI.
     try {
-        std::vector<std::size_t> rowLines;
-        const ml::Dataset data = ml::readCsvFile(path, &rowLines);
-        return BwTrace::fromDataset(data, &rowLines);
+        std::ifstream in(path);
+        if (!in)
+            fatal("cannot open the file");
+        return parseTrace(in);
     } catch (const FatalError &e) {
-        std::string what = e.what();
-        const std::string prefix = "fatal: ";
-        if (what.rfind(prefix, 0) == 0)
-            what = what.substr(prefix.size());
-        fatal("cannot read trace '" + path + "': " + what);
+        fatal("cannot read trace '" + path + "': " + causeOf(e));
     }
 }
 

@@ -4,26 +4,21 @@
  *
  * A BwTrace is a time series of effective per-pair capacity
  * multipliers sampled from a live simulation (OU fluctuation ×
- * scenario factors), plus the per-pair RTT factors and the background
- * burst events active over the recording. Persisted as CSV through
- * the dataset round-trip in ml/csv.* (one feature column `t`; per
- * sample one capacity-multiplier column and one RTT-factor column per
- * ordered DC pair; burst events ride along as marker rows with t < 0;
- * written at max_digits10 so doubles survive the round trip exactly),
- * a captured timeline can be re-run: TraceReplay plays the samples
- * back through the NetworkSim scenario hooks on a fluctuation-free
- * simulator, reproducing each recorded effective capacity to within
- * one floating-point rounding (the nominal cap is divided out on
- * record and multiplied back on replay) and re-launching the recorded
- * bursts through Dynamics::burstsIn. Sample timestamps mark interval
- * *ends*: replay holds row k over (t_{k-1}, t_k]. Legacy traces
- * (capacity columns only) still load: their RTT factors default to 1
- * and their burst list is empty. Two caveats: replaying a replayed
- * trace IS bit-exact (the medium is closed under replay), and a
- * replay's *drift telemetry* is recomputed on the replayed medium —
- * recorded OU noise rides in the multipliers and reads as scenario
- * capacity there, so a replay can report slightly different drift
- * fractions than the original run while the trace itself matches.
+ * scenario factors), plus the per-pair RTT factors, background burst
+ * events and hard faults of the recording. Persisted as CSV (see
+ * writeTraceCsv), a captured timeline can be re-run: TraceReplay
+ * plays the samples back through the NetworkSim scenario hooks on a
+ * fluctuation-free simulator, reproducing each recorded effective
+ * capacity to within one floating-point rounding (the nominal cap is
+ * divided out on record and multiplied back on replay) and
+ * re-launching the recorded bursts through Dynamics::burstsIn.
+ * Sample timestamps mark interval *ends*: replay holds row k over
+ * (t_{k-1}, t_k]. Two caveats: replaying a replayed trace IS
+ * bit-exact (the medium is closed under replay), and a replay's
+ * *drift telemetry* is recomputed on the replayed medium — recorded
+ * OU noise rides in the multipliers and reads as scenario capacity
+ * there, so a replay can report slightly different drift fractions
+ * than the original run while the trace itself matches.
  */
 
 #ifndef WANIFY_SCENARIO_TRACE_HH
@@ -33,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "ml/dataset.hh"
 #include "scenario/scenario.hh"
 
 namespace wanify {
@@ -78,31 +72,32 @@ struct BwTrace
 
     /** Order-sensitive splitmix64 digest of every sample bit. */
     std::uint64_t hash() const;
-
-    /**
-     * Convert to a dataset: feature `t`, 2 n^2 targets (capacity
-     * multipliers then RTT factors, both src * n + dst). Burst events
-     * are appended as marker rows with t < 0 carrying (start,
-     * duration, src, dst, connections) in the first five targets;
-     * fault events follow as marker rows whose sixth target is the
-     * fault kind + 1 (nonzero — burst markers leave it 0).
-     */
-    ml::Dataset toDataset() const;
-
-    /** Rebuild from a dataset written by toDataset(). Also accepts
-     *  the legacy capacity-only layout (n^2 targets, no markers).
-     *  A bad row is named by its file line from @p rowLines (as
-     *  ml::readCsv fills it) when given, else as "row N" from 1. */
-    static BwTrace fromDataset(
-        const ml::Dataset &data,
-        const std::vector<std::size_t> *rowLines = nullptr);
 };
 
-/** Write a trace as CSV; throws FatalError on I/O failure. */
+/**
+ * Write a trace as CSV; throws FatalError on I/O failure or a trace
+ * of fewer than 2 DCs. The layout, for n = dcs:
+ *
+ * - the header `t,y0,...,y{2n^2-1}`;
+ * - one row per sample: its time t >= 0, the n^2 capacity
+ *   multipliers, then the n^2 RTT factors (both src * n + dst);
+ * - one marker row per burst, with t = -1, -2, ...: start, duration,
+ *   src, dst and connections, then zeros;
+ * - one marker row per fault, numbered on after the bursts: time,
+ *   duration, src, dst, dc, kind + 1 (nonzero, which tells it from a
+ *   burst marker) and startJitter, then zeros.
+ *
+ * Cells are written at max_digits10, so every double survives the
+ * round trip exactly.
+ */
 void writeTraceCsv(const std::string &path, const BwTrace &trace);
 
-/** Read a trace written by writeTraceCsv; throws FatalError naming
- *  @p path on a missing, truncated, or malformed file. */
+/**
+ * Read a trace written by writeTraceCsv; throws FatalError naming
+ * @p path on a missing, truncated, or malformed file, and the file
+ * line of a malformed row. CRLF endings are accepted, blank lines
+ * skipped, and a cell may have spaces around its number.
+ */
 BwTrace readTraceCsv(const std::string &path);
 
 /**

@@ -85,7 +85,7 @@ Service::Service(net::Topology topo, ServiceConfig cfg,
                                     topo_.dcCount(), "Service")),
       rng_(seed ^ 0x5e17ce),
       allocator_(cfg.policy),
-      gaugedRows_(monitor::kFeatureCount, 1)
+      gaugedRows_(monitor::kFeatureCount)
 {
     fatalIf(cfg_.maxConcurrent == 0,
             "Service: maxConcurrent must be positive");

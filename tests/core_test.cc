@@ -458,7 +458,7 @@ ml::Dataset
 goldenTrainingData()
 {
     Rng rng(20250731);
-    ml::Dataset data(monitor::kFeatureCount, 1);
+    ml::Dataset data(monitor::kFeatureCount);
     for (int s = 0; s < 400; ++s) {
         const double n = 2.0 + rng.uniformInt(0, 6);
         const double snap = rng.uniform(20.0, 2000.0);
@@ -557,29 +557,6 @@ TEST(RuntimeBwPredictor, BatchedMatrixMatchesPerPairReference)
     }
 }
 
-TEST(RuntimeBwPredictor, RefusesMultiTargetDatasets)
-{
-    // The forest regresses one target: a dataset with two is refused
-    // by the trainer before any tree grows, whether it would train a
-    // fresh predictor or warm-start a trained one.
-    ml::Dataset twoTargets(monitor::kFeatureCount, 2);
-    twoTargets.add({4.0, 500.0, 0.5, 0.5, 0.1, 4000.0}, {600.0, 1.0});
-    const std::string want =
-        "fatal: TrainingContext: dataset must have exactly one target";
-
-    RuntimeBwPredictor fresh;
-    EXPECT_EQ(whatOf<FatalError>([&] { fresh.train(twoTargets, 1); }),
-              want);
-    EXPECT_FALSE(fresh.trained());
-
-    auto fixture = goldenFixture();
-    RuntimeBwPredictor &trained = fixture.first;
-    EXPECT_EQ(
-        whatOf<FatalError>([&] { trained.retrain(twoTargets, 5, 2); }),
-        want);
-    EXPECT_EQ(trained.forest().treeCount(), 25u);
-}
-
 TEST(RuntimeBwPredictor, FailedTrainKeepsTheModel)
 {
     // A train() the forest refuses leaves the trained model in place:
@@ -600,11 +577,9 @@ TEST(RuntimeBwPredictor, FailedTrainKeepsTheModel)
     const std::vector<double> before = predictAll();
     const double oobBefore = trained.forest().oobR2();
 
-    ml::Dataset twoTargets(monitor::kFeatureCount, 2);
-    twoTargets.add({4.0, 500.0, 0.5, 0.5, 0.1, 4000.0}, {600.0, 1.0});
-    EXPECT_EQ(whatOf<FatalError>([&] { trained.train(twoTargets, 3); }),
-              "fatal: TrainingContext: dataset must have exactly one "
-              "target");
+    const ml::Dataset empty(monitor::kFeatureCount);
+    EXPECT_EQ(whatOf<FatalError>([&] { trained.train(empty, 3); }),
+              "fatal: RandomForest::fit: empty dataset");
     EXPECT_TRUE(trained.trained());
     EXPECT_EQ(trained.forest().treeCount(), 25u);
     const std::vector<double> after = predictAll();

@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the dataset CSV persistence (the paper open-sources its
- * collected datasets; this is the matching I/O path) plus the
+ * Tests for the CSV cell and line rules of the trace reader plus the
  * multi-cloud (Section 5.8.3) and drift-retraining (Section 3.3.4)
  * end-to-end flows.
  */
@@ -9,127 +8,98 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
+#include <cstdio>
+#include <fstream>
+#include <string>
 
 #include "core/bandwidth_analyzer.hh"
 #include "core/drift.hh"
 #include "core/heterogeneity.hh"
 #include "core/predictor.hh"
 #include "experiments/testbed.hh"
-#include "ml/csv.hh"
 #include "ml/metrics.hh"
 #include "monitor/features.hh"
 #include "monitor/measurement.hh"
 #include "net/region.hh"
 #include "net/vm.hh"
+#include "scenario/trace.hh"
 #include "expect_what.hh"
 
 using namespace wanify;
 using namespace wanify::ml;
 using wanify::test::whatOf;
 
-TEST(Csv, RoundTripPreservesData)
+namespace {
+
+/** Write @p text to a temp file and read it back as a trace. */
+scenario::BwTrace
+readText(const std::string &text)
 {
-    Dataset data(2, 1);
-    data.add({1.5, -2.25}, 10.0);
-    data.add({0.0, 3.75}, -0.5);
-
-    std::stringstream ss;
-    writeCsv(ss, data, {"a", "b"});
-    const Dataset loaded = readCsv(ss);
-
-    ASSERT_EQ(loaded.size(), 2u);
-    ASSERT_EQ(loaded.featureCount(), 2u);
-    ASSERT_EQ(loaded.outputCount(), 1u);
-    EXPECT_DOUBLE_EQ(loaded.x(0)[0], 1.5);
-    EXPECT_DOUBLE_EQ(loaded.x(0)[1], -2.25);
-    EXPECT_DOUBLE_EQ(loaded.target(1), -0.5);
+    const std::string path = ::testing::TempDir() + "wanify_csv.csv";
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << text;
+    }
+    struct Remove
+    {
+        std::string path;
+        ~Remove() { std::remove(path.c_str()); }
+    } remove{path};
+    return scenario::readTraceCsv(path);
 }
+
+/** The cause readTraceCsv gives for @p text, without the file name. */
+std::string
+causeOf(const std::string &text)
+{
+    const std::string what =
+        whatOf<FatalError>([&] { readText(text); });
+    const std::string::size_type cut = what.find("': ");
+    return cut == std::string::npos ? what : what.substr(cut + 3);
+}
+
+const std::string kHeader2 = "t,y0,y1,y2,y3,y4,y5,y6,y7";
+
+} // namespace
 
 TEST(Csv, LoadsCrlfBlankLinesAndSpacedCells)
 {
     // A file saved with Windows line endings, a blank line, and
-    // spaces on both sides of a number loads; each data row keeps the
-    // file line it came from.
-    std::stringstream ss("a,b,y0\r\n1, 2 ,3\r\n\r\n4,5,6 \r\n");
-    std::vector<std::size_t> lines;
-    const Dataset loaded = readCsv(ss, &lines);
+    // spaces on both sides of a number loads.
+    const auto loaded = readText(kHeader2 + "\r\n" +
+                                 "5, 1 ,0.5,0.5,1,1,1,1,1\r\n\r\n" +
+                                 "10,1,0.25,0.25,1,1,2,2,1 \r\n");
+    EXPECT_EQ(loaded.dcs, 2u);
     ASSERT_EQ(loaded.size(), 2u);
-    EXPECT_EQ(loaded.x(0)[1], 2.0);
-    EXPECT_EQ(loaded.target(0), 3.0);
-    EXPECT_EQ(loaded.target(1), 6.0);
-    EXPECT_EQ(lines, (std::vector<std::size_t>{2, 4}));
-}
-
-TEST(Csv, HeaderNamesWritten)
-{
-    Dataset data(2, 1);
-    data.add({1.0, 2.0}, 3.0);
-    std::stringstream ss;
-    writeCsv(ss, data, {"N", "S_BWij"});
-    std::string header;
-    std::getline(ss, header);
-    EXPECT_EQ(header, "N,S_BWij,y0");
+    EXPECT_EQ(loaded.times, (std::vector<double>{5.0, 10.0}));
+    EXPECT_EQ(loaded.rows[0][1], 0.5);
+    EXPECT_EQ(loaded.rows[1][2], 0.25);
+    EXPECT_EQ(loaded.rttRows[1][1], 2.0);
 }
 
 TEST(Csv, RejectsMalformedInput)
 {
-    {
-        std::stringstream ss("");
-        EXPECT_THROW(readCsv(ss), FatalError);
-    }
-    {
-        std::stringstream ss("a,b,y0\n1,2\n");
-        EXPECT_THROW(readCsv(ss), FatalError);
-    }
-    {
-        std::stringstream ss("a,b,y0\n1,huh,3\n");
-        EXPECT_THROW(readCsv(ss), FatalError);
-    }
-    {
-        // Feature column after targets.
-        std::stringstream ss("a,y0,b\n1,2,3\n");
-        EXPECT_THROW(readCsv(ss), FatalError);
-    }
-    {
-        // A cell must parse whole: std::stod alone reads "1abc" as 1.
-        std::stringstream ss("a,y0\n1,2\n1abc,3\n");
-        EXPECT_EQ(whatOf<FatalError>([&] { readCsv(ss); }),
-                  "fatal: readCsv: bad number at line 3");
-    }
-    {
-        std::stringstream ss("a,y0\n1,2.5e\n");
-        EXPECT_EQ(whatOf<FatalError>([&] { readCsv(ss); }),
-                  "fatal: readCsv: bad number at line 2");
-    }
-}
-
-TEST(Csv, AnalyzerDatasetRoundTripsWithFeatureNames)
-{
-    core::AnalyzerConfig cfg;
-    cfg.clusterSizes = {3};
-    cfg.meshesPerSize = 2;
-    core::BandwidthAnalyzer analyzer(cfg);
-    const auto data = analyzer.collect(808);
-
-    std::vector<std::string> names(monitor::featureNames().begin(),
-                                   monitor::featureNames().end());
-    std::stringstream ss;
-    writeCsv(ss, data, names);
-    const auto loaded = readCsv(ss);
-    ASSERT_EQ(loaded.size(), data.size());
-    for (std::size_t i = 0; i < data.size(); ++i)
-        EXPECT_NEAR(loaded.target(i), data.target(i), 1e-6);
-
-    // A model trained from the re-loaded CSV behaves equivalently
-    // (CSV carries 12 significant digits; splits near ties may land
-    // on either side, so compare predictions, not trees).
-    core::RuntimeBwPredictor a, b;
-    a.train(data, 809);
-    b.train(loaded, 809);
-    const double pa = a.predictPair(data.x(0));
-    const double pb = b.predictPair(data.x(0));
-    EXPECT_NEAR(pa, pb, 0.05 * std::abs(pa));
+    EXPECT_EQ(causeOf(""), "missing header");
+    EXPECT_EQ(causeOf(kHeader2 + "\n5,1,1\n"),
+              "wrong column count at line 2");
+    EXPECT_EQ(causeOf(kHeader2 + "\n5,huh,1,1,1,1,1,1,1\n"),
+              "bad number at line 2");
+    // A cell must parse whole: std::stod alone reads "1abc" as 1.
+    EXPECT_EQ(causeOf(kHeader2 + "\n5,1,1,1,1,1,1,1,1\n" +
+                      "1abc,1,1,1,1,1,1,1,1\n"),
+              "bad number at line 3");
+    EXPECT_EQ(causeOf(kHeader2 + "\n5,2.5e,1,1,1,1,1,1,1\n"),
+              "bad number at line 2");
+    // Only t,y0,...,y{2n^2-1} with n >= 2 is a trace header.
+    const std::string header =
+        "header must be t,y0,...,y{2n^2-1} with n >= 2 DCs";
+    for (const std::string bad :
+         {"a,y0,y1,y2,y3,y4,y5,y6,y7", "t,y0,y1,y2,y3,y4,y5,y6,y8",
+          "t,y0,y1,y2,y3", "t,y0,y1", "t, y0,y1,y2,y3,y4,y5,y6,y7"})
+        EXPECT_EQ(causeOf(bad + "\n"), header) << bad;
+    // A blank line does not shift the line named.
+    EXPECT_EQ(causeOf(kHeader2 + "\n\n5,1,1\n"),
+              "wrong column count at line 3");
 }
 
 // ---- Section 5.8.3: multi-cloud (AWS + GCP) -----------------------------------
@@ -182,11 +152,11 @@ TEST(DriftRetraining, FlagTriggersWarmStartAndRecovers)
 
     // ...then the WAN shifts: a different fluctuation regime with
     // much lower effective capacities (simulated by scaling targets).
-    Dataset shifted(before.featureCount(), 1);
+    Dataset shifted(before.featureCount());
     for (std::size_t i = 0; i < before.size(); ++i) {
         auto x = before.x(i);
         x[monitor::FeatSnapshotBw] *= 0.3;
-        shifted.add(x, before.target(i) * 0.3);
+        shifted.add(x, before.y(i) * 0.3);
     }
 
     // The drift detector sees persistent significant errors (weak
@@ -197,13 +167,13 @@ TEST(DriftRetraining, FlagTriggersWarmStartAndRecovers)
     core::ModelDriftDetector drift(driftCfg);
     for (std::size_t i = 0; i < shifted.size(); ++i) {
         drift.record(predictor.predictPair(shifted.x(i)),
-                     shifted.target(i));
+                     shifted.y(i));
     }
     ASSERT_TRUE(drift.needsRetraining());
 
     std::vector<double> truth, predBefore;
     for (std::size_t i = 0; i < shifted.size(); ++i) {
-        truth.push_back(shifted.target(i));
+        truth.push_back(shifted.y(i));
         predBefore.push_back(predictor.predictPair(shifted.x(i)));
     }
     const double maeBefore = ml::mae(truth, predBefore);

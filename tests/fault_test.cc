@@ -22,6 +22,7 @@
 #include "experiments/testbed.hh"
 #include "fault/fault.hh"
 #include "gda/engine.hh"
+#include "scenario/driver.hh"
 #include "scenario/library.hh"
 #include "scenario/scenario.hh"
 #include "scenario/trace.hh"
@@ -194,6 +195,12 @@ TEST(FaultPlan, RejectsMismatchedAndMalformedEvents)
     a.time = -3.0;
     evs.push_back(a);
     EXPECT_THROW(FaultPlan(evs, 4, 1), FatalError);
+
+    // A NaN jitter would fail every comparison and pass unjittered.
+    evs[0].time = 3.0;
+    evs[0].startJitter = std::nan("");
+    EXPECT_EQ(whatOf<FatalError>([&] { FaultPlan(evs, 4, 1); }),
+              "fatal: fault startJitter must be finite and >= 0");
 }
 
 // ---- retry policy -----------------------------------------------------------
@@ -670,6 +677,48 @@ TEST(FaultTrace, FaultEventsSurviveTheCsvRoundTrip)
     ASSERT_NE(replay.faultPlan(), nullptr);
     EXPECT_EQ(replay.faultPlan()->events().size(), 2u);
     EXPECT_TRUE(replay.faultPlan()->blackoutAt(1, 7.0));
+}
+
+TEST(FaultTrace, RecordedFaultStormReplaysItsFaults)
+{
+    const auto spec = scenario::libraryScenario("fault-storm");
+    const auto topo = experiments::workerCluster(4, 2);
+    scenario::DriveConfig cfg;
+    cfg.seed = 7;
+    const auto recorded = scenario::driveScenario(spec, topo, cfg);
+    const scenario::ScenarioTimeline timeline(spec, 4, cfg.seed);
+    const scenario::TraceReplay replay(recorded.trace);
+
+    // The recording keeps every fault that starts within its horizon,
+    // at the start the timeline resolved for it.
+    std::vector<Seconds> want, got;
+    for (const CompiledFault &cf : timeline.faultPlan()->events())
+        if (cf.start <= spec.horizon)
+            want.push_back(cf.start);
+    ASSERT_NE(replay.faultPlan(), nullptr);
+    for (const CompiledFault &cf : replay.faultPlan()->events())
+        got.push_back(cf.start);
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(got, want);
+
+    // So an engine run over the replay injects what the run over the
+    // timeline injects.
+    auto faultsInjected = [&](const scenario::Dynamics &dynamics) {
+        const auto job = workloads::teraSort(8.0);
+        storage::HdfsStore hdfs(topo);
+        hdfs.loadUniform(job.inputBytes);
+        sched::TetriumScheduler tetrium;
+        gda::Engine engine(topo, experiments::defaultSimConfig(), 555);
+        gda::RunOptions opts;
+        opts.schedulerBw = Matrix<Mbps>::square(4, 500.0);
+        opts.staticConnections = Matrix<int>::square(4, 2);
+        opts.dynamics = &dynamics;
+        return engine.run(job, hdfs.distribution(), tetrium, opts)
+            .faultsInjected;
+    };
+    const std::size_t injected = faultsInjected(timeline);
+    EXPECT_GE(injected, 1u);
+    EXPECT_EQ(faultsInjected(replay), injected);
 }
 
 TEST(FaultTrace, ReadErrorsNameTheOffendingFile)

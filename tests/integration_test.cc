@@ -46,7 +46,7 @@ TEST(AnalyzerIntegration, CollectsPerPairSamples)
     EXPECT_EQ(data.size(), 12u);
     EXPECT_EQ(data.featureCount(), monitor::kFeatureCount);
     for (std::size_t i = 0; i < data.size(); ++i)
-        EXPECT_GT(data.target(i), 0.0);
+        EXPECT_GT(data.y(i), 0.0);
 }
 
 TEST(PredictorIntegration, TrainingAccuracyIsHigh)
@@ -63,7 +63,7 @@ TEST(PredictorIntegration, TrainingAccuracyIsHigh)
 
     std::vector<double> truth, fitted;
     for (std::size_t i = 0; i < data.size(); ++i) {
-        truth.push_back(data.target(i));
+        truth.push_back(data.y(i));
         fitted.push_back(pred.predictPair(data.x(i)));
     }
     EXPECT_GT(ml::relativeAccuracyPct(truth, fitted), 90.0);

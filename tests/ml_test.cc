@@ -31,7 +31,7 @@ Dataset
 linearData(std::size_t n, std::uint64_t seed)
 {
     Rng rng(seed);
-    Dataset data(2, 1);
+    Dataset data(2);
     for (std::size_t i = 0; i < n; ++i) {
         const double x0 = rng.uniform(0.0, 10.0);
         const double x1 = rng.uniform(0.0, 10.0);
@@ -66,7 +66,7 @@ Dataset
 stepData(std::size_t n, std::uint64_t seed)
 {
     Rng rng(seed);
-    Dataset data(1, 1);
+    Dataset data(1);
     for (std::size_t i = 0; i < n; ++i) {
         const double x = rng.uniform(0.0, 10.0);
         data.add({x}, x < 5.0 ? 10.0 : 20.0);
@@ -80,11 +80,13 @@ stepData(std::size_t n, std::uint64_t seed)
 
 TEST(Dataset, ShapeEnforced)
 {
-    Dataset data(2, 1);
+    Dataset data(2);
     data.add({1.0, 2.0}, 3.0);
     EXPECT_THROW(data.add({1.0}, 3.0), FatalError);
     EXPECT_EQ(data.size(), 1u);
-    EXPECT_DOUBLE_EQ(data.target(0), 3.0);
+    EXPECT_DOUBLE_EQ(data.y(0), 3.0);
+    EXPECT_EQ(whatOf<FatalError>([] { Dataset twoTargets(2, 2); }),
+              "fatal: Dataset: a sample has one target");
 }
 
 TEST(Dataset, SplitPartitionsAllSamples)
@@ -104,7 +106,7 @@ TEST(Dataset, AppendConcatenates)
     EXPECT_EQ(a.size(), 15u);
 
     // Appending a dataset to itself doubles it.
-    Dataset d(2, 1);
+    Dataset d(2);
     for (int i = 0; i < 3; ++i)
         d.add({1.0 * i, 2.0 * i}, 3.0 * i);
     d.append(d);
@@ -165,7 +167,7 @@ TEST(DecisionTree, PredictBeforeFitPanics)
 
 TEST(DecisionTree, ConstantTargetGivesSingleLeaf)
 {
-    Dataset data(1, 1);
+    Dataset data(1);
     for (int i = 0; i < 50; ++i)
         data.add({static_cast<double>(i)}, 42.0);
     DecisionTreeRegressor tree;
@@ -190,7 +192,7 @@ TEST(RandomForest, BeatsNaiveMeanOnLinearData)
 
     std::vector<double> truth, pred;
     for (std::size_t i = 0; i < test.size(); ++i) {
-        truth.push_back(test.target(i));
+        truth.push_back(test.y(i));
         pred.push_back(oracle::forestPredict(forest, test.x(i)));
     }
     EXPECT_GT(r2(truth, pred), 0.98);
@@ -231,19 +233,13 @@ TEST(RandomForest, WarmStartRejectsShapeChange)
     forest.fit(linearData(100, 50), 51);
     const std::vector<double> x = {1.0, 2.0};
     const double before = forest.compiled().predictRow(x.data());
-    Dataset moreFeatures(3, 1);
+    Dataset moreFeatures(3);
     moreFeatures.add({1.0, 2.0, 3.0}, 4.0);
     EXPECT_EQ(whatOf<FatalError>(
                   [&] { forest.warmStart(moreFeatures, 2, 52); }),
               "fatal: RandomForest::warmStart: feature count changed");
-    Dataset moreOutputs(2, 3);
-    moreOutputs.add({1.0, 2.0}, {3.0, 4.0, 5.0});
-    EXPECT_EQ(whatOf<FatalError>(
-                  [&] { forest.warmStart(moreOutputs, 2, 53); }),
-              "fatal: TrainingContext: dataset must have exactly one "
-              "target");
-    // Both are refused before any tree grows: the forest keeps its
-    // trees and its predictions.
+    // It is refused before any tree grows: the forest keeps its trees
+    // and its predictions.
     EXPECT_EQ(forest.treeCount(), 4u);
     EXPECT_EQ(forest.compiled().treeCount(), 4u);
     EXPECT_EQ(forest.compiled().predictRow(x.data()), before);
@@ -263,11 +259,9 @@ TEST(RandomForest, FailedFitKeepsTheTrainedForest)
     const std::vector<double> before = predictRows(forest, data);
     const double oobBefore = forest.oobR2();
 
-    Dataset twoTargets(2, 2);
-    twoTargets.add({1.0, 2.0}, {3.0, 4.0});
-    EXPECT_EQ(whatOf<FatalError>([&] { forest.fit(twoTargets, 62); }),
-              "fatal: TrainingContext: dataset must have exactly one "
-              "target");
+    const Dataset empty(2);
+    EXPECT_EQ(whatOf<FatalError>([&] { forest.fit(empty, 62); }),
+              "fatal: RandomForest::fit: empty dataset");
     EXPECT_TRUE(forest.trained());
     EXPECT_EQ(forest.treeCount(), 4u);
     EXPECT_EQ(forest.compiled().treeCount(), 4u);
@@ -292,7 +286,7 @@ TEST(RandomForest, WarmStartOnUntrainedForestTrainsFromScratch)
     EXPECT_EQ(forest.treeCount(), 6u);
     EXPECT_NEAR(oracle::forestPredict(forest, {5.0, 1.0}), 15.0, 1.5);
     // Shape is locked in by the warm start.
-    Dataset other(3, 1);
+    Dataset other(3);
     other.add({1.0, 2.0, 3.0}, 4.0);
     EXPECT_THROW(forest.warmStart(other, 2, 57), FatalError);
 }
@@ -318,7 +312,7 @@ TEST(RandomForest, OobR2ImprovesAsAppendedDataGrows)
     // union) must climb monotonically.
     auto noisy = [](std::size_t n, std::uint64_t seed, double sd) {
         Rng rng(seed);
-        Dataset data(2, 1);
+        Dataset data(2);
         for (std::size_t i = 0; i < n; ++i) {
             const double x0 = rng.uniform(0.0, 10.0);
             const double x1 = rng.uniform(0.0, 10.0);

@@ -115,7 +115,7 @@ NodeSortTree::meanTarget(
 {
     double mean = 0.0;
     for (std::size_t i : indices)
-        mean += data.y(i)[0];
+        mean += data.y(i);
     mean /= static_cast<double>(indices.size());
     return mean;
 }
@@ -133,7 +133,7 @@ NodeSortTree::bestSplitNodeSort(
     // Parent SSE via sum and sum of squares.
     double sum = 0.0, sumSq = 0.0;
     for (std::size_t i : indices) {
-        const double y = data.y(i)[0];
+        const double y = data.y(i);
         sum += y;
         sumSq += y * y;
     }
@@ -170,7 +170,7 @@ NodeSortTree::bestSplitNodeSort(
         double leftSum = 0.0, leftSumSq = 0.0;
 
         for (std::size_t pos = 0; pos + 1 < n; ++pos) {
-            const double y = data.y(sorted[pos])[0];
+            const double y = data.y(sorted[pos]);
             leftSum += y;
             leftSumSq += y * y;
             const double xHere = data.x(sorted[pos])[f];
@@ -328,7 +328,7 @@ class NodeSortForest
         double ssRes = 0.0, ssTot = 0.0, meanY = 0.0;
         std::size_t covered = 0;
         for (std::size_t i = 0; i < n; ++i)
-            meanY += data.y(i)[0];
+            meanY += data.y(i);
         meanY /= static_cast<double>(n);
 
         for (std::size_t i = 0; i < n; ++i) {
@@ -343,7 +343,7 @@ class NodeSortForest
             if (votes == 0)
                 continue;
             pred /= static_cast<double>(votes);
-            const double yi = data.y(i)[0];
+            const double yi = data.y(i);
             ssRes += (yi - pred) * (yi - pred);
             ssTot += (yi - meanY) * (yi - meanY);
             ++covered;

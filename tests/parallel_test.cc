@@ -44,7 +44,7 @@ Dataset
 linearData(std::size_t n, std::uint64_t seed)
 {
     Rng rng(seed);
-    Dataset data(2, 1);
+    Dataset data(2);
     for (std::size_t i = 0; i < n; ++i) {
         const double x0 = rng.uniform(0.0, 10.0);
         const double x1 = rng.uniform(0.0, 10.0);

@@ -22,7 +22,6 @@
 #include "experiments/runner.hh"
 #include "experiments/testbed.hh"
 #include "gda/engine.hh"
-#include "ml/csv.hh"
 #include "sched/locality.hh"
 #include "sched/tetrium.hh"
 #include "scenario/driver.hh"
@@ -416,13 +415,6 @@ TEST(ScenarioTrace, RejectsMalformedTraces)
                  FatalError); // non-increasing time
     EXPECT_THROW(TraceReplay(BwTrace{}), FatalError);
 
-    // A legacy capacity-only row is range-checked too.
-    ml::Dataset legacy(1, 4);
-    legacy.add({1.0}, {1.0, -3.0, 1.0, 1.0});
-    EXPECT_EQ(whatOf<FatalError>([&] { BwTrace::fromDataset(legacy); }),
-              "fatal: BwTrace::fromDataset: capacity factor must be "
-              "finite and >= 0 at row 1");
-
     // A recorded 4-DC trace edited by hand: each bad cell is refused
     // with the file and the CSV line it sits on.
     DriveConfig cfg;
@@ -459,26 +451,24 @@ TEST(ScenarioTrace, RejectsMalformedTraces)
         return whatOf<FatalError>([&] { readTraceCsv(path); });
     };
     const std::string cause = "fatal: cannot read trace '" + path + "': ";
-    const std::string rowCause = cause + "BwTrace::fromDataset: ";
     // Columns: t, 16 capacity factors, then 16 RTT factors.
-    EXPECT_EQ(loadEdited(3, 1, "1abc"),
-              cause + "readCsv: bad number at line 3");
+    EXPECT_EQ(loadEdited(3, 1, "1abc"), cause + "bad number at line 3");
     EXPECT_EQ(loadEdited(3, 0, "nan"),
-              rowCause + "non-finite t at line 3");
+              cause + "non-finite t at line 3");
     EXPECT_EQ(loadEdited(3, 1, "nan"),
-              rowCause + "capacity factor must be finite and >= 0 at "
-                         "line 3");
+              cause + "capacity factor must be finite and >= 0 at "
+                      "line 3");
     EXPECT_EQ(loadEdited(3, 16, "-3"),
-              rowCause + "capacity factor must be finite and >= 0 at "
-                         "line 3");
+              cause + "capacity factor must be finite and >= 0 at "
+                      "line 3");
     EXPECT_EQ(loadEdited(2, 17, "0"),
-              rowCause + "RTT factor must be finite and > 0 at line 2");
+              cause + "RTT factor must be finite and > 0 at line 2");
     EXPECT_EQ(loadEdited(2, 32, "inf"),
-              rowCause + "RTT factor must be finite and > 0 at line 2");
+              cause + "RTT factor must be finite and > 0 at line 2");
     // A blank line does not shift the line named.
     lines.insert(lines.begin() + 1, "");
     EXPECT_EQ(loadEdited(4, 0, "nan"),
-              rowCause + "non-finite t at line 4");
+              cause + "non-finite t at line 4");
 
     // A recorded flash-crowd trace's first burst marker, edited one
     // cell at a time: every marker cell is checked before it is cast.
@@ -495,8 +485,8 @@ TEST(ScenarioTrace, RejectsMalformedTraces)
     const std::string at = " at line " + std::to_string(burst);
     // Marker columns: t, start, duration, src, dst, connections, then
     // the fault kind + 1 (0 on a burst marker).
-    const std::string dcs = rowCause + "burst DCs must be distinct and "
-                                       "in range" + at;
+    const std::string dcs = cause + "burst DCs must be distinct and "
+                                    "in range" + at;
     EXPECT_EQ(loadEdited(burst, 3, "9"), dcs);
     EXPECT_EQ(loadEdited(burst, 3, "-1"), dcs);
     EXPECT_EQ(loadEdited(burst, 3, "0.5"), dcs);
@@ -504,27 +494,55 @@ TEST(ScenarioTrace, RejectsMalformedTraces)
                          std::to_string(crowd.trace.bursts[0].src)),
               dcs);
     const std::string conns =
-        rowCause + "burst connections must be an integer >= 1" + at;
+        cause + "burst connections must be an integer >= 1" + at;
     EXPECT_EQ(loadEdited(burst, 5, "0"), conns);
     EXPECT_EQ(loadEdited(burst, 5, "1e30"), conns);
     const std::string start =
-        rowCause + "burst start must be finite and >= 0" + at;
+        cause + "burst start must be finite and >= 0" + at;
     EXPECT_EQ(loadEdited(burst, 1, "nan"), start);
     EXPECT_EQ(loadEdited(burst, 1, "-1"), start);
     const std::string duration =
-        rowCause + "burst duration must be finite and > 0" + at;
+        cause + "burst duration must be finite and > 0" + at;
     EXPECT_EQ(loadEdited(burst, 2, "-5"), duration);
     EXPECT_EQ(loadEdited(burst, 2, "inf"), duration);
     // A nonzero kind slot makes the row a fault marker.
     const std::string kind =
-        rowCause + "unknown fault kind marker" + at;
+        cause + "unknown fault kind marker" + at;
     EXPECT_EQ(loadEdited(burst, 6, "nan"), kind);
     EXPECT_EQ(loadEdited(burst, 6, "1e30"), kind);
     EXPECT_EQ(loadEdited(burst, 6, "1.5"), kind);
     // As a fault, the burst's connections cell is the target DC.
     ASSERT_GE(crowd.trace.bursts[0].connections, 4);
     EXPECT_EQ(loadEdited(burst, 6, "2"),
-              rowCause + "fault marker DC out of range" + at);
+              cause + "fault marker DC out of range" + at);
+
+    // Fault markers follow the bursts; each is checked as a FaultPlan
+    // checks its events. Marker columns: t, time, duration, src, dst,
+    // dc, kind + 1, startJitter.
+    BwTrace faulty = crowd.trace;
+    fault::FaultEvent abort;
+    abort.time = 12.0;
+    faulty.faults.push_back(abort);
+    fault::FaultEvent blackout;
+    blackout.kind = fault::FaultKind::DcBlackout;
+    blackout.dc = 1;
+    blackout.time = 20.0;
+    blackout.duration = 5.0;
+    faulty.faults.push_back(blackout);
+    writeAndRead(faulty);
+    ASSERT_EQ(lines.size(), burst + faulty.bursts.size() + 1);
+    const std::size_t abortLine = lines.size() - 1;
+    const std::string atAbort = " at line " + std::to_string(abortLine);
+    const std::string jitter =
+        cause + "fault startJitter must be finite and >= 0" + atAbort;
+    EXPECT_EQ(loadEdited(abortLine, 7, "nan"), jitter);
+    EXPECT_EQ(loadEdited(abortLine, 7, "inf"), jitter);
+    EXPECT_EQ(loadEdited(abortLine, 1, "nan"),
+              cause + "fault time must be finite and non-negative" +
+                  atAbort);
+    EXPECT_EQ(loadEdited(lines.size(), 2, "0"),
+              cause + "windowed DC faults need a positive duration" +
+                  " at line " + std::to_string(lines.size()));
     std::remove(path.c_str());
 }
 
@@ -585,29 +603,6 @@ TEST(ScenarioTrace, ReplayReproducesRttFactorsAndBursts)
     }
 }
 
-TEST(ScenarioTrace, LegacyCapacityOnlyCsvStillLoads)
-{
-    // A trace written by the pre-RTT schema: one `t` feature and
-    // n^2 target columns, no markers.
-    ml::Dataset legacy(1, 16);
-    for (double t = 5.0; t <= 20.0; t += 5.0)
-        legacy.add({t}, std::vector<double>(16, 0.75));
-    const std::string path = tmpPath("legacy.csv");
-    ml::writeCsvFile(path, legacy, {"t"});
-    const auto loaded = readTraceCsv(path);
-    std::remove(path.c_str());
-
-    EXPECT_EQ(loaded.dcs, 4u);
-    ASSERT_EQ(loaded.size(), 4u);
-    EXPECT_TRUE(loaded.bursts.empty());
-    for (const auto &row : loaded.rttRows)
-        for (double f : row)
-            EXPECT_DOUBLE_EQ(f, 1.0);
-    for (const auto &row : loaded.rows)
-        for (double m : row)
-            EXPECT_DOUBLE_EQ(m, 0.75);
-}
-
 // ---- replay boundary semantics ---------------------------------------------
 
 TEST(ScenarioTrace, CapFactorHoldsRowsOverClosedRightIntervals)
@@ -656,14 +651,13 @@ TEST(ScenarioTrace, ApplyAtInstallsTheIntervalAfterTheBoundary)
     EXPECT_NEAR(capturedMultipliers(sim)[1], 0.25, 1e-12);
 }
 
-TEST(ScenarioTrace, SingleRowLegacyTraceHoldsEverywhere)
+TEST(ScenarioTrace, SingleRowTraceHoldsEverywhere)
 {
-    // A one-sample capacity-only dataset (the legacy layout) must
-    // replay as a constant medium at every query time, including
-    // t = 0 and far past the lone timestamp.
-    ml::Dataset legacy(1, 4);
-    legacy.add({5.0}, std::vector<double>{1.0, 0.6, 0.6, 1.0});
-    const auto trace = BwTrace::fromDataset(legacy);
+    // A one-sample trace must replay as a constant medium at every
+    // query time, including t = 0 and far past the lone timestamp.
+    BwTrace trace;
+    trace.dcs = 2;
+    trace.add(5.0, {1.0, 0.6, 0.6, 1.0});
 
     EXPECT_EQ(trace.dcs, 2u);
     ASSERT_EQ(trace.size(), 1u);

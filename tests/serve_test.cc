@@ -101,7 +101,7 @@ std::unique_ptr<core::Wanify>
 tinyWanify(std::uint64_t seed = 404)
 {
     Rng rng(seed);
-    ml::Dataset data(monitor::kFeatureCount, 1);
+    ml::Dataset data(monitor::kFeatureCount);
     for (std::size_t s = 0; s < 400; ++s) {
         const double n = 2.0 + rng.uniformInt(0, 6);
         const double snap = rng.uniform(20.0, 2000.0);

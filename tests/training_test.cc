@@ -29,7 +29,7 @@ Dataset
 continuousData(std::size_t n, std::uint64_t seed)
 {
     Rng rng(seed);
-    Dataset data(3, 1);
+    Dataset data(3);
     for (std::size_t i = 0; i < n; ++i) {
         const double a = rng.uniform(0.0, 10.0);
         const double b = rng.uniform(0.0, 10.0);
@@ -45,7 +45,7 @@ Dataset
 tiedData(std::size_t n, std::uint64_t seed)
 {
     Rng rng(seed);
-    Dataset data(3, 1);
+    Dataset data(3);
     for (std::size_t i = 0; i < n; ++i) {
         const double a = static_cast<double>(rng.uniformInt(0, 5));
         const double b = static_cast<double>(rng.uniformInt(0, 2));
@@ -185,7 +185,7 @@ TEST(TrainingParity, TreeFitsBitIdentical)
 
 TEST(TrainingChecks, NameTheirCause)
 {
-    const Dataset empty(3, 1);
+    const Dataset empty(3);
     const auto data = tiedData(20, 131);
     const std::vector<std::size_t> none;
     const std::vector<std::size_t> outOfRange = {0, data.size()};
@@ -230,31 +230,6 @@ TEST(TrainingChecks, NameTheirCause)
               "fatal: RandomForest::fit: empty dataset");
     EXPECT_EQ(whatOf<FatalError>([&] { forest.warmStart(empty, 2, 134); }),
               "fatal: RandomForest::warmStart: empty dataset");
-
-    // Every entry point trains through a TrainingContext, whose check
-    // is the only target-count check in the ML stack. On an untrained
-    // forest a warm start is the initial fit, so it is refused the
-    // same way and leaves the forest untrained.
-    Dataset twoTargets(3, 2);
-    for (int i = 0; i < 8; ++i)
-        twoTargets.add({1.0 * i, 2.0 * i, 0.5}, {3.0 * i, -1.0 * i});
-    const std::string oneTarget =
-        "fatal: TrainingContext: dataset must have exactly one target";
-    EXPECT_EQ(whatOf<FatalError>([&] { TrainingContext{twoTargets}; }),
-              oneTarget);
-    EXPECT_EQ(whatOf<FatalError>([&] { tree.fit(twoTargets, rng); }),
-              oneTarget);
-    EXPECT_EQ(whatOf<FatalError>(
-                  [&] { tree.fit(twoTargets, {0, 1, 2}, rng); }),
-              oneTarget);
-    EXPECT_FALSE(tree.trained());
-    EXPECT_EQ(whatOf<FatalError>([&] { forest.fit(twoTargets, 135); }),
-              oneTarget);
-    EXPECT_EQ(
-        whatOf<FatalError>([&] { forest.warmStart(twoTargets, 2, 136); }),
-        oneTarget);
-    EXPECT_FALSE(forest.trained());
-    EXPECT_TRUE(forest.compiled().empty());
 }
 
 // ---- retrain latency aggregation -------------------------------------------
