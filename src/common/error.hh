@@ -43,10 +43,10 @@ class PanicError : public std::logic_error
 /** Abort with an internal-invariant violation; see class docs. */
 [[noreturn]] void panic(const std::string &msg);
 
-/** fatal(msg) unless cond holds. */
+/** fatal(msg) when cond holds. */
 void fatalIf(bool cond, const std::string &msg);
 
-/** panic(msg) unless cond holds. */
+/** panic(msg) when cond holds. */
 void panicIf(bool cond, const std::string &msg);
 
 } // namespace wanify
