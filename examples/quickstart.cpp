@@ -37,7 +37,7 @@ main()
     core::Wanify wanify;
     wanify.train(analyzerCfg, /*seed=*/2025);
     std::printf("  forest OOB R^2: %.3f\n",
-                wanify.predictor().forest().oobR2());
+                wanify.predictorSnapshot()->forest().oobR2());
 
     // 3. Online: snapshot the live network (1 s of measurement
     //    instead of 20+), predict the full runtime BW matrix.

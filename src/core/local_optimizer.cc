@@ -33,7 +33,6 @@ LocalOptimizer::LocalOptimizer(std::size_t sourceDc,
     // Start from the maximum configuration (Section 3.2.2).
     cons_ = maxCons_;
     bw_ = maxBw_;
-    mode_.assign(n, AimdMode::Hold);
 }
 
 void
@@ -45,31 +44,22 @@ LocalOptimizer::epochUpdate(const std::vector<Mbps> &monitoredBw,
         fatal("LocalOptimizer::epochUpdate: vector size mismatch");
 
     for (std::size_t j = 0; j < n; ++j) {
-        if (j == sourceDc_) {
-            mode_[j] = AimdMode::Hold;
+        // Skip the agent's own DC, and tiny transfers: they say
+        // nothing about network state, and updating on them would
+        // thrash between increase and decrease (Section 3.2.2).
+        if (j == sourceDc_ || pendingBytes[j] < cfg_.minTransferSize)
             continue;
-        }
-        // Tiny transfers say nothing about network state; skip to
-        // avoid mode thrashing (Section 3.2.2).
-        if (pendingBytes[j] < cfg_.minTransferSize) {
-            mode_[j] = AimdMode::Skipped;
-            continue;
-        }
 
         if (monitoredBw[j] < bw_[j] - cfg_.significantDelta) {
             // Multiplicative decrease: congestion detected.
             cons_[j] = std::max(minCons_[j], cons_[j] / 2);
             bw_[j] = std::max(minBw_[j], bw_[j] / 2.0);
-            mode_[j] = AimdMode::Decrease;
         } else if (cons_[j] < maxCons_[j]) {
             // Additive increase: +1 connection, linear BW bump toward
             // predicted x connections.
             cons_[j] = std::min(maxCons_[j], cons_[j] + 1);
             const Mbps linear = predictedBw_[j] * cons_[j];
             bw_[j] = std::clamp(linear, minBw_[j], maxBw_[j]);
-            mode_[j] = AimdMode::Increase;
-        } else {
-            mode_[j] = AimdMode::Hold;
         }
     }
 }
@@ -88,14 +78,6 @@ LocalOptimizer::targetBw(std::size_t dst) const
     if (dst >= bw_.size())
         panic("targetBw: out of range");
     return bw_[dst];
-}
-
-AimdMode
-LocalOptimizer::lastMode(std::size_t dst) const
-{
-    if (dst >= mode_.size())
-        panic("lastMode: out of range");
-    return mode_[dst];
 }
 
 } // namespace core

@@ -39,9 +39,6 @@ struct AimdConfig
     Bytes minTransferSize = 1024.0 * 1024.0;
 };
 
-/** Mode taken for a destination in the last epoch. */
-enum class AimdMode { Hold, Increase, Decrease, Skipped };
-
 /**
  * AIMD controller for one source DC.
  *
@@ -73,7 +70,6 @@ class LocalOptimizer
 
     int targetConnections(std::size_t dst) const;
     Mbps targetBw(std::size_t dst) const;
-    AimdMode lastMode(std::size_t dst) const;
 
     std::size_t sourceDc() const { return sourceDc_; }
     std::size_t dcCount() const { return cons_.size(); }
@@ -89,7 +85,6 @@ class LocalOptimizer
 
     std::vector<int> cons_;
     std::vector<Mbps> bw_;
-    std::vector<AimdMode> mode_;
 };
 
 } // namespace core

@@ -25,7 +25,11 @@ WanifyFeatures::localOnly()
 
 Wanify::Wanify(WanifyConfig config)
     : config_(std::move(config))
-{}
+{
+    fatalIf(config_.features.throttling &&
+                !config_.features.localOptimization,
+            "Wanify: throttling needs localOptimization");
+}
 
 void
 Wanify::train(const AnalyzerConfig &analyzerCfg, std::uint64_t seed)
@@ -60,14 +64,6 @@ Wanify::trained() const
 {
     const auto p = predictorSnapshot();
     return p && p->trained();
-}
-
-const RuntimeBwPredictor &
-Wanify::predictor() const
-{
-    fatalIf(!trained(), "Wanify: predictor not trained");
-    std::lock_guard<std::mutex> lock(predictorMu_);
-    return *predictor_;
 }
 
 std::shared_ptr<const RuntimeBwPredictor>
@@ -169,18 +165,12 @@ Wanify::deploy(net::NetworkSim &sim, const GlobalPlan &plan,
             "deploy: plan/topology mismatch");
 
     Deployment deployment;
-    if (!config_.features.localOptimization) {
-        // Without agents, throttling can only be static: thresholds
-        // from the predicted per-pair BWs (row means), applied once.
-        if (config_.features.throttling)
-            deployment.throttles.apply(sim, predictedBw);
+    if (!config_.features.localOptimization)
         return deployment;
-    }
-    // With agents deployed, they own throttling end to end: thresholds
-    // are re-derived every epoch from monitored rates (Section 3.2.2,
-    // "Throttling BW") — dynamic throttling is what makes WANify-TC
-    // the best variant in Fig. 5.
-
+    // The agents own throttling end to end: thresholds are re-derived
+    // every epoch from monitored rates (Section 3.2.2, "Throttling
+    // BW") — dynamic throttling is what makes WANify-TC the best
+    // variant in Fig. 5.
     deployment.agents.reserve(n);
     for (net::DcId dc = 0; dc < n; ++dc) {
         std::vector<Mbps> row(n, 0.0);

@@ -6,10 +6,10 @@
  *
  * Offline: train the WAN Prediction Model from Bandwidth Analyzer
  * datasets. Online: snapshot the live network, predict the runtime BW
- * matrix, run global optimization, install throttles, and hand local
- * agents to the engine. Feature toggles allow the ablation variants of
- * Fig. 5 and Fig. 8 (global-only, local-only, no throttling, uniform
- * parallelism).
+ * matrix, run global optimization, and hand local agents to the engine;
+ * the agents tune connections and throttle BW-rich links themselves.
+ * Feature toggles allow the ablation variants of Fig. 5 and Fig. 8
+ * (global-only, local-only, no throttling, uniform parallelism).
  */
 
 #ifndef WANIFY_CORE_WANIFY_HH
@@ -24,10 +24,8 @@
 #include "core/bandwidth_analyzer.hh"
 #include "core/drift.hh"
 #include "core/global_optimizer.hh"
-#include "core/heterogeneity.hh"
 #include "core/local_agent.hh"
 #include "core/predictor.hh"
-#include "core/throttle.hh"
 
 namespace wanify {
 namespace core {
@@ -37,6 +35,12 @@ struct WanifyFeatures
 {
     bool globalOptimization = true;
     bool localOptimization = true;
+
+    /**
+     * The local agents tc-cap BW-rich destinations every AIMD epoch
+     * (Section 3.2.2, "Throttling BW"). Agents are the only throttling
+     * path, so this needs localOptimization.
+     */
     bool throttling = true;
 
     /** Use skew weights in global optimization (Section 3.3.1). */
@@ -75,6 +79,8 @@ struct WanifyConfig
 class Wanify
 {
   public:
+    /** Refuses features.throttling without features.localOptimization:
+     *  with no agents, nothing would throttle. */
     explicit Wanify(WanifyConfig config = {});
 
     // --- offline module ---------------------------------------------------
@@ -86,16 +92,6 @@ class Wanify
     void setPredictor(std::shared_ptr<const RuntimeBwPredictor> p);
 
     bool trained() const;
-
-    /**
-     * Reference to the currently published predictor — for offline,
-     * single-threaded use (training scripts, benches, examples). The
-     * reference is only guaranteed to outlive concurrent publishing
-     * retrains while the caller also holds a predictorSnapshot();
-     * code that runs alongside publishRetrainedModel trials must use
-     * predictorSnapshot() instead.
-     */
-    const RuntimeBwPredictor &predictor() const;
 
     /**
      * The currently published predictor (null before training). The
@@ -174,30 +170,22 @@ class Wanify
                     const std::vector<double> &skewWeights = {}) const;
 
     /**
-     * One run's worth of online state: the local agents plus the
-     * throttles installed on that run's simulator. Owned by the
-     * caller (one per engine run) so a single Wanify instance can
-     * serve many concurrent runs — the experiment runner's parallel
-     * trials share one facade across threads.
+     * One run's worth of online state: the local agents on that run's
+     * simulator. Owned by the caller (one per engine run) so a single
+     * Wanify instance can serve many concurrent runs — the experiment
+     * runner's parallel trials share one facade across threads.
      */
     struct Deployment
     {
         std::vector<std::unique_ptr<LocalAgent>> agents;
-        ThrottleController throttles;
-
-        /** Remove the throttles this deployment installed. */
-        void
-        clear(net::NetworkSim &sim)
-        {
-            throttles.clear(sim);
-        }
     };
 
     /**
-     * Deploy on a live simulator: install throttles (if enabled) and
-     * create one local agent per DC. The caller drives the agents'
-     * onEpoch() at aimd.epoch intervals (the engine does this) and
-     * clears the deployment when the run ends.
+     * Deploy on a live simulator: one local agent per DC, or none
+     * when features.localOptimization is off. The caller drives the
+     * agents' onEpoch() at aimd.epoch intervals (the engine does
+     * this); with throttling on, each epoch re-derives the agent's tc
+     * limits from monitored rates.
      */
     Deployment deploy(net::NetworkSim &sim, const GlobalPlan &plan,
                       const BwMatrix &predictedBw) const;

@@ -350,18 +350,16 @@ class QueryRun
         }
     }
 
-    /** Plan and deploy fresh agents for @p belief. Crashed agents must
-     *  not re-throttle, so the redeploy (which installs fresh static
-     *  throttles for every DC) re-clears theirs. */
+    /** Plan and deploy fresh agents for @p belief. A crashed DC's
+     *  fresh agent runs no epoch: rearmAgents() and onEpochTick() skip
+     *  it, so its row (cleared at the crash) stays unthrottled until
+     *  restartCrashedAgents() re-arms it. */
     void
     redeploy(const Matrix<Mbps> &belief)
     {
         plan_ = opts_.wanify->plan(belief, opts_.skewWeights);
         deployment_ = opts_.wanify->deploy(sim_, plan_, belief);
         rearmAgents();
-        for (DcId dc = 0; dc < n_; ++dc)
-            if (agentCrashed_[dc])
-                dropThrottles(dc);
         predicted_ = belief;
     }
 
@@ -441,13 +439,16 @@ class QueryRun
 
     /**
      * The online learning loop, run when the drift gauge fires under
-     * adaptOnDrift: clear the stale throttles, gauge the live network
-     * (snapshot + one epoch of stable mesh BW — this costs measurement
-     * time, as in the paper), convert the gauge into training rows,
-     * warm-start retrain the pinned model, then re-predict from a
-     * second out-of-sample gauge, re-plan, and redeploy fresh agents.
-     * A ControlProbe brackets the whole window so the probes bill to
-     * WANify's control plane, not the query.
+     * adaptOnDrift: gauge the live network (snapshot + one epoch of
+     * stable mesh BW — this costs measurement time, as in the paper),
+     * convert the gauge into training rows, warm-start retrain the
+     * pinned model, then re-predict from a second out-of-sample gauge,
+     * re-plan, and redeploy fresh agents. The old agents' tc limits
+     * stay installed throughout: both gauges measure the throttled
+     * mesh, and the fresh agents keep no record of those caps, so one
+     * they do not re-mark as BW-rich is never released (a ROADMAP open
+     * item). A ControlProbe brackets the whole window so the probes
+     * bill to WANify's control plane, not the query.
      */
     void
     retrainAndRedeploy()
@@ -457,7 +458,6 @@ class QueryRun
             replanOnGaugeFault(gaugeKind);
             return;
         }
-        deployment_.clear(sim_);
         ControlProbe probe = openProbe();
 
         // Gauge A: the stale model's error under current conditions,
@@ -560,7 +560,6 @@ class QueryRun
             for (DcId j = 0; j < n_; ++j)
                 if (!std::isfinite(belief.at(i, j)) || belief.at(i, j) < 0.0)
                     belief.at(i, j) = opts_.schedulerBw.at(i, j);
-        deployment_.clear(sim_);
         redeploy(belief);
         // Do not trend_.record(): feeding extrapolations back into the
         // trend would let the ladder hallucinate.
@@ -756,8 +755,6 @@ class QueryRun
     void
     bill()
     {
-        if (opts_.wanify != nullptr)
-            deployment_.clear(sim_);
         dynamics_.finish();
 
         result_.latency = sim_.now() - jobStart_;

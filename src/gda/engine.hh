@@ -185,7 +185,8 @@ struct RunOptions
     Matrix<Mbps> schedulerBw;
 
     /**
-     * Deploy WANify (plan + agents + throttles per its feature set).
+     * Deploy WANify (plan + local agents, which throttle when its
+     * feature set says so).
      * Null = plain data transfer with staticConnections.
      */
     const core::Wanify *wanify = nullptr;

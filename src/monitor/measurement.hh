@@ -14,8 +14,8 @@
  *  - runtime/stable: a >= 20-second simultaneous average.
  *
  * Measurements probe between the first VM of each DC (the paper deploys
- * one monitoring VM per region); association for multi-VM DCs is handled
- * by WANify (Section 3.3.3).
+ * one monitoring VM per region). Section 3.3.3's association for
+ * multi-VM DCs (core::associateBw) is not applied by any run yet.
  */
 
 #ifndef WANIFY_MONITOR_MEASUREMENT_HH

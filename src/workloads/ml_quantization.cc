@@ -57,7 +57,8 @@ MlQuantizationJob::run(const net::Topology &topo,
     NetworkSim sim(topo, simCfg, seed);
     Rng rng(seed ^ 0x5eed);
 
-    // WQ transport: heterogeneous connections + agents + throttles.
+    // WQ transport: heterogeneous connections + AIMD agents, which
+    // also throttle.
     core::GlobalPlan plan;
     core::Wanify::Deployment deployment;
     auto &agents = deployment.agents;
@@ -156,9 +157,6 @@ MlQuantizationJob::run(const net::Topology &topo,
         }
         result.epochTimes.push_back(sim.now() - epochStart);
     }
-
-    if (wanify != nullptr)
-        deployment.clear(sim);
 
     result.trainingTime = sim.now() - start;
 

@@ -18,7 +18,6 @@
 #include "core/heterogeneity.hh"
 #include "core/local_optimizer.hh"
 #include "core/predictor.hh"
-#include "core/throttle.hh"
 #include "core/wanify.hh"
 #include "expect_what.hh"
 #include "monitor/features.hh"
@@ -276,7 +275,6 @@ TEST(LocalOptimizer, MultiplicativeDecreaseOnCongestion)
     std::vector<Bytes> pending(3, 1.0e9);
     opt.epochUpdate(monitored, pending);
 
-    EXPECT_EQ(opt.lastMode(2), AimdMode::Decrease);
     EXPECT_LE(opt.targetConnections(2), std::max(1, consBefore / 2));
     EXPECT_LE(opt.targetBw(2), bwBefore / 2.0 + 1e-9);
 }
@@ -325,39 +323,60 @@ TEST(LocalOptimizer, SkipsTinyTransfers)
     std::vector<Mbps> congested = {0.0, 0.0, 1.0};
     std::vector<Bytes> pending = {0.0, 0.0, 1000.0}; // < 1 MB
     opt.epochUpdate(congested, pending);
-    EXPECT_EQ(opt.lastMode(2), AimdMode::Skipped);
     EXPECT_EQ(opt.targetConnections(2), before);
+    EXPECT_DOUBLE_EQ(opt.targetBw(2), plan.maxBw.at(0, 2));
 }
 
 // ---- throttling --------------------------------------------------------------------
 
-TEST(Throttle, CapsOnlyBwRichDestinations)
+TEST(LocalAgent, ThrottlesBwRichDestinationsAndReleasesDrained)
 {
+    // WANify-TC on a quiet 4-DC testbed, planned from the true path
+    // capacities, with DC 0 shipping to every peer.
     const auto topo = net::TopologyBuilder::paperTestbed(
-        3, net::VmTypeCatalog::t3nano());
+        4, net::VmTypeCatalog::t3nano());
     net::NetworkSimConfig cfg;
     cfg.fluctuation.enabled = false;
     net::NetworkSim sim(topo, cfg, 1);
+    BwMatrix capacity = BwMatrix::square(4, 0.0);
+    for (net::DcId i = 0; i < 4; ++i)
+        for (net::DcId j = 0; j < 4; ++j)
+            if (i != j)
+                capacity.at(i, j) = sim.effectivePathCap(i, j);
+    const Wanify wanify;
+    auto deployment =
+        wanify.deploy(sim, wanify.plan(capacity), capacity);
+    ASSERT_EQ(deployment.agents.size(), 4u);
 
-    // Row 0: mean of {900, 100} = 500 -> only dest 1 capped.
-    BwMatrix achievable{{5000.0, 900.0, 100.0},
-                        {900.0, 5000.0, 100.0},
-                        {100.0, 100.0, 5000.0}};
-    ThrottleController throttle;
-    const auto limits = throttle.apply(sim, achievable);
-    EXPECT_NEAR(throttle.threshold(0), 500.0, 1e-9);
-    EXPECT_NEAR(limits.at(0, 1), 500.0, 1e-9);
-    EXPECT_DOUBLE_EQ(limits.at(0, 2), 0.0);
+    std::vector<net::TransferId> jobs;
+    for (net::DcId j = 1; j < 4; ++j)
+        jobs.push_back(sim.startTransfer(topo.dc(0).vms.front(),
+                                         topo.dc(j).vms.front(),
+                                         units::gigabytes(50.0)));
+    for (auto &agent : deployment.agents) {
+        agent->applyTargets();
+        agent->resetWindow();
+    }
+    const auto epoch = [&] {
+        sim.advanceBy(wanify.config().aimd.epoch);
+        for (auto &agent : deployment.agents)
+            agent->onEpoch();
+    };
+    epoch();
 
-    // The cap binds in the simulator.
-    const auto id = sim.startMeasurement(topo.dc(0).vms.front(),
-                                         topo.dc(1).vms.front(), 4);
-    sim.advanceBy(1.0);
-    EXPECT_NEAR(sim.transferRate(id), 500.0, 1.0);
+    // The row's BW-rich peer (0 -> 1, US West) is tc-capped; the weak
+    // peers are not.
+    EXPECT_EQ(sim.transferBottleneck(jobs[0]), net::Bottleneck::TcLimit);
+    EXPECT_NE(sim.transferBottleneck(jobs[1]), net::Bottleneck::TcLimit);
+    EXPECT_NE(sim.transferBottleneck(jobs[2]), net::Bottleneck::TcLimit);
 
-    throttle.clear(sim);
-    sim.advanceBy(1.0);
-    EXPECT_GT(sim.transferRate(id), 1000.0);
+    // Once 0 -> 1 drains, the next epoch releases its cap: a probe on
+    // the pair no longer meets the tc limit.
+    sim.stopTransfer(jobs[0]);
+    epoch();
+    const auto probe = sim.startMeasurement(topo.dc(0).vms.front(),
+                                            topo.dc(1).vms.front());
+    EXPECT_NE(sim.transferBottleneck(probe), net::Bottleneck::TcLimit);
 }
 
 // ---- drift detection -----------------------------------------------------------------
@@ -609,11 +628,29 @@ TEST(Wanify, FeatureTogglesShapeThePlan)
     }
 }
 
+TEST(Wanify, ThrottlingNeedsAgents)
+{
+    // The local agents are the only throttling path: throttling
+    // without them would do nothing, so the facade refuses it.
+    WanifyConfig cfg;
+    cfg.features.localOptimization = false;
+    EXPECT_EQ(whatOf<FatalError>([&] { Wanify{cfg}; }),
+              "fatal: Wanify: throttling needs localOptimization");
+
+    cfg.features = WanifyFeatures::globalOnly();
+    const Wanify wanify(cfg);
+    const auto topo = net::TopologyBuilder::paperTestbed(
+        3, net::VmTypeCatalog::t3nano());
+    net::NetworkSim sim(topo, {}, 1);
+    const auto bw = paperExample();
+    EXPECT_TRUE(wanify.deploy(sim, wanify.plan(bw), bw).agents.empty());
+}
+
 TEST(Wanify, RequiresTrainedPredictor)
 {
     Wanify wanify;
     EXPECT_FALSE(wanify.trained());
-    EXPECT_THROW(wanify.predictor(), FatalError);
+    EXPECT_EQ(wanify.predictorSnapshot(), nullptr);
     EXPECT_THROW(
         wanify.setPredictor(std::make_shared<RuntimeBwPredictor>()),
         FatalError);

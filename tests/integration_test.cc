@@ -168,7 +168,7 @@ TEST(EndToEnd, ErrorInjectionDegradesWanify)
     sim.advanceBy(10.0);
     monitor::MeshMeasurer measurer(sim);
     Rng rng(5512);
-    const auto predicted = wanify.predictor().predictMatrix(
+    const auto predicted = wanify.predictorSnapshot()->predictMatrix(
         topo, measurer.snapshot(monitor::MeasurementConfig{}, rng));
 
     Matrix<Mbps> erred = predicted;
